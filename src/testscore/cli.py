@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -209,7 +210,8 @@ def _suite_bsp(seed: int, trials: int) -> dict:
     }
 
 
-def _suite_sketch(seed: int, trials: int) -> dict:
+def _suite_bounds(name: str, verify, seed: int, trials: int) -> dict:
+    # the sketch and goodness suites differ only in the verifier they run
     ok = True
     failures = []
     worst_lower = math.inf
@@ -217,38 +219,14 @@ def _suite_sketch(seed: int, trials: int) -> dict:
     for t in range(trials):
         gen = RngSpec(seed=seed).generator(t)
         scn = random_bsp_scenario(gen)
-        rep = verify_strong_sketch_bounds(scn, 0, scn.cardinalities[0])
+        rep = verify(scn, 0, scn.cardinalities[0])
         worst_lower = min(worst_lower, rep.worst_lower_slack)
         worst_upper = min(worst_upper, rep.worst_upper_slack)
         if not rep.ok:
             ok = False
             failures.append({"trial": t, "witness": rep.witness.to_json()})
     return {
-        "suite": "sketch",
-        "trials": trials,
-        "ok": ok,
-        "worst_lower_slack": worst_lower,
-        "worst_upper_slack": worst_upper,
-        "failures": failures,
-    }
-
-
-def _suite_goodness(seed: int, trials: int) -> dict:
-    ok = True
-    failures = []
-    worst_lower = math.inf
-    worst_upper = math.inf
-    for t in range(trials):
-        gen = RngSpec(seed=seed).generator(t)
-        scn = random_bsp_scenario(gen)
-        rep = verify_goodness_sandwich(scn, 0, scn.cardinalities[0])
-        worst_lower = min(worst_lower, rep.worst_lower_slack)
-        worst_upper = min(worst_upper, rep.worst_upper_slack)
-        if not rep.ok:
-            ok = False
-            failures.append({"trial": t, "witness": rep.witness.to_json()})
-    return {
-        "suite": "goodness",
+        "suite": name,
         "trials": trials,
         "ok": ok,
         "worst_lower_slack": worst_lower,
@@ -270,8 +248,8 @@ def _suite_adversarial(seed: int, trials: int) -> dict:
 _SUITES = {
     "submodularity": (_suite_submodularity, 50),
     "bsp": (_suite_bsp, 10_000),
-    "sketch": (_suite_sketch, 200),
-    "goodness": (_suite_goodness, 200),
+    "sketch": (partial(_suite_bounds, "sketch", verify_strong_sketch_bounds), 200),
+    "goodness": (partial(_suite_bounds, "goodness", verify_goodness_sandwich), 200),
     "adversarial": (_suite_adversarial, 1),
 }
 

@@ -58,9 +58,9 @@ def enumeration_budget() -> int:
 class Distribution:
     """Finite discrete distribution over non-negative performance values.
 
-    ``values`` are strictly increasing and non-negative; ``probs`` are
-    positive and sum to 1 (raw sums within 1e-9 of 1 are normalized once
-    at construction, anything farther off is rejected).
+    ``values`` are finite, strictly increasing and non-negative; ``probs``
+    are positive and sum to 1 (raw sums within 1e-9 of 1 are normalized
+    once at construction, anything farther off is rejected).
     """
 
     values: tuple[float, ...]
@@ -74,6 +74,9 @@ class Distribution:
         pairs = sorted(zip(self.values, self.probs))
         vals = tuple(float(v) for v, _ in pairs)
         prbs = [float(p) for _, p in pairs]
+        # a NaN or infinite probability fails the positivity or sum check
+        if not all(map(math.isfinite, vals)):
+            raise ValidationError(f"support values must be finite, got {vals}")
         for a, b in zip(vals, vals[1:]):
             if a == b:
                 raise ValidationError(f"duplicate support value {a}")

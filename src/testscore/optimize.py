@@ -61,7 +61,6 @@ class SelectionResult:
     per_project: tuple[UtilityEstimate, ...]
     total: float
     score_trace: tuple[TraceStep, ...] = ()
-    ratio_vs_opt: Optional[float] = None
     sketch_objective: Optional[float] = None
 
     def __post_init__(self):
@@ -78,8 +77,6 @@ class SelectionResult:
                 for t in self.score_trace
             ],
         }
-        if self.ratio_vs_opt is not None:
-            out["ratio_vs_opt"] = self.ratio_vs_opt
         if self.sketch_objective is not None:
             out["sketch_objective"] = self.sketch_objective
         return out

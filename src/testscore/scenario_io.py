@@ -111,6 +111,10 @@ def scenario_to_dict(
     return doc
 
 
+# exact types of decoded JSON numbers; true and false decode to bool
+_JSON_NUMBERS = (int, float)
+
+
 def _require_keys(obj: dict, keys: set, what: str) -> None:
     if not isinstance(obj, dict):
         raise ValidationError(f"{what} must be an object")
@@ -165,11 +169,15 @@ def scenario_from_dict(doc: dict) -> LoadedScenario:
             )
         support = entry["support"]
         if not isinstance(support, list) or not all(
-            isinstance(pair, list) and len(pair) == 2 for pair in support
+            isinstance(pair, list)
+            and len(pair) == 2
+            and type(pair[0]) in _JSON_NUMBERS
+            and type(pair[1]) in _JSON_NUMBERS
+            for pair in support
         ):
             raise ValidationError(
                 f"support for agent {entry['agent']!r}, project {entry['project']!r} "
-                "must be a list of [value, prob] pairs"
+                "must be a list of [value, prob] number pairs"
             )
         grid[i][j] = Distribution.from_pairs((float(v), float(p)) for v, p in support)
     for i, a in enumerate(agents):

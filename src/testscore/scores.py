@@ -3,7 +3,9 @@ score table a[i, j, r] for team sizes r = 1..max_r.
 
 A test score summarizes one agent's distribution against one project's value
 function; it never looks at joint evaluations, which is the whole point of
-the approach.
+the approach. The replication score a^r is the expected value of g on r
+i.i.d. copies of the agent, computed by the same exact engine as team
+utilities (see ``utility``), with Monte Carlo past the budget.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import IO, Iterator, Optional
+from typing import IO, Optional
 
 import numpy as np
 
@@ -24,7 +26,8 @@ from .core import (
     dist_mean,
     enumeration_budget,
 )
-from .production import ValueFunction, evaluate, evaluate_batch
+from .production import ValueFunction, evaluate_batch
+from .utility import _expectation
 
 MC_TARGET_REL_SE = 1e-3
 MC_BASE_SAMPLES = 100_000
@@ -61,49 +64,6 @@ def quantile_level(theta: float, k: int) -> float:
     return 1.0 - theta / k
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    # count vectors (c_1..c_parts) with sum == total
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
-def _multinomial(k: int, counts: tuple[int, ...]) -> int:
-    num = math.factorial(k)
-    for c in counts:
-        num //= math.factorial(c)
-    return num
-
-
-def _replication_exact(g: ValueFunction, d: Distribution, k: int, budget: int) -> float:
-    s = len(d)
-    terms = math.comb(k + s - 1, s - 1)
-    if terms > budget:
-        raise BudgetExceededError(terms, budget, what="replication enumeration")
-    values = d.values_array
-    probs = d.probs_array
-    acc = 0.0
-    # g is symmetric, so only the multiset of outcomes matters: enumerate
-    # count vectors with multinomial weights instead of the k-fold product.
-    for counts in _compositions(k, s):
-        w = float(_multinomial(k, counts))
-        for p, c in zip(probs, counts):
-            w *= p**c
-        x = np.repeat(values, counts)
-        acc += w * evaluate(g, x)
-    return acc
-
-
-def _replication_best_shot(d: Distribution, k: int) -> float:
-    # E[max of k iid copies] = sum_v v (F(v)^k - F(v-)^k)
-    cdf = d.cdf_array
-    below = np.concatenate(([0.0], cdf[:-1]))
-    return float(np.dot(d.values_array, cdf**k - below**k))
-
-
 def _replication_mc(
     g: ValueFunction, d: Distribution, k: int, rng: RngSpec, samples: int, stream: int
 ) -> tuple[float, float]:
@@ -125,16 +85,16 @@ def replication_score(
 ) -> float:
     """Expected value of g on k i.i.d. copies of the agent's performance.
 
-    Exact by default (multiset enumeration; best-shot has a closed form).
-    Passing an RngSpec switches to Monte Carlo with the given sample count.
+    Exact by default: the team-utility engine run on k copies of d, which
+    raises BudgetExceededError when its work passes ``budget`` (default:
+    the enumeration budget). Passing an RngSpec switches to Monte Carlo
+    with the given sample count.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     if rng is not None:
         return _replication_mc(g, d, k, rng, samples, stream=0)[0]
-    if g.kind == "best_shot":
-        return _replication_best_shot(d, k)
-    return _replication_exact(g, d, k, budget or enumeration_budget())
+    return _expectation(g, [(d, k)], budget or enumeration_budget())
 
 
 @dataclass(frozen=True)
@@ -181,11 +141,13 @@ def build_score_table(
     """Fill every (agent, project, r) cell.
 
     Mean and quantile scores do not depend on r, so their r-slices are
-    copies. Replication entries are exact whenever the multiset enumeration
-    fits the budget and otherwise fall back to Monte Carlo, recording the
-    per-entry standard error in the diagnostics (sampling is escalated a few
-    rounds toward a 1e-3 relative standard error). With mc_fallback=False a
-    budget overrun raises instead, for callers that need exact entries only.
+    copies. Replication entries come from the exact engine (method
+    ``exact_best_shot`` for best-shot projects, ``exact`` otherwise)
+    whenever its work fits the enumeration budget, and otherwise fall back
+    to Monte Carlo, recording the per-entry standard error in the
+    diagnostics (sampling is escalated a few rounds toward a 1e-3 relative
+    standard error). With mc_fallback=False a budget overrun raises
+    instead, for callers that need exact entries only.
     """
     if kind not in ("mean", "quantile", "replication"):
         raise ValidationError(f"unknown score kind {kind!r}")
@@ -208,42 +170,33 @@ def build_score_table(
     for i in scn.agents:
         for j in scn.projects:
             d = scn.dist(i, j)
-            if kind == "mean":
-                base = mean_score(d)
-                for r in range(1, max_r + 1):
-                    scores[(i, j, r)] = base
-                    diags[(i, j, r)] = ScoreDiag(method="exact")
-                continue
-            if kind == "quantile":
-                base = quantile_score(d, theta)
+            if kind != "replication":
+                base = mean_score(d) if kind == "mean" else quantile_score(d, theta)
                 for r in range(1, max_r + 1):
                     scores[(i, j, r)] = base
                     diags[(i, j, r)] = ScoreDiag(method="exact")
                 continue
             g = scn.value_fns[j]
+            exact_method = "exact_best_shot" if g.kind == "best_shot" else "exact"
             for r in range(1, max_r + 1):
-                if g.kind == "best_shot":
-                    scores[(i, j, r)] = _replication_best_shot(d, r)
-                    diags[(i, j, r)] = ScoreDiag(method="exact_best_shot")
-                    continue
-                terms = math.comb(r + len(d) - 1, len(d) - 1)
-                if terms <= budget:
-                    scores[(i, j, r)] = _replication_exact(g, d, r, budget)
-                    diags[(i, j, r)] = ScoreDiag(method="exact")
-                    continue
-                if not mc_fallback:
-                    # callers verifying tight analytic bounds need every entry
-                    # exact, so a budget overrun must surface, not degrade
-                    raise BudgetExceededError(terms, budget, what="replication enumeration")
-                stream = (i * scn.n_projects + j) * max_r + (r - 1)
-                samples = MC_BASE_SAMPLES
-                for _ in range(MC_MAX_ROUNDS):
-                    value, se = _replication_mc(g, d, r, mc_rng, samples, stream)
-                    if se <= MC_TARGET_REL_SE * max(abs(value), 1e-12):
-                        break
-                    samples *= 2
+                try:
+                    value = _expectation(g, [(d, r)], budget)
+                    diag = ScoreDiag(method=exact_method)
+                except BudgetExceededError:
+                    if not mc_fallback:
+                        # callers verifying tight analytic bounds need every
+                        # entry exact, so an overrun must surface, not degrade
+                        raise
+                    stream = (i * scn.n_projects + j) * max_r + (r - 1)
+                    samples = MC_BASE_SAMPLES
+                    for _ in range(MC_MAX_ROUNDS):
+                        value, se = _replication_mc(g, d, r, mc_rng, samples, stream)
+                        if se <= MC_TARGET_REL_SE * max(abs(value), 1e-12):
+                            break
+                        samples *= 2
+                    diag = ScoreDiag(method="monte_carlo", std_error=se)
                 scores[(i, j, r)] = value
-                diags[(i, j, r)] = ScoreDiag(method="monte_carlo", std_error=se)
+                diags[(i, j, r)] = diag
     return ScoreTable(
         kind=kind, max_r=max_r, scores=scores, theta=theta, diagnostics=diags
     )

@@ -1,30 +1,37 @@
 """Expected team utility u_j(S) = E[g_j(performances of S)].
 
-Exact evaluation enumerates the outcome product space of the members'
-distributions (mixed-radix, in bounded-memory blocks). Best-shot projects
-also get a closed-form path via CDF products over the merged support, which
-stays exact far beyond the enumeration budget. A Monte Carlo estimator
-covers everything else past the budget.
+One exact engine, ``_expectation``, computes E[g] over independent members
+given as (distribution, copies) pairs: a team passes one copy per agent, a
+replication score a^r passes r copies of one agent. It never enumerates the
+outcome product: ``total`` and ``ces`` build the distribution of the sum of
+phi(x_i), ``best_shot`` and ``top_r`` count the members above each support
+point, and ``success_prob`` factorizes. Monte Carlo covers work past the
+budget.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .core import (
     BudgetExceededError,
+    Distribution,
     RngSpec,
     Scenario,
     ValidationError,
     enumeration_budget,
 )
-from .production import evaluate, evaluate_batch
+from .production import ValueFunction, evaluate, evaluate_batch
 
-_BLOCK = 1 << 18  # leaves per enumeration block; bounds peak memory
+_MERGE = 1 << 12  # partial-sum atoms past which equal sums are merged
+
+Members = Sequence[tuple[Distribution, int]]
 
 
 @dataclass(frozen=True)
@@ -41,6 +48,87 @@ class UtilityEstimate:
             raise ValidationError("std_error must be 0 exactly for exact methods")
 
 
+def _charge(work: int, budget: int) -> None:
+    if work > budget:
+        raise BudgetExceededError(work, budget, what="exact expectation")
+
+
+def _sum_route(g: ValueFunction, members: Members, budget: int) -> float:
+    # E[h(sum phi(x_i))] from the sum's distribution, one copy at a time
+    phi = (lambda x: x) if g.kind == "total" else (lambda x: x**g.r)
+    shift, sums, probs, work = 0.0, np.zeros(1), np.ones(1), 0
+    for d, count in members:
+        if len(d) == 1:  # a point mass only moves the sum
+            shift += count * phi(d.values[0])
+            continue
+        terms = phi(d.values_array)
+        for _ in range(count):
+            work += len(sums) * len(d)
+            _charge(work, budget)
+            sums = np.add.outer(sums, terms).ravel()
+            probs = np.multiply.outer(probs, d.probs_array).ravel()
+            if len(sums) > _MERGE:
+                sums, inverse = np.unique(sums, return_inverse=True)
+                probs = np.bincount(inverse, weights=probs)
+    sums = sums + shift
+    out = g.f.apply(sums) if g.kind == "total" else sums ** (1.0 / g.r)
+    return float(np.dot(out, probs))
+
+
+def _order_route(g: ValueFunction, members: Members, budget: int) -> float:
+    # E[sum of the w largest] = integral over t of E[min(w, N(t))], where
+    # N(t) = #{copies > t} is constant between support points
+    if len(members) == 1:
+        grid = members[0][0].values_array
+        cdfs = [(members[0][0].cdf_array, members[0][1])]
+    else:  # repeated grid points only add zero-width gaps
+        grid = np.sort(np.concatenate([d.values_array for d, _ in members]))
+        cdfs = [
+            (np.concatenate(([0.0], d.cdf_array))[d.values_array.searchsorted(grid, "right")], c)
+            for d, c in members
+        ]
+    if g.kind == "best_shot":  # N(t) = 0 exactly when every copy is <= t
+        _charge(len(grid) * len(cdfs), budget)
+        w, above = 1, 1.0 - reduce(operator.mul, [F**count for F, count in cdfs])
+    else:
+        copies = sum(count for _, count in cdfs)
+        w = min(int(g.r), copies)
+        _charge(len(grid) * w * copies, budget)
+        # Poisson-binomial DP: rows 1..w of pq hold P(N(t) = c), c < w
+        pq = np.zeros((w + 1, len(grid)))
+        pq[1] = 1.0
+        q = pq[1:]
+        for F, count in cdfs:
+            for _ in range(count):
+                q += (pq[:-1] - q) * (1.0 - F)
+        above = w - np.arange(w, 0, -1) @ q
+    # below the smallest support point every copy counts
+    return w * float(grid[0]) + float(np.dot(grid[1:] - grid[:-1], above[:-1]))
+
+
+def _product_route(g: ValueFunction, members: Members, budget: int) -> float:
+    # 1 - prod (1 - E f(X_i)), by independence
+    _charge(sum(len(d) for d, _ in members), budget)
+    miss = 1.0
+    for d, count in members:
+        miss *= (1.0 - float(np.dot(g.f.apply(d.values_array), d.probs_array))) ** count
+    return 1.0 - miss
+
+
+def _expectation(g: ValueFunction, members: Members, budget: int) -> float:
+    """Exact E[g] over independent (distribution, copies) members. Raises
+    BudgetExceededError when the route's summed work passes the budget:
+    partial-sum atoms times support per sum step, grid times tracked
+    counts per copy on the order route, summed supports otherwise."""
+    if not members:
+        return 0.0  # g(0, ..., 0) = 0 across the catalogue
+    if g.kind in ("total", "ces"):
+        return _sum_route(g, members, budget)
+    if g.kind in ("best_shot", "top_r"):
+        return _order_route(g, members, budget)
+    return _product_route(g, members, budget)
+
+
 def _members(scn: Scenario, S: Iterable[int]) -> tuple[int, ...]:
     members = tuple(sorted(set(int(i) for i in S)))
     for i in members:
@@ -49,65 +137,35 @@ def _members(scn: Scenario, S: Iterable[int]) -> tuple[int, ...]:
     return members
 
 
-def exact_utility(scn: Scenario, j: int, S: Iterable[int]) -> UtilityEstimate:
-    """Exact expectation by enumerating the outcome product space.
+def _team(scn: Scenario, j: int, S: Iterable[int]) -> Members:
+    return [(scn.dist(i, j), 1) for i in _members(scn, S)]
 
-    The product of member support sizes must stay within the enumeration
-    budget. The empty team evaluates g on the all-zeros vector.
+
+def exact_utility(scn: Scenario, j: int, S: Iterable[int]) -> UtilityEstimate:
+    """Exact expected utility of team S on project j, from the engine.
+
+    Raises BudgetExceededError past the enumeration budget. The empty team
+    is worth g(0, ..., 0) = 0.
     """
-    members = _members(scn, S)
-    g = scn.value_fns[j]
-    if not members:
-        return UtilityEstimate(value=evaluate(g, []), method="exact")
-    dists = [scn.dist(i, j) for i in members]
-    sizes = [len(d) for d in dists]
-    total = math.prod(sizes)
-    budget = enumeration_budget()
-    if total > budget:
-        raise BudgetExceededError(total, budget)
-    values = [d.values_array for d in dists]
-    probs = [d.probs_array for d in dists]
-    acc = 0.0
-    for lo in range(0, total, _BLOCK):
-        hi = min(lo + _BLOCK, total)
-        digits = np.unravel_index(np.arange(lo, hi), sizes)
-        X = np.column_stack([values[c][digits[c]] for c in range(len(members))])
-        w = probs[0][digits[0]].copy()
-        for c in range(1, len(members)):
-            w *= probs[c][digits[c]]
-        acc += float(np.dot(evaluate_batch(g, X), w))
-    return UtilityEstimate(value=acc, method="exact")
+    value = _expectation(scn.value_fns[j], _team(scn, j, S), enumeration_budget())
+    return UtilityEstimate(value=value, method="exact")
 
 
 def exact_utility_best_shot(scn: Scenario, j: int, S: Iterable[int]) -> UtilityEstimate:
-    """E[max of member performances] via CDF products on the merged support.
-
-    Only valid for best-shot projects; agrees with exact_utility wherever
-    both run, but costs O(|merged support| * |S|) instead of the product.
-    """
+    """E[max of member performances] for a best-shot project: the engine's
+    CDF product, linear in the merged support size times |S|."""
     g = scn.value_fns[j]
     if g.kind != "best_shot":
         raise ValidationError(
             f"project {j} has value function {g.kind!r}, expected best_shot"
         )
-    members = _members(scn, S)
-    if not members:
-        return UtilityEstimate(value=0.0, method="exact_best_shot")
-    dists = [scn.dist(i, j) for i in members]
-    merged = np.unique(np.concatenate([d.values_array for d in dists]))
-    # P(max <= v) = prod_i F_i(v), with F_i a right-continuous step function
-    cdf_at = np.ones_like(merged)
-    for d in dists:
-        pos = np.searchsorted(d.values_array, merged, side="right")
-        cdf = np.concatenate(([0.0], d.cdf_array))
-        cdf_at = cdf_at * cdf[pos]
-    below = np.concatenate(([0.0], cdf_at[:-1]))
-    mass = cdf_at - below
-    return UtilityEstimate(value=float(np.dot(merged, mass)), method="exact_best_shot")
+    value = _expectation(g, _team(scn, j, S), enumeration_budget())
+    return UtilityEstimate(value=value, method="exact_best_shot")
 
 
 def project_utility(scn: Scenario, j: int, S: Iterable[int]) -> UtilityEstimate:
-    """Exact utility via the cheapest exact route for the project's variant."""
+    """Exact utility from the engine; best-shot projects carry the
+    ``exact_best_shot`` method label."""
     if scn.value_fns[j].kind == "best_shot":
         return exact_utility_best_shot(scn, j, S)
     return exact_utility(scn, j, S)

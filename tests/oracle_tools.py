@@ -41,6 +41,23 @@ def fn_success(f):
     return g
 
 
+# plain-Python twins of adversarial.CATALOGUE_POOL, in the same order
+CATALOGUE_REFS = (
+    fn_total(lambda x: x),
+    fn_total(math.sqrt),
+    fn_total(math.log1p),
+    fn_best_shot(),
+    fn_ces(1.5),
+    fn_ces(2.0),
+    fn_ces(4.0),
+    fn_success(lambda v: min(0.25 * v, 1.0)),
+    fn_success(lambda v: -math.expm1(-0.5 * v)),
+    fn_total(lambda x: x**0.5),
+    fn_ces(1.0),
+    fn_top_r(2),
+)
+
+
 def ref_mean(pairs):
     return sum(v * p for v, p in pairs)
 

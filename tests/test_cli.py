@@ -113,6 +113,19 @@ class TestSelect:
         code, _, err = run(capsys, ["select", bestshot_file, "--k", "5"])
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "true"])
+    def test_bad_support_numbers_exit_2(self, capsys, tmp_path, bestshot_file, literal):
+        text = open(bestshot_file).read()
+        doc = json.loads(text)
+        value = doc["distributions"][1]["support"][1][0]
+        bad = text.replace(f"{value!r},", f"{literal},", 1)
+        assert literal in bad
+        path = tmp_path / "bad.json"
+        path.write_text(bad)
+        code, _, err = run(capsys, ["select", str(path)])
+        assert code == EXIT_VALIDATION
+        assert "error:" in err
+
     def test_multi_project_needs_project(self, capsys, welfare_file):
         code, _, err = run(capsys, ["select", welfare_file])
         assert code == EXIT_VALIDATION

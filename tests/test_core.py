@@ -70,6 +70,20 @@ class TestDistribution:
         with pytest.raises(ValidationError, match="sum"):
             Distribution((0.0, 1.0), (0.5, 0.4))
 
+    @pytest.mark.parametrize(
+        "values, probs",
+        [
+            ((math.nan, 1.0), (0.5, 0.5)),
+            ((0.0, math.inf), (0.5, 0.5)),
+            ((0.0, 1.0), (math.nan, 0.5)),
+            ((0.0, 1.0), (math.inf, 0.5)),
+            ((-math.inf, 1.0), (0.5, 0.5)),
+        ],
+    )
+    def test_rejects_non_finite(self, values, probs):
+        with pytest.raises(ValidationError):
+            Distribution(values, probs)
+
     def test_cdf_ends_at_one(self):
         d = Distribution.from_pairs(((0.0, 0.1), (1.0, 0.2), (2.0, 0.7)))
         assert d.cdf_array[-1] == 1.0

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 
 import pytest
 
@@ -197,6 +198,23 @@ class TestStrictParsing:
         doc["distributions"][0]["support"] = [[1.0, 0.5, 9.9]]
         with pytest.raises(ValidationError, match="value, prob"):
             scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("bad", [True, False, "0.5", None])
+    def test_support_numbers_must_be_numbers(self, bad):
+        doc = self.doc()
+        doc["distributions"][0]["support"] = [[bad, 1.0]]
+        with pytest.raises(ValidationError, match="number pairs"):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("slot", [0, 1], ids=["value", "prob"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_json_literals_rejected(self, bad, slot):
+        doc = self.doc()
+        doc["distributions"][0]["support"][0][slot] = bad
+        text = json.dumps(doc)  # writes the NaN / Infinity literals
+        assert "NaN" in text or "Infinity" in text
+        with pytest.raises(ValidationError):
+            load_scenario(io.StringIO(text))
 
     def test_invalid_json_text(self):
         with pytest.raises(ValidationError, match="invalid scenario JSON"):

@@ -21,7 +21,24 @@ from testscore import (
     replication_score,
 )
 
-from oracle_tools import fn_best_shot, fn_ces, fn_total, ref_quantile, ref_replication
+from testscore.adversarial import CATALOGUE_POOL
+from testscore.scenario_io import value_fn_tag
+from testscore.utility import _MERGE
+
+from oracle_tools import (
+    CATALOGUE_REFS,
+    fn_best_shot,
+    fn_ces,
+    fn_top_r,
+    fn_total,
+    ref_quantile,
+    ref_replication,
+)
+
+PAIRED = [
+    (factory(), ref) for factory, ref in zip(CATALOGUE_POOL, CATALOGUE_REFS, strict=True)
+]
+TAGS = [value_fn_tag(g) for g, _ in PAIRED]
 
 TWO_POINT = Distribution.from_pairs(((0.0, 0.5), (2.0, 0.5)))
 
@@ -153,6 +170,52 @@ class TestReplicationScore:
                     assert replication_score(g, d, k) == pytest.approx(
                         ref_replication(pairs, ref, k), abs=1e-10
                     )
+
+    @pytest.mark.parametrize("g, ref", PAIRED, ids=TAGS)
+    def test_matches_reference_on_catalogue(self, g, ref):
+        gen = np.random.default_rng(47)
+        dists = [
+            Distribution.point(0.0),
+            Distribution.point(1.75),
+            Distribution.from_pairs(((0.0, 0.5), (2.0, 0.5))),
+        ]
+        for _ in range(3):
+            values = np.unique(np.round(gen.uniform(0, 3, 3), 3))
+            probs = gen.uniform(0.1, 1, len(values))
+            dists.append(
+                Distribution(
+                    tuple(values.tolist()), tuple((probs / probs.sum()).tolist())
+                )
+            )
+        for d in dists:
+            pairs = list(zip(d.values, d.probs))
+            for k in range(1, 7):
+                assert replication_score(g, d, k) == pytest.approx(
+                    ref_replication(pairs, ref, k), rel=1e-12, abs=0
+                ), (g, d, k)
+
+    def test_top_r_at_least_copies(self):
+        d = Distribution.from_pairs(((0.5, 0.3), (1.0, 0.3), (2.5, 0.4)))
+        pairs = list(zip(d.values, d.probs))
+        for r in (3, 6):
+            for k in range(1, 7):
+                assert replication_score(ValueFunction.top_r(r), d, k) == pytest.approx(
+                    ref_replication(pairs, fn_top_r(r), k), rel=1e-12, abs=0
+                )
+
+    @pytest.mark.parametrize(
+        "g, ref",
+        [(g, ref) for g, ref in PAIRED if g.kind in ("total", "ces")],
+        ids=[tag for tag, (g, _) in zip(TAGS, PAIRED) if g.kind in ("total", "ces")],
+    )
+    def test_integer_sums_cross_the_merge(self, g, ref):
+        # 4^7 partial sums pass the merge threshold, so equal sums merge
+        assert 4**6 <= _MERGE < 4**7
+        d = Distribution.from_pairs(((0.0, 0.1), (1.0, 0.2), (2.0, 0.3), (3.0, 0.4)))
+        pairs = list(zip(d.values, d.probs))
+        assert replication_score(g, d, 7) == pytest.approx(
+            ref_replication(pairs, ref, 7), rel=1e-12, abs=0
+        )
 
     def test_monotone_in_k(self):
         gen = np.random.default_rng(45)

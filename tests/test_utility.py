@@ -18,22 +18,21 @@ from testscore import (
     project_utility,
     submodularity_check,
 )
-from testscore.utility import exact_utility, exact_utility_best_shot
+from testscore.adversarial import CATALOGUE_POOL
+from testscore.production import evaluate
+from testscore.scenario_io import value_fn_tag
+from testscore.utility import _MERGE, exact_utility, exact_utility_best_shot
 
-from oracle_tools import fn_best_shot, fn_ces, fn_success, fn_top_r, fn_total, ref_utility
+from oracle_tools import CATALOGUE_REFS, fn_top_r, ref_utility
 
 TWO_POINT = Distribution.from_pairs(((0.0, 0.5), (2.0, 0.5)))
 
 PAIRED = [
-    (ValueFunction.total(ConcaveFn("sqrt")), fn_total(math.sqrt)),
-    (ValueFunction.best_shot(), fn_best_shot()),
-    (ValueFunction.top_r(2), fn_top_r(2)),
-    (ValueFunction.ces(2.0), fn_ces(2.0)),
-    (
-        ValueFunction.success_prob(UnitFn("one_minus_exp", 0.5)),
-        fn_success(lambda v: -math.expm1(-0.5 * v)),
-    ),
+    (factory(), ref) for factory, ref in zip(CATALOGUE_POOL, CATALOGUE_REFS, strict=True)
 ]
+TAGS = [value_fn_tag(g) for g, _ in PAIRED]
+SUM_ROUTE = [(g, ref) for g, ref in PAIRED if g.kind in ("total", "ces")]
+REL = 1e-12
 
 
 def random_dists(gen, n, max_support=3):
@@ -128,6 +127,88 @@ class TestExact:
         scn = Scenario.single_project([TWO_POINT] * 4, ValueFunction.ces(2.0), 4)
         with pytest.raises(BudgetExceededError):
             exact_utility(scn, 0, range(4))  # 2^4 = 16 > 8
+
+
+class TestDifferential:
+    """Every exact route against product-space enumeration, to 1e-12 relative."""
+
+    def check(self, dists, g, ref, members):
+        scn = Scenario.single_project(dists, g, len(dists))
+        pairs = [list(zip(d.values, d.probs)) for d in dists]
+        got = exact_utility(scn, 0, members).value
+        want = ref_utility(pairs, ref, members)
+        assert got == pytest.approx(want, rel=REL, abs=0), (g, members)
+
+    def test_references_pair_with_catalogue(self):
+        gen = np.random.default_rng(37)
+        assert len(PAIRED) == 12
+        for g, ref in PAIRED:
+            for size in (1, 2, 5):
+                x = gen.uniform(0.0, 3.0, size).tolist()
+                assert evaluate(g, x) == pytest.approx(ref(x), rel=REL), g
+
+    @pytest.mark.parametrize("g, ref", PAIRED, ids=TAGS)
+    def test_random_teams(self, g, ref):
+        gen = np.random.default_rng(38)
+        for _ in range(4):
+            dists = random_dists(gen, 5)
+            for members in ([0], [1, 3], [0, 2, 4], [0, 1, 2, 3], range(5)):
+                self.check(dists, g, ref, list(members))
+
+    @pytest.mark.parametrize("g, ref", PAIRED, ids=TAGS)
+    def test_point_masses_and_repeats(self, g, ref):
+        gen = np.random.default_rng(39)
+        coin = random_dists(gen, 1, max_support=3)[0]
+        dists = [
+            Distribution.point(0.0),
+            Distribution.point(1.25),
+            coin,
+            coin,
+            coin,
+            Distribution.point(1.25),
+        ]
+        for members in ([0], [1], [0, 1], [1, 5], [2, 3], [2, 3, 4], [0, 2, 5], range(6)):
+            self.check(dists, g, ref, list(members))
+
+    def test_top_r_at_least_team_size(self):
+        gen = np.random.default_rng(40)
+        dists = random_dists(gen, 4)
+        for r in (2, 3, 4, 6):
+            g = ValueFunction.top_r(r)
+            for members in ([0], [0, 1], [1, 2, 3], [0, 1, 2, 3]):
+                self.check(dists, g, fn_top_r(r), members)
+
+    @pytest.mark.parametrize(
+        "g, ref", SUM_ROUTE, ids=[value_fn_tag(g) for g, _ in SUM_ROUTE]
+    )
+    def test_integer_sums_cross_the_merge(self, g, ref):
+        # 4^7 partial sums pass the merge threshold, so equal sums merge
+        assert 4**6 <= _MERGE < 4**7
+        dists = [
+            Distribution.from_pairs(((0.0, 0.1), (1.0, 0.2), (2.0, 0.3), (3.0, 0.4)))
+        ] * 4 + [
+            Distribution.from_pairs(((1.0, 0.25), (2.0, 0.25), (4.0, 0.3), (5.0, 0.2)))
+        ] * 3
+        self.check(dists, g, ref, list(range(7)))
+
+    def test_budget_meters_sum_steps(self, monkeypatch):
+        # partial sums of 1, 2 and 4 atoms times 2 atoms: 2 + 4 + 8 = 14 work
+        scn = Scenario.single_project([TWO_POINT] * 3, ValueFunction.ces(2.0), 3)
+        monkeypatch.setenv("TESTSCORE_BUDGET", "14")
+        assert exact_utility(scn, 0, range(3)).value > 0
+        monkeypatch.setenv("TESTSCORE_BUDGET", "13")
+        with pytest.raises(BudgetExceededError):
+            exact_utility(scn, 0, range(3))
+
+    def test_budget_meters_order_counts(self, monkeypatch):
+        # 6 grid points (the members' supports side by side) times 2
+        # tracked counts times 3 copies = 36 work
+        scn = Scenario.single_project([TWO_POINT] * 3, ValueFunction.top_r(2), 3)
+        monkeypatch.setenv("TESTSCORE_BUDGET", "36")
+        assert exact_utility(scn, 0, range(3)).value > 0
+        monkeypatch.setenv("TESTSCORE_BUDGET", "35")
+        with pytest.raises(BudgetExceededError):
+            exact_utility(scn, 0, range(3))
 
 
 class TestMonteCarlo:
