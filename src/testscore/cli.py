@@ -321,6 +321,8 @@ def cmd_experiment(args) -> int:
         raise ValidationError(f"--k {max(ks)} exceeds --n {args.n}")
     if args.trials < 1:
         raise ValidationError(f"--trials must be >= 1, got {args.trials}")
+    if args.jobs < 1:
+        raise ValidationError(f"--jobs must be >= 1, got {args.jobs}")
     tasks = [(scn, args.seed, t, args.n, ks) for t in range(args.trials)]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

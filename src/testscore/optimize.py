@@ -9,9 +9,11 @@ objective actually achieved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import asdict, dataclass
+from itertools import chain, combinations
 from typing import Callable, Optional
+
+import numpy as np
 
 from .core import (
     Assignment,
@@ -23,10 +25,20 @@ from .core import (
 )
 from .scores import ScoreTable
 from .sketch import minmax_sketch, strong_sketch
-from .utility import UtilityEstimate, mc_utility, project_utility
+from .utility import (
+    UtilityEstimate,
+    _batch_expectation,
+    _grid,
+    _linear,
+    mc_utility,
+    project_utility,
+)
 
 BOUND_TOL = 1e-9
 MC_OBJECTIVE_SAMPLES = 200_000
+# batched oracle values within this relative distance of the largest are
+# rescored one team at a time
+SCREEN_TOL = 1e-9
 
 # single-selection guarantee for replication-score greedy on balanced
 # substitution objectives: (1 - 1/e) / (5 - 1/e), about 1/7.33
@@ -70,7 +82,7 @@ class SelectionResult:
     def to_json(self) -> dict:
         out = {
             "assignment": [list(S) for S in self.assignment.sets],
-            "per_project": [est.value for est in self.per_project],
+            "per_project": [asdict(est) for est in self.per_project],
             "total": self.total,
             "trace": [
                 {"step": t.step, "agent": t.agent, "project": t.project, "score": t.score}
@@ -196,24 +208,42 @@ def greedy_welfare(
 
 
 def _subset_enum_cost(scn: Scenario, j: int, k: int) -> int:
-    # total exact-evaluation work over all size-k subsets
-    sizes = [len(scn.dist(i, j)) for i in scn.agents]
-    n = len(sizes)
-    if scn.value_fns[j].kind == "best_shot":
-        # merged-support path: linear in the summed support sizes
-        return math.comb(n - 1, k - 1) * sum(sizes)
-    # product-space path: sum over subsets of the product of member sizes
-    prev = [1] + [0] * k
+    # the work brute_force_single's routes charge over all C(n, k) teams
+    g = scn.value_fns[j]
+    pool = [scn.dist(i, j) for i in scn.agents]
+    teams = math.comb(len(pool), k)
+    sizes = [len(d) for d in pool]
+    if g.kind == "best_shot":
+        return teams * len(_grid(pool, teams)) * k
+    if g.kind == "top_r":
+        return teams * len(_grid(pool, teams)) * min(int(g.r), k) * k
+    if g.kind == "success_prob":
+        return sum(sizes) + teams * k
+    if _linear(g):  # each agent's support is read once per team it joins
+        return math.comb(len(pool) - 1, k - 1) * sum(sizes) + teams
+    # sum route: a DP over the agents in id order sums, over the size-c
+    # teams, the engine's charge (work[c]) and the partial-sum atoms
+    # (size[c], the product of the supports stepped in; point masses only
+    # shift the sum). It ignores the merge of equal sums, so it is exact
+    # until a partial sum passes the merge size. Each team also costs one
+    # unit for the loop itself.
+    size, work = [1] + [0] * k, [0] * (k + 1)
     for s in sizes:
-        prev = [prev[0]] + [prev[c] + s * prev[c - 1] for c in range(1, k + 1)]
-    return prev[k]
+        s = s if s > 1 else 0
+        for c in range(k, 0, -1):
+            work[c] += work[c - 1] + size[c - 1] * s
+            size[c] += size[c - 1] * max(s, 1)
+    return work[k] + teams
 
 
 def brute_force_single(scn: Scenario, j: int, k: int) -> SelectionResult:
     """Exact best size-k team for project j, by exhausting all subsets.
 
     Ties resolve to the lexicographically smallest subset. Raises when the
-    total enumeration work would exceed the budget.
+    total enumeration work would exceed the budget. Best-shot, top-r and
+    success-probability projects score every team in blocks on the pool's
+    merged grid, then confirm the teams within SCREEN_TOL of the best with
+    ``project_utility``; ``total`` and ``ces`` score one team at a time.
     """
     if k < 1 or k > scn.n_agents:
         raise ValidationError(f"k must be in 1..{scn.n_agents}, got {k}")
@@ -221,9 +251,22 @@ def brute_force_single(scn: Scenario, j: int, k: int) -> SelectionResult:
     cost = _subset_enum_cost(scn, j, k)
     if cost > budget:
         raise BudgetExceededError(cost, budget, what="subset enumeration")
+    g = scn.value_fns[j]
+    if g.kind in ("total", "ces"):
+        candidates = combinations(scn.agents, k)
+    else:
+        pool = [scn.dist(i, j) for i in scn.agents]
+        flat = chain.from_iterable(combinations(scn.agents, k))
+        teams = np.fromiter(flat, dtype=np.intp).reshape(-1, k)
+        values = _batch_expectation(g, pool, teams, 1, budget)
+        top = values.max()
+        near = np.flatnonzero(values >= top - SCREEN_TOL * abs(top))
+        candidates = (tuple(int(i) for i in teams[c]) for c in near)
+    # batched values can round differently from a team's own, so the
+    # screened candidates are rescored before the strict-> tie rule
     best_S: Optional[tuple[int, ...]] = None
     best_u = -math.inf
-    for S in combinations(scn.agents, k):
+    for S in candidates:
         u = project_utility(scn, j, S).value
         if u > best_u:
             best_u = u

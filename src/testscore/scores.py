@@ -94,7 +94,7 @@ def replication_score(
         raise ValidationError(f"k must be >= 1, got {k}")
     if rng is not None:
         return _replication_mc(g, d, k, rng, samples, stream=0)[0]
-    return _expectation(g, [(d, k)], budget or enumeration_budget())
+    return _expectation(g, [d], k, budget or enumeration_budget())
 
 
 @dataclass(frozen=True)
@@ -167,6 +167,7 @@ def build_score_table(
     mc_rng = rng if rng is not None else RngSpec(seed=0)
     scores: dict[tuple[int, int, int], float] = {}
     diags: dict[tuple[int, int, int], ScoreDiag] = {}
+    exact, exact_best_shot = ScoreDiag(method="exact"), ScoreDiag(method="exact_best_shot")
     for i in scn.agents:
         for j in scn.projects:
             d = scn.dist(i, j)
@@ -174,14 +175,14 @@ def build_score_table(
                 base = mean_score(d) if kind == "mean" else quantile_score(d, theta)
                 for r in range(1, max_r + 1):
                     scores[(i, j, r)] = base
-                    diags[(i, j, r)] = ScoreDiag(method="exact")
+                    diags[(i, j, r)] = exact
                 continue
             g = scn.value_fns[j]
-            exact_method = "exact_best_shot" if g.kind == "best_shot" else "exact"
+            exact_diag = exact_best_shot if g.kind == "best_shot" else exact
             for r in range(1, max_r + 1):
                 try:
-                    value = _expectation(g, [(d, r)], budget)
-                    diag = ScoreDiag(method=exact_method)
+                    value = _expectation(g, [d], r, budget)
+                    diag = exact_diag
                 except BudgetExceededError:
                     if not mc_fallback:
                         # callers verifying tight analytic bounds need every

@@ -1,20 +1,20 @@
 """Expected team utility u_j(S) = E[g_j(performances of S)].
 
-One exact engine, ``_expectation``, computes E[g] over independent members
-given as (distribution, copies) pairs: a team passes one copy per agent, a
+One exact engine, ``_expectation``, computes E[g] over independent copies
+of a pool of distributions: a team passes one copy per agent, a
 replication score a^r passes r copies of one agent. It never enumerates the
 outcome product: ``total`` and ``ces`` build the distribution of the sum of
-phi(x_i), ``best_shot`` and ``top_r`` count the members above each support
-point, and ``success_prob`` factorizes. Monte Carlo covers work past the
-budget.
+phi(x_i) one team at a time, ``best_shot`` and ``top_r`` count the members
+above each support point, and ``success_prob`` factorizes. The order and
+product routes score a whole block of teams drawn from one pool in one
+array pass (``_batch_expectation``); a single team is a block of one row.
+Monte Carlo covers work past the budget.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -30,8 +30,9 @@ from .core import (
 from .production import ValueFunction, evaluate, evaluate_batch
 
 _MERGE = 1 << 12  # partial-sum atoms past which equal sums are merged
+_BLOCK = 1 << 16  # team-by-grid cells the order route scores per array pass
 
-Members = Sequence[tuple[Distribution, int]]
+Pool = Sequence[Distribution]
 
 
 @dataclass(frozen=True)
@@ -53,16 +54,28 @@ def _charge(work: int, budget: int) -> None:
         raise BudgetExceededError(work, budget, what="exact expectation")
 
 
-def _sum_route(g: ValueFunction, members: Members, budget: int) -> float:
+def _linear(g: ValueFunction) -> bool:
+    # total:identity, total:power:1 and ces:1 are the sum itself
+    if g.kind == "ces":
+        return g.r == 1.0
+    return g.kind == "total" and (
+        g.f.kind == "identity" or (g.f.kind == "power" and g.f.p == 1.0)
+    )
+
+
+def _sum_route(g: ValueFunction, pool: Pool, copies: int, budget: int) -> float:
+    if _linear(g):  # linearity of expectation: the means suffice
+        _charge(sum(len(d) for d in pool), budget)
+        return copies * sum(float(np.dot(d.values_array, d.probs_array)) for d in pool)
     # E[h(sum phi(x_i))] from the sum's distribution, one copy at a time
     phi = (lambda x: x) if g.kind == "total" else (lambda x: x**g.r)
     shift, sums, probs, work = 0.0, np.zeros(1), np.ones(1), 0
-    for d, count in members:
+    for d in pool:
         if len(d) == 1:  # a point mass only moves the sum
-            shift += count * phi(d.values[0])
+            shift += copies * phi(d.values[0])
             continue
         terms = phi(d.values_array)
-        for _ in range(count):
+        for _ in range(copies):
             work += len(sums) * len(d)
             _charge(work, budget)
             sums = np.add.outer(sums, terms).ravel()
@@ -75,58 +88,102 @@ def _sum_route(g: ValueFunction, members: Members, budget: int) -> float:
     return float(np.dot(out, probs))
 
 
-def _order_route(g: ValueFunction, members: Members, budget: int) -> float:
+def _grid(pool: Pool, n_teams: int) -> np.ndarray:
+    """The support points the order route integrates over: one
+    distribution's own support, else the pool's supports side by side,
+    merged into unique points when more than one team shares them
+    (repeated points only add zero-width gaps)."""
+    if len(pool) == 1:
+        return pool[0].values_array
+    grid = np.concatenate([d.values_array for d in pool])
+    return np.unique(grid) if n_teams > 1 else np.sort(grid)
+
+
+def _product(cols: np.ndarray, copies: int) -> np.ndarray:
+    # product over the members axis in member order, then over the copies
+    prod = cols[0]
+    for c in range(1, len(cols)):
+        prod = prod * cols[c]
+    return prod**copies if copies > 1 else prod
+
+
+def _order_route(
+    g: ValueFunction, pool: Pool, teams: np.ndarray, copies: int, budget: int
+) -> np.ndarray:
     # E[sum of the w largest] = integral over t of E[min(w, N(t))], where
-    # N(t) = #{copies > t} is constant between support points
-    if len(members) == 1:
-        grid = members[0][0].values_array
-        cdfs = [(members[0][0].cdf_array, members[0][1])]
-    else:  # repeated grid points only add zero-width gaps
-        grid = np.sort(np.concatenate([d.values_array for d, _ in members]))
-        cdfs = [
-            (np.concatenate(([0.0], d.cdf_array))[d.values_array.searchsorted(grid, "right")], c)
-            for d, c in members
-        ]
-    if g.kind == "best_shot":  # N(t) = 0 exactly when every copy is <= t
-        _charge(len(grid) * len(cdfs), budget)
-        w, above = 1, 1.0 - reduce(operator.mul, [F**count for F, count in cdfs])
+    # N(t) = #{copies > t} is constant between grid points; each team
+    # gathers its members' rows of the pool's CDF matrix F
+    grid = _grid(pool, len(teams))
+    if len(pool) == 1:
+        F = pool[0].cdf_array[None]
     else:
-        copies = sum(count for _, count in cdfs)
-        w = min(int(g.r), copies)
-        _charge(len(grid) * w * copies, budget)
-        # Poisson-binomial DP: rows 1..w of pq hold P(N(t) = c), c < w
-        pq = np.zeros((w + 1, len(grid)))
-        pq[1] = 1.0
-        q = pq[1:]
-        for F, count in cdfs:
-            for _ in range(count):
-                q += (pq[:-1] - q) * (1.0 - F)
-        above = w - np.arange(w, 0, -1) @ q
-    # below the smallest support point every copy counts
-    return w * float(grid[0]) + float(np.dot(grid[1:] - grid[:-1], above[:-1]))
+        F = np.array([
+            np.concatenate(([0.0], d.cdf_array))[d.values_array.searchsorted(grid, "right")]
+            for d in pool
+        ])
+    k = teams.shape[1]
+    if g.kind == "best_shot":  # N(t) = 0 exactly when every copy is <= t
+        w = 1
+        _charge(len(teams) * len(grid) * k, budget)
+    else:
+        w = min(int(g.r), k * copies)
+        _charge(len(teams) * len(grid) * w * k * copies, budget)
+    gaps = grid[1:] - grid[:-1]
+    rows = max(1, _BLOCK // len(grid))
+    parts = []
+    for lo in range(0, len(teams), rows):
+        cols = F.take(teams[lo : lo + rows].T, axis=0)  # (k, rows, grid)
+        if g.kind == "best_shot":
+            above = 1.0 - _product(cols, copies)
+        else:
+            # Poisson-binomial DP: rows 1..w of pq hold P(N(t) = c), c < w
+            pq = np.zeros((w + 1,) + cols.shape[1:])
+            pq[1] = 1.0
+            q = pq[1:]
+            for miss in 1.0 - cols:
+                for _ in range(copies):
+                    q += (pq[:-1] - q) * miss
+            above = w - (np.arange(w, 0, -1) @ q.reshape(w, -1)).reshape(q.shape[1:])
+        parts.append(above[:, :-1] @ gaps)
+    # below the smallest grid point every copy counts
+    return w * grid[0] + (parts[0] if len(parts) == 1 else np.concatenate(parts))
 
 
-def _product_route(g: ValueFunction, members: Members, budget: int) -> float:
+def _product_route(
+    g: ValueFunction, pool: Pool, teams: np.ndarray, copies: int, budget: int
+) -> np.ndarray:
     # 1 - prod (1 - E f(X_i)), by independence
-    _charge(sum(len(d) for d, _ in members), budget)
-    miss = 1.0
-    for d, count in members:
-        miss *= (1.0 - float(np.dot(g.f.apply(d.values_array), d.probs_array))) ** count
-    return 1.0 - miss
+    _charge(sum(len(d) for d in pool) + teams.size, budget)
+    hit = np.array([np.dot(g.f.apply(d.values_array), d.probs_array) for d in pool])
+    return 1.0 - _product(1.0 - hit.take(teams.T), copies)
 
 
-def _expectation(g: ValueFunction, members: Members, budget: int) -> float:
-    """Exact E[g] over independent (distribution, copies) members. Raises
-    BudgetExceededError when the route's summed work passes the budget:
-    partial-sum atoms times support per sum step, grid times tracked
-    counts per copy on the order route, summed supports otherwise."""
-    if not members:
+def _batch_expectation(
+    g: ValueFunction, pool: Pool, teams: np.ndarray, copies: int, budget: int
+) -> np.ndarray:
+    """Exact E[g] for every row of ``teams``, a (B, k) array of indices
+    into ``pool``, each member taking ``copies`` independent copies; order
+    and product routes only (not ``total`` or ``ces``). Raises
+    BudgetExceededError when the block's work passes the budget: teams
+    times grid times tracked counts per copy on the order route (best
+    shot's power counting once per member), summed pool supports plus
+    team cells on the product route."""
+    route = _order_route if g.kind in ("best_shot", "top_r") else _product_route
+    return route(g, pool, teams, copies, budget)
+
+
+def _expectation(g: ValueFunction, pool: Pool, copies: int, budget: int) -> float:
+    """Exact E[g] over ``copies`` independent copies of each distribution
+    in ``pool``: one copy per agent for a team, r copies of one agent for
+    a replication score. Raises BudgetExceededError when the route's
+    summed work passes the budget: partial-sum atoms times support per sum
+    step on the sum route, a one-row block's work otherwise."""
+    if not pool:
         return 0.0  # g(0, ..., 0) = 0 across the catalogue
     if g.kind in ("total", "ces"):
-        return _sum_route(g, members, budget)
-    if g.kind in ("best_shot", "top_r"):
-        return _order_route(g, members, budget)
-    return _product_route(g, members, budget)
+        return _sum_route(g, pool, copies, budget)
+    teams = np.arange(len(pool))[None]
+    return float(_batch_expectation(g, pool, teams, copies, budget)[0])
 
 
 def _members(scn: Scenario, S: Iterable[int]) -> tuple[int, ...]:
@@ -137,8 +194,8 @@ def _members(scn: Scenario, S: Iterable[int]) -> tuple[int, ...]:
     return members
 
 
-def _team(scn: Scenario, j: int, S: Iterable[int]) -> Members:
-    return [(scn.dist(i, j), 1) for i in _members(scn, S)]
+def _team(scn: Scenario, j: int, S: Iterable[int]) -> Pool:
+    return [scn.dist(i, j) for i in _members(scn, S)]
 
 
 def exact_utility(scn: Scenario, j: int, S: Iterable[int]) -> UtilityEstimate:
@@ -147,7 +204,7 @@ def exact_utility(scn: Scenario, j: int, S: Iterable[int]) -> UtilityEstimate:
     Raises BudgetExceededError past the enumeration budget. The empty team
     is worth g(0, ..., 0) = 0.
     """
-    value = _expectation(scn.value_fns[j], _team(scn, j, S), enumeration_budget())
+    value = _expectation(scn.value_fns[j], _team(scn, j, S), 1, enumeration_budget())
     return UtilityEstimate(value=value, method="exact")
 
 
@@ -159,7 +216,7 @@ def exact_utility_best_shot(scn: Scenario, j: int, S: Iterable[int]) -> UtilityE
         raise ValidationError(
             f"project {j} has value function {g.kind!r}, expected best_shot"
         )
-    value = _expectation(g, _team(scn, j, S), enumeration_budget())
+    value = _expectation(g, _team(scn, j, S), 1, enumeration_budget())
     return UtilityEstimate(value=value, method="exact_best_shot")
 
 

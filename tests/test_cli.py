@@ -150,6 +150,23 @@ class TestSelect:
         assert out == ""
         assert json.loads(dest.read_text())["k"] == 2
 
+    def test_objective_provenance(self, capsys, monkeypatch, bestshot_file):
+        code, out, _ = run(capsys, ["select", bestshot_file, "--oracle"])
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        for side in ("result", "oracle"):
+            (est,) = doc[side]["per_project"]
+            assert est == {"value": doc[side]["total"], "method": "exact_best_shot",
+                           "samples": 0, "std_error": 0.0}
+        # past the budget the chosen team's objective is sampled
+        monkeypatch.setenv("TESTSCORE_BUDGET", "3")
+        code, out, _ = run(capsys, ["select", bestshot_file])
+        assert code == EXIT_OK
+        (est,) = json.loads(out)["result"]["per_project"]
+        assert est["method"] == "monte_carlo"
+        assert est["samples"] == 200_000
+        assert est["std_error"] > 0
+
     def test_budget_exhaustion_exits_3(self, capsys, monkeypatch, bestshot_file):
         monkeypatch.setenv("TESTSCORE_BUDGET", "3")
         code, _, err = run(capsys, ["select", bestshot_file, "--oracle"])
@@ -302,6 +319,14 @@ class TestExperiment:
         assert run(capsys, args + ["--out", str(b)])[0] == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
+    def test_jobs_leave_bytes_unchanged(self, capsys, tmp_path, bestshot_file):
+        args = ["experiment", bestshot_file, "--n", "4", "--k", "2,3", "--trials", "6",
+                "--seed", "5"]
+        a, b = tmp_path / "serial.csv", tmp_path / "parallel.csv"
+        assert run(capsys, args + ["--jobs", "1", "--out", str(a)])[0] == EXIT_OK
+        assert run(capsys, args + ["--jobs", "2", "--out", str(b)])[0] == EXIT_OK
+        assert a.read_bytes() == b.read_bytes()
+
     def test_sample_smoke(self, capsys):
         code, out, _ = run(
             capsys, ["experiment", "--sample", "--n", "4", "--k", "2", "--trials", "3"]
@@ -319,6 +344,8 @@ class TestExperiment:
             ["experiment", bestshot_file, "--n", "9"],
             ["experiment", bestshot_file, "--n", "2", "--k", "3"],
             ["experiment", bestshot_file, "--trials", "0"],
+            ["experiment", bestshot_file, "--jobs", "0"],
+            ["experiment", bestshot_file, "--jobs", "-3"],
             ["experiment", welfare_file],
         ]
         for argv in bad:

@@ -1,6 +1,7 @@
 """Greedy selection, welfare assignment, exact oracles, baselines."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -28,6 +29,11 @@ from testscore import (
     strong_sketch,
     welfare_greedy_bound,
 )
+from testscore import utility
+from testscore.adversarial import CATALOGUE_POOL, random_single_scenario
+from testscore.optimize import _subset_enum_cost
+from testscore.scenario_io import value_fn_tag
+from testscore.utility import exact_utility
 
 from oracle_tools import (
     fn_best_shot,
@@ -39,6 +45,8 @@ from oracle_tools import (
 )
 
 TWO_POINT = Distribution.from_pairs(((0.0, 0.5), (2.0, 0.5)))
+CATALOGUE = [factory() for factory in CATALOGUE_POOL]
+CATALOGUE_TAGS = [value_fn_tag(g) for g in CATALOGUE]
 
 
 def pairs_of(scn, j):
@@ -161,6 +169,94 @@ class TestBruteForceSingle:
         scn = Scenario.single_project([TWO_POINT] * 8, ValueFunction.ces(2.0), 4)
         with pytest.raises(BudgetExceededError):
             brute_force_single(scn, 0, 4)
+
+    @staticmethod
+    def per_team_oracle(scn, k):
+        # every team scored on its own; strict > keeps the first best
+        best_S, best_u = None, -math.inf
+        for S in combinations(scn.agents, k):
+            u = project_utility(scn, 0, S).value
+            if u > best_u:
+                best_S, best_u = S, u
+        return best_S, best_u
+
+    def check_against_per_team(self, scn, k):
+        want_S, want_u = self.per_team_oracle(scn, k)
+        res = brute_force_single(scn, 0, k)
+        assert res.assignment.sets[0] == want_S, (scn.value_fns[0], k)
+        assert res.total == pytest.approx(want_u, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("g", CATALOGUE, ids=CATALOGUE_TAGS)
+    def test_matches_per_team_loop(self, g):
+        gen = np.random.default_rng(66)
+        for n, k in ((6, 1), (6, 2), (7, 3), (7, 4), (5, 5)):
+            for _ in range(3):
+                self.check_against_per_team(random_single_scenario(gen, g, n=n, k=k), k)
+
+    @pytest.mark.parametrize("g", CATALOGUE, ids=CATALOGUE_TAGS)
+    def test_small_blocks_match_one_pass(self, g, monkeypatch):
+        # a tiny block size splits the C(7, 3) teams over many array passes
+        scn = random_single_scenario(np.random.default_rng(68), g, n=7, k=3)
+        one_pass = brute_force_single(scn, 0, 3)
+        monkeypatch.setattr(utility, "_BLOCK", 7)
+        blocked = brute_force_single(scn, 0, 3)
+        assert blocked.assignment.sets == one_pass.assignment.sets
+        assert blocked.total == one_pass.total
+        self.check_against_per_team(scn, 3)
+
+    @pytest.mark.parametrize("g", CATALOGUE, ids=CATALOGUE_TAGS)
+    def test_point_masses_and_identical_agents(self, g):
+        coin = Distribution.from_pairs(((0.5, 0.4), (2.0, 0.6)))
+        pools = (
+            [Distribution.point(v) for v in (1.0, 2.0, 1.0, 0.0, 2.0)],
+            [Distribution.point(1.25), coin, Distribution.point(1.25), coin, coin],
+            [coin] * 5,
+        )
+        for dists in pools:
+            for k in (1, 2, 3, 5):
+                self.check_against_per_team(Scenario.single_project(dists, g, k), k)
+        # identical agents tie on every team, so the smallest team wins
+        for k in (1, 3):
+            scn = Scenario.single_project([coin] * 5, g, k)
+            assert brute_force_single(scn, 0, k).assignment.sets[0] == tuple(range(k))
+
+    @pytest.mark.parametrize("g", CATALOGUE, ids=CATALOGUE_TAGS)
+    def test_budget_prices_route_work(self, g, monkeypatch):
+        gen = np.random.default_rng(67)
+        dists = [d for (d,) in random_single_scenario(gen, g, n=4, k=3).dists]
+        dists += dists[:2]  # shared support points merge on the pool's grid
+        scn = Scenario.single_project(dists, g, 3)
+        teams = math.comb(6, 3)
+        grid = len(np.unique(np.concatenate([d.values_array for d in dists])))
+        if g.kind == "best_shot":
+            want = teams * grid * 3
+        elif g.kind == "top_r":
+            want = teams * grid * min(int(g.r), 3) * 3
+        elif g.kind == "success_prob":
+            want = sum(len(d) for d in dists) + teams * 3
+        else:
+            # the sum route prices each team at the engine's own charge,
+            # the least budget its exact utility runs under, plus one unit
+            def charge(S):
+                lo, hi = 0, 10**6
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    monkeypatch.setenv("TESTSCORE_BUDGET", str(max(mid, 1)))
+                    try:
+                        exact_utility(scn, 0, S)
+                        hi = mid
+                    except BudgetExceededError:
+                        lo = mid + 1
+                return lo
+
+            want = sum(charge(S) + 1 for S in combinations(scn.agents, 3))
+        monkeypatch.delenv("TESTSCORE_BUDGET", raising=False)
+        assert _subset_enum_cost(scn, 0, 3) == want
+        monkeypatch.setenv("TESTSCORE_BUDGET", str(want))
+        brute_force_single(scn, 0, 3)
+        monkeypatch.setenv("TESTSCORE_BUDGET", str(want - 1))
+        with pytest.raises(BudgetExceededError):
+            brute_force_single(scn, 0, 3)
 
 
 class TestGreedyWelfare:
