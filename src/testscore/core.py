@@ -113,12 +113,19 @@ class Distribution:
 
     @cached_property
     def cdf_array(self) -> np.ndarray:
-        cdf = np.cumsum(self.probs_array)
-        cdf[-1] = 1.0  # kill accumulated rounding so the top quantile is exact
-        return cdf
+        return cdf_rows(self.probs_array)
 
     def __len__(self) -> int:
         return len(self.values)
+
+
+def cdf_rows(probs) -> np.ndarray:
+    """Running sums of probabilities along the last axis, the top entry
+    pinned to 1 to kill accumulated rounding so the top quantile is exact.
+    Row by row the same as each distribution's ``cdf_array``."""
+    cdf = np.add.accumulate(probs, axis=-1)
+    cdf[..., -1] = 1.0
+    return cdf
 
 
 def dist_mean(d: Distribution) -> float:

@@ -30,6 +30,7 @@ from .utility import (
     _batch_expectation,
     _grid,
     _linear,
+    _row_work,
     mc_utility,
     project_utility,
 )
@@ -142,12 +143,15 @@ def greedy_topk(
     """
     if k < 1 or k > scn.n_agents:
         raise ValidationError(f"k must be in 1..{scn.n_agents}, got {k}")
-    ranked = sorted(scn.agents, key=lambda i: (-table.get(i, j, k), i))
+    table.get(scn.n_agents - 1, j, k)  # the table covers every agent at size k
+    scores = table.scores[: scn.n_agents, j, k - 1]
+    # a stable sort keeps equal scores in id order
+    ranked = np.argsort(-scores, kind="stable")[:k].tolist()
     trace = tuple(
-        TraceStep(step=t + 1, agent=i, project=j, score=table.get(i, j, k))
-        for t, i in enumerate(ranked[:k])
+        TraceStep(step=t + 1, agent=i, project=j, score=s)
+        for t, (i, s) in enumerate(zip(ranked, scores[ranked].tolist()))
     )
-    sets = [() if jj != j else tuple(sorted(ranked[:k])) for jj in scn.projects]
+    sets = [() if jj != j else tuple(sorted(ranked)) for jj in scn.projects]
     return _result(scn, sets, trace=trace, rng=rng)
 
 
@@ -173,32 +177,34 @@ def greedy_welfare(
         )
     if max(scn.cardinalities) > table.max_r:
         raise ValidationError("table max_r does not cover the largest project")
+    n, m, ks = scn.n_agents, scn.n_projects, scn.cardinalities
+    table.get(n - 1, m - 1, 1)  # the table covers every agent and project
+    a = table.scores[:n, :m]
     gen = tie_rng.generator(0) if tie_rng is not None else None
-    available = list(scn.agents)
+    # nxt[i, j] = a[i, j, r_j - 1] / r_j for the slot r_j project j fills
+    # next; -inf once agent i is placed or project j is full
+    nxt = a[:, :, 0].copy()  # every project fills slot 1 first: a / 1 = a
+    placed = np.zeros(n, dtype=bool)
     sets: list[list[int]] = [[] for _ in scn.projects]
-    open_projects = list(scn.projects)
     trace: list[TraceStep] = []
-    step = 0
-    while open_projects:
-        best_score = -math.inf
-        cands: list[tuple[int, int]] = []
-        for i in available:
-            for j in open_projects:
-                r = len(sets[j]) + 1
-                s = table.get(i, j, r) / r
-                if s > best_score:
-                    best_score = s
-                    cands = [(i, j)]
-                elif s == best_score:
-                    cands.append((i, j))
-        pick = cands[0] if gen is None else cands[int(gen.integers(len(cands)))]
-        i, j = pick
-        step += 1
-        trace.append(TraceStep(step=step, agent=i, project=j, score=best_score))
+    for step in range(1, sum(ks) + 1):
+        # the row-major argmax and candidate order break ties toward the
+        # smaller agent id, then the smaller project id
+        if gen is None:
+            pick = int(nxt.argmax())
+        else:
+            cands = np.flatnonzero(nxt == nxt.max())
+            pick = int(cands[int(gen.integers(len(cands)))])
+        i, j = divmod(pick, m)
+        trace.append(TraceStep(step=step, agent=i, project=j, score=float(nxt[i, j])))
         sets[j].append(i)
-        available.remove(i)
-        if len(sets[j]) >= scn.cardinalities[j]:
-            open_projects.remove(j)
+        placed[i] = True
+        nxt[i] = -np.inf
+        r = len(sets[j]) + 1
+        if r > ks[j]:
+            nxt[:, j] = -np.inf
+        else:
+            nxt[:, j] = np.where(placed, -np.inf, a[:, j, r - 1] / r)
     return _result(
         scn,
         [tuple(S) for S in sets],
@@ -213,10 +219,10 @@ def _subset_enum_cost(scn: Scenario, j: int, k: int) -> int:
     pool = [scn.dist(i, j) for i in scn.agents]
     teams = math.comb(len(pool), k)
     sizes = [len(d) for d in pool]
-    if g.kind == "best_shot":
-        return teams * len(_grid(pool, teams)) * k
-    if g.kind == "top_r":
-        return teams * len(_grid(pool, teams)) * min(int(g.r), k) * k
+    if g.kind in ("best_shot", "top_r"):
+        # one-member teams each run on their own support
+        cells = sum(sizes) if k == 1 else teams * len(_grid(pool, teams))
+        return _row_work(g, cells, k, 1)
     if g.kind == "success_prob":
         return sum(sizes) + teams * k
     if _linear(g):  # each agent's support is read once per team it joins

@@ -1,19 +1,27 @@
-"""Per-agent test scores: mean, quantile, and replication, plus the cached
-score table a[i, j, r] for team sizes r = 1..max_r.
+"""Per-agent test scores: mean, quantile, and replication, plus the score
+table a[i, j, r] for every agent, project and team size r = 1..max_r.
 
 A test score summarizes one agent's distribution against one project's value
 function; it never looks at joint evaluations, which is the whole point of
 the approach. The replication score a^r is the expected value of g on r
 i.i.d. copies of the agent, computed by the same exact engine as team
 utilities (see ``utility``), with Monte Carlo past the budget.
+
+A ScoreTable is one dense (n, m, max_r) array with two arrays of the same
+shape saying how each cell was computed. ``build_score_table`` fills it one
+(project, r) column at a time, so the greedy routines read whole columns
+while the sketches read single cells through ``ScoreTable.get``.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass, field
-from typing import IO, Optional
+from functools import cached_property
+from itertools import product
+from typing import IO, Optional, Sequence
 
 import numpy as np
 
@@ -27,7 +35,7 @@ from .core import (
     enumeration_budget,
 )
 from .production import ValueFunction, evaluate_batch
-from .utility import _expectation
+from .utility import _batch_expectation, _expectation, _row_work
 
 MC_TARGET_REL_SE = 1e-3
 MC_BASE_SAMPLES = 100_000
@@ -103,30 +111,75 @@ class ScoreDiag:
     std_error: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreTable:
-    """Cached scores[(agent, project, r)] for r = 1..max_r."""
+    """Scores a[i, j, r] for every agent i, project j and team size
+    r = 1..max_r, held as one (n, m, max_r) float array ``scores``.
+
+    ``methods`` and ``std_errors`` have the same shape (given values are
+    broadcast to it) and say how each cell was computed; a hand-built table
+    may leave them out, and its cells then read as the table's kind with no
+    standard error. The arrays are read-only copies. ``get`` and ``diag`` read one cell and raise
+    ValidationError for a cell outside the table, negative indices
+    included.
+    """
 
     kind: str  # mean | quantile | replication
-    max_r: int
-    scores: dict[tuple[int, int, int], float]
+    scores: np.ndarray
     theta: Optional[float] = None
-    diagnostics: dict[tuple[int, int, int], ScoreDiag] = field(default_factory=dict)
+    methods: Optional[np.ndarray] = None
+    std_errors: Optional[np.ndarray] = None
+    max_r: int = field(init=False)  # scores.shape[2], kept as a plain attribute
+
+    def __post_init__(self):
+        scores = np.array(self.scores, dtype=float)
+        if scores.ndim != 3 or 0 in scores.shape:
+            raise ValidationError(
+                f"scores must be a non-empty (n, m, max_r) array, got shape {scores.shape}"
+            )
+        methods = np.full(scores.shape, self.kind, dtype=object)
+        std_errors = np.zeros(scores.shape)
+        for arr, given in ((methods, self.methods), (std_errors, self.std_errors)):
+            if given is not None:
+                arr[...] = given  # raises unless it broadcasts to the shape of scores
+        for name, arr in (("scores", scores), ("methods", methods), ("std_errors", std_errors)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "max_r", scores.shape[2])
+
+    @cached_property
+    def _cells(self) -> list:
+        # nested lists: the sketches read single cells at Python speed
+        return self.scores.tolist()
 
     def get(self, agent: int, project: int, r: int) -> float:
         try:
-            return self.scores[(agent, project, r)]
-        except KeyError:
-            raise ValidationError(
-                f"missing table entry for agent {agent}, project {project}, r={r}"
-            ) from None
+            if agent >= 0 and project >= 0 and r >= 1:
+                return self._cells[agent][project][r - 1]
+        except (IndexError, TypeError):
+            pass
+        raise ValidationError(
+            f"missing table entry for agent {agent}, project {project}, r={r}"
+        )
+
+    def diag(self, agent: int, project: int, r: int) -> ScoreDiag:
+        """How cell (agent, project, r) was computed."""
+        self.get(agent, project, r)
+        cell = (agent, project, r - 1)
+        return ScoreDiag(method=self.methods[cell], std_error=float(self.std_errors[cell]))
 
     def to_csv(self, out: IO[str]) -> None:
         writer = csv.writer(out)
         writer.writerow(["agent", "project", "r", "score", "method", "std_error"])
-        for (i, j, r), score in sorted(self.scores.items()):
-            diag = self.diagnostics.get((i, j, r), ScoreDiag(method=self.kind))
-            writer.writerow([i, j, r, repr(score), diag.method, repr(diag.std_error)])
+        n, m, max_r = self.scores.shape
+        cells = zip(
+            product(range(n), range(m), range(1, max_r + 1)),
+            self.scores.ravel().tolist(),
+            self.methods.ravel().tolist(),
+            self.std_errors.ravel().tolist(),
+        )
+        for (i, j, r), score, method, se in cells:
+            writer.writerow([i, j, r, repr(score), method, repr(se)])
 
 
 def build_score_table(
@@ -140,13 +193,20 @@ def build_score_table(
 ) -> ScoreTable:
     """Fill every (agent, project, r) cell.
 
-    Mean and quantile scores do not depend on r, so their r-slices are
-    copies. Replication entries come from the exact engine (method
-    ``exact_best_shot`` for best-shot projects, ``exact`` otherwise)
-    whenever its work fits the enumeration budget, and otherwise fall back
-    to Monte Carlo, recording the per-entry standard error in the
-    diagnostics (sampling is escalated a few rounds toward a 1e-3 relative
-    standard error). With mc_fallback=False a budget overrun raises
+    Mean and quantile scores do not depend on r: one (n, m) slice is
+    computed and repeated across r. Replication scores are filled one
+    (project, r) column at a time. Best-shot, top-r and
+    success-probability columns go through the exact engine in one batched
+    call, a row per agent, each row on its agent's own support so it
+    equals ``replication_score`` bit for bit; ``total`` and ``ces`` cells
+    run the engine one at a time. Methods read ``exact_best_shot`` for
+    best-shot projects and ``exact`` otherwise.
+
+    Each cell is exact when its own work fits the enumeration budget and
+    otherwise falls back to Monte Carlo on its own stream, recording the
+    standard error (sampling is escalated a few rounds toward a 1e-3
+    relative standard error). With mc_fallback=False the budget error of
+    the first over-budget cell in (agent, project, r) order is raised
     instead, for callers that need exact entries only.
     """
     if kind not in ("mean", "quantile", "replication"):
@@ -163,41 +223,67 @@ def build_score_table(
     elif theta is not None:
         raise ValidationError("theta only applies to quantile tables")
 
+    n, m = scn.n_agents, scn.n_projects
+    if kind != "replication":
+        score = mean_score if kind == "mean" else lambda d: quantile_score(d, theta)
+        base = np.array([[score(d) for d in row] for row in scn.dists])
+        return ScoreTable(
+            kind=kind,
+            scores=np.repeat(base[:, :, None], max_r, axis=2),
+            theta=theta,
+            methods=np.array("exact", dtype=object),
+        )
+
     budget = enumeration_budget()
     mc_rng = rng if rng is not None else RngSpec(seed=0)
-    scores: dict[tuple[int, int, int], float] = {}
-    diags: dict[tuple[int, int, int], ScoreDiag] = {}
-    exact, exact_best_shot = ScoreDiag(method="exact"), ScoreDiag(method="exact_best_shot")
-    for i in scn.agents:
-        for j in scn.projects:
-            d = scn.dist(i, j)
-            if kind != "replication":
-                base = mean_score(d) if kind == "mean" else quantile_score(d, theta)
-                for r in range(1, max_r + 1):
-                    scores[(i, j, r)] = base
-                    diags[(i, j, r)] = exact
-                continue
-            g = scn.value_fns[j]
-            exact_diag = exact_best_shot if g.kind == "best_shot" else exact
-            for r in range(1, max_r + 1):
+    scores = np.empty((n, m, max_r))
+    methods = np.empty((n, m, max_r), dtype=object)
+    std_errors = np.zeros((n, m, max_r))
+    over: list[tuple[tuple[int, int, int], BudgetExceededError]] = []
+    everyone = np.arange(n)[:, None]
+    for j in scn.projects:
+        g = scn.value_fns[j]
+        column = [scn.dist(i, j) for i in scn.agents]
+        sizes = [len(d.values) for d in column]
+        methods[:, j] = "exact_best_shot" if g.kind == "best_shot" else "exact"
+        for r in range(1, max_r + 1):
+            single: Sequence[int] = scn.agents  # cells scored one by one
+            if g.kind not in ("total", "ces"):
+                # a cell is exact when its own one-row work fits the
+                # budget; those cells run as one batch, priced here cell by
+                # cell, so the batch as a whole is not metered
+                rows: slice | list[int] = slice(None)
+                pool, single = column, []
+                if _row_work(g, max(sizes), 1, r) > budget:
+                    single = [i for i in scn.agents if _row_work(g, sizes[i], 1, r) > budget]
+                    rows = [i for i in scn.agents if i not in single]
+                    pool = [column[i] for i in rows]
+                scores[rows, j, r - 1] = _batch_expectation(
+                    g, pool, everyone[: len(pool)], r, sys.maxsize
+                )
+            for i in single:
+                d = column[i]
                 try:
-                    value = _expectation(g, [d], r, budget)
-                    diag = exact_diag
-                except BudgetExceededError:
+                    scores[i, j, r - 1] = _expectation(g, [d], r, budget)
+                    continue
+                except BudgetExceededError as exc:
                     if not mc_fallback:
-                        # callers verifying tight analytic bounds need every
-                        # entry exact, so an overrun must surface, not degrade
-                        raise
-                    stream = (i * scn.n_projects + j) * max_r + (r - 1)
-                    samples = MC_BASE_SAMPLES
-                    for _ in range(MC_MAX_ROUNDS):
-                        value, se = _replication_mc(g, d, r, mc_rng, samples, stream)
-                        if se <= MC_TARGET_REL_SE * max(abs(value), 1e-12):
-                            break
-                        samples *= 2
-                    diag = ScoreDiag(method="monte_carlo", std_error=se)
-                scores[(i, j, r)] = value
-                diags[(i, j, r)] = diag
+                        over.append(((i, j, r), exc))
+                        continue
+                stream = (i * m + j) * max_r + (r - 1)
+                samples = MC_BASE_SAMPLES
+                for _ in range(MC_MAX_ROUNDS):
+                    value, se = _replication_mc(g, d, r, mc_rng, samples, stream)
+                    if se <= MC_TARGET_REL_SE * max(abs(value), 1e-12):
+                        break
+                    samples *= 2
+                scores[i, j, r - 1] = value
+                methods[i, j, r - 1] = "monte_carlo"
+                std_errors[i, j, r - 1] = se
+    if over:
+        # callers verifying tight analytic bounds need every entry exact,
+        # so an overrun must surface, not degrade
+        raise min(over, key=lambda cell: cell[0])[1]
     return ScoreTable(
-        kind=kind, max_r=max_r, scores=scores, theta=theta, diagnostics=diags
+        kind=kind, scores=scores, theta=theta, methods=methods, std_errors=std_errors
     )

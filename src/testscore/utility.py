@@ -7,8 +7,10 @@ outcome product: ``total`` and ``ces`` build the distribution of the sum of
 phi(x_i) one team at a time, ``best_shot`` and ``top_r`` count the members
 above each support point, and ``success_prob`` factorizes. The order and
 product routes score a whole block of teams drawn from one pool in one
-array pass (``_batch_expectation``); a single team is a block of one row.
-Monte Carlo covers work past the budget.
+array pass (``_batch_expectation``); a single team is a block of one row,
+and a block of one-member teams, such as a score table's column, scores
+each row on its member's own support, so every row equals that member
+scored alone. Monte Carlo covers work past the budget.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .core import (
     RngSpec,
     Scenario,
     ValidationError,
+    cdf_rows,
     enumeration_budget,
 )
 from .production import ValueFunction, evaluate, evaluate_batch
@@ -99,6 +102,18 @@ def _grid(pool: Pool, n_teams: int) -> np.ndarray:
     return np.unique(grid) if n_teams > 1 else np.sort(grid)
 
 
+def _row_work(g: ValueFunction, grid, k: int, copies: int):
+    """One team row's charge on the order and product routes: grid points
+    times members (best shot), times tracked counts and copies as well
+    (top-r), or support atoms plus members (success probability, where
+    ``grid`` is the team's summed support). Linear in ``grid``, which may
+    be an array of per-row sizes."""
+    if g.kind == "success_prob":
+        return grid + k
+    w = 1 if g.kind == "best_shot" else min(int(g.r), k * copies) * copies
+    return grid * k * w
+
+
 def _product(cols: np.ndarray, copies: int) -> np.ndarray:
     # product over the members axis in member order, then over the copies
     prod = cols[0]
@@ -107,12 +122,67 @@ def _product(cols: np.ndarray, copies: int) -> np.ndarray:
     return prod**copies if copies > 1 else prod
 
 
+def _top_w(g: ValueFunction, grid: np.ndarray, cols: np.ndarray, copies: int) -> np.ndarray:
+    # E[sum of the w largest] = integral over t of E[min(w, N(t))], where
+    # N(t) = #{copies > t} is constant between grid points. The grid is
+    # (L,), shared by every row, or (rows, L), one per row; cols (k, rows,
+    # L) holds the members' CDFs on it. With a grid per row every product
+    # runs row by row, so a row rounds exactly as a block of one would.
+    per_row = grid.ndim == 2
+    w = 1 if g.kind == "best_shot" else min(int(g.r), len(cols) * copies)
+    if per_row and grid.shape[1] == 1:  # point masses: every copy sits on its point
+        return w * grid[:, 0]
+    if g.kind == "best_shot":  # N(t) = 0 exactly when every copy is <= t
+        above = 1.0 - _product(cols, copies)
+    else:
+        # Poisson-binomial DP: rows 1..w of pq hold P(N(t) = c), c < w
+        pq = np.zeros((w + 1,) + cols.shape[1:])
+        pq[1] = 1.0
+        q = pq[1:]
+        for miss in 1.0 - cols:
+            for _ in range(copies):
+                q += (pq[:-1] - q) * miss
+        counts = np.arange(w, 0, -1.0)
+        if per_row:
+            above = w - np.matmul(counts, q.transpose(1, 0, 2))
+        else:
+            above = w - (counts @ q.reshape(w, -1)).reshape(q.shape[1:])
+    # below the smallest grid point every copy counts
+    if per_row:
+        gaps = grid[:, 1:] - grid[:, :-1]
+        return w * grid[:, 0] + np.matmul(above[:, None, :-1], gaps[:, :, None])[:, 0, 0]
+    return w * grid[0] + above[:, :-1] @ (grid[1:] - grid[:-1])
+
+
 def _order_route(
     g: ValueFunction, pool: Pool, teams: np.ndarray, copies: int, budget: int
 ) -> np.ndarray:
-    # E[sum of the w largest] = integral over t of E[min(w, N(t))], where
-    # N(t) = #{copies > t} is constant between grid points; each team
-    # gathers its members' rows of the pool's CDF matrix F
+    k = teams.shape[1]
+    if k == 1 and len(teams) > 1:
+        # one member per row: each row integrates over its member's own
+        # support, so it equals that member scored alone; rows with
+        # supports of one length share a block
+        members = [pool[i] for i in teams[:, 0].tolist()]
+        by_size: dict[int, list[int]] = {}
+        for row, d in enumerate(members):
+            by_size.setdefault(len(d.values), []).append(row)
+        cells = sum(s * len(rows) for s, rows in by_size.items())
+        _charge(_row_work(g, cells, 1, copies), budget)
+        out = np.empty(len(members))
+        for s, rows in by_size.items():
+            if len(rows) == 1:  # a lone row runs on its member's cached arrays
+                d = members[rows[0]]
+                out[rows[0]] = _top_w(g, d.values_array, d.cdf_array[None, None], copies)[0]
+                continue
+            # values then probabilities, one row per member
+            atoms = np.array([members[row].values + members[row].probs for row in rows])
+            value = _top_w(g, atoms[:, :s], cdf_rows(atoms[None, :, s:]), copies)
+            if len(rows) == len(members):
+                return value
+            out[rows] = value
+        return out
+    # one team, or teams of several members: each team gathers its
+    # members' rows of the pool's CDF matrix F on the shared grid
     grid = _grid(pool, len(teams))
     if len(pool) == 1:
         F = pool[0].cdf_array[None]
@@ -121,32 +191,13 @@ def _order_route(
             np.concatenate(([0.0], d.cdf_array))[d.values_array.searchsorted(grid, "right")]
             for d in pool
         ])
-    k = teams.shape[1]
-    if g.kind == "best_shot":  # N(t) = 0 exactly when every copy is <= t
-        w = 1
-        _charge(len(teams) * len(grid) * k, budget)
-    else:
-        w = min(int(g.r), k * copies)
-        _charge(len(teams) * len(grid) * w * k * copies, budget)
-    gaps = grid[1:] - grid[:-1]
+    _charge(len(teams) * _row_work(g, len(grid), k, copies), budget)
     rows = max(1, _BLOCK // len(grid))
-    parts = []
-    for lo in range(0, len(teams), rows):
-        cols = F.take(teams[lo : lo + rows].T, axis=0)  # (k, rows, grid)
-        if g.kind == "best_shot":
-            above = 1.0 - _product(cols, copies)
-        else:
-            # Poisson-binomial DP: rows 1..w of pq hold P(N(t) = c), c < w
-            pq = np.zeros((w + 1,) + cols.shape[1:])
-            pq[1] = 1.0
-            q = pq[1:]
-            for miss in 1.0 - cols:
-                for _ in range(copies):
-                    q += (pq[:-1] - q) * miss
-            above = w - (np.arange(w, 0, -1) @ q.reshape(w, -1)).reshape(q.shape[1:])
-        parts.append(above[:, :-1] @ gaps)
-    # below the smallest grid point every copy counts
-    return w * grid[0] + (parts[0] if len(parts) == 1 else np.concatenate(parts))
+    parts = [
+        _top_w(g, grid, F.take(teams[lo : lo + rows].T, axis=0), copies)
+        for lo in range(0, len(teams), rows)
+    ]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _product_route(
@@ -163,11 +214,14 @@ def _batch_expectation(
 ) -> np.ndarray:
     """Exact E[g] for every row of ``teams``, a (B, k) array of indices
     into ``pool``, each member taking ``copies`` independent copies; order
-    and product routes only (not ``total`` or ``ces``). Raises
-    BudgetExceededError when the block's work passes the budget: teams
-    times grid times tracked counts per copy on the order route (best
-    shot's power counting once per member), summed pool supports plus
-    team cells on the product route."""
+    and product routes only (not ``total`` or ``ces``). Rows of one member
+    each run on that member's own support and equal its one-row value bit
+    for bit; teams of several members share the pool's merged grid. Raises
+    BudgetExceededError when the block's work passes the budget: grid
+    cells (summed supports for one-member rows) times members times
+    tracked counts per copy on the order route (best shot's power counting
+    once per member), summed pool supports plus team cells on the product
+    route (``_row_work`` prices one row)."""
     route = _order_route if g.kind in ("best_shot", "top_r") else _product_route
     return route(g, pool, teams, copies, budget)
 

@@ -145,3 +145,36 @@ def ref_best_assignment(dists_by_project, gs, ks, n):
         if val > best + 1e-12:
             best, best_asg = val, asg
     return best, best_asg
+
+
+def ref_greedy_welfare(table, ks, n, gen=None):
+    """The welfare greedy as a plain double loop over (agent, project)
+    pairs: take the largest next-slot score table.get(i, j, r) / r, ties to
+    the first pair in agent-then-project order, or drawn with
+    gen.integers over all tied pairs in that order. Returns the sets in
+    pick order and the trace as (step, agent, project, score) tuples."""
+    available = list(range(n))
+    sets = [[] for _ in ks]
+    open_projects = list(range(len(ks)))
+    trace = []
+    step = 0
+    while open_projects:
+        best_score = -math.inf
+        cands = []
+        for i in available:
+            for j in open_projects:
+                r = len(sets[j]) + 1
+                s = table.get(i, j, r) / r
+                if s > best_score:
+                    best_score = s
+                    cands = [(i, j)]
+                elif s == best_score:
+                    cands.append((i, j))
+        i, j = cands[0] if gen is None else cands[int(gen.integers(len(cands)))]
+        step += 1
+        trace.append((step, i, j, best_score))
+        sets[j].append(i)
+        available.remove(i)
+        if len(sets[j]) >= ks[j]:
+            open_projects.remove(j)
+    return sets, trace

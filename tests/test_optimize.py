@@ -12,7 +12,9 @@ from testscore import (
     Distribution,
     RngSpec,
     Scenario,
+    ScoreTable,
     SINGLE_GREEDY_BOUND,
+    ValidationError,
     ValueFunction,
     approximation_report,
     baseline_max_sketch_welfare,
@@ -41,12 +43,27 @@ from oracle_tools import (
     fn_total,
     ref_best_assignment,
     ref_best_subset,
+    ref_greedy_welfare,
     ref_utility,
 )
 
 TWO_POINT = Distribution.from_pairs(((0.0, 0.5), (2.0, 0.5)))
 CATALOGUE = [factory() for factory in CATALOGUE_POOL]
 CATALOGUE_TAGS = [value_fn_tag(g) for g in CATALOGUE]
+
+
+def tied_table(gen, n, m, max_r):
+    # quarter steps tie often, also across slots (1.0 / 1 == 2.0 / 2)
+    return ScoreTable(kind="replication", scores=gen.integers(0, 9, (n, m, max_r)) * 0.25)
+
+
+def point_scenario(n, ks):
+    m = len(ks)
+    return Scenario(
+        dists=((Distribution.point(1.0),) * m,) * n,
+        value_fns=(ValueFunction.best_shot(),) * m,
+        cardinalities=tuple(ks),
+    )
 
 
 def pairs_of(scn, j):
@@ -124,6 +141,21 @@ class TestGreedyTopK:
         assert sorted(by_mean.assignment.sets[0]) == [0, 1, 2, 3]
         assert sorted(by_repl.assignment.sets[0]) == [4, 5, 6, 7]
         assert by_repl.total > by_mean.total
+
+
+    def test_ties_match_sorted_ranking(self):
+        gen = np.random.default_rng(91)
+        for _ in range(20):
+            n = int(gen.integers(1, 12))
+            k = int(gen.integers(1, n + 1))
+            table = tied_table(gen, n, 1, k)
+            res = greedy_topk(point_scenario(n, [k]), 0, k, table)
+            ranked = sorted(range(n), key=lambda i: (-table.get(i, 0, k), i))[:k]
+            assert [(t.agent, t.score) for t in res.score_trace] == [
+                (i, table.get(i, 0, k)) for i in ranked
+            ]
+            assert all(type(t.agent) is int for t in res.score_trace)
+            assert res.assignment.sets[0] == tuple(sorted(ranked))
 
 
 class TestBruteForceSingle:
@@ -259,6 +291,24 @@ class TestBruteForceSingle:
             brute_force_single(scn, 0, 3)
 
 
+    @pytest.mark.parametrize(
+        "g",
+        [g for g in CATALOGUE if g.kind in ("best_shot", "top_r")],
+        ids=[tag for g, tag in zip(CATALOGUE, CATALOGUE_TAGS) if g.kind in ("best_shot", "top_r")],
+    )
+    def test_budget_prices_one_member_teams_on_own_supports(self, g, monkeypatch):
+        # one-member teams each run on their own support: summed supports
+        dists = [d for (d,) in random_single_scenario(np.random.default_rng(69), g, n=6, k=1).dists]
+        scn = Scenario.single_project(dists, g, 1)
+        want = sum(len(d) for d in dists)
+        assert _subset_enum_cost(scn, 0, 1) == want
+        monkeypatch.setenv("TESTSCORE_BUDGET", str(want))
+        assert brute_force_single(scn, 0, 1).assignment.sets[0] == self.per_team_oracle(scn, 1)[0]
+        monkeypatch.setenv("TESTSCORE_BUDGET", str(want - 1))
+        with pytest.raises(BudgetExceededError):
+            brute_force_single(scn, 0, 1)
+
+
 class TestGreedyWelfare:
     def test_single_project_follows_rank_order(self):
         gen = np.random.default_rng(63)
@@ -336,6 +386,33 @@ class TestGreedyWelfare:
         a = greedy_welfare(scn, table)
         b = greedy_welfare(scn, table)
         assert a.assignment == b.assignment
+
+
+    @pytest.mark.parametrize("tie_seed", [None, 5], ids=["first-tie", "tie-rng"])
+    def test_matches_reference_loop(self, tie_seed):
+        gen = np.random.default_rng(90)
+        for trial in range(30):
+            n = int(gen.integers(2, 40))
+            m = int(gen.integers(1, 6))
+            ks = [int(gen.integers(1, 4)) for _ in range(m)]
+            while sum(ks) > n:
+                ks[int(np.argmax(ks))] -= 1
+            ks = [k for k in ks if k > 0]
+            table = tied_table(gen, n, len(ks), max(ks))
+            tie_rng = None if tie_seed is None else RngSpec(seed=tie_seed + trial)
+            res = greedy_welfare(point_scenario(n, ks), table, tie_rng=tie_rng)
+            sets, trace = ref_greedy_welfare(
+                table, ks, n, None if tie_rng is None else tie_rng.generator(0)
+            )
+            assert res.assignment.sets == tuple(tuple(S) for S in sets)
+            assert [(t.step, t.agent, t.project, t.score) for t in res.score_trace] == trace
+            assert all(type(t.agent) is int and type(t.project) is int for t in res.score_trace)
+            assert res.sketch_objective == float(sum(t[3] for t in trace))
+
+    def test_table_must_cover_the_scenario(self):
+        table = tied_table(np.random.default_rng(92), 3, 2, 2)
+        with pytest.raises(ValidationError, match="missing table entry"):
+            greedy_welfare(point_scenario(4, [2, 2]), table)
 
 
 class TestBruteForceWelfare:

@@ -23,6 +23,14 @@ from testscore import (
 
 from testscore.adversarial import CATALOGUE_POOL
 from testscore.scenario_io import value_fn_tag
+from testscore.scores import (
+    MC_BASE_SAMPLES,
+    MC_MAX_ROUNDS,
+    MC_TARGET_REL_SE,
+    ScoreDiag,
+    ScoreTable,
+    _replication_mc,
+)
 from testscore.utility import _MERGE
 
 from oracle_tools import (
@@ -340,7 +348,7 @@ class TestScoreTable:
         d = Distribution.from_pairs(((0.0, 0.3), (1.0, 0.3), (2.0, 0.4)))
         scn = Scenario.single_project([d] * 2, ValueFunction.ces(2.0), 2)
         table = build_score_table(scn, "replication", max_r=2, rng=RngSpec(seed=5))
-        diag = table.diagnostics[(0, 0, 2)]
+        diag = table.diag(0, 0, 2)
         assert diag.method == "monte_carlo"
         assert diag.std_error > 0
         exact = replication_score(ValueFunction.ces(2.0), d, 2, budget=10**6)
@@ -356,7 +364,7 @@ class TestScoreTable:
     def test_best_shot_closed_form_ignores_budget(self, monkeypatch):
         monkeypatch.setenv("TESTSCORE_BUDGET", "3")
         table = build_score_table(self.scn(), "replication", max_r=2)
-        assert table.diagnostics[(0, 0, 2)].method == "exact_best_shot"
+        assert table.diag(0, 0, 2).method == "exact_best_shot"
 
     def test_deterministic_mc_tables(self, monkeypatch):
         monkeypatch.setenv("TESTSCORE_BUDGET", "3")
@@ -364,4 +372,187 @@ class TestScoreTable:
         scn = Scenario.single_project([d] * 2, ValueFunction.ces(2.0), 2)
         t1 = build_score_table(scn, "replication", max_r=2, rng=RngSpec(seed=8))
         t2 = build_score_table(scn, "replication", max_r=2, rng=RngSpec(seed=8))
-        assert t1.scores == t2.scores
+        assert np.array_equal(t1.scores, t2.scores)
+
+    @pytest.mark.parametrize(
+        "cell",
+        [(-1, 0, 1), (0, -1, 1), (0, 0, -1), (0, 0, 0), (0, 0, 3), (3, 0, 1), (0, 1, 1)],
+        ids=["neg-agent", "neg-project", "neg-r", "r-zero", "r-past-max", "agent-past-n", "project-past-m"],
+    )
+    def test_out_of_range_entry_raises(self, cell):
+        # array indexing would wrap -1 and read a real cell
+        table = build_score_table(self.scn(), "replication", max_r=2)
+        with pytest.raises(ValidationError, match="missing table entry"):
+            table.get(*cell)
+        with pytest.raises(ValidationError, match="missing table entry"):
+            table.diag(*cell)
+
+    def test_hand_built_table_reads_its_kind(self):
+        table = ScoreTable(kind="mean", scores=np.arange(6.0).reshape(3, 1, 2))
+        assert table.max_r == 2
+        assert table.get(2, 0, 2) == 5.0
+        assert table.diag(2, 0, 2).method == "mean"
+        assert not table.scores.flags.writeable
+        with pytest.raises(ValidationError):
+            ScoreTable(kind="mean", scores=np.zeros((3, 2)))
+
+
+def _spread(s, shift):
+    # s atoms from shift upward, weights 1..s
+    values = tuple(round(shift + 0.6 * t + 0.013 * t * t, 3) for t in range(s))
+    return Distribution(values, tuple((t + 1) / (s * (s + 1) / 2) for t in range(s)))
+
+
+class TestTableMatchesReplicationScore:
+    """Every exact table cell equals replication_score bit for bit, though
+    whole columns are scored in one call."""
+
+    @pytest.mark.parametrize("g", [g for g, _ in PAIRED], ids=TAGS)
+    def test_every_cell_bit_for_bit(self, g):
+        coin = Distribution.from_pairs(((0.5, 0.4), (2.0, 0.6)))
+        dists = [
+            Distribution.point(0.0),
+            coin,
+            _spread(3, 0.2),
+            Distribution.point(1.75),
+            _spread(20, 0.1),  # long: padding shorter rows to it would change their rounding
+            coin,
+            _spread(5, 0.0),
+            _spread(3, 0.2),
+            _spread(17, 0.3),
+        ]
+        k = 3
+        table = build_score_table(Scenario.single_project(dists, g, k), "replication", max_r=k)
+        method = "exact_best_shot" if g.kind == "best_shot" else "exact"
+        for i, d in enumerate(dists):
+            for r in range(1, k + 1):
+                assert table.get(i, 0, r) == replication_score(g, d, r), (i, r)
+                assert table.diag(i, 0, r) == ScoreDiag(method=method)
+
+
+# Agents x projects support sizes of the mixed table. Under a budget of 6
+# some cells of each project's columns run exact and the rest fall back to
+# Monte Carlo: best shot prices a cell at its support size, top-2 at r = 2
+# at four times it, success probability at size + 1, and ces:2 at r = 2 at
+# size + size^2.
+MIXED_SIZES = ((1, 1, 3, 2), (3, 1, 6, 1), (9, 3, 2, 4), (2, 1, 1, 2), (5, 2, 4, 1))
+
+
+def mixed_scenario():
+    dists = tuple(
+        tuple(_mixed_dist(i, j, s) for j, s in enumerate(row))
+        for i, row in enumerate(MIXED_SIZES)
+    )
+    fns = (
+        ValueFunction.best_shot(),
+        ValueFunction.top_r(2),
+        CATALOGUE_POOL[8](),  # success_prob:one_minus_exp:0.5
+        ValueFunction.ces(2.0),
+    )
+    return Scenario(dists=dists, value_fns=fns, cardinalities=(2, 1, 1, 1))
+
+
+def _mixed_dist(i, j, s):
+    values = tuple(round(0.35 * (i + 1) + 0.1 * j + 0.6 * t, 3) for t in range(s))
+    return Distribution(values, tuple((t + 1) / (s * (s + 1) / 2) for t in range(s)))
+
+
+# to_csv of the mixed table with RngSpec(seed=11), as the per-cell loop
+# that preceded column batching wrote it
+MIXED_CSV = """\
+agent,project,r,score,method,std_error
+0,0,1,0.35,exact_best_shot,0.0
+0,0,2,0.35,exact_best_shot,0.0
+0,1,1,0.45,exact,0.0
+0,1,2,0.9,exact,0.0
+0,2,1,0.47740534668759915,exact,0.0
+0,2,2,0.7268948283292915,exact,0.0
+0,3,1,1.05,exact,0.0
+0,3,2,1.5139897498722372,exact,0.0
+1,0,1,1.5,exact_best_shot,0.0
+1,0,2,1.7333333333333332,exact_best_shot,0.0
+1,1,1,0.8,exact,0.0
+1,1,2,1.6,exact,0.0
+1,2,1,0.7385947485294874,monte_carlo,0.0004166916093398944
+1,2,2,0.9318355810453639,monte_carlo,0.0001633586849508197
+1,3,1,1.0,exact,0.0
+1,3,2,1.4142135623730951,exact,0.0
+2,0,1,4.244676,monte_carlo,0.004200032018083853
+2,0,2,4.99731,monte_carlo,0.0028942186171770157
+2,1,1,1.9500000000000002,exact,0.0
+2,1,2,3.9012140000000004,monte_carlo,0.002002000335188139
+2,2,1,0.5572252444436746,exact,0.0
+2,2,2,0.8039505158420364,exact,0.0
+2,3,1,2.5500000000000003,exact,0.0
+2,3,2,3.660077598351914,monte_carlo,0.0018277869537986068
+3,0,1,1.8,exact_best_shot,0.0
+3,0,2,1.9333333333333333,exact_best_shot,0.0
+3,1,1,1.5,exact,0.0
+3,1,2,3.0,exact,0.0
+3,2,1,0.5506710358827784,exact,0.0
+3,2,2,0.7981034820053446,exact,0.0
+3,3,1,2.0999999999999996,exact,0.0
+3,3,2,2.983911949636312,exact,0.0
+4,0,1,3.3500000000000005,exact_best_shot,0.0
+4,0,2,3.760666666666667,exact_best_shot,0.0
+4,1,1,2.25,exact,0.0
+4,1,2,4.50094,monte_carlo,0.0012669898249915686
+4,2,1,0.7829503184570856,exact,0.0
+4,2,2,0.9528894357421195,exact,0.0
+4,3,1,2.05,exact,0.0
+4,3,2,2.899137802864845,exact,0.0
+"""
+
+
+class TestMixedTable:
+    @pytest.fixture
+    def tiny_budget(self, monkeypatch):
+        monkeypatch.setenv("TESTSCORE_BUDGET", "6")
+
+    def test_cells_split_by_their_own_price(self, tiny_budget):
+        scn = mixed_scenario()
+        rng = RngSpec(seed=11)
+        table = build_score_table(scn, "replication", max_r=2, rng=rng)
+        mc = 0
+        for i in scn.agents:
+            for j in scn.projects:
+                g, d = scn.value_fns[j], scn.dist(i, j)
+                for r in (1, 2):
+                    diag = table.diag(i, j, r)
+                    try:
+                        want = replication_score(g, d, r)
+                    except BudgetExceededError:
+                        # the cell's own stream, escalated as documented
+                        stream = (i * scn.n_projects + j) * 2 + (r - 1)
+                        samples = MC_BASE_SAMPLES
+                        for _ in range(MC_MAX_ROUNDS):
+                            want, se = _replication_mc(g, d, r, rng, samples, stream)
+                            if se <= MC_TARGET_REL_SE * max(abs(want), 1e-12):
+                                break
+                            samples *= 2
+                        assert diag == ScoreDiag(method="monte_carlo", std_error=se)
+                        mc += 1
+                    else:
+                        assert diag.method in ("exact", "exact_best_shot")
+                        assert diag.std_error == 0.0
+                    assert table.get(i, j, r) == want, (i, j, r)
+        # every project's columns hold both kinds of cell
+        assert mc == 7
+        assert {j for i, j, r in np.argwhere(table.methods == "monte_carlo")} == {0, 1, 2, 3}
+
+    def test_csv_is_byte_identical(self, tiny_budget):
+        table = build_score_table(mixed_scenario(), "replication", max_r=2, rng=RngSpec(seed=11))
+        buf = io.StringIO()
+        table.to_csv(buf)
+        assert buf.getvalue().replace("\r\n", "\n") == MIXED_CSV
+
+    def test_no_fallback_raises_first_cell_in_agent_order(self, tiny_budget):
+        scn = mixed_scenario()
+        with pytest.raises(BudgetExceededError) as exc:
+            build_score_table(scn, "replication", max_r=2, mc_fallback=False)
+        # (1, 2, 1): success probability on 6 atoms, priced 6 + 1; later
+        # cells would report 9, 12, 20 or 8
+        assert str(exc.value) == "exact expectation budget exceeded: 7 > 6"
+        with pytest.raises(BudgetExceededError) as first:
+            replication_score(scn.value_fns[2], scn.dist(1, 2), 1)
+        assert first.value.required == exc.value.required == 7

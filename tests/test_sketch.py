@@ -24,9 +24,11 @@ from testscore.core import RngSpec
 
 
 def table_from(entries, max_r, kind="replication"):
-    # entries: {(agent, r): score}, single project 0
-    scores = {(i, 0, r): v for (i, r), v in entries.items()}
-    return ScoreTable(kind=kind, max_r=max_r, scores=scores)
+    # entries: {(agent, r): score} covering every agent and r, single project 0
+    scores = np.zeros((1 + max(i for i, _ in entries), 1, max_r))
+    for (i, r), v in entries.items():
+        scores[i, 0, r - 1] = v
+    return ScoreTable(kind=kind, scores=scores)
 
 
 class TestStrongSketch:
