@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import IO, Optional, Sequence
+from typing import IO, Optional
 
 import numpy as np
 
@@ -207,7 +207,9 @@ def build_score_table(
     standard error (sampling is escalated a few rounds toward a 1e-3
     relative standard error). With mc_fallback=False the budget error of
     the first over-budget cell in (agent, project, r) order is raised
-    instead, for callers that need exact entries only.
+    instead, for callers that need exact entries only; cells scored one at
+    a time run first, in that order, so no later cell is scored before it
+    raises.
     """
     if kind not in ("mean", "quantile", "replication"):
         raise ValidationError(f"unknown score kind {kind!r}")
@@ -239,51 +241,54 @@ def build_score_table(
     scores = np.empty((n, m, max_r))
     methods = np.empty((n, m, max_r), dtype=object)
     std_errors = np.zeros((n, m, max_r))
-    over: list[tuple[tuple[int, int, int], BudgetExceededError]] = []
     everyone = np.arange(n)[:, None]
+    batches = []  # (column, project, r, agents): cells scored in one batch
+    single = []  # (agent, project, r): cells scored one by one
     for j in scn.projects:
         g = scn.value_fns[j]
+        methods[:, j] = "exact_best_shot" if g.kind == "best_shot" else "exact"
+        if g.kind in ("total", "ces"):
+            single += [(i, j, r) for i in scn.agents for r in range(1, max_r + 1)]
+            continue
         column = [scn.dist(i, j) for i in scn.agents]
         sizes = [len(d.values) for d in column]
-        methods[:, j] = "exact_best_shot" if g.kind == "best_shot" else "exact"
         for r in range(1, max_r + 1):
-            single: Sequence[int] = scn.agents  # cells scored one by one
-            if g.kind not in ("total", "ces"):
-                # a cell is exact when its own one-row work fits the
-                # budget; those cells run as one batch, priced here cell by
-                # cell, so the batch as a whole is not metered
-                rows: slice | list[int] = slice(None)
-                pool, single = column, []
-                if _row_work(g, max(sizes), 1, r) > budget:
-                    single = [i for i in scn.agents if _row_work(g, sizes[i], 1, r) > budget]
-                    rows = [i for i in scn.agents if i not in single]
-                    pool = [column[i] for i in rows]
-                scores[rows, j, r - 1] = _batch_expectation(
-                    g, pool, everyone[: len(pool)], r, sys.maxsize
-                )
-            for i in single:
-                d = column[i]
-                try:
-                    scores[i, j, r - 1] = _expectation(g, [d], r, budget)
-                    continue
-                except BudgetExceededError as exc:
-                    if not mc_fallback:
-                        over.append(((i, j, r), exc))
-                        continue
-                stream = (i * m + j) * max_r + (r - 1)
-                samples = MC_BASE_SAMPLES
-                for _ in range(MC_MAX_ROUNDS):
-                    value, se = _replication_mc(g, d, r, mc_rng, samples, stream)
-                    if se <= MC_TARGET_REL_SE * max(abs(value), 1e-12):
-                        break
-                    samples *= 2
-                scores[i, j, r - 1] = value
-                methods[i, j, r - 1] = "monte_carlo"
-                std_errors[i, j, r - 1] = se
-    if over:
-        # callers verifying tight analytic bounds need every entry exact,
-        # so an overrun must surface, not degrade
-        raise min(over, key=lambda cell: cell[0])[1]
+            # a cell is exact when its own one-row work fits the budget;
+            # those cells run as one batch, priced here cell by cell, so
+            # the batch as a whole is not metered
+            if _row_work(g, max(sizes), 1, r) <= budget:
+                batches.append((column, j, r, slice(None)))
+                continue
+            over = [i for i in scn.agents if _row_work(g, sizes[i], 1, r) > budget]
+            single += [(i, j, r) for i in over]
+            if len(over) < n:
+                batches.append((column, j, r, [i for i in scn.agents if i not in over]))
+    # in (agent, project, r) order, so that without the fallback the first
+    # over-budget cell raises before any later cell is scored
+    for i, j, r in sorted(single):
+        g, d = scn.value_fns[j], scn.dist(i, j)
+        try:
+            scores[i, j, r - 1] = _expectation(g, [d], r, budget)
+            continue
+        except BudgetExceededError:
+            if not mc_fallback:
+                # callers verifying tight analytic bounds need every entry
+                # exact, so an overrun must surface, not degrade
+                raise
+        stream = (i * m + j) * max_r + (r - 1)
+        samples = MC_BASE_SAMPLES
+        for _ in range(MC_MAX_ROUNDS):
+            value, se = _replication_mc(g, d, r, mc_rng, samples, stream)
+            if se <= MC_TARGET_REL_SE * max(abs(value), 1e-12):
+                break
+            samples *= 2
+        scores[i, j, r - 1] = value
+        methods[i, j, r - 1] = "monte_carlo"
+        std_errors[i, j, r - 1] = se
+    for column, j, r, rows in batches:
+        scores[rows, j, r - 1] = _batch_expectation(
+            scn.value_fns[j], column, everyone[rows], r, sys.maxsize
+        )
     return ScoreTable(
         kind=kind, scores=scores, theta=theta, methods=methods, std_errors=std_errors
     )

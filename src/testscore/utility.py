@@ -92,12 +92,9 @@ def _sum_route(g: ValueFunction, pool: Pool, copies: int, budget: int) -> float:
 
 
 def _grid(pool: Pool, n_teams: int) -> np.ndarray:
-    """The support points the order route integrates over: one
-    distribution's own support, else the pool's supports side by side,
-    merged into unique points when more than one team shares them
-    (repeated points only add zero-width gaps)."""
-    if len(pool) == 1:
-        return pool[0].values_array
+    """The support points a team of several members integrates over: the
+    pool's supports side by side, merged into unique points when more than
+    one team shares them (repeated points only add zero-width gaps)."""
     grid = np.concatenate([d.values_array for d in pool])
     return np.unique(grid) if n_teams > 1 else np.sort(grid)
 
@@ -130,8 +127,6 @@ def _top_w(g: ValueFunction, grid: np.ndarray, cols: np.ndarray, copies: int) ->
     # runs row by row, so a row rounds exactly as a block of one would.
     per_row = grid.ndim == 2
     w = 1 if g.kind == "best_shot" else min(int(g.r), len(cols) * copies)
-    if per_row and grid.shape[1] == 1:  # point masses: every copy sits on its point
-        return w * grid[:, 0]
     if g.kind == "best_shot":  # N(t) = 0 exactly when every copy is <= t
         above = 1.0 - _product(cols, copies)
     else:
@@ -158,39 +153,36 @@ def _order_route(
     g: ValueFunction, pool: Pool, teams: np.ndarray, copies: int, budget: int
 ) -> np.ndarray:
     k = teams.shape[1]
-    if k == 1 and len(teams) > 1:
+    if k == 1:
         # one member per row: each row integrates over its member's own
         # support, so it equals that member scored alone; rows with
         # supports of one length share a block
         members = [pool[i] for i in teams[:, 0].tolist()]
+        _charge(_row_work(g, sum(len(d) for d in members), 1, copies), budget)
         by_size: dict[int, list[int]] = {}
         for row, d in enumerate(members):
             by_size.setdefault(len(d.values), []).append(row)
-        cells = sum(s * len(rows) for s, rows in by_size.items())
-        _charge(_row_work(g, cells, 1, copies), budget)
         out = np.empty(len(members))
         for s, rows in by_size.items():
-            if len(rows) == 1:  # a lone row runs on its member's cached arrays
+            if len(rows) == 1:
+                # a lone row takes the shared-grid form on its member's
+                # cached arrays, which rounds like the per-row form and
+                # costs fewer numpy calls
                 d = members[rows[0]]
                 out[rows[0]] = _top_w(g, d.values_array, d.cdf_array[None, None], copies)[0]
                 continue
-            # values then probabilities, one row per member
+            # one array of values then probabilities, one row per member,
+            # so freshly loaded members build no arrays of their own
             atoms = np.array([members[row].values + members[row].probs for row in rows])
-            value = _top_w(g, atoms[:, :s], cdf_rows(atoms[None, :, s:]), copies)
-            if len(rows) == len(members):
-                return value
-            out[rows] = value
+            out[rows] = _top_w(g, atoms[:, :s], cdf_rows(atoms[None, :, s:]), copies)
         return out
-    # one team, or teams of several members: each team gathers its
-    # members' rows of the pool's CDF matrix F on the shared grid
+    # teams of several members: each gathers its members' rows of the
+    # pool's CDF matrix F on the shared grid
     grid = _grid(pool, len(teams))
-    if len(pool) == 1:
-        F = pool[0].cdf_array[None]
-    else:
-        F = np.array([
-            np.concatenate(([0.0], d.cdf_array))[d.values_array.searchsorted(grid, "right")]
-            for d in pool
-        ])
+    F = np.array([
+        np.concatenate(([0.0], d.cdf_array))[d.values_array.searchsorted(grid, "right")]
+        for d in pool
+    ])
     _charge(len(teams) * _row_work(g, len(grid), k, copies), budget)
     rows = max(1, _BLOCK // len(grid))
     parts = [

@@ -31,7 +31,7 @@ from testscore.scores import (
     ScoreTable,
     _replication_mc,
 )
-from testscore.utility import _MERGE
+from testscore.utility import _MERGE, _expectation
 
 from oracle_tools import (
     CATALOGUE_REFS,
@@ -504,6 +504,40 @@ agent,project,r,score,method,std_error
 """
 
 
+def check_cells(scn, max_r, rng):
+    """Check every cell of a replication table against its own per-cell
+    recomputation (value, method, std error and stream); return the Monte
+    Carlo cells."""
+    table = build_score_table(scn, "replication", max_r=max_r, rng=rng)
+    mc = set()
+    for i in scn.agents:
+        for j in scn.projects:
+            g, d = scn.value_fns[j], scn.dist(i, j)
+            for r in range(1, max_r + 1):
+                diag = table.diag(i, j, r)
+                try:
+                    want = replication_score(g, d, r)
+                except BudgetExceededError:
+                    # the cell's own stream, escalated as documented
+                    stream = (i * scn.n_projects + j) * max_r + (r - 1)
+                    samples = MC_BASE_SAMPLES
+                    for _ in range(MC_MAX_ROUNDS):
+                        want, se = _replication_mc(g, d, r, rng, samples, stream)
+                        if se <= MC_TARGET_REL_SE * max(abs(want), 1e-12):
+                            break
+                        samples *= 2
+                    assert diag == ScoreDiag(method="monte_carlo", std_error=se)
+                    mc.add((i, j, r))
+                else:
+                    assert diag.method in ("exact", "exact_best_shot")
+                    assert diag.std_error == 0.0
+                assert table.get(i, j, r) == want, (i, j, r)
+    assert {tuple(c) for c in np.argwhere(table.methods == "monte_carlo")} == {
+        (i, j, r - 1) for i, j, r in mc
+    }
+    return mc
+
+
 class TestMixedTable:
     @pytest.fixture
     def tiny_budget(self, monkeypatch):
@@ -511,34 +545,22 @@ class TestMixedTable:
 
     def test_cells_split_by_their_own_price(self, tiny_budget):
         scn = mixed_scenario()
-        rng = RngSpec(seed=11)
-        table = build_score_table(scn, "replication", max_r=2, rng=rng)
-        mc = 0
-        for i in scn.agents:
-            for j in scn.projects:
-                g, d = scn.value_fns[j], scn.dist(i, j)
-                for r in (1, 2):
-                    diag = table.diag(i, j, r)
-                    try:
-                        want = replication_score(g, d, r)
-                    except BudgetExceededError:
-                        # the cell's own stream, escalated as documented
-                        stream = (i * scn.n_projects + j) * 2 + (r - 1)
-                        samples = MC_BASE_SAMPLES
-                        for _ in range(MC_MAX_ROUNDS):
-                            want, se = _replication_mc(g, d, r, rng, samples, stream)
-                            if se <= MC_TARGET_REL_SE * max(abs(want), 1e-12):
-                                break
-                            samples *= 2
-                        assert diag == ScoreDiag(method="monte_carlo", std_error=se)
-                        mc += 1
-                    else:
-                        assert diag.method in ("exact", "exact_best_shot")
-                        assert diag.std_error == 0.0
-                    assert table.get(i, j, r) == want, (i, j, r)
+        mc = check_cells(scn, 2, RngSpec(seed=11))
         # every project's columns hold both kinds of cell
-        assert mc == 7
-        assert {j for i, j, r in np.argwhere(table.methods == "monte_carlo")} == {0, 1, 2, 3}
+        assert len(mc) == 7
+        assert {j for i, j, r in mc} == {0, 1, 2, 3}
+
+    def test_whole_column_over_budget(self, monkeypatch):
+        # at budget 3 every top_r(2) cell at r = 2 costs four times its
+        # support, so no agent of that column is scored exactly
+        monkeypatch.setenv("TESTSCORE_BUDGET", "3")
+        scn = mixed_scenario()
+        mc = check_cells(scn, 2, RngSpec(seed=11))
+        assert {(i, 1, 2) for i in scn.agents} <= mc
+        with pytest.raises(BudgetExceededError) as exc:
+            build_score_table(scn, "replication", max_r=2, mc_fallback=False)
+        # (0, 1, 2) is the first cell over budget in (agent, project, r) order
+        assert str(exc.value) == "exact expectation budget exceeded: 4 > 3"
 
     def test_csv_is_byte_identical(self, tiny_budget):
         table = build_score_table(mixed_scenario(), "replication", max_r=2, rng=RngSpec(seed=11))
@@ -556,3 +578,26 @@ class TestMixedTable:
         with pytest.raises(BudgetExceededError) as first:
             replication_score(scn.value_fns[2], scn.dist(1, 2), 1)
         assert first.value.required == exc.value.required == 7
+
+    def test_no_fallback_scores_nothing_after_the_first_cell(self, tiny_budget, monkeypatch):
+        scn = mixed_scenario()
+        cell = {
+            (id(scn.value_fns[j]), id(scn.dist(i, j))): (i, j)
+            for i in scn.agents
+            for j in scn.projects
+        }
+        scored = []
+
+        def spy(g, pool, copies, budget):
+            scored.append(cell[id(g), id(pool[0])] + (copies,))
+            return _expectation(g, pool, copies, budget)
+
+        def no_batch(*args):
+            raise AssertionError("a batch ran although a cell was over budget")
+
+        monkeypatch.setattr("testscore.scores._expectation", spy)
+        monkeypatch.setattr("testscore.scores._batch_expectation", no_batch)
+        with pytest.raises(BudgetExceededError):
+            build_score_table(scn, "replication", max_r=2, mc_fallback=False)
+        # the ces:2 cells of agent 0 run one by one, then (1, 2, 1) raises
+        assert scored == [(0, 3, 1), (0, 3, 2), (1, 2, 1)]
