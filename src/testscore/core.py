@@ -32,12 +32,14 @@ class ValidationError(ValueError):
 class BudgetExceededError(RuntimeError):
     """Raised when an exact computation would exceed the enumeration budget."""
 
-    def __init__(self, required: int, budget: int, what: str = "enumeration"):
+    def __init__(
+        self, required: int, budget: int, what: str = "enumeration", shape: str = ""
+    ):
         self.required = required
         self.budget = budget
-        super().__init__(
-            f"{what} budget exceeded: {required} > {budget}"
-        )
+        self.shape = shape  # the instance shape, e.g. "n=8, k=4, largest support 2"
+        detail = f" ({shape})" if shape else ""
+        super().__init__(f"{what} budget exceeded: {required} > {budget}{detail}")
 
 
 def enumeration_budget() -> int:

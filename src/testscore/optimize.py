@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from itertools import chain, combinations
+from functools import lru_cache
+from itertools import chain, combinations, islice
 from typing import Callable, Optional
 
 import numpy as np
@@ -21,8 +22,10 @@ from .core import (
     RngSpec,
     Scenario,
     ValidationError,
+    dist_mean,
     enumeration_budget,
 )
+from . import utility
 from .scores import ScoreTable
 from .sketch import minmax_sketch, strong_sketch
 from .utility import (
@@ -225,7 +228,10 @@ def _subset_enum_cost(scn: Scenario, j: int, k: int) -> int:
         return _row_work(g, cells, k, 1)
     if g.kind == "success_prob":
         return sum(sizes) + teams * k
-    if _linear(g):  # each agent's support is read once per team it joins
+    if _linear(g):
+        # each agent's support is read once per team it joins; this also
+        # bounds the blocked sums of means, since C(n-1, k-1) * sum(sizes)
+        # >= C(n, k) * k (every support has at least one atom)
         return math.comb(len(pool) - 1, k - 1) * sum(sizes) + teams
     # sum route: a DP over the agents in id order sums, over the size-c
     # teams, the engine's charge (work[c]) and the partial-sum atoms
@@ -242,32 +248,84 @@ def _subset_enum_cost(scn: Scenario, j: int, k: int) -> int:
     return work[k] + teams
 
 
+def _team_blocks(n: int, k: int):
+    # the size-k teams of range(n) in lexicographic order, as (rows, k)
+    # arrays of at most _BLOCK cells in the smallest integer type that
+    # holds n; never one C(n, k) x k array
+    flat = chain.from_iterable(combinations(range(n), k))
+    rows = max(1, utility._BLOCK // k)
+    for lo in range(0, math.comb(n, k), rows):
+        cells = min(rows, math.comb(n, k) - lo) * k
+        block = np.fromiter(islice(flat, cells), dtype=np.min_scalar_type(-n), count=cells)
+        yield block.reshape(-1, k)
+
+
+def _row_sums(values: np.ndarray, teams: np.ndarray) -> np.ndarray:
+    # values summed over each row of teams member by member, in place, so
+    # no (rows, k) array of values is built
+    out = values[teams[:, 0]]
+    for c in range(1, teams.shape[1]):
+        out += values[teams[:, c]]
+    return out
+
+
+def _near_best(scored) -> np.ndarray:
+    """The teams, in their given order, whose value is within SCREEN_TOL
+    of the largest, from an iterable of (values, teams) blocks. Only the
+    teams near the running maximum are kept from block to block."""
+    top = -math.inf
+    values = teams = None
+    for block_values, block in scored:
+        top = max(top, float(block_values.max()))
+        cut = top - SCREEN_TOL * abs(top)
+        keep = block_values >= cut
+        if teams is None:
+            values, teams = block_values[keep], block[keep]
+        else:
+            old = values >= cut
+            values = np.concatenate((values[old], block_values[keep]))
+            teams = np.concatenate((teams[old], block[keep]))
+    return teams
+
+
+def _shape(scn: Scenario, projects, sizes: str) -> str:
+    support = max(len(scn.dist(i, j)) for i in scn.agents for j in projects)
+    return f"n={scn.n_agents}, {sizes}, largest support {support}"
+
+
 def brute_force_single(scn: Scenario, j: int, k: int) -> SelectionResult:
     """Exact best size-k team for project j, by exhausting all subsets.
 
     Ties resolve to the lexicographically smallest subset. Raises when the
     total enumeration work would exceed the budget. Best-shot, top-r and
     success-probability projects score every team in blocks on the pool's
-    merged grid, then confirm the teams within SCREEN_TOL of the best with
-    ``project_utility``; ``total`` and ``ces`` score one team at a time.
+    merged grid; linear projects (``total:identity``, ``total:power:1``,
+    ``ces:1``) sum the members' means over blocks of teams streamed in
+    lexicographic order. Either way the teams within SCREEN_TOL of the
+    best are confirmed with ``project_utility``. Other ``total`` and
+    ``ces`` projects score one team at a time.
     """
     if k < 1 or k > scn.n_agents:
         raise ValidationError(f"k must be in 1..{scn.n_agents}, got {k}")
     budget = enumeration_budget()
     cost = _subset_enum_cost(scn, j, k)
     if cost > budget:
-        raise BudgetExceededError(cost, budget, what="subset enumeration")
+        raise BudgetExceededError(
+            cost, budget, what="brute_force_single subset enumeration",
+            shape=_shape(scn, [j], f"k={k}"),
+        )
     g = scn.value_fns[j]
-    if g.kind in ("total", "ces"):
+    pool = [scn.dist(i, j) for i in scn.agents]
+    if _linear(g):  # a team's value is the sum of its members' means
+        means = np.array([dist_mean(d) for d in pool])
+        teams = _near_best((_row_sums(means, block), block) for block in _team_blocks(len(pool), k))
+        candidates = map(tuple, teams.tolist())
+    elif g.kind in ("total", "ces"):
         candidates = combinations(scn.agents, k)
     else:
-        pool = [scn.dist(i, j) for i in scn.agents]
-        flat = chain.from_iterable(combinations(scn.agents, k))
-        teams = np.fromiter(flat, dtype=np.intp).reshape(-1, k)
-        values = _batch_expectation(g, pool, teams, 1, budget)
-        top = values.max()
-        near = np.flatnonzero(values >= top - SCREEN_TOL * abs(top))
-        candidates = (tuple(int(i) for i in teams[c]) for c in near)
+        teams = _subsets(len(pool), k)
+        teams = _near_best([(_batch_expectation(g, pool, teams, 1, budget), teams)])
+        candidates = map(tuple, teams.tolist())
     # batched values can round differently from a team's own, so the
     # screened candidates are rescored before the strict-> tie rule
     best_S: Optional[tuple[int, ...]] = None
@@ -282,11 +340,17 @@ def brute_force_single(scn: Scenario, j: int, k: int) -> SelectionResult:
     return _result(scn, sets)
 
 
-def _mask_of(members) -> int:
-    m = 0
-    for i in members:
-        m |= 1 << i
-    return m
+def _subsets(n: int, k: int, colex: bool = False, dtype=np.intp) -> np.ndarray:
+    """The k-subsets of range(n), one ascending row each, in lexicographic
+    order, or in colex order: by largest element first, which is the
+    order of their bitmasks and of the colex rank sum_i C(a_i, i + 1)
+    over the ascending a_i (the lexicographic subsets of the descending
+    range, reversed both ways)."""
+    count = math.comb(n, k)
+    agents = range(n - 1, -1, -1) if colex else range(n)
+    flat = chain.from_iterable(combinations(agents, k))
+    rows = np.fromiter(flat, dtype=dtype, count=count * k).reshape(count, k)
+    return rows[::-1, ::-1] if colex else rows
 
 
 def _dp_transition_count(n: int, ks) -> int:
@@ -298,63 +362,141 @@ def _dp_transition_count(n: int, ks) -> int:
     return total
 
 
+@lru_cache(maxsize=64)
+def _binomials(n: int, c: int) -> np.ndarray:
+    """binom[x, d] = C(x, d) for x < n and d <= c, by Pascal's rule. Past
+    int64 the entries wrap modulo 2^64; colex ranks only add and subtract
+    them, and every rank is below its stage's size (at most the
+    transition count), so the ranks come out exact."""
+    binom = np.zeros((n, c + 1), dtype=np.int64)
+    binom[:, 0] = 1
+    for x in range(1, n):
+        binom[x, 1:] = binom[x - 1, 1:] + binom[x - 1, :-1]
+    binom.flags.writeable = False
+    return binom
+
+
+@lru_cache(maxsize=256)
+def _team_cells(f: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The size-k teams among f free agents as positions in lexicographic
+    order, (teams, k), and as flat cells of a free set's (f, k) table of
+    per-position terms, (k, teams)."""
+    places = _subsets(f, k)
+    cells = places.T * k + np.arange(k)[:, None]
+    places.flags.writeable = cells.flags.writeable = False
+    return places, cells
+
+
+def _union_terms(binom: np.ndarray, U: np.ndarray, F: np.ndarray, k: int) -> np.ndarray:
+    """For a block of used sets U (rows, u) with free agents F (rows, f):
+    per-position terms, (rows, f * k), whose sum over a team's members
+    (the member at free position p_d counting cell p_d * k + d - 1) is the
+    colex rank of the union of U with the team.
+
+    A member t_d sits above b_d = t_d - p_d used agents, so it takes
+    place b_d + d in the union, and the used agents between b_d and
+    b_{d+1} move up d places. With R_e[x] = sum_{i < x} C(U_i, i + 1 + e)
+    the rank telescopes to R_k[u] + sum_d (C(t_d, b_d + d) + R_{d-1}[b_d]
+    - R_d[b_d]): one term per member, with R_k[u] folded into d = 1."""
+    rows, u = U.shape
+    f = F.shape[1]
+    R = np.zeros((rows, u + 1, k + 1), dtype=np.int64)
+    place = np.arange(1, u + 1)[:, None] + np.arange(k + 1)
+    np.cumsum(binom[U[:, :, None], place], axis=1, out=R[:, 1:])
+    below = F - np.arange(f)
+    Rb = R[np.arange(rows)[:, None], below]
+    terms = binom[F[:, :, None], below[:, :, None] + np.arange(1, k + 1)]
+    terms += Rb[:, :, :-1] - Rb[:, :, 1:]
+    terms[:, :, 0] += R[:, u, k][:, None]
+    return terms.reshape(rows, f * k)
+
+
 def _maximize_assignment(
-    scn: Scenario, value_of: Callable[[int, tuple[int, ...]], float]
+    scn: Scenario, value_of: Callable[[int, tuple[int, ...]], float], oracle: str
 ) -> tuple[list[tuple[int, ...]], float]:
     """Exact argmax of sum_j value_of(j, S_j) over disjoint assignments.
 
-    Dynamic program over sets of already-used agents, one stage per
-    project; equivalent to full enumeration but shares suffixes, so the
-    budget is checked against the transition count rather than the raw
-    assignment count. Ties resolve to the lexicographically smallest
-    (S_0, S_1, ...).
+    Dynamic program over the sets of already-used agents, one stage per
+    project from the last back; equivalent to full enumeration but shares
+    suffixes, so the budget is checked against the transition count
+    rather than the raw assignment count. Every team's value comes from
+    one ``value_of`` call.
+
+    A stage holds one value per used set, indexed by the set's colex
+    rank (its bitmask's place among the masks of its size). A used set's
+    teams sit at fixed positions among its free agents (a lexicographic
+    position table), and both a team's rank and the rank of the used set
+    it leads to are sums of one precomputed term per team member, so the
+    stage scores blocks of used sets (about _BLOCK team-member cells
+    each) as the team's value plus the next stage's value at the union,
+    maximized per set. Only disjoint (set, team) pairs are formed. Ties
+    resolve to the lexicographically smallest (S_0, S_1, ...).
+    ``oracle`` names the caller in budget errors.
     """
     n = scn.n_agents
     ks = scn.cardinalities
-    m = len(ks)
     budget = enumeration_budget()
     trans = _dp_transition_count(n, ks)
     if trans > budget:
-        raise BudgetExceededError(trans, budget, what="assignment optimization")
-    prefix = [0]
+        raise BudgetExceededError(
+            trans, budget, what=f"{oracle} assignment DP",
+            shape=_shape(scn, scn.projects, f"cardinalities {tuple(ks)}"),
+        )
+    used = [0]
     for k in ks:
-        prefix.append(prefix[-1] + k)
-    memo: list[dict[tuple[int, ...], float]] = [dict() for _ in range(m)]
-
-    def val(j: int, S: tuple[int, ...]) -> float:
-        d = memo[j]
-        if S not in d:
-            d[S] = value_of(j, S)
-        return d[S]
-
-    # tables[j][mask] = best value of projects j.. given mask's agents taken
-    tables: list[dict[int, float]] = [dict() for _ in range(m + 1)]
-    for combo in combinations(scn.agents, prefix[m]):
-        tables[m][_mask_of(combo)] = 0.0
-    for j in range(m - 1, -1, -1):
-        stage = tables[j]
-        nxt = tables[j + 1]
-        for combo in combinations(scn.agents, prefix[j]):
-            mask = _mask_of(combo)
-            comp = [i for i in scn.agents if not (mask >> i) & 1]
-            best = -math.inf
-            for S in combinations(comp, ks[j]):
-                v = val(j, S) + nxt[mask | _mask_of(S)]
-                if v > best:
-                    best = v
-            stage[mask] = best
-    # walk forward, taking the smallest team that attains the table value
+        used.append(used[-1] + k)
+    binom = _binomials(n, max(max(ks), used[-2]))
+    agent = np.min_scalar_type(-n)  # the smallest integer type holding an agent id
+    # stages[j] = (free_sets, places, pick): the free agents of each used
+    # set project j may see, in the sets' colex order, the team positions
+    # among them, and the position of each set's best team
+    stages = []
+    after = None  # the next stage's values by colex rank; 0 past the last
+    for j in range(len(ks) - 1, -1, -1):
+        k, u = ks[j], used[j]
+        f = n - u
+        # team values by colex rank: the descending range's combinations
+        # run through the teams in descending colex order
+        teams = combinations(range(n - 1, -1, -1), k)
+        vals = np.array([value_of(j, S[::-1]) for S in teams], dtype=float)[::-1]
+        # complements reverse the colex order
+        free_sets = _subsets(n, f, True, agent)[::-1]
+        # with no agent used (stage 0) the union is the team itself
+        used_sets = _subsets(n, u, True, agent) if after is not None and u else None
+        places, cells = _team_cells(f, k)
+        best = np.empty(len(free_sets))
+        pick = np.empty(len(free_sets), dtype=np.intp)
+        rows = max(1, utility._BLOCK // (len(places) * k))
+        for lo in range(0, len(free_sets), rows):
+            # stored small, gathered with as index-sized integers
+            F = free_sets[lo : lo + rows].astype(np.intp)
+            b = len(F)
+            # a team t_1 < ... < t_k has colex rank sum_d C(t_d, d)
+            rank = binom[F, 1 : k + 1].reshape(b, -1)[:, cells].sum(axis=1)
+            total = vals[rank]
+            if after is None:
+                total += 0.0  # as v + 0.0 in the recurrence: -0.0 becomes 0.0
+            else:
+                if used_sets is not None:
+                    U = used_sets[lo : lo + rows].astype(np.intp)
+                    rank = _union_terms(binom, U, F, k)[:, cells].sum(axis=1)
+                total += after[rank]
+            # argmax takes the first largest: the smallest team in lex order
+            pick[lo : lo + b] = total.argmax(axis=1)
+            best[lo : lo + b] = total[np.arange(b), pick[lo : lo + b]]
+        stages.append((free_sets, places, pick))
+        after = best
+    # walk forward from no agent used (rank 0), taking each stage's
+    # recorded team and moving to the rank of the union
     sets: list[tuple[int, ...]] = []
-    mask = 0
-    for j in range(m):
-        target = tables[j][mask]
-        comp = [i for i in scn.agents if not (mask >> i) & 1]
-        for S in combinations(comp, ks[j]):
-            if val(j, S) + tables[j + 1][mask | _mask_of(S)] == target:
-                sets.append(S)
-                mask |= _mask_of(S)
-                break
-    return sets, tables[0][0]
+    taken: list[int] = []
+    row = 0
+    for free_sets, places, pick in reversed(stages):
+        S = free_sets[row, places[pick[row]]].tolist()
+        sets.append(tuple(S))
+        taken = sorted(taken + S)
+        row = sum(math.comb(a, i + 1) for i, a in enumerate(taken))
+    return sets, float(after[0])
 
 
 def brute_force_welfare(scn: Scenario) -> SelectionResult:
@@ -363,13 +505,13 @@ def brute_force_welfare(scn: Scenario) -> SelectionResult:
     Ties resolve to the lexicographically smallest assignment. Raises when
     the optimization work would exceed the budget."""
     sets, _total = _maximize_assignment(
-        scn, lambda j, S: project_utility(scn, j, S).value
+        scn, lambda j, S: project_utility(scn, j, S).value, "brute_force_welfare"
     )
     return _result(scn, sets)
 
 
 def _best_assignment_by_sketch(
-    scn: Scenario, table: ScoreTable, sketch_of: str
+    scn: Scenario, table: ScoreTable, sketch_of: str, oracle: str
 ) -> SelectionResult:
     def value(j: int, S: tuple[int, ...]) -> float:
         if sketch_of == "strong":
@@ -377,25 +519,25 @@ def _best_assignment_by_sketch(
         lo, hi = minmax_sketch(table, j, S, scn.cardinalities[j])
         return lo if sketch_of == "min" else hi
 
-    sets, best_v = _maximize_assignment(scn, value)
+    sets, best_v = _maximize_assignment(scn, value, oracle)
     return _result(scn, sets, sketch_objective=float(best_v))
 
 
 def baseline_min_sketch_welfare(scn: Scenario, table: ScoreTable) -> SelectionResult:
     """Assignment maximizing the summed min-score sketch; its true welfare
     can be badly off, which is the point of keeping it around."""
-    return _best_assignment_by_sketch(scn, table, "min")
+    return _best_assignment_by_sketch(scn, table, "min", "baseline_min_sketch_welfare")
 
 
 def baseline_max_sketch_welfare(scn: Scenario, table: ScoreTable) -> SelectionResult:
     """Assignment maximizing the summed max-score sketch."""
-    return _best_assignment_by_sketch(scn, table, "max")
+    return _best_assignment_by_sketch(scn, table, "max", "baseline_max_sketch_welfare")
 
 
 def best_strong_sketch_assignment(scn: Scenario, table: ScoreTable) -> SelectionResult:
     """Assignment maximizing the summed harmonic sketch, for comparing the
     welfare greedy's accumulated sketch value against the sketch optimum."""
-    return _best_assignment_by_sketch(scn, table, "strong")
+    return _best_assignment_by_sketch(scn, table, "strong", "best_strong_sketch_assignment")
 
 
 @dataclass(frozen=True)

@@ -178,3 +178,53 @@ def ref_greedy_welfare(table, ks, n, gen=None):
         if len(sets[j]) >= ks[j]:
             open_projects.remove(j)
     return sets, trace
+
+
+def ref_maximize_assignment(n, ks, value_of):
+    """The assignment DP as a dict of used-agent bitmasks, one stage per
+    project from the last back: tables[j][mask] is the best value of
+    projects j.. with mask's agents taken, maximized with a strict > in
+    lexicographic team order. The forward walk takes the first team that
+    attains the table value. Returns (sets, best total)."""
+    agents = range(n)
+    m = len(ks)
+    prefix = [0]
+    for k in ks:
+        prefix.append(prefix[-1] + k)
+    memo = [dict() for _ in range(m)]
+
+    def val(j, S):
+        if S not in memo[j]:
+            memo[j][S] = value_of(j, S)
+        return memo[j][S]
+
+    def mask_of(members):
+        mask = 0
+        for i in members:
+            mask |= 1 << i
+        return mask
+
+    tables = [dict() for _ in range(m + 1)]
+    for combo in itertools.combinations(agents, prefix[m]):
+        tables[m][mask_of(combo)] = 0.0
+    for j in range(m - 1, -1, -1):
+        for combo in itertools.combinations(agents, prefix[j]):
+            mask = mask_of(combo)
+            comp = [i for i in agents if not (mask >> i) & 1]
+            best = -math.inf
+            for S in itertools.combinations(comp, ks[j]):
+                v = val(j, S) + tables[j + 1][mask | mask_of(S)]
+                if v > best:
+                    best = v
+            tables[j][mask] = best
+    sets = []
+    mask = 0
+    for j in range(m):
+        target = tables[j][mask]
+        comp = [i for i in agents if not (mask >> i) & 1]
+        for S in itertools.combinations(comp, ks[j]):
+            if val(j, S) + tables[j + 1][mask | mask_of(S)] == target:
+                sets.append(S)
+                mask |= mask_of(S)
+                break
+    return sets, tables[0][0]

@@ -172,9 +172,24 @@ class TestSelect:
         code, _, err = run(capsys, ["select", bestshot_file, "--oracle"])
         assert code == EXIT_BUDGET
         assert "budget" in err
+        # the error names the oracle and the instance shape
+        assert err.startswith("error: brute_force_single subset enumeration budget exceeded: ")
+        assert err.rstrip().endswith("> 3 (n=4, k=2, largest support 2)")
 
 
 class TestAssign:
+    def test_oracle_budget_exhaustion_names_the_dp(self, capsys, monkeypatch, welfare_file):
+        # the greedy's table and objectives fall back to Monte Carlo; the
+        # oracle's 6 DP transitions do not fit
+        monkeypatch.setenv("TESTSCORE_BUDGET", "5")
+        code, out, err = run(capsys, ["assign", welfare_file, "--oracle"])
+        assert code == EXIT_BUDGET
+        assert out == ""
+        assert err == (
+            "error: brute_force_welfare assignment DP budget exceeded: 6 > 5 "
+            "(n=3, cardinalities (1, 2), largest support 2)\n"
+        )
+
     def test_happy_path(self, capsys, welfare_file):
         code, out, _ = run(capsys, ["assign", welfare_file])
         assert code == EXIT_OK

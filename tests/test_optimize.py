@@ -25,15 +25,16 @@ from testscore import (
     build_score_table,
     greedy_topk,
     greedy_welfare,
+    minmax_sketch,
     project_utility,
     random_bsp_scenario,
     random_welfare_scenario,
     strong_sketch,
     welfare_greedy_bound,
 )
-from testscore import utility
+from testscore import adversarial, utility
 from testscore.adversarial import CATALOGUE_POOL, random_single_scenario
-from testscore.optimize import _subset_enum_cost
+from testscore.optimize import _maximize_assignment, _subset_enum_cost, _team_blocks
 from testscore.scenario_io import value_fn_tag
 from testscore.utility import exact_utility
 
@@ -44,6 +45,7 @@ from oracle_tools import (
     ref_best_assignment,
     ref_best_subset,
     ref_greedy_welfare,
+    ref_maximize_assignment,
     ref_utility,
 )
 
@@ -308,6 +310,49 @@ class TestBruteForceSingle:
         with pytest.raises(BudgetExceededError):
             brute_force_single(scn, 0, 1)
 
+    @pytest.mark.parametrize(
+        "g",
+        [g for g in CATALOGUE if utility._linear(g)],
+        ids=[tag for g, tag in zip(CATALOGUE, CATALOGUE_TAGS) if utility._linear(g)],
+    )
+    def test_linear_blocks_match_one_pass(self, g, monkeypatch):
+        # one team per block: the running maximum and the screened teams
+        # carry across every block boundary
+        coin = Distribution.from_pairs(((0.5, 0.4), (2.0, 0.6)))
+        gen = np.random.default_rng(73)
+        scns = [random_single_scenario(gen, g, n=8, k=4) for _ in range(3)]
+        scns.append(Scenario.single_project([coin] * 8, g, 4))
+        scns.append(
+            Scenario.single_project([Distribution.point(v) for v in (1, 2, 2, 0, 2, 1, 2, 2)], g, 4)
+        )
+        one_pass = [brute_force_single(scn, 0, 4) for scn in scns]
+        monkeypatch.setattr(utility, "_BLOCK", 1)
+        for scn, want in zip(scns, one_pass):
+            blocked = brute_force_single(scn, 0, 4)
+            assert blocked.assignment.sets == want.assignment.sets
+            assert blocked.total == want.total
+            self.check_against_per_team(scn, 4)
+        # identical agents tie on every team, so the smallest team wins
+        assert one_pass[3].assignment.sets[0] == (0, 1, 2, 3)
+        assert one_pass[4].assignment.sets[0] == (1, 2, 4, 6)
+
+    def test_team_blocks_stream_every_team_in_order(self, monkeypatch):
+        monkeypatch.setattr(utility, "_BLOCK", 10)
+        blocks = list(_team_blocks(7, 3))
+        assert all(block.size <= 10 for block in blocks)
+        assert len(blocks) == math.ceil(math.comb(7, 3) / 3)
+        assert [tuple(t) for t in np.concatenate(blocks).tolist()] == list(combinations(range(7), 3))
+
+    def test_budget_error_names_oracle_and_shape(self, monkeypatch):
+        monkeypatch.setenv("TESTSCORE_BUDGET", "10")
+        dists = [TWO_POINT] * 7 + [Distribution.point(1.0)]
+        scn = Scenario.single_project(dists, ValueFunction.ces(2.0), 4)
+        with pytest.raises(BudgetExceededError) as exc:
+            brute_force_single(scn, 0, 4)
+        assert exc.value.shape == "n=8, k=4, largest support 2"
+        assert str(exc.value).startswith("brute_force_single subset enumeration budget exceeded: ")
+        assert str(exc.value).endswith(" > 10 (n=8, k=4, largest support 2)")
+
 
 class TestGreedyWelfare:
     def test_single_project_follows_rank_order(self):
@@ -526,6 +571,154 @@ class TestSketchBaselines:
             brute_force_welfare(scn).total,
         }
         assert len(values) == 1
+
+
+def tie_heavy_scenario(gen, kind):
+    # random_welfare_scenario's shape and value functions with supports
+    # that tie: random point masses, one shared distribution per project,
+    # or one point mass everywhere
+    scn = random_welfare_scenario(gen)
+    n, m = scn.n_agents, scn.n_projects
+    if kind == "points":
+        dists = [[Distribution.point(float(gen.integers(0, 3))) for _ in range(m)] for _ in range(n)]
+    elif kind == "identical":
+        dists = [list(scn.dists[0])] * n
+    else:
+        dists = [[Distribution.point(1.0)] * m] * n
+    return Scenario(
+        dists=tuple(tuple(row) for row in dists),
+        value_fns=scn.value_fns,
+        cardinalities=scn.cardinalities,
+    )
+
+
+def welfare_oracles(scn, table):
+    """Each assignment oracle's result with the per-team value it
+    maximizes."""
+
+    def sketch(kind):
+        def value(j, S):
+            if kind == "strong":
+                return strong_sketch(table, j, S).strong
+            lo, hi = minmax_sketch(table, j, S, scn.cardinalities[j])
+            return lo if kind == "min" else hi
+
+        return value
+
+    return [
+        (brute_force_welfare(scn), lambda j, S: project_utility(scn, j, S).value),
+        (baseline_min_sketch_welfare(scn, table), sketch("min")),
+        (baseline_max_sketch_welfare(scn, table), sketch("max")),
+        (best_strong_sketch_assignment(scn, table), sketch("strong")),
+    ]
+
+
+class TestAssignmentDP:
+    """The array DP against the dict-of-masks reference: the same sets
+    and the same objective bits."""
+
+    def check_oracles(self, scn):
+        table = build_score_table(scn, "replication", max_r=max(scn.cardinalities))
+        for res, value_of in welfare_oracles(scn, table):
+            sets, total = ref_maximize_assignment(scn.n_agents, scn.cardinalities, value_of)
+            assert res.assignment.sets == tuple(sets)
+            if res.sketch_objective is None:
+                welfare = float(sum(project_utility(scn, j, S).value for j, S in enumerate(sets)))
+                assert res.total.hex() == welfare.hex()
+                got = _maximize_assignment(scn, value_of, "test")
+                assert (got[0], got[1].hex()) == (sets, total.hex())
+            else:
+                assert res.sketch_objective.hex() == float(total).hex()
+
+    def test_random_welfare_scenarios(self):
+        gen = np.random.default_rng(74)
+        for _ in range(200):
+            self.check_oracles(random_welfare_scenario(gen))
+
+    @pytest.mark.parametrize("kind", ["points", "identical", "constant"])
+    def test_tie_heavy_scenarios(self, kind):
+        gen = np.random.default_rng(75)
+        for _ in range(20):
+            self.check_oracles(tie_heavy_scenario(gen, kind))
+
+    def test_one_set_per_block(self, monkeypatch):
+        # a block of one used set splits every stage with more than one
+        gen = np.random.default_rng(76)
+        scns = [random_welfare_scenario(gen) for _ in range(30)]
+        scns += [tie_heavy_scenario(gen, "points") for _ in range(10)]
+        scns.append(adversarial.gen_welfare_example1(3).scenario)
+        monkeypatch.setattr(utility, "_BLOCK", 1)
+        for scn in scns:
+            self.check_oracles(scn)
+
+    @pytest.mark.parametrize("n, ks", [(70, (1, 1)), (64, (1, 1, 1)), (66, (65,))])
+    def test_more_agents_than_mask_bits(self, n, ks):
+        # colex ranks stay small where bitmasks would pass 64 bits
+        gen = np.random.default_rng(77)
+        values = {}
+
+        def value_of(j, S):
+            if (j, S) not in values:
+                values[j, S] = float(gen.integers(0, 4))
+            return values[j, S]
+
+        got = _maximize_assignment(point_scenario(n, ks), value_of, "test")
+        assert got == tuple(ref_maximize_assignment(n, ks, value_of))
+
+    def test_signed_zero_values(self):
+        # v + 0.0 turns -0.0 into 0.0, in the reference as here
+        for n, ks in ((3, (1,)), (4, (1, 2)), (5, (2, 1, 1))):
+            sets, total = _maximize_assignment(point_scenario(n, ks), lambda j, S: -0.0, "test")
+            assert (sets, total.hex()) == (
+                ref_maximize_assignment(n, ks, lambda j, S: -0.0)[0],
+                (0.0).hex(),
+            )
+
+    def test_matches_reference_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        # few distinct values, signed zeros and sums that round apart
+        pool = [0.0, -0.0, 0.1, 0.2, 0.30000000000000004, 0.3, 0.5, 1.0]
+
+        @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+        @hypothesis.given(data=st.data())
+        def check(data):
+            n = data.draw(st.integers(1, 7))
+            ks = []
+            while sum(ks) < n and len(ks) < 3:
+                ks.append(data.draw(st.integers(1, n - sum(ks))))
+            values = {}
+
+            def value_of(j, S):
+                if (j, S) not in values:
+                    values[j, S] = data.draw(st.sampled_from(pool))
+                return values[j, S]
+
+            sets, total = _maximize_assignment(point_scenario(n, ks), value_of, "test")
+            want_sets, want_total = ref_maximize_assignment(n, ks, value_of)
+            assert (sets, total.hex()) == (want_sets, float(want_total).hex())
+
+        check()
+
+    def test_budget_errors_name_oracle_and_shape(self, monkeypatch):
+        monkeypatch.setenv("TESTSCORE_BUDGET", "10")
+        g = ValueFunction.best_shot()
+        scn = Scenario(
+            dists=((TWO_POINT, Distribution.point(1.0)),) * 8,
+            value_fns=(g, g),
+            cardinalities=(4, 4),
+        )
+        table = ScoreTable(kind="replication", scores=np.ones((8, 2, 4)))
+        shape = "(n=8, cardinalities (4, 4), largest support 2)"
+        for oracle, run in (
+            ("brute_force_welfare", lambda: brute_force_welfare(scn)),
+            ("baseline_min_sketch_welfare", lambda: baseline_min_sketch_welfare(scn, table)),
+            ("baseline_max_sketch_welfare", lambda: baseline_max_sketch_welfare(scn, table)),
+            ("best_strong_sketch_assignment", lambda: best_strong_sketch_assignment(scn, table)),
+        ):
+            with pytest.raises(BudgetExceededError) as exc:
+                run()
+            assert str(exc.value) == f"{oracle} assignment DP budget exceeded: 140 > 10 {shape}"
 
 
 class TestApproximationReport:
