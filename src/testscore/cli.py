@@ -13,7 +13,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
+from functools import cache, partial
 from typing import Optional
 
 import numpy as np
@@ -466,8 +466,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+@cache
+def _parser() -> _Parser:
+    # built once per process; parse_args keeps no state between calls
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if getattr(args, "needs_parser", False):

@@ -23,6 +23,10 @@ DEFAULT_BUDGET = 10_000_000
 # Probability sums farther than this from 1 are rejected outright; anything
 # closer is normalized (tolerates CSV rounding without accepting bad data).
 PROB_SUM_SLACK = 1e-9
+# Sums this close to 1 are taken as normalized and left as they are. One
+# division by the sum always lands inside this band, so normalizing twice
+# changes nothing.
+NORMALIZED_SLACK = 2.0**-52
 
 
 class ValidationError(ValueError):
@@ -61,8 +65,12 @@ class Distribution:
     """Finite discrete distribution over non-negative performance values.
 
     ``values`` are finite, strictly increasing and non-negative; ``probs``
-    are positive and sum to 1 (raw sums within 1e-9 of 1 are normalized
-    once at construction, anything farther off is rejected).
+    are positive and sum to 1. Construction sorts the atoms by value and
+    normalizes the probabilities by their exact sum (``math.fsum``): a sum
+    farther than ``PROB_SUM_SLACK`` (1e-9) from 1 is rejected, one within
+    ``NORMALIZED_SLACK`` (2**-52) leaves the probabilities as they are,
+    and any other is divided out. So ``Distribution(d.values, d.probs)``
+    is ``d`` bit for bit.
     """
 
     values: tuple[float, ...]
@@ -87,12 +95,16 @@ class Distribution:
         for p in prbs:
             if not (p > 0):
                 raise ValidationError(f"probability must be positive, got {p}")
-        total = math.fsum(prbs)
+        try:
+            total = math.fsum(prbs)
+        except OverflowError:  # finite probabilities summing past the float range
+            total = math.inf
         if abs(total - 1.0) > PROB_SUM_SLACK:
             raise ValidationError(
                 f"probabilities sum to {total}, outside 1 +/- {PROB_SUM_SLACK}"
             )
-        prbs = tuple(p / total for p in prbs)
+        divisor = normalizing_divisor(total)
+        prbs = tuple(p / divisor for p in prbs)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "probs", prbs)
 
@@ -100,6 +112,16 @@ class Distribution:
     def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "Distribution":
         pairs = list(pairs)
         return cls(tuple(v for v, _ in pairs), tuple(p for _, p in pairs))
+
+    @classmethod
+    def _trusted(cls, values, probs) -> "Distribution":
+        """A distribution from atoms that already passed these checks, sorted
+        and normalized as construction leaves them; runs no checks. For
+        loaders that validate a whole file of supports at once."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "values", values)
+        object.__setattr__(d, "probs", probs)
+        return d
 
     @classmethod
     def point(cls, value: float) -> "Distribution":
@@ -119,6 +141,15 @@ class Distribution:
 
     def __len__(self) -> int:
         return len(self.values)
+
+
+def normalizing_divisor(total):
+    """What probabilities whose exact sum is ``total`` are divided by to
+    normalize them: 1.0, which leaves them as they are, when ``total`` lies
+    within NORMALIZED_SLACK of 1, else ``total``. Elementwise on arrays."""
+    if isinstance(total, np.ndarray):
+        return np.where(np.abs(total - 1.0) <= NORMALIZED_SLACK, 1.0, total)
+    return 1.0 if abs(total - 1.0) <= NORMALIZED_SLACK else total
 
 
 def cdf_rows(probs) -> np.ndarray:

@@ -16,11 +16,22 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, Optional, Union
 
-from .core import Distribution, Scenario, ValidationError, empirical_distribution
+import numpy as np
+
+from .core import (
+    PROB_SUM_SLACK,
+    Distribution,
+    Scenario,
+    ValidationError,
+    empirical_distribution,
+    normalizing_divisor,
+)
 from .production import ConcaveFn, UnitFn, ValueFunction
 
 
@@ -43,6 +54,8 @@ def value_fn_tag(g: ValueFunction) -> str:
 
 def parse_value_fn(tag: str) -> ValueFunction:
     """Parse a value-function tag; raises ValidationError on anything else."""
+    if not isinstance(tag, str):
+        raise ValidationError(f"value function tag must be a string, got {tag!r}")
     parts = tag.split(":")
     try:
         if parts[0] == "total" and len(parts) == 2 and parts[1] in ("identity", "sqrt", "log1p"):
@@ -112,7 +125,8 @@ def scenario_to_dict(
 
 
 # exact types of decoded JSON numbers; true and false decode to bool
-_JSON_NUMBERS = (int, float)
+_JSON_NUMBERS = {int, float}
+_ENTRY_KEYS = {"agent", "project", "support"}
 
 
 def _require_keys(obj: dict, keys: set, what: str) -> None:
@@ -126,7 +140,67 @@ def _require_keys(obj: dict, keys: set, what: str) -> None:
         raise ValidationError(f"missing fields in {what}: {sorted(missing)}")
 
 
+def _pair(entry: dict) -> str:
+    return f"agent {entry['agent']!r}, project {entry['project']!r}"
+
+
+def _number_pairs(support: list) -> bool:
+    return all(
+        type(pair) is list and len(pair) == 2 and set(map(type, pair)) <= _JSON_NUMBERS
+        for pair in support
+    )
+
+
+def _raise_first_invalid(entries: list, supports: list, candidates) -> None:
+    """Raise the error of the first candidate entry, in file order, that
+    ``Distribution`` rejects, naming its agent and project."""
+    for e in candidates:
+        try:
+            Distribution.from_pairs((float(v), float(p)) for v, p in supports[e])
+        except (ValidationError, OverflowError) as exc:
+            raise ValidationError(f"distribution for {_pair(entries[e])}: {exc}") from None
+    raise AssertionError("the file-wide checks rejected a distribution Distribution accepts")
+
+
+def _distributions(entries: list, supports: list) -> list[Distribution]:
+    """Every entry's support validated and normalized in one pass over the
+    file's atoms, packed entry after entry (CSR order: one flat array plus
+    per-entry offsets), with the rules and results of ``Distribution``.
+    The first invalid entry in file order raises, naming its pair."""
+    lengths = np.fromiter(map(len, supports), dtype=np.intp, count=len(supports))
+    stops = np.cumsum(lengths)
+    bounds = list(zip((stops - lengths).tolist(), stops.tolist()))
+    flat = chain.from_iterable(chain.from_iterable(supports))
+    try:
+        atoms = np.fromiter(flat, dtype=float, count=2 * int(stops[-1])).reshape(-1, 2)
+    except OverflowError:  # an integer past the float range
+        _raise_first_invalid(entries, supports, range(len(entries)))
+    owner = np.repeat(np.arange(len(supports)), lengths)
+    # sorted by value within each entry, as construction sorts the pairs
+    order = np.lexsort((atoms[:, 1], atoms[:, 0], owner))
+    values, probs = atoms[order, 0], atoms[order, 1]
+    bad_atom = ~(np.isfinite(values) & (values >= 0) & (probs > 0))
+    bad = np.zeros(len(supports), dtype=bool)
+    bad[owner[bad_atom]] = True
+    bad[owner[1:][(owner[1:] == owner[:-1]) & ~(values[1:] > values[:-1])]] = True
+    bad |= lengths == 0
+    # exact sums over the atoms that passed; a probability past 2 fails the
+    # sum anyway, and capping it keeps fsum within range
+    kept = np.where(bad_atom, 0.0, np.minimum(probs, 2.0)).tolist()
+    totals = np.array([math.fsum(kept[a:b]) for a, b in bounds])
+    bad |= np.abs(totals - 1.0) > PROB_SUM_SLACK
+    if bad.any():
+        _raise_first_invalid(entries, supports, np.flatnonzero(bad).tolist())
+    probs = probs / np.repeat(normalizing_divisor(totals), lengths)
+    vals, prbs = values.tolist(), probs.tolist()
+    return [Distribution._trusted(tuple(vals[a:b]), tuple(prbs[a:b])) for a, b in bounds]
+
+
 def scenario_from_dict(doc: dict) -> LoadedScenario:
+    """Validate a scenario document. The entries are walked once for their
+    structure (fields, names, duplicate and missing pairs, list shapes);
+    then all support numbers are type-checked at once and validated and
+    normalized in one array pass (``_distributions``)."""
     _require_keys(doc, {"agents", "projects", "distributions"}, "scenario document")
     agents = doc["agents"]
     if not isinstance(agents, list) or not agents or not all(isinstance(a, str) for a in agents):
@@ -150,42 +224,44 @@ def scenario_from_dict(doc: dict) -> LoadedScenario:
         raise ValidationError("duplicate project names")
     a_idx = {a: i for i, a in enumerate(agents)}
     p_idx = {p: j for j, p in enumerate(names)}
-    grid: list[list[Optional[Distribution]]] = [
-        [None] * len(names) for _ in agents
-    ]
+    m = len(names)
     entries = doc["distributions"]
     if not isinstance(entries, list):
         raise ValidationError("distributions must be a list")
-    for entry in entries:
-        _require_keys(entry, {"agent", "project", "support"}, "distribution entry")
-        if entry["agent"] not in a_idx:
-            raise ValidationError(f"unknown agent {entry['agent']!r} in distributions")
-        if entry["project"] not in p_idx:
-            raise ValidationError(f"unknown project {entry['project']!r} in distributions")
-        i, j = a_idx[entry["agent"]], p_idx[entry["project"]]
-        if grid[i][j] is not None:
-            raise ValidationError(
-                f"duplicate distribution for agent {entry['agent']!r}, project {entry['project']!r}"
-            )
-        support = entry["support"]
-        if not isinstance(support, list) or not all(
-            isinstance(pair, list)
-            and len(pair) == 2
-            and type(pair[0]) in _JSON_NUMBERS
-            and type(pair[1]) in _JSON_NUMBERS
-            for pair in support
-        ):
-            raise ValidationError(
-                f"support for agent {entry['agent']!r}, project {entry['project']!r} "
-                "must be a list of [value, prob] number pairs"
-            )
-        grid[i][j] = Distribution.from_pairs((float(v), float(p)) for v, p in support)
-    for i, a in enumerate(agents):
-        for j, p in enumerate(names):
-            if grid[i][j] is None:
-                raise ValidationError(f"missing distribution for agent {a!r}, project {p!r}")
+    slot = [-1] * (len(agents) * m)  # entry index of each (agent, project) cell
+    supports = []
+    for e, entry in enumerate(entries):
+        if type(entry) is not dict or entry.keys() != _ENTRY_KEYS:
+            _require_keys(entry, _ENTRY_KEYS, "distribution entry")
+        agent, project = entry["agent"], entry["project"]
+        if type(agent) is not str or agent not in a_idx:
+            raise ValidationError(f"unknown agent {agent!r} in distributions")
+        if type(project) is not str or project not in p_idx:
+            raise ValidationError(f"unknown project {project!r} in distributions")
+        cell = a_idx[agent] * m + p_idx[project]
+        if slot[cell] >= 0:
+            raise ValidationError(f"duplicate distribution for {_pair(entry)}")
+        slot[cell] = e
+        supports.append(entry["support"])
+    if -1 in slot:
+        i, j = divmod(slot.index(-1), m)
+        raise ValidationError(f"missing distribution for agent {agents[i]!r}, project {names[j]!r}")
+    shaped = set(map(type, supports)) <= {list}
+    if shaped:
+        pairs = list(chain.from_iterable(supports))
+        shaped = (
+            set(map(type, pairs)) <= {list}
+            and set(map(len, pairs)) <= {2}
+            and set(map(type, chain.from_iterable(pairs))) <= _JSON_NUMBERS
+        )
+    if not shaped:
+        e = next(e for e, s in enumerate(supports) if type(s) is not list or not _number_pairs(s))
+        raise ValidationError(
+            f"support for {_pair(entries[e])} must be a list of [value, prob] number pairs"
+        )
+    dists = _distributions(entries, supports)
     scn = Scenario(
-        dists=tuple(tuple(row) for row in grid),  # type: ignore[arg-type]
+        dists=tuple(tuple(dists[e] for e in slot[i * m : (i + 1) * m]) for i in range(len(agents))),
         value_fns=tuple(fns),
         cardinalities=tuple(ks),
     )

@@ -9,8 +9,11 @@ utilities (see ``utility``), with Monte Carlo past the budget.
 
 A ScoreTable is one dense (n, m, max_r) array with two arrays of the same
 shape saying how each cell was computed. ``build_score_table`` fills it one
-(project, r) column at a time, so the greedy routines read whole columns
-while the sketches read single cells through ``ScoreTable.get``.
+(project, r) column per engine call, every value-function kind alike, so
+the greedy routines read whole columns while the sketches read single
+cells through ``ScoreTable.get``. Only cells that can fall back to Monte
+Carlo, and sum-route cells large enough to merge equal partial sums, are
+scored one at a time.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .core import (
     enumeration_budget,
 )
 from .production import ValueFunction, evaluate_batch
-from .utility import _batch_expectation, _expectation, _row_work
+from .utility import _batch_expectation, _batchable, _expectation
 
 MC_TARGET_REL_SE = 1e-3
 MC_BASE_SAMPLES = 100_000
@@ -195,21 +198,22 @@ def build_score_table(
 
     Mean and quantile scores do not depend on r: one (n, m) slice is
     computed and repeated across r. Replication scores are filled one
-    (project, r) column at a time. Best-shot, top-r and
-    success-probability columns go through the exact engine in one batched
-    call, a row per agent, each row on its agent's own support so it
-    equals ``replication_score`` bit for bit; ``total`` and ``ces`` cells
-    run the engine one at a time. Methods read ``exact_best_shot`` for
-    best-shot projects and ``exact`` otherwise.
+    (project, r) column at a time: each column goes through the exact
+    engine in one batched call, a row per agent, each row on its agent's
+    own support so it equals ``replication_score`` bit for bit. Methods
+    read ``exact_best_shot`` for best-shot projects and ``exact``
+    otherwise.
 
     Each cell is exact when its own work fits the enumeration budget and
     otherwise falls back to Monte Carlo on its own stream, recording the
     standard error (sampling is escalated a few rounds toward a 1e-3
-    relative standard error). With mc_fallback=False the budget error of
-    the first over-budget cell in (agent, project, r) order is raised
-    instead, for callers that need exact entries only; cells scored one at
-    a time run first, in that order, so no later cell is scored before it
-    raises.
+    relative standard error). Those cells, and ``total`` or ``ces`` cells
+    whose partial sums would pass the engine's merge of equal sums, are
+    left out of their column's batch and scored one at a time. With
+    mc_fallback=False the budget error of the first over-budget cell in
+    (agent, project, r) order is raised instead, for callers that need
+    exact entries only; cells scored one at a time run first, in that
+    order, so no later cell is scored before it raises.
     """
     if kind not in ("mean", "quantile", "replication"):
         raise ValidationError(f"unknown score kind {kind!r}")
@@ -247,22 +251,20 @@ def build_score_table(
     for j in scn.projects:
         g = scn.value_fns[j]
         methods[:, j] = "exact_best_shot" if g.kind == "best_shot" else "exact"
-        if g.kind in ("total", "ces"):
-            single += [(i, j, r) for i in scn.agents for r in range(1, max_r + 1)]
-            continue
         column = [scn.dist(i, j) for i in scn.agents]
         sizes = [len(d.values) for d in column]
         for r in range(1, max_r + 1):
-            # a cell is exact when its own one-row work fits the budget;
-            # those cells run as one batch, priced here cell by cell, so
-            # the batch as a whole is not metered
-            if _row_work(g, max(sizes), 1, r) <= budget:
+            # cells that fit a batch (``_batchable``: their own one-row
+            # work within the budget, no merge of partial sums) run as
+            # one, priced here cell by cell, so the batch as a whole is
+            # not metered
+            if _batchable(g, max(sizes), r, budget):
                 batches.append((column, j, r, slice(None)))
                 continue
-            over = [i for i in scn.agents if _row_work(g, sizes[i], 1, r) > budget]
-            single += [(i, j, r) for i in over]
-            if len(over) < n:
-                batches.append((column, j, r, [i for i in scn.agents if i not in over]))
+            alone = [i for i in scn.agents if not _batchable(g, sizes[i], r, budget)]
+            single += [(i, j, r) for i in alone]
+            if len(alone) < n:
+                batches.append((column, j, r, [i for i in scn.agents if i not in alone]))
     # in (agent, project, r) order, so that without the fallback the first
     # over-budget cell raises before any later cell is scored
     for i, j, r in sorted(single):

@@ -4,13 +4,15 @@ One exact engine, ``_expectation``, computes E[g] over independent copies
 of a pool of distributions: a team passes one copy per agent, a
 replication score a^r passes r copies of one agent. It never enumerates the
 outcome product: ``total`` and ``ces`` build the distribution of the sum of
-phi(x_i) one team at a time, ``best_shot`` and ``top_r`` count the members
-above each support point, and ``success_prob`` factorizes. The order and
-product routes score a whole block of teams drawn from one pool in one
-array pass (``_batch_expectation``); a single team is a block of one row,
-and a block of one-member teams, such as a score table's column, scores
-each row on its member's own support, so every row equals that member
-scored alone. Monte Carlo covers work past the budget.
+phi(x_i) copy by copy, ``best_shot`` and ``top_r`` count the members
+above each support point, and ``success_prob`` factorizes. Every route
+scores a block of rows in one array pass (``_batch_expectation``): the
+order and product routes take teams drawn from one pool, and all routes
+take a block of one-member teams, such as a score table's column, whose
+rows of one support length share arrays while each row is scored on its
+member's own support, so every row equals that member scored alone. A
+single team is a block of one row, except on the sum route, which scores
+it alone (``_sum_route``). Monte Carlo covers work past the budget.
 """
 
 from __future__ import annotations
@@ -71,13 +73,12 @@ def _sum_route(g: ValueFunction, pool: Pool, copies: int, budget: int) -> float:
         _charge(sum(len(d) for d in pool), budget)
         return copies * sum(float(np.dot(d.values_array, d.probs_array)) for d in pool)
     # E[h(sum phi(x_i))] from the sum's distribution, one copy at a time
-    phi = (lambda x: x) if g.kind == "total" else (lambda x: x**g.r)
     shift, sums, probs, work = 0.0, np.zeros(1), np.ones(1), 0
     for d in pool:
         if len(d) == 1:  # a point mass only moves the sum
-            shift += copies * phi(d.values[0])
+            shift += copies * _phi(g, d.values[0])
             continue
-        terms = phi(d.values_array)
+        terms = _phi(g, d.values_array)
         for _ in range(copies):
             work += len(sums) * len(d)
             _charge(work, budget)
@@ -86,9 +87,95 @@ def _sum_route(g: ValueFunction, pool: Pool, copies: int, budget: int) -> float:
             if len(sums) > _MERGE:
                 sums, inverse = np.unique(sums, return_inverse=True)
                 probs = np.bincount(inverse, weights=probs)
-    sums = sums + shift
-    out = g.f.apply(sums) if g.kind == "total" else sums ** (1.0 / g.r)
-    return float(np.dot(out, probs))
+    return float(np.dot(_h(g, sums + shift), probs))
+
+
+def _phi(g: ValueFunction, x):
+    # the sum route's per-member term: x itself for total, x^r for ces
+    return x if g.kind == "total" else x**g.r
+
+
+def _h(g: ValueFunction, sums: np.ndarray) -> np.ndarray:
+    # the sum route's outer map: f of the sum for total, its 1/r-th power for ces
+    return g.f.apply(sums) if g.kind == "total" else sums ** (1.0 / g.r)
+
+
+def _sum_work(g: ValueFunction, size: int, copies: int) -> int:
+    """The sum route's charge for ``copies`` copies of one member with
+    ``size`` atoms: the support once on linear variants, else partial-sum
+    atoms times support over the steps, size + size^2 + ... + size^copies
+    (nothing for a point mass, which only shifts the sum)."""
+    if _linear(g):
+        return size
+    return 0 if size == 1 else sum(size**c for c in range(1, copies + 1))
+
+
+def _batchable(g: ValueFunction, size: int, copies: int, budget: int) -> bool:
+    """Whether ``copies`` copies of one member with ``size`` atoms can be
+    scored as a row of a one-member batch: its own work fits the budget
+    and, on the sum route, its partial sums never reach the merge of equal
+    sums, which a batch does not do. Monotone in ``size``."""
+    if g.kind not in ("total", "ces"):
+        return _row_work(g, size, 1, copies) <= budget
+    merges = not _linear(g) and size**copies > _MERGE
+    return not merges and _sum_work(g, size, copies) <= budget
+
+
+def _by_length(members: Pool) -> dict[int, list[int]]:
+    # row indices of the members, grouped by support length
+    groups: dict[int, list[int]] = {}
+    for row, d in enumerate(members):
+        groups.setdefault(len(d.values), []).append(row)
+    return groups
+
+
+def _packed(members: Pool, rows: list[int]) -> np.ndarray:
+    # one array of values then probabilities, one row per member of one
+    # support length, built from the atoms' tuples so no member builds
+    # arrays of its own
+    return np.array([members[row].values + members[row].probs for row in rows])
+
+
+def _sum_rows(
+    g: ValueFunction, pool: Pool, teams: np.ndarray, copies: int, budget: int
+) -> np.ndarray:
+    # the sum route for a block of one-member rows, rows of one support
+    # length together: the copies are stepped in by broadcast outer sums
+    # and products and each row's expectation is its own dot, so every
+    # row equals ``_sum_route`` on that member alone bit for bit
+    if teams.shape[1] != 1:
+        raise ValidationError("the sum route batches one-member rows only")
+    members = [pool[i] for i in teams[:, 0].tolist()]
+    groups = _by_length(members)
+    _charge(sum(_sum_work(g, s, copies) * len(rows) for s, rows in groups.items()), budget)
+    out = np.empty(len(members))
+    for s, rows in groups.items():
+        atoms = _packed(members, rows)
+        values, probs = atoms[:, :s], atoms[:, s:]
+        if _linear(g):
+            out[rows] = copies * _row_dots(values, probs)
+            continue
+        if s == 1:
+            # a point mass only shifts the sum, which starts at 0.0, by a
+            # Python scalar as the engine does (numpy's power can round
+            # differently)
+            sums = np.array([0.0 + copies * _phi(g, v) for v in values[:, 0].tolist()])
+            out[rows] = _h(g, sums)
+            continue
+        if s**copies > _MERGE:
+            raise ValidationError("batched partial sums would pass the merge size")
+        terms = _phi(g, values)
+        sums, weights = np.zeros((len(rows), 1)), np.ones((len(rows), 1))
+        for _ in range(copies):
+            sums = (sums[:, :, None] + terms[:, None, :]).reshape(len(rows), -1)
+            weights = (weights[:, :, None] * probs[:, None, :]).reshape(len(rows), -1)
+        out[rows] = _row_dots(_h(g, sums), weights)
+    return out
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # each row's dot product, rounded as np.dot of the two rows would be
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 def _grid(pool: Pool, n_teams: int) -> np.ndarray:
@@ -158,12 +245,10 @@ def _order_route(
         # support, so it equals that member scored alone; rows with
         # supports of one length share a block
         members = [pool[i] for i in teams[:, 0].tolist()]
-        _charge(_row_work(g, sum(len(d) for d in members), 1, copies), budget)
-        by_size: dict[int, list[int]] = {}
-        for row, d in enumerate(members):
-            by_size.setdefault(len(d.values), []).append(row)
+        groups = _by_length(members)
+        _charge(_row_work(g, sum(s * len(rows) for s, rows in groups.items()), 1, copies), budget)
         out = np.empty(len(members))
-        for s, rows in by_size.items():
+        for s, rows in groups.items():
             if len(rows) == 1:
                 # a lone row takes the shared-grid form on its member's
                 # cached arrays, which rounds like the per-row form and
@@ -171,9 +256,7 @@ def _order_route(
                 d = members[rows[0]]
                 out[rows[0]] = _top_w(g, d.values_array, d.cdf_array[None, None], copies)[0]
                 continue
-            # one array of values then probabilities, one row per member,
-            # so freshly loaded members build no arrays of their own
-            atoms = np.array([members[row].values + members[row].probs for row in rows])
+            atoms = _packed(members, rows)
             out[rows] = _top_w(g, atoms[:, :s], cdf_rows(atoms[None, :, s:]), copies)
         return out
     # teams of several members: each gathers its members' rows of the
@@ -205,16 +288,21 @@ def _batch_expectation(
     g: ValueFunction, pool: Pool, teams: np.ndarray, copies: int, budget: int
 ) -> np.ndarray:
     """Exact E[g] for every row of ``teams``, a (B, k) array of indices
-    into ``pool``, each member taking ``copies`` independent copies; order
-    and product routes only (not ``total`` or ``ces``). Rows of one member
-    each run on that member's own support and equal its one-row value bit
-    for bit; teams of several members share the pool's merged grid. Raises
-    BudgetExceededError when the block's work passes the budget: grid
-    cells (summed supports for one-member rows) times members times
-    tracked counts per copy on the order route (best shot's power counting
-    once per member), summed pool supports plus team cells on the product
-    route (``_row_work`` prices one row)."""
-    route = _order_route if g.kind in ("best_shot", "top_r") else _product_route
+    into ``pool``, each member taking ``copies`` independent copies. Rows
+    of one member each run on that member's own support and equal its
+    one-row value bit for bit; teams of several members share the pool's
+    merged grid on the order and product routes. ``total`` and ``ces``
+    take one-member rows only, none of whose partial sums pass the merge
+    size (``_batchable``). Raises BudgetExceededError when the block's
+    work passes the budget: grid cells (summed supports for one-member
+    rows) times members times tracked counts per copy on the order route
+    (best shot's power counting once per member), summed pool supports
+    plus team cells on the product route (``_row_work`` prices one row),
+    the rows' summed ``_sum_work`` on the sum route."""
+    if g.kind in ("total", "ces"):
+        route = _sum_rows
+    else:
+        route = _order_route if g.kind in ("best_shot", "top_r") else _product_route
     return route(g, pool, teams, copies, budget)
 
 

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -178,6 +179,29 @@ class TestSelect:
 
 
 class TestAssign:
+    @pytest.mark.parametrize(
+        "support",
+        [
+            [[1.0, 0.5], [1.0, 0.5]],
+            [[-1.0, 1.0]],
+            [[math.nan, 1.0]],
+            [[0.0, 0.0], [1.0, 1.0]],
+            [[0.0, 0.5], [1.0, 0.4]],
+            [],
+        ],
+        ids=["duplicate", "negative", "non-finite", "non-positive-prob", "bad-sum", "empty"],
+    )
+    def test_bad_support_names_the_pair(self, capsys, tmp_path, welfare_file, support):
+        doc = json.load(open(welfare_file))
+        entry = doc["distributions"][3]
+        assert (entry["agent"], entry["project"]) == ("bob", "ui")
+        entry["support"] = support  # json.dumps writes NaN as the NaN literal
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, ["assign", str(path)])
+        assert code == EXIT_VALIDATION
+        assert "'bob'" in err and "'ui'" in err
+
     def test_oracle_budget_exhaustion_names_the_dp(self, capsys, monkeypatch, welfare_file):
         # the greedy's table and objectives fall back to Monte Carlo; the
         # oracle's 6 DP transitions do not fit
@@ -417,6 +441,26 @@ class TestWorstcase:
 
 
 class TestMainPlumbing:
+    def test_successive_calls_share_no_options(self, capsys, bestshot_file, welfare_file):
+        # the parser is built once per process; one call's flags must not
+        # carry over into the next
+        code, out, _ = run(capsys, ["select", bestshot_file, "--k", "3", "--scores", "mean", "--oracle"])
+        assert code == EXIT_OK
+        first = json.loads(out)
+        assert (first["k"], first["scores"]) == (3, "mean") and "oracle" in first
+        code, out, _ = run(capsys, ["assign", welfare_file, "--tie", "random", "--seed", "4"])
+        assert code == EXIT_OK
+        assert json.loads(out)["tie"] == "random"
+        code, out, _ = run(capsys, ["select", bestshot_file])
+        assert code == EXIT_OK
+        again = json.loads(out)
+        assert (again["k"], again["scores"]) == (2, "replication") and "oracle" not in again
+        code, out, _ = run(capsys, ["assign", welfare_file])
+        assert json.loads(out)["tie"] == "det"
+        assert run(capsys, ["check", "--suite", "bsp", "--trials", "2"])[0] == EXIT_OK
+        code, out, _ = run(capsys, ["select", bestshot_file])
+        assert json.loads(out) == again
+
     def test_no_command(self, capsys):
         assert run(capsys, [])[0] == EXIT_USAGE
 

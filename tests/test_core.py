@@ -84,6 +84,52 @@ class TestDistribution:
         with pytest.raises(ValidationError):
             Distribution(values, probs)
 
+    def test_sum_inside_the_band_is_left_as_it_is(self):
+        probs = (0.5, 0.5 + 2.0**-52)
+        assert math.fsum(probs) == 1.0 + 2.0**-52
+        assert Distribution((0.0, 1.0), probs).probs == probs
+
+    def test_sum_outside_the_band_is_divided_out(self):
+        p = (1.0 - 3e-10) / 3
+        d = Distribution((0.0, 1.0, 2.0), (p, p, p))
+        total = math.fsum((p, p, p))
+        assert d.probs == (p / total,) * 3
+
+    def test_rebuilding_is_bit_identical_seeded(self):
+        # 2000 random 2-7 atom supports, normalized by a plain float sum
+        gen = np.random.default_rng(3)
+        for _ in range(2000):
+            s = int(gen.integers(2, 8))
+            w = gen.uniform(0.05, 1.0, s)
+            d = Distribution(tuple(np.sort(gen.uniform(0, 5, s)).tolist()), tuple((w / w.sum()).tolist()))
+            again = Distribution(d.values, d.probs)
+            assert list(map(float.hex, again.probs)) == list(map(float.hex, d.probs))
+
+    def test_rebuilding_is_bit_identical_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+        @hypothesis.given(
+            values=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=7, unique=True),
+            data=st.data(),
+        )
+        def check(values, data):
+            weights = data.draw(
+                st.lists(st.floats(1e-3, 1.0), min_size=len(values), max_size=len(values))
+            )
+            total = sum(weights)
+            d = Distribution(tuple(values), tuple(w / total for w in weights))
+            again = Distribution(d.values, d.probs)
+            assert list(map(float.hex, again.values)) == list(map(float.hex, d.values))
+            assert list(map(float.hex, again.probs)) == list(map(float.hex, d.probs))
+
+        check()
+
+    def test_overflowing_probability_sum_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="sum"):
+            Distribution((0.0, 1.0), (1e308, 1e308))
+
     def test_cdf_ends_at_one(self):
         d = Distribution.from_pairs(((0.0, 0.1), (1.0, 0.2), (2.0, 0.7)))
         assert d.cdf_array[-1] == 1.0

@@ -4,6 +4,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from testscore import (
@@ -14,6 +15,7 @@ from testscore import (
     UnitFn,
     ValidationError,
     ValueFunction,
+    build_score_table,
     evaluate,
     ingest_ratings,
     load_scenario,
@@ -24,6 +26,7 @@ from testscore import (
     scenario_to_dict,
     value_fn_tag,
 )
+from testscore.core import PROB_SUM_SLACK
 from testscore.data import sample_ratings_path
 
 
@@ -128,6 +131,105 @@ class TestScenarioRoundTrip:
             scenario_to_dict(two_by_two(), agent_names=["only_one"])
 
 
+def roster(gen, n=64, m=32) -> Scenario:
+    # 1-3 atom supports on [0, 3], probabilities normalized by a float sum;
+    # projects cycle through the catalogue
+    dists = []
+    for _ in range(n):
+        row = []
+        for _ in range(m):
+            atoms = np.unique(np.round(gen.uniform(0.0, 3.0, int(gen.integers(1, 4))), 3))
+            w = gen.uniform(0.2, 1.0, len(atoms))
+            row.append(Distribution(tuple(atoms.tolist()), tuple((w / w.sum()).tolist())))
+        dists.append(tuple(row))
+    fns = tuple(CATALOGUE_POOL[j % len(CATALOGUE_POOL)]() for j in range(m))
+    return Scenario(dists=tuple(dists), value_fns=fns, cardinalities=(1, 2) * (m // 2))
+
+
+def hexes(xs) -> list[str]:
+    return [float(x).hex() for x in xs]
+
+
+class TestLoadedSupports:
+    def test_round_trip_scores_bit_for_bit(self):
+        scn = roster(np.random.default_rng(5))
+        buf = io.StringIO()
+        save_scenario(buf, scn)
+        loaded = load_scenario(io.StringIO(buf.getvalue())).scenario
+        for i in scn.agents:
+            for j in scn.projects:
+                assert hexes(loaded.dist(i, j).probs) == hexes(scn.dist(i, j).probs)
+        want = build_score_table(scn, "replication", max_r=2)
+        got = build_score_table(loaded, "replication", max_r=2)
+        assert got.scores.tobytes() == want.scores.tobytes()
+        assert np.array_equal(got.methods, want.methods)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_from_pairs(self, seed):
+        # unsorted supports, integer numbers, point masses, and sums just
+        # inside and just outside the slack
+        gen = np.random.default_rng(seed)
+        agents = [f"a{i}" for i in range(12)]
+        doc = {"agents": agents, "projects": [{"name": "p", "value_fn": "best_shot", "k": 1}]}
+        entries, expected = [], []
+        for a in agents:
+            s = int(gen.integers(1, 6))
+            values = gen.permutation(s * 4)[:s] * 0.75 if gen.random() < 0.5 else gen.uniform(0, 9, s)
+            if gen.random() < 0.3:
+                values = np.round(values).astype(int)
+            w = gen.uniform(0.1, 1.0, s)
+            probs = (w / w.sum()).tolist()
+            drift = gen.choice([0.0, 0.4, 0.999, 1.001, 3.0]) * PROB_SUM_SLACK
+            probs[-1] += float(drift) * (1 if gen.random() < 0.5 else -1)
+            if s == 1 and gen.random() < 0.5:
+                probs = [1]
+            support = [[v, p] for v, p in zip(values.tolist(), probs)]
+            entries.append({"agent": a, "project": "p", "support": support})
+            try:
+                expected.append(Distribution.from_pairs((float(v), float(p)) for v, p in support))
+            except ValidationError as exc:
+                expected.append(exc)
+        doc["distributions"] = entries
+        failures = [(e, x) for e, x in enumerate(expected) if isinstance(x, ValidationError)]
+        if failures:
+            e, exc = failures[0]
+            with pytest.raises(ValidationError) as got:
+                scenario_from_dict(json.loads(json.dumps(doc)))
+            assert str(got.value) == f"distribution for agent 'a{e}', project 'p': {exc}"
+            for e, _ in failures:
+                entries[e]["support"] = [[0.0, 1.0]]
+                expected[e] = Distribution.point(0.0)
+        loaded = scenario_from_dict(json.loads(json.dumps(doc))).scenario
+        for i, want in enumerate(expected):
+            d = loaded.dist(i, 0)
+            assert hexes(d.values) == hexes(want.values)
+            assert hexes(d.probs) == hexes(want.probs)
+            assert hexes(d.values_array) == hexes(want.values_array)
+            assert hexes(d.probs_array) == hexes(want.probs_array)
+
+    def test_first_failing_entry_in_file_order(self):
+        doc = scenario_to_dict(two_by_two(), ["ann", "bob"], ["api", "ui"])
+        doc["distributions"][1]["support"] = [[1.0, 0.5], [1.0, 0.5]]
+        doc["distributions"][3]["support"] = [[-1.0, 1.0]]
+        with pytest.raises(ValidationError) as exc:
+            scenario_from_dict(doc)
+        assert str(exc.value) == (
+            "distribution for agent 'ann', project 'ui': duplicate support value 1.0"
+        )
+        doc["distributions"][1]["support"] = [[1.0, 1.0]]
+        with pytest.raises(ValidationError) as exc:
+            scenario_from_dict(doc)
+        assert str(exc.value) == (
+            "distribution for agent 'bob', project 'ui': negative support value -1.0"
+        )
+
+    def test_integer_past_the_float_range(self):
+        doc = scenario_to_dict(two_by_two())
+        doc["distributions"][2]["support"] = [[10**400, 1]]
+        with pytest.raises(ValidationError, match="agent 'a1', project 'p0'"):
+            scenario_from_dict(doc)
+
+
 class TestStrictParsing:
     def doc(self):
         return scenario_to_dict(two_by_two())
@@ -191,6 +293,19 @@ class TestStrictParsing:
         doc = self.doc()
         doc["distributions"][0]["agent"] = "ghost"
         with pytest.raises(ValidationError, match="unknown agent"):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("field", ["agent", "project"])
+    def test_unhashable_names_in_distributions(self, field):
+        doc = self.doc()
+        doc["distributions"][0][field] = ["a0"]
+        with pytest.raises(ValidationError, match=f"unknown {field}"):
+            scenario_from_dict(doc)
+
+    def test_value_fn_tag_must_be_a_string(self):
+        doc = self.doc()
+        doc["projects"][0]["value_fn"] = 5
+        with pytest.raises(ValidationError, match="must be a string"):
             scenario_from_dict(doc)
 
     def test_malformed_support(self):

@@ -538,6 +538,30 @@ def check_cells(scn, max_r, rng):
     return mc
 
 
+def _spy_single(monkeypatch, scn):
+    """Record the (agent, project, r) cells scored one at a time."""
+    cell = {
+        (id(scn.value_fns[j]), id(scn.dist(i, j))): (i, j)
+        for i in scn.agents
+        for j in scn.projects
+    }
+    scored = []
+
+    def spy(g, pool, copies, budget):
+        scored.append(cell[id(g), id(pool[0])] + (copies,))
+        return _expectation(g, pool, copies, budget)
+
+    monkeypatch.setattr("testscore.scores._expectation", spy)
+    return scored
+
+
+def _forbid_batches(monkeypatch):
+    def no_batch(*args):
+        raise AssertionError("a batch ran although a cell was over budget")
+
+    monkeypatch.setattr("testscore.scores._batch_expectation", no_batch)
+
+
 class TestMixedTable:
     @pytest.fixture
     def tiny_budget(self, monkeypatch):
@@ -581,23 +605,90 @@ class TestMixedTable:
 
     def test_no_fallback_scores_nothing_after_the_first_cell(self, tiny_budget, monkeypatch):
         scn = mixed_scenario()
-        cell = {
-            (id(scn.value_fns[j]), id(scn.dist(i, j))): (i, j)
-            for i in scn.agents
-            for j in scn.projects
-        }
-        scored = []
-
-        def spy(g, pool, copies, budget):
-            scored.append(cell[id(g), id(pool[0])] + (copies,))
-            return _expectation(g, pool, copies, budget)
-
-        def no_batch(*args):
-            raise AssertionError("a batch ran although a cell was over budget")
-
-        monkeypatch.setattr("testscore.scores._expectation", spy)
-        monkeypatch.setattr("testscore.scores._batch_expectation", no_batch)
+        scored = _spy_single(monkeypatch, scn)
+        _forbid_batches(monkeypatch)
         with pytest.raises(BudgetExceededError):
             build_score_table(scn, "replication", max_r=2, mc_fallback=False)
-        # the ces:2 cells of agent 0 run one by one, then (1, 2, 1) raises
-        assert scored == [(0, 3, 1), (0, 3, 2), (1, 2, 1)]
+        # the ces:2 cells of agent 0 fit their column's batch, which never
+        # runs: (1, 2, 1), the first cell scored one by one, raises
+        assert scored == [(1, 2, 1)]
+
+
+SUM_VARIANTS = [g for g, _ in PAIRED if g.kind in ("total", "ces")]
+
+
+def _random_dist(gen, s):
+    values = np.unique(np.round(gen.uniform(0.0, 3.0, s), 3))
+    w = gen.uniform(0.2, 1.0, len(values))
+    return Distribution(tuple(values.tolist()), tuple((w / w.sum()).tolist()))
+
+
+class TestSumColumns:
+    """``total`` and ``ces`` columns are scored one batch per (project, r),
+    rows of one support length together; each cell still equals
+    ``replication_score`` bit for bit."""
+
+    def check(self, scn, max_r, table=None):
+        if table is None:
+            table = build_score_table(scn, "replication", max_r=max_r)
+        for i in scn.agents:
+            for j in scn.projects:
+                for r in range(1, max_r + 1):
+                    want = replication_score(scn.value_fns[j], scn.dist(i, j), r)
+                    assert table.get(i, j, r).hex() == want.hex(), (i, j, r)
+                    assert table.diag(i, j, r) == ScoreDiag(method="exact")
+
+    @pytest.mark.parametrize("g", SUM_VARIANTS, ids=[value_fn_tag(g) for g in SUM_VARIANTS])
+    def test_many_rows_per_support_length(self, g, monkeypatch):
+        gen = np.random.default_rng(17)
+        dists = [_random_dist(gen, 1 + i % 5) for i in range(60)] + [Distribution.point(-0.0)]
+        scn = Scenario.single_project(dists, g, 4)
+        scored = _spy_single(monkeypatch, scn)
+        table = build_score_table(scn, "replication", max_r=4)
+        assert scored == []  # every cell came from a batch
+        monkeypatch.setattr("testscore.scores._expectation", _expectation)
+        self.check(scn, 4, table)
+
+    @pytest.mark.parametrize("r", [1.5, 4.0])
+    def test_point_masses(self, r):
+        # the engine shifts the sum by a Python scalar x**r, which can
+        # round apart from numpy's power of the same x
+        gen = np.random.default_rng(23)
+        values = np.unique(gen.uniform(0.0, 3.0, 400))
+        dists = [Distribution.point(v) for v in values.tolist()] + [Distribution.point(0.0)]
+        self.check(Scenario.single_project(dists, ValueFunction.ces(r), 3), 3)
+
+    @pytest.mark.parametrize(
+        "g", [ValueFunction.ces(2.0), ValueFunction.total(ConcaveFn("sqrt"))], ids=["ces:2.0", "total:sqrt"]
+    )
+    def test_rows_past_the_merge_run_alone(self, g, monkeypatch):
+        gen = np.random.default_rng(29)
+        sizes = (5, 2, 5, 1, 3, 4)
+        dists = [
+            Distribution(tuple(range(s)), tuple((t + 1) / (s * (s + 1) / 2) for t in range(s)))
+            if s == 5
+            else _random_dist(gen, s)
+            for s in sizes
+        ]
+        scn = Scenario.single_project(dists, g, 6)
+        scored = _spy_single(monkeypatch, scn)
+        table = build_score_table(scn, "replication", max_r=6)
+        # 5 atoms at r = 6 step through 5^6 > _MERGE partial sums; 4^6 do not
+        assert 5**5 <= _MERGE < 5**6 and 4**6 <= _MERGE
+        assert scored == [(0, 0, 6), (2, 0, 6)]
+        monkeypatch.setattr("testscore.scores._expectation", _expectation)
+        self.check(scn, 6, table)
+
+    def test_over_budget_row_raises_before_later_cells(self, monkeypatch):
+        # at budget 20, r = 2 costs s + s^2: 6, 30 and 12 for these rows
+        monkeypatch.setenv("TESTSCORE_BUDGET", "20")
+        g = ValueFunction.total(ConcaveFn("sqrt"))
+        gen = np.random.default_rng(31)
+        scn = Scenario.single_project([_random_dist(gen, s) for s in (2, 5, 3)], g, 2)
+        assert [len(d) for d in scn.dists[0] + scn.dists[1] + scn.dists[2]] == [2, 5, 3]
+        scored = _spy_single(monkeypatch, scn)
+        _forbid_batches(monkeypatch)
+        with pytest.raises(BudgetExceededError) as exc:
+            build_score_table(scn, "replication", max_r=2, mc_fallback=False)
+        assert scored == [(1, 0, 2)]
+        assert str(exc.value) == "exact expectation budget exceeded: 30 > 20"
