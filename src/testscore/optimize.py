@@ -27,15 +27,18 @@ from .core import (
 )
 from . import utility
 from .scores import ScoreTable
-from .sketch import minmax_sketch, strong_sketch
+from .sketch import strong_sketch
 from .utility import (
     UtilityEstimate,
     _batch_expectation,
     _grid,
     _linear,
+    _row_sums,
     _row_work,
+    _subsets,
     mc_utility,
     project_utility,
+    team_values,
 )
 
 BOUND_TOL = 1e-9
@@ -260,15 +263,6 @@ def _team_blocks(n: int, k: int):
         yield block.reshape(-1, k)
 
 
-def _row_sums(values: np.ndarray, teams: np.ndarray) -> np.ndarray:
-    # values summed over each row of teams member by member, in place, so
-    # no (rows, k) array of values is built
-    out = values[teams[:, 0]]
-    for c in range(1, teams.shape[1]):
-        out += values[teams[:, c]]
-    return out
-
-
 def _near_best(scored) -> np.ndarray:
     """The teams, in their given order, whose value is within SCREEN_TOL
     of the largest, from an iterable of (values, teams) blocks. Only the
@@ -340,19 +334,6 @@ def brute_force_single(scn: Scenario, j: int, k: int) -> SelectionResult:
     return _result(scn, sets)
 
 
-def _subsets(n: int, k: int, colex: bool = False, dtype=np.intp) -> np.ndarray:
-    """The k-subsets of range(n), one ascending row each, in lexicographic
-    order, or in colex order: by largest element first, which is the
-    order of their bitmasks and of the colex rank sum_i C(a_i, i + 1)
-    over the ascending a_i (the lexicographic subsets of the descending
-    range, reversed both ways)."""
-    count = math.comb(n, k)
-    agents = range(n - 1, -1, -1) if colex else range(n)
-    flat = chain.from_iterable(combinations(agents, k))
-    rows = np.fromiter(flat, dtype=dtype, count=count * k).reshape(count, k)
-    return rows[::-1, ::-1] if colex else rows
-
-
 def _dp_transition_count(n: int, ks) -> int:
     total = 0
     used = 0
@@ -412,15 +393,18 @@ def _union_terms(binom: np.ndarray, U: np.ndarray, F: np.ndarray, k: int) -> np.
 
 
 def _maximize_assignment(
-    scn: Scenario, value_of: Callable[[int, tuple[int, ...]], float], oracle: str
+    scn: Scenario, values_of: Callable[[int, np.ndarray], np.ndarray], oracle: str
 ) -> tuple[list[tuple[int, ...]], float]:
-    """Exact argmax of sum_j value_of(j, S_j) over disjoint assignments.
+    """Exact argmax of sum_j value_j(S_j) over disjoint assignments.
 
     Dynamic program over the sets of already-used agents, one stage per
     project from the last back; equivalent to full enumeration but shares
     suffixes, so the budget is checked against the transition count
-    rather than the raw assignment count. Every team's value comes from
-    one ``value_of`` call.
+    rather than the raw assignment count. Each stage asks
+    ``values_of(j, teams)`` once for the values of all size-k_j teams, a
+    (C(n, k_j), k_j) array of ascending rows in descending colex order
+    (the order in which ``combinations`` lists the teams of the
+    descending range), and takes one value per row back.
 
     A stage holds one value per used set, indexed by the set's colex
     rank (its bitmask's place among the masks of its size). A used set's
@@ -455,10 +439,8 @@ def _maximize_assignment(
     for j in range(len(ks) - 1, -1, -1):
         k, u = ks[j], used[j]
         f = n - u
-        # team values by colex rank: the descending range's combinations
-        # run through the teams in descending colex order
-        teams = combinations(range(n - 1, -1, -1), k)
-        vals = np.array([value_of(j, S[::-1]) for S in teams], dtype=float)[::-1]
+        # team values by colex rank, asked for in descending colex order
+        vals = np.asarray(values_of(j, _subsets(n, k, True)[::-1]), dtype=float)[::-1]
         # complements reverse the colex order
         free_sets = _subsets(n, f, True, agent)[::-1]
         # with no agent used (stage 0) the union is the team itself
@@ -503,9 +485,13 @@ def brute_force_welfare(scn: Scenario) -> SelectionResult:
     """Exact best disjoint assignment filling every project's slots.
 
     Ties resolve to the lexicographically smallest assignment. Raises when
-    the optimization work would exceed the budget."""
+    the optimization work would exceed the budget. Each project's teams of
+    its size are valued in one ``team_values`` batch, equal to their
+    ``project_utility`` values bit for bit and priced one team at a time,
+    so the first team past the enumeration budget, in the DP's descending
+    colex order, raises the error its own call would."""
     sets, _total = _maximize_assignment(
-        scn, lambda j, S: project_utility(scn, j, S).value, "brute_force_welfare"
+        scn, lambda j, teams: team_values(scn, j, teams), "brute_force_welfare"
     )
     return _result(scn, sets)
 
@@ -513,13 +499,15 @@ def brute_force_welfare(scn: Scenario) -> SelectionResult:
 def _best_assignment_by_sketch(
     scn: Scenario, table: ScoreTable, sketch_of: str, oracle: str
 ) -> SelectionResult:
-    def value(j: int, S: tuple[int, ...]) -> float:
+    def values(j: int, teams: np.ndarray) -> np.ndarray:
         if sketch_of == "strong":
-            return strong_sketch(table, j, S).strong
-        lo, hi = minmax_sketch(table, j, S, scn.cardinalities[j])
-        return lo if sketch_of == "min" else hi
+            return np.array([strong_sketch(table, j, S).strong for S in teams.tolist()])
+        k = teams.shape[1]
+        table.get(scn.n_agents - 1, j, k)  # the table covers every agent at size k
+        scores = table.scores[teams, j, k - 1]
+        return scores.min(axis=1) if sketch_of == "min" else scores.max(axis=1)
 
-    sets, best_v = _maximize_assignment(scn, value, oracle)
+    sets, best_v = _maximize_assignment(scn, values, oracle)
     return _result(scn, sets, sketch_objective=float(best_v))
 
 

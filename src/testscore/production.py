@@ -19,7 +19,6 @@ from typing import Sequence
 import numpy as np
 
 PROP_TOL = 1e-9
-BISECT_TOL = 1e-10
 
 
 class InverseUnboundedError(ValueError):
@@ -190,39 +189,6 @@ def single_inverse(g: ValueFunction, x: float) -> float:
             f"inverse unbounded: success probability never exceeds 1, got x={x}"
         )
     return g.f.inverse_below_one(x)
-
-
-def single_inverse_bisect(g: ValueFunction, x: float) -> float:
-    """Bisection fallback for g^{-1}; used to cross-check the closed forms.
-
-    Brackets [0, B] with B doubled until g(B,0,...,0) > x, then bisects to
-    absolute tolerance 1e-10.
-    """
-    if x < 0:
-        raise ValueError(f"inverse argument must be >= 0, got {x}")
-
-    def diag(y: float) -> float:
-        return evaluate(g, [y])
-
-    if diag(0.0) > x:
-        return 0.0
-    hi = 1.0
-    for _ in range(200):
-        if diag(hi) > x:
-            break
-        hi *= 2.0
-    else:
-        raise InverseUnboundedError(
-            f"inverse unbounded: g(y,0,...,0) never exceeds x={x}"
-        )
-    lo = 0.0
-    while hi - lo > BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if diag(mid) <= x:
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 @dataclass(frozen=True)

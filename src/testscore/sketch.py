@@ -11,12 +11,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 from .core import Scenario, ValidationError
 from .scores import ScoreTable, build_score_table
-from .utility import project_utility
+from .utility import _subsets, team_values
 
 BOUND_TOL = 1e-9
 
@@ -181,6 +180,8 @@ def verify_strong_sketch_bounds(scn: Scenario, j: int, k: int) -> SketchBoundRep
     For each nonempty S with |S| <= k verifies, with t = |S|,
         v(S) / (2 (ln t + 1)) <= u(S)   and   u(S) <= 6 v(S),
     both up to 1e-9 slack, using exact utilities and exact score tables.
+    The utilities of each team size come from one ``team_values`` batch,
+    equal to ``project_utility`` bit for bit.
     """
     if k < 1 or k > scn.n_agents:
         raise ValidationError(f"k must be in 1..{scn.n_agents}, got {k}")
@@ -189,9 +190,9 @@ def verify_strong_sketch_bounds(scn: Scenario, j: int, k: int) -> SketchBoundRep
     worst_hi: Optional[BoundWitness] = None
     for t in range(1, k + 1):
         scale = 2.0 * (math.log(t) + 1.0)
-        for S in combinations(scn.agents, t):
+        teams = _subsets(scn.n_agents, t)
+        for S, u in zip(map(tuple, teams.tolist()), team_values(scn, j, teams).tolist()):
             v = strong_sketch(table, j, S).strong
-            u = project_utility(scn, j, S).value
             worst_lo = _worse(
                 worst_lo,
                 BoundWitness("strong_lower", u - v / scale, S, u=u, v=v),
@@ -210,6 +211,8 @@ def verify_goodness_sandwich(scn: Scenario, j: int, k: int) -> SketchBoundReport
 
     Holds whenever the project's value function satisfies the balanced
     substitution property; top-r objectives can break the lower side.
+    The utilities come from one ``team_values`` batch, equal to
+    ``project_utility`` bit for bit.
     """
     if k < 1 or k > scn.n_agents:
         raise ValidationError(f"k must be in 1..{scn.n_agents}, got {k}")
@@ -217,9 +220,9 @@ def verify_goodness_sandwich(scn: Scenario, j: int, k: int) -> SketchBoundReport
     lo_factor = 1.0 - 1.0 / math.e
     worst_lo: Optional[BoundWitness] = None
     worst_hi: Optional[BoundWitness] = None
-    for S in combinations(scn.agents, k):
+    teams = _subsets(scn.n_agents, k)
+    for S, u in zip(map(tuple, teams.tolist()), team_values(scn, j, teams).tolist()):
         lower, upper = minmax_sketch(table, j, S, k)
-        u = project_utility(scn, j, S).value
         worst_lo = _worse(
             worst_lo,
             BoundWitness("goodness_lower", u - lo_factor * lower, S, u=u, v=lower),

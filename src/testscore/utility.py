@@ -12,13 +12,19 @@ take a block of one-member teams, such as a score table's column, whose
 rows of one support length share arrays while each row is scored on its
 member's own support, so every row equals that member scored alone. A
 single team is a block of one row, except on the sum route, which scores
-it alone (``_sum_route``). Monte Carlo covers work past the budget.
+it alone (``_sum_route``). ``team_values`` scores the blocks of teams
+the exhaustive oracles need, each row equal to its own
+``project_utility`` call bit for bit: best-shot and top-r rows each run
+on their own concatenated supports, not on the pool's merged grid, and
+non-linear sum-route teams are scored one at a time. Monte Carlo covers
+work past the budget.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, combinations
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -178,6 +184,28 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
+def _row_sums(values: np.ndarray, teams: np.ndarray) -> np.ndarray:
+    # values summed over each row of teams member by member, in place, so
+    # no (rows, k) array of values is built
+    out = values[teams[:, 0]]
+    for c in range(1, teams.shape[1]):
+        out += values[teams[:, c]]
+    return out
+
+
+def _subsets(n: int, k: int, colex: bool = False, dtype=np.intp) -> np.ndarray:
+    """The k-subsets of range(n), one ascending row each, in lexicographic
+    order, or in colex order: by largest element first, which is the
+    order of their bitmasks and of the colex rank sum_i C(a_i, i + 1)
+    over the ascending a_i (the lexicographic subsets of the descending
+    range, reversed both ways)."""
+    count = math.comb(n, k)
+    agents = range(n - 1, -1, -1) if colex else range(n)
+    flat = chain.from_iterable(combinations(agents, k))
+    rows = np.fromiter(flat, dtype=dtype, count=count * k).reshape(count, k)
+    return rows[::-1, ::-1] if colex else rows
+
+
 def _grid(pool: Pool, n_teams: int) -> np.ndarray:
     """The support points a team of several members integrates over: the
     pool's supports side by side, merged into unique points when more than
@@ -275,6 +303,40 @@ def _order_route(
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
+def _own_grid_rows(g: ValueFunction, pool: Pool, teams: np.ndarray) -> np.ndarray:
+    # the order route with each team on its own support: the sorted
+    # concatenation of its members' atoms, the grid it integrates over when
+    # scored alone. Rows of one summed support length L share arrays; a
+    # member's CDF at each grid point is read at the count of its atoms at
+    # or below the point, its atoms padded with +inf to a common width.
+    sizes = np.array([len(d) for d in pool])
+    width = max(len(d) for d in pool)
+    atoms = np.full((len(pool), width), np.inf)
+    cdfs = np.zeros((len(pool), width + 1))  # a 0 in front, for no atom below
+    for i, d in enumerate(pool):
+        atoms[i, : len(d)] = d.values_array
+        cdfs[i, 1 : len(d) + 1] = d.cdf_array
+    k = teams.shape[1]
+    groups: dict[int, list[int]] = {}  # rows by summed support length
+    for row, L in enumerate(_row_sums(sizes, teams).tolist()):
+        groups.setdefault(L, []).append(row)
+    out = np.empty(len(teams))
+    for L, group in groups.items():
+        rows = max(1, _BLOCK // (L * k * width))
+        for lo in range(0, len(group), rows):
+            block = group[lo : lo + rows]
+            members = teams[block]
+            padded = atoms[members]  # (rows, k, width)
+            # the real atoms sorted, as a lone team sorts them, ahead of the padding
+            grid = np.sort(padded.reshape(len(block), k * width), axis=1)[:, :L]
+            cols = np.empty((k, len(block), L))
+            for m in range(k):
+                below = (padded[:, m, None, :] <= grid[:, :, None]).sum(axis=2)
+                cols[m] = cdfs[members[:, m, None], below]
+            out[block] = _top_w(g, grid, cols, 1)
+    return out
+
+
 def _product_route(
     g: ValueFunction, pool: Pool, teams: np.ndarray, copies: int, budget: int
 ) -> np.ndarray:
@@ -362,6 +424,43 @@ def project_utility(scn: Scenario, j: int, S: Iterable[int]) -> UtilityEstimate:
     return exact_utility(scn, j, S)
 
 
+def team_values(scn: Scenario, j: int, teams) -> np.ndarray:
+    """``project_utility(scn, j, S).value`` for every row S of ``teams``,
+    bit for bit. ``teams`` is a (B, k) array of agent ids of the
+    scenario, each row strictly ascending, as ``_subsets`` lists them;
+    the rows are not checked.
+
+    Each row runs on what its own call would: the product route on the
+    members' hit probabilities, best-shot and top-r teams on their own
+    concatenated supports (``_own_grid_rows``), linear ``total``/``ces``
+    teams as their members' means summed in member order, and other
+    ``total``/``ces`` teams by ``_sum_route``, one row at a time. Each row
+    is priced as its own call: the first row past the budget, in the
+    given order, raises the BudgetExceededError its own call raises.
+    """
+    teams = np.asarray(teams, dtype=np.intp)
+    if teams.size == 0:
+        return np.zeros(len(teams))  # g(0, ..., 0) = 0 across the catalogue
+    g = scn.value_fns[j]
+    pool = [scn.dist(i, j) for i in scn.agents]
+    budget = enumeration_budget()
+    if g.kind in ("total", "ces") and not _linear(g):
+        return np.array([_sum_route(g, [pool[i] for i in S], 1, budget) for S in teams.tolist()])
+    k = teams.shape[1]
+    support = _row_sums(np.array([len(d) for d in pool]), teams)
+    work = support if _linear(g) else _row_work(g, support, k, 1)
+    # the first row past the budget, found in Python: comparing the array
+    # with the int would page in numpy kernels the oracles use nowhere else
+    _charge(next((w for w in work.tolist() if w > budget), 0), budget)
+    # every row fits the budget, so the routes below run unmetered
+    if _linear(g):
+        means = np.array([np.dot(d.values_array, d.probs_array) for d in pool])
+        return _row_sums(means, teams) + 0.0  # as sum() from 0: -0.0 becomes 0.0
+    if g.kind == "success_prob":
+        return _product_route(g, pool, teams, 1, math.inf)
+    return _own_grid_rows(g, pool, teams)
+
+
 def mc_utility(
     scn: Scenario,
     j: int,
@@ -409,14 +508,18 @@ def submodularity_check(
 
     Checks u(T + i) - u(T) <= u(S + i) - u(S) for all S subset T, i outside T,
     and u(S) <= u(T) for S subset T. Returns the first violating witness.
+    The utilities of each team size come from one ``team_values`` batch,
+    equal to ``project_utility`` bit for bit, so a team past the budget
+    raises for the smallest size that has one.
     """
     n = scn.n_agents
     if n > max_agents:
         raise BudgetExceededError(2**n, 2**max_agents, what="subset enumeration")
-    u = [0.0] * (1 << n)
-    for mask in range(1 << n):
-        members = [i for i in range(n) if mask >> i & 1]
-        u[mask] = project_utility(scn, j, members).value
+    u = np.zeros(1 << n)  # the empty team is worth 0
+    for t in range(1, n + 1):
+        teams = _subsets(n, t)
+        u[(1 << teams).sum(axis=1)] = team_values(scn, j, teams)
+    u = u.tolist()
 
     def as_set(mask: int) -> tuple[int, ...]:
         return tuple(i for i in range(n) if mask >> i & 1)

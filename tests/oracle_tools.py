@@ -2,11 +2,16 @@
 
 Everything here is deliberately written the slow, obvious way: plain
 Python loops over itertools products, no shared helpers from the library
-beyond the dataclasses being checked. Keep these dumb.
+beyond the dataclasses being checked (and ``evaluate``, the function the
+bisection inverts). Keep these dumb.
 """
 
 import itertools
 import math
+
+from testscore import InverseUnboundedError, evaluate
+
+BISECT_TOL = 1e-10
 
 
 def fn_total(f):
@@ -56,6 +61,40 @@ CATALOGUE_REFS = (
     fn_ces(1.0),
     fn_top_r(2),
 )
+
+
+def single_inverse_bisect(g, x):
+    """g^{-1} by bisection, to cross-check the closed forms of
+    ``single_inverse``.
+
+    Brackets [0, B] with B doubled until g(B,0,...,0) > x, then bisects to
+    absolute tolerance 1e-10.
+    """
+    if x < 0:
+        raise ValueError(f"inverse argument must be >= 0, got {x}")
+
+    def diag(y):
+        return evaluate(g, [y])
+
+    if diag(0.0) > x:
+        return 0.0
+    hi = 1.0
+    for _ in range(200):
+        if diag(hi) > x:
+            break
+        hi *= 2.0
+    else:
+        raise InverseUnboundedError(
+            f"inverse unbounded: g(y,0,...,0) never exceeds x={x}"
+        )
+    lo = 0.0
+    while hi - lo > BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        if diag(mid) <= x:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def ref_mean(pairs):

@@ -1,6 +1,7 @@
 """Greedy selection, welfare assignment, exact oracles, baselines."""
 
 import math
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -36,7 +37,7 @@ from testscore import adversarial, utility
 from testscore.adversarial import CATALOGUE_POOL, random_single_scenario
 from testscore.optimize import _maximize_assignment, _subset_enum_cost, _team_blocks
 from testscore.scenario_io import value_fn_tag
-from testscore.utility import exact_utility
+from testscore.utility import exact_utility, team_values
 
 from oracle_tools import (
     fn_best_shot,
@@ -592,6 +593,12 @@ def tie_heavy_scenario(gen, kind):
     )
 
 
+def per_row(value_of):
+    """A per-team ``value_of(j, S)`` as the DP's block callback: one call
+    per row, in the order the rows are given."""
+    return lambda j, teams: np.array([value_of(j, tuple(S)) for S in teams.tolist()], dtype=float)
+
+
 def welfare_oracles(scn, table):
     """Each assignment oracle's result with the per-team value it
     maximizes."""
@@ -625,7 +632,7 @@ class TestAssignmentDP:
             if res.sketch_objective is None:
                 welfare = float(sum(project_utility(scn, j, S).value for j, S in enumerate(sets)))
                 assert res.total.hex() == welfare.hex()
-                got = _maximize_assignment(scn, value_of, "test")
+                got = _maximize_assignment(scn, per_row(value_of), "test")
                 assert (got[0], got[1].hex()) == (sets, total.hex())
             else:
                 assert res.sketch_objective.hex() == float(total).hex()
@@ -662,13 +669,15 @@ class TestAssignmentDP:
                 values[j, S] = float(gen.integers(0, 4))
             return values[j, S]
 
-        got = _maximize_assignment(point_scenario(n, ks), value_of, "test")
+        got = _maximize_assignment(point_scenario(n, ks), per_row(value_of), "test")
         assert got == tuple(ref_maximize_assignment(n, ks, value_of))
 
     def test_signed_zero_values(self):
         # v + 0.0 turns -0.0 into 0.0, in the reference as here
         for n, ks in ((3, (1,)), (4, (1, 2)), (5, (2, 1, 1))):
-            sets, total = _maximize_assignment(point_scenario(n, ks), lambda j, S: -0.0, "test")
+            sets, total = _maximize_assignment(
+                point_scenario(n, ks), per_row(lambda j, S: -0.0), "test"
+            )
             assert (sets, total.hex()) == (
                 ref_maximize_assignment(n, ks, lambda j, S: -0.0)[0],
                 (0.0).hex(),
@@ -694,9 +703,28 @@ class TestAssignmentDP:
                     values[j, S] = data.draw(st.sampled_from(pool))
                 return values[j, S]
 
-            sets, total = _maximize_assignment(point_scenario(n, ks), value_of, "test")
+            sets, total = _maximize_assignment(point_scenario(n, ks), per_row(value_of), "test")
             want_sets, want_total = ref_maximize_assignment(n, ks, value_of)
             assert (sets, total.hex()) == (want_sets, float(want_total).hex())
+
+        check()
+
+    def test_batched_oracle_matches_per_team_reference_property(self):
+        # the welfare oracle's batched team values lead to the sets and
+        # the objective bits of the reference DP over per-team utilities
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+        @hypothesis.given(seed=st.integers(0, 2**32 - 1))
+        def check(seed):
+            scn = random_welfare_scenario(np.random.default_rng(seed))
+            sets, total = ref_maximize_assignment(
+                scn.n_agents, scn.cardinalities, lambda j, S: project_utility(scn, j, S).value
+            )
+            assert brute_force_welfare(scn).assignment.sets == tuple(sets)
+            got = _maximize_assignment(scn, partial(team_values, scn), "test")
+            assert (got[0], got[1].hex()) == (sets, total.hex())
 
         check()
 

@@ -17,9 +17,14 @@ from testscore import (
     single_inverse,
     value_submodularity_check,
 )
-from testscore.production import single_inverse_bisect
-
-from oracle_tools import fn_best_shot, fn_ces, fn_success, fn_top_r, fn_total
+from oracle_tools import (
+    fn_best_shot,
+    fn_ces,
+    fn_success,
+    fn_top_r,
+    fn_total,
+    single_inverse_bisect,
+)
 
 CATALOGUE = [
     (ValueFunction.total(ConcaveFn("identity")), fn_total(lambda s: s)),

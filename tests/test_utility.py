@@ -21,7 +21,13 @@ from testscore import (
 from testscore.adversarial import CATALOGUE_POOL
 from testscore.production import evaluate
 from testscore.scenario_io import value_fn_tag
-from testscore.utility import _MERGE, exact_utility, exact_utility_best_shot
+from testscore.utility import (
+    _MERGE,
+    _subsets,
+    exact_utility,
+    exact_utility_best_shot,
+    team_values,
+)
 
 from oracle_tools import CATALOGUE_REFS, fn_top_r, ref_utility
 
@@ -209,6 +215,81 @@ class TestDifferential:
         monkeypatch.setenv("TESTSCORE_BUDGET", "35")
         with pytest.raises(BudgetExceededError):
             exact_utility(scn, 0, range(3))
+
+
+def lattice_dists(gen, n, max_support):
+    """Supports drawn from a small lattice, so that agents share atoms,
+    with every third agent a point mass."""
+    lattice = np.arange(max(8, 2 * max_support)) * 0.25
+    out = []
+    for i in range(n):
+        s = 1 if i % 3 == 0 else int(gen.integers(2, max_support + 1))
+        values = np.sort(gen.choice(lattice, s, replace=False))
+        probs = gen.uniform(0.2, 1.0, s)
+        out.append(Distribution(tuple(values.tolist()), tuple((probs / probs.sum()).tolist())))
+    return out
+
+
+class TestTeamValues:
+    """The batched team values against one ``project_utility`` call per
+    row, bit for bit (``float.hex``)."""
+
+    def check(self, scn, teams):
+        got = [v.hex() for v in team_values(scn, 0, teams).tolist()]
+        assert got == [project_utility(scn, 0, S).value.hex() for S in teams.tolist()]
+
+    def every_size(self, gen, scn):
+        # all team sizes 0..n, in lexicographic order and shuffled
+        n = scn.n_agents
+        for k in range(n + 1):
+            teams = _subsets(n, k)
+            self.check(scn, teams)
+            self.check(scn, teams[gen.permutation(len(teams))])
+
+    @pytest.mark.parametrize("factory", CATALOGUE_POOL, ids=TAGS)
+    def test_every_team_size(self, factory):
+        gen = np.random.default_rng(81)
+        for n in (1, 2, 5, 9):
+            self.every_size(gen, Scenario.single_project(lattice_dists(gen, n, 3), factory(), 1))
+
+    @pytest.mark.parametrize("factory", CATALOGUE_POOL, ids=TAGS)
+    def test_long_supports(self, factory):
+        # up to 40 atoms per member, so grids of two or more members pass
+        # 64 points, and the sums of the three members that are not point
+        # masses pass the merge size
+        gen = np.random.default_rng(82)
+        dists = lattice_dists(gen, 5, 40)
+        assert max(len(d) for d in dists) > 32
+        assert math.prod(len(d) for d in dists) > _MERGE
+        self.every_size(gen, Scenario.single_project(dists, factory(), 1))
+
+    @pytest.mark.parametrize("factory", CATALOGUE_POOL, ids=TAGS)
+    def test_first_over_budget_row_raises_its_own_error(self, factory, monkeypatch):
+        gen = np.random.default_rng(84)
+        scn = Scenario.single_project(lattice_dists(gen, 6, 6), factory(), 1)
+        teams = _subsets(6, 3)[gen.permutation(20)]
+        telling = False  # a budget where the first and last rows past it raise apart
+        for budget in (2**b for b in range(1, 16)):
+            monkeypatch.setenv("TESTSCORE_BUDGET", str(budget))
+            errors = []
+            for S in teams.tolist():
+                try:
+                    project_utility(scn, 0, S)
+                except BudgetExceededError as exc:
+                    errors.append(str(exc))
+            if not errors:
+                self.check(scn, teams)
+                continue
+            with pytest.raises(BudgetExceededError) as exc:
+                team_values(scn, 0, teams)
+            assert str(exc.value) == errors[0]
+            telling = telling or errors[-1] != errors[0]
+        assert telling
+
+    def test_empty_blocks_and_empty_teams(self):
+        scn = Scenario.single_project([TWO_POINT] * 3, ValueFunction.ces(2.0), 1)
+        assert team_values(scn, 0, np.zeros((0, 2), dtype=int)).shape == (0,)
+        assert team_values(scn, 0, np.zeros((3, 0), dtype=int)).tolist() == [0.0] * 3
 
 
 class TestMonteCarlo:
