@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import math
 import sys
@@ -23,7 +24,6 @@ from .adversarial import (
     GENERATORS,
     random_bsp_scenario,
     random_single_scenario,
-    random_welfare_scenario,
     validate_instance,
 )
 from .core import BudgetExceededError, RngSpec, Scenario, ValidationError
@@ -41,7 +41,6 @@ from .scenario_io import (
     ingest_ratings,
     load_scenario,
     read_ratings,
-    save_scenario,
     scenario_to_dict,
 )
 from .sketch import verify_goodness_sandwich, verify_strong_sketch_bounds
@@ -352,20 +351,9 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
-_GEN_PARAMS = {
-    "mean_bestshot": ("k", "a", "p"),
-    "quantile_linear": ("k", "a", "p"),
-    "ces_mean": ("k", "r", "a", "eps"),
-    "quantile_ces": ("k", "r", "theta", "a", "b", "c", "n"),
-    "welfare_ex1": ("r",),
-    "welfare_ex2": ("r",),
-}
-_INT_PARAMS = {"k", "n"}
-_INT_R = {"welfare_ex1", "welfare_ex2"}
-
-
 def cmd_worstcase(args, parser: argparse.ArgumentParser) -> int:
-    accepted = _GEN_PARAMS[args.name]
+    # a generator's keyword parameters are its flags; an int default makes an int flag
+    accepted = inspect.signature(GENERATORS[args.name]).parameters
     kwargs = {}
     for param in ("k", "r", "a", "b", "c", "p", "eps", "theta", "n"):
         value = getattr(args, param)
@@ -376,7 +364,7 @@ def cmd_worstcase(args, parser: argparse.ArgumentParser) -> int:
                 f"--{param} does not apply to {args.name} "
                 f"(accepted: {', '.join('--' + q for q in accepted)})"
             )
-        if param in _INT_PARAMS or (param == "r" and args.name in _INT_R):
+        if isinstance(accepted[param].default, int):
             if value != int(value):
                 parser.error(f"--{param} must be an integer for {args.name}")
             value = int(value)
@@ -454,7 +442,7 @@ def build_parser() -> _Parser:
     p_exp.set_defaults(func=cmd_experiment)
 
     p_worst = sub.add_parser("worstcase", help="emit a bundled worst-case instance")
-    p_worst.add_argument("name", choices=sorted(_GEN_PARAMS))
+    p_worst.add_argument("name", choices=sorted(GENERATORS))
     for flag in ("k", "n"):
         p_worst.add_argument(f"--{flag}", type=int, default=None)
     for flag in ("r", "a", "b", "c", "p", "eps", "theta"):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -176,13 +176,10 @@ class RngSpec:
     """
 
     seed: int
-    algorithm: str = "philox4x64"
 
     def __post_init__(self):
         if not (0 <= int(self.seed) < 2**64):
             raise ValidationError("seed must be a 64-bit unsigned integer")
-        if self.algorithm != "philox4x64":
-            raise ValidationError(f"unknown rng algorithm {self.algorithm!r}")
 
     def generator(self, stream: int = 0) -> np.random.Generator:
         if not (0 <= int(stream) < 2**64):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, combinations, islice
 from typing import Callable, Optional
 
@@ -22,7 +22,6 @@ from .core import (
     RngSpec,
     Scenario,
     ValidationError,
-    dist_mean,
     enumeration_budget,
 )
 from . import utility
@@ -33,7 +32,6 @@ from .utility import (
     _batch_expectation,
     _grid,
     _linear,
-    _row_sums,
     _row_work,
     _subsets,
     mc_utility,
@@ -101,28 +99,24 @@ class SelectionResult:
         return out
 
 
-def _objective(
-    scn: Scenario, j: int, S, rng: Optional[RngSpec]
-) -> UtilityEstimate:
+def _objective(scn: Scenario, j: int, S) -> UtilityEstimate:
     # exact when the outcome space fits the budget, sampled otherwise
     try:
         return project_utility(scn, j, S)
     except BudgetExceededError:
-        mc_rng = rng if rng is not None else RngSpec(seed=0)
-        return mc_utility(scn, j, S, mc_rng, samples=MC_OBJECTIVE_SAMPLES, stream=j)
+        return mc_utility(scn, j, S, RngSpec(seed=0), samples=MC_OBJECTIVE_SAMPLES, stream=j)
 
 
 def _result(
     scn: Scenario,
     sets: list[tuple[int, ...]],
     trace: tuple[TraceStep, ...] = (),
-    rng: Optional[RngSpec] = None,
     sketch_objective: Optional[float] = None,
 ) -> SelectionResult:
     # insertion order is part of the contract; callers sort where they mean to
     assignment = Assignment(sets=tuple(tuple(S) for S in sets))
     per_project = tuple(
-        _objective(scn, j, assignment.sets[j], rng) for j in scn.projects
+        _objective(scn, j, assignment.sets[j]) for j in scn.projects
     )
     return SelectionResult(
         assignment=assignment,
@@ -133,19 +127,12 @@ def _result(
     )
 
 
-def greedy_topk(
-    scn: Scenario,
-    j: int,
-    k: int,
-    table: ScoreTable,
-    *,
-    rng: Optional[RngSpec] = None,
-) -> SelectionResult:
+def greedy_topk(scn: Scenario, j: int, k: int, table: ScoreTable) -> SelectionResult:
     """Pick the k agents with the largest size-k score for project j.
 
     Ties go to the smaller agent id. The reported objective is exact when
     the joint outcome space fits the enumeration budget and Monte Carlo
-    (seeded, default seed 0) past it.
+    (seed 0) past it.
     """
     if k < 1 or k > scn.n_agents:
         raise ValidationError(f"k must be in 1..{scn.n_agents}, got {k}")
@@ -158,7 +145,7 @@ def greedy_topk(
         for t, (i, s) in enumerate(zip(ranked, scores[ranked].tolist()))
     )
     sets = [() if jj != j else tuple(sorted(ranked)) for jj in scn.projects]
-    return _result(scn, sets, trace=trace, rng=rng)
+    return _result(scn, sets, trace=trace)
 
 
 def greedy_welfare(
@@ -291,13 +278,11 @@ def brute_force_single(scn: Scenario, j: int, k: int) -> SelectionResult:
     """Exact best size-k team for project j, by exhausting all subsets.
 
     Ties resolve to the lexicographically smallest subset. Raises when the
-    total enumeration work would exceed the budget. Best-shot, top-r and
-    success-probability projects score every team in blocks on the pool's
-    merged grid; linear projects (``total:identity``, ``total:power:1``,
-    ``ces:1``) sum the members' means over blocks of teams streamed in
-    lexicographic order. Either way the teams within SCREEN_TOL of the
-    best are confirmed with ``project_utility``. Other ``total`` and
-    ``ces`` projects score one team at a time.
+    total enumeration work would exceed the budget. The teams are streamed
+    in lexicographic order, in blocks, and each block is screened in one
+    array pass: best-shot and top-r teams on the pool's merged grid,
+    every other kind by ``team_values``. The teams within SCREEN_TOL of
+    the best are then rescored with ``project_utility``.
     """
     if k < 1 or k > scn.n_agents:
         raise ValidationError(f"k must be in 1..{scn.n_agents}, got {k}")
@@ -310,21 +295,17 @@ def brute_force_single(scn: Scenario, j: int, k: int) -> SelectionResult:
         )
     g = scn.value_fns[j]
     pool = [scn.dist(i, j) for i in scn.agents]
-    if _linear(g):  # a team's value is the sum of its members' means
-        means = np.array([dist_mean(d) for d in pool])
-        teams = _near_best((_row_sums(means, block), block) for block in _team_blocks(len(pool), k))
-        candidates = map(tuple, teams.tolist())
-    elif g.kind in ("total", "ces"):
-        candidates = combinations(scn.agents, k)
+    # the up-front price covers every block's own charge, so no screen raises
+    if g.kind in ("best_shot", "top_r"):
+        screen = partial(_batch_expectation, g, pool, copies=1, budget=budget)
     else:
-        teams = _subsets(len(pool), k)
-        teams = _near_best([(_batch_expectation(g, pool, teams, 1, budget), teams)])
-        candidates = map(tuple, teams.tolist())
+        screen = partial(team_values, scn, j)
+    teams = _near_best((screen(block), block) for block in _team_blocks(len(pool), k))
     # batched values can round differently from a team's own, so the
-    # screened candidates are rescored before the strict-> tie rule
+    # screened teams are rescored before the strict-> tie rule
     best_S: Optional[tuple[int, ...]] = None
     best_u = -math.inf
-    for S in candidates:
+    for S in map(tuple, teams.tolist()):
         u = project_utility(scn, j, S).value
         if u > best_u:
             best_u = u

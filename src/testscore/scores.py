@@ -19,7 +19,6 @@ scored one at a time.
 from __future__ import annotations
 
 import csv
-import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -37,8 +36,8 @@ from .core import (
     dist_mean,
     enumeration_budget,
 )
-from .production import ValueFunction, evaluate_batch
-from .utility import _batch_expectation, _batchable, _expectation
+from .production import ValueFunction
+from .utility import _batch_expectation, _batchable, _expectation, _mc
 
 MC_TARGET_REL_SE = 1e-3
 MC_BASE_SAMPLES = 100_000
@@ -75,37 +74,15 @@ def quantile_level(theta: float, k: int) -> float:
     return 1.0 - theta / k
 
 
-def _replication_mc(
-    g: ValueFunction, d: Distribution, k: int, rng: RngSpec, samples: int, stream: int
-) -> tuple[float, float]:
-    gen = rng.generator(stream)
-    U = gen.random((samples, k))
-    X = d.values_array[np.searchsorted(d.cdf_array, U, side="right")]
-    vals = evaluate_batch(g, X)
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
-
-
-def replication_score(
-    g: ValueFunction,
-    d: Distribution,
-    k: int,
-    *,
-    rng: Optional[RngSpec] = None,
-    samples: int = MC_BASE_SAMPLES,
-    budget: Optional[int] = None,
-) -> float:
+def replication_score(g: ValueFunction, d: Distribution, k: int) -> float:
     """Expected value of g on k i.i.d. copies of the agent's performance.
 
-    Exact by default: the team-utility engine run on k copies of d, which
-    raises BudgetExceededError when its work passes ``budget`` (default:
-    the enumeration budget). Passing an RngSpec switches to Monte Carlo
-    with the given sample count.
+    Exact: the team-utility engine run on k copies of d, which raises
+    BudgetExceededError when its work passes the enumeration budget.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    if rng is not None:
-        return _replication_mc(g, d, k, rng, samples, stream=0)[0]
-    return _expectation(g, [d], k, budget or enumeration_budget())
+    return _expectation(g, [d], k, enumeration_budget())
 
 
 @dataclass(frozen=True)
@@ -280,13 +257,13 @@ def build_score_table(
         stream = (i * m + j) * max_r + (r - 1)
         samples = MC_BASE_SAMPLES
         for _ in range(MC_MAX_ROUNDS):
-            value, se = _replication_mc(g, d, r, mc_rng, samples, stream)
-            if se <= MC_TARGET_REL_SE * max(abs(value), 1e-12):
+            est = _mc(g, [d], r, mc_rng, samples, stream)
+            if est.std_error <= MC_TARGET_REL_SE * max(abs(est.value), 1e-12):
                 break
             samples *= 2
-        scores[i, j, r - 1] = value
+        scores[i, j, r - 1] = est.value
         methods[i, j, r - 1] = "monte_carlo"
-        std_errors[i, j, r - 1] = se
+        std_errors[i, j, r - 1] = est.std_error
     for column, j, r, rows in batches:
         scores[rows, j, r - 1] = _batch_expectation(
             scn.value_fns[j], column, everyone[rows], r, sys.maxsize

@@ -174,6 +174,27 @@ def _worse(cur: Optional[BoundWitness], cand: BoundWitness) -> BoundWitness:
     return cand if cur is None or cand.slack < cur.slack else cur
 
 
+def _verify_bracket(scn: Scenario, j: int, k: int, sizes, sides) -> SketchBoundReport:
+    """The worst slack of a bracket's lower and upper side over every team
+    whose size is in ``sizes``: ``sides(table, S, u)`` returns both as
+    (bound, slack, v), from the exact replication table up to size k and
+    the team's exact utility u."""
+    if k < 1 or k > scn.n_agents:
+        raise ValidationError(f"k must be in 1..{scn.n_agents}, got {k}")
+    table = build_score_table(scn, "replication", max_r=k, mc_fallback=False)
+    worst_lo: Optional[BoundWitness] = None
+    worst_hi: Optional[BoundWitness] = None
+    for t in sizes:
+        teams = _subsets(scn.n_agents, t)
+        for S, u in zip(map(tuple, teams.tolist()), team_values(scn, j, teams).tolist()):
+            lo, hi = sides(table, S, u)
+            worst_lo = _worse(worst_lo, BoundWitness(lo[0], lo[1], S, u=u, v=lo[2]))
+            worst_hi = _worse(worst_hi, BoundWitness(hi[0], hi[1], S, u=u, v=hi[2]))
+    assert worst_lo is not None and worst_hi is not None
+    ok = worst_lo.slack >= -BOUND_TOL and worst_hi.slack >= -BOUND_TOL
+    return SketchBoundReport(ok=ok, worst_lower=worst_lo, worst_upper=worst_hi)
+
+
 def verify_strong_sketch_bounds(scn: Scenario, j: int, k: int) -> SketchBoundReport:
     """Exhaustively check the harmonic-sketch bracket on every team.
 
@@ -183,27 +204,13 @@ def verify_strong_sketch_bounds(scn: Scenario, j: int, k: int) -> SketchBoundRep
     The utilities of each team size come from one ``team_values`` batch,
     equal to ``project_utility`` bit for bit.
     """
-    if k < 1 or k > scn.n_agents:
-        raise ValidationError(f"k must be in 1..{scn.n_agents}, got {k}")
-    table = build_score_table(scn, "replication", max_r=k, mc_fallback=False)
-    worst_lo: Optional[BoundWitness] = None
-    worst_hi: Optional[BoundWitness] = None
-    for t in range(1, k + 1):
-        scale = 2.0 * (math.log(t) + 1.0)
-        teams = _subsets(scn.n_agents, t)
-        for S, u in zip(map(tuple, teams.tolist()), team_values(scn, j, teams).tolist()):
-            v = strong_sketch(table, j, S).strong
-            worst_lo = _worse(
-                worst_lo,
-                BoundWitness("strong_lower", u - v / scale, S, u=u, v=v),
-            )
-            worst_hi = _worse(
-                worst_hi,
-                BoundWitness("strong_upper", 6.0 * v - u, S, u=u, v=v),
-            )
-    assert worst_lo is not None and worst_hi is not None
-    ok = worst_lo.slack >= -BOUND_TOL and worst_hi.slack >= -BOUND_TOL
-    return SketchBoundReport(ok=ok, worst_lower=worst_lo, worst_upper=worst_hi)
+
+    def sides(table, S, u):
+        v = strong_sketch(table, j, S).strong
+        scale = 2.0 * (math.log(len(S)) + 1.0)
+        return ("strong_lower", u - v / scale, v), ("strong_upper", 6.0 * v - u, v)
+
+    return _verify_bracket(scn, j, k, range(1, k + 1), sides)
 
 
 def verify_goodness_sandwich(scn: Scenario, j: int, k: int) -> SketchBoundReport:
@@ -214,23 +221,13 @@ def verify_goodness_sandwich(scn: Scenario, j: int, k: int) -> SketchBoundReport
     The utilities come from one ``team_values`` batch, equal to
     ``project_utility`` bit for bit.
     """
-    if k < 1 or k > scn.n_agents:
-        raise ValidationError(f"k must be in 1..{scn.n_agents}, got {k}")
-    table = build_score_table(scn, "replication", max_r=k, mc_fallback=False)
     lo_factor = 1.0 - 1.0 / math.e
-    worst_lo: Optional[BoundWitness] = None
-    worst_hi: Optional[BoundWitness] = None
-    teams = _subsets(scn.n_agents, k)
-    for S, u in zip(map(tuple, teams.tolist()), team_values(scn, j, teams).tolist()):
+
+    def sides(table, S, u):
         lower, upper = minmax_sketch(table, j, S, k)
-        worst_lo = _worse(
-            worst_lo,
-            BoundWitness("goodness_lower", u - lo_factor * lower, S, u=u, v=lower),
+        return (
+            ("goodness_lower", u - lo_factor * lower, lower),
+            ("goodness_upper", 4.0 * upper - u, upper),
         )
-        worst_hi = _worse(
-            worst_hi,
-            BoundWitness("goodness_upper", 4.0 * upper - u, S, u=u, v=upper),
-        )
-    assert worst_lo is not None and worst_hi is not None
-    ok = worst_lo.slack >= -BOUND_TOL and worst_hi.slack >= -BOUND_TOL
-    return SketchBoundReport(ok=ok, worst_lower=worst_lo, worst_upper=worst_hi)
+
+    return _verify_bracket(scn, j, k, (k,), sides)

@@ -42,6 +42,7 @@ from .production import ValueFunction, evaluate, evaluate_batch
 
 _MERGE = 1 << 12  # partial-sum atoms past which equal sums are merged
 _BLOCK = 1 << 16  # team-by-grid cells the order route scores per array pass
+SUBMODULARITY_TOL = 1e-9
 
 Pool = Sequence[Distribution]
 
@@ -461,6 +462,26 @@ def team_values(scn: Scenario, j: int, teams) -> np.ndarray:
     return _own_grid_rows(g, pool, teams)
 
 
+def _mc(
+    g: ValueFunction, pool: Pool, copies: int, rng: RngSpec, samples: int, stream: int
+) -> UtilityEstimate:
+    """Monte Carlo E[g] over ``copies`` independent copies of each
+    distribution in ``pool``, drawn by inverse CDF from one uniform draw
+    of ``samples`` rows: member c's copies read columns
+    c * copies .. (c + 1) * copies - 1. std_error is the sample standard
+    deviation divided by sqrt(samples)."""
+    U = rng.generator(stream).random((samples, len(pool) * copies))
+    X = np.empty_like(U)
+    for c, d in enumerate(pool):
+        cols = slice(c * copies, (c + 1) * copies)
+        X[:, cols] = d.values_array[np.searchsorted(d.cdf_array, U[:, cols], side="right")]
+    vals = evaluate_batch(g, X)
+    se = float(vals.std(ddof=1) / math.sqrt(samples))
+    return UtilityEstimate(
+        value=float(vals.mean()), method="monte_carlo", samples=samples, std_error=se
+    )
+
+
 def mc_utility(
     scn: Scenario,
     j: int,
@@ -469,27 +490,15 @@ def mc_utility(
     samples: int,
     stream: int = 0,
 ) -> UtilityEstimate:
-    """Monte Carlo estimate of the expected utility.
-
-    Deterministic for a fixed RngSpec and stream; std_error is the sample
-    standard deviation divided by sqrt(samples).
-    """
+    """Monte Carlo estimate of the expected utility, by ``_mc``;
+    deterministic for a fixed RngSpec and stream."""
     if samples < 2:
         raise ValidationError(f"samples must be >= 2, got {samples}")
     members = _members(scn, S)
     g = scn.value_fns[j]
     if not members:
         return UtilityEstimate(value=evaluate(g, []), method="exact")
-    gen = rng.generator(stream)
-    U = gen.random((samples, len(members)))
-    X = np.empty_like(U)
-    for c, i in enumerate(members):
-        d = scn.dist(i, j)
-        X[:, c] = d.values_array[np.searchsorted(d.cdf_array, U[:, c], side="right")]
-    vals = evaluate_batch(g, X)
-    mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(samples))
-    return UtilityEstimate(value=mean, method="monte_carlo", samples=samples, std_error=se)
+    return _mc(g, [scn.dist(i, j) for i in members], 1, rng, samples, stream)
 
 
 @dataclass(frozen=True)
@@ -500,15 +509,13 @@ class SubmodularityReport:
     # i is None for a monotonicity violation u(S) > u(T).
 
 
-def submodularity_check(
-    scn: Scenario, j: int, max_agents: int = 8, tol: float = 1e-9
-) -> SubmodularityReport:
+def submodularity_check(scn: Scenario, j: int, max_agents: int = 8) -> SubmodularityReport:
     """Exhaustively verify that u_j is monotone non-decreasing and submodular
     over the whole agent ground set.
 
     Checks u(T + i) - u(T) <= u(S + i) - u(S) for all S subset T, i outside T,
-    and u(S) <= u(T) for S subset T. Returns the first violating witness.
-    The utilities of each team size come from one ``team_values`` batch,
+    and u(S) <= u(T) for S subset T, both up to SUBMODULARITY_TOL. Returns
+    the first violating witness. The utilities of each team size come from one ``team_values`` batch,
     equal to ``project_utility`` bit for bit, so a team past the budget
     raises for the smallest size that has one.
     """
@@ -527,13 +534,13 @@ def submodularity_check(
     for T in range(1 << n):
         S = T
         while True:  # iterate submasks of T, including T and 0
-            if u[S] > u[T] + tol:
+            if u[S] > u[T] + SUBMODULARITY_TOL:
                 return SubmodularityReport(ok=False, witness=(as_set(S), as_set(T), None))
             for i in range(n):
                 if T >> i & 1:
                     continue
                 bit = 1 << i
-                if u[T | bit] - u[T] > u[S | bit] - u[S] + tol:
+                if u[T | bit] - u[T] > u[S | bit] - u[S] + SUBMODULARITY_TOL:
                     return SubmodularityReport(
                         ok=False, witness=(as_set(S), as_set(T), i)
                     )

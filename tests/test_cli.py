@@ -18,6 +18,7 @@ from testscore import (
     scenario_from_dict,
 )
 from testscore import cli
+from testscore.adversarial import GENERATORS
 from testscore.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -396,7 +397,7 @@ class TestExperiment:
 
 
 class TestWorstcase:
-    @pytest.mark.parametrize("name", sorted(cli._GEN_PARAMS))
+    @pytest.mark.parametrize("name", sorted(GENERATORS))
     def test_emits_instance(self, capsys, name):
         code, out, _ = run(capsys, ["worstcase", name])
         assert code == EXIT_OK

@@ -157,10 +157,6 @@ class TestRngSpec:
         with pytest.raises(ValidationError):
             RngSpec(seed=2**64)
 
-    def test_rejects_unknown_algorithm(self):
-        with pytest.raises(ValidationError):
-            RngSpec(seed=0, algorithm="mt19937")
-
 
 class TestSampling:
     def test_point_mass_sampling(self):

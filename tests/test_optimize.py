@@ -337,6 +337,28 @@ class TestBruteForceSingle:
         assert one_pass[3].assignment.sets[0] == (0, 1, 2, 3)
         assert one_pass[4].assignment.sets[0] == (1, 2, 4, 6)
 
+    @pytest.mark.parametrize("g", CATALOGUE, ids=CATALOGUE_TAGS)
+    def test_blocks_match_per_team_loop(self, g, monkeypatch):
+        # one or two teams per block, so every kind's screen carries its
+        # running maximum across block boundaries; repeated agents tie
+        gen = np.random.default_rng(74)
+        coin = Distribution.from_pairs(((0.5, 0.4), (2.0, 0.6)))
+        few = [d for (d,) in random_single_scenario(gen, g, n=4, k=1).dists]
+        pools = (
+            [d for (d,) in random_single_scenario(gen, g, n=7, k=1).dists],
+            few + few[:3],
+            [coin] * 6,
+            [Distribution.point(v) for v in (1.0, 2.0, 2.0, 0.0, 2.0, 1.0)],
+        )
+        monkeypatch.setattr(utility, "_BLOCK", 5)
+        for dists in pools:
+            for k in (1, 2, 3, 4):
+                scn = Scenario.single_project(dists, g, k)
+                want_S, want_u = self.per_team_oracle(scn, k)
+                res = brute_force_single(scn, 0, k)
+                assert res.assignment.sets[0] == want_S, (k, dists)
+                assert res.total.hex() == want_u.hex(), (k, dists)
+
     def test_team_blocks_stream_every_team_in_order(self, monkeypatch):
         monkeypatch.setattr(utility, "_BLOCK", 10)
         blocks = list(_team_blocks(7, 3))

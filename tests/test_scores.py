@@ -29,9 +29,8 @@ from testscore.scores import (
     MC_TARGET_REL_SE,
     ScoreDiag,
     ScoreTable,
-    _replication_mc,
 )
-from testscore.utility import _MERGE, _expectation
+from testscore.utility import _MERGE, _expectation, _mc
 
 from oracle_tools import (
     CATALOGUE_REFS,
@@ -258,17 +257,18 @@ class TestReplicationScore:
     def test_monte_carlo_mode_converges(self):
         g = ValueFunction.ces(2.0)
         exact = replication_score(g, TWO_POINT, 3)
-        mc = replication_score(g, TWO_POINT, 3, rng=RngSpec(seed=9), samples=200_000)
+        mc = _mc(g, [TWO_POINT], 3, RngSpec(seed=9), 200_000, 0).value
         assert mc != exact  # sampled, not silently exact
         assert abs(mc - exact) < 0.01
 
-    def test_budget_raises(self):
+    def test_budget_raises(self, monkeypatch):
+        monkeypatch.setenv("TESTSCORE_BUDGET", "1000")
         g = ValueFunction.ces(2.0)
         d = Distribution.from_pairs(
             ((0.0, 0.25), (1.0, 0.25), (2.0, 0.25), (3.0, 0.25))
         )
         with pytest.raises(BudgetExceededError):
-            replication_score(g, d, 500, budget=1000)
+            replication_score(g, d, 500)
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValidationError):
@@ -351,7 +351,8 @@ class TestScoreTable:
         diag = table.diag(0, 0, 2)
         assert diag.method == "monte_carlo"
         assert diag.std_error > 0
-        exact = replication_score(ValueFunction.ces(2.0), d, 2, budget=10**6)
+        monkeypatch.setenv("TESTSCORE_BUDGET", str(10**6))
+        exact = replication_score(ValueFunction.ces(2.0), d, 2)
         assert abs(table.get(0, 0, 2) - exact) <= 6 * max(diag.std_error, 1e-9)
 
     def test_mc_fallback_disabled_raises(self, monkeypatch):
@@ -522,7 +523,8 @@ def check_cells(scn, max_r, rng):
                     stream = (i * scn.n_projects + j) * max_r + (r - 1)
                     samples = MC_BASE_SAMPLES
                     for _ in range(MC_MAX_ROUNDS):
-                        want, se = _replication_mc(g, d, r, rng, samples, stream)
+                        est = _mc(g, [d], r, rng, samples, stream)
+                        want, se = est.value, est.std_error
                         if se <= MC_TARGET_REL_SE * max(abs(want), 1e-12):
                             break
                         samples *= 2
