@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -42,10 +43,6 @@ class AdversarialInstance:
     citation: str  # one-line description of the construction
 
 
-def _point(v: float) -> Distribution:
-    return Distribution.point(v)
-
-
 def _two_point(v: float, p: float) -> Distribution:
     # {v w.p. p, 0 otherwise}; collapses to a point mass when p = 1
     if p >= 1.0:
@@ -64,7 +61,7 @@ def gen_mean_fails_bestshot(k: int = 4, a: float = 10.0, p: float = 0.09) -> Adv
         raise ValidationError(f"need a > 1, got {a}")
     if not (0.0 < p < 1.0) or a * p >= 1.0:
         raise ValidationError(f"need 0 < p < 1 and a*p < 1, got a={a}, p={p}")
-    steady = _point(1.0)
+    steady = Distribution.point(1.0)
     risky = _two_point(a, p)
     dists = tuple((steady,) if i < k else (risky,) for i in range(2 * k))
     scn = Scenario(
@@ -99,7 +96,7 @@ def gen_quantile_fails_linear(k: int = 10, a: float = 1.5, p: float = 0.11) -> A
         raise ValidationError(f"need 1/k < p < 1, got p={p} with k={k}")
     if a * p >= 1.0:
         raise ValidationError(f"need a*p < 1, got a={a}, p={p}")
-    steady = _point(1.0)
+    steady = Distribution.point(1.0)
     risky = _two_point(a, p)
     dists = tuple((steady,) if i < k else (risky,) for i in range(2 * k))
     scn = Scenario(
@@ -133,7 +130,7 @@ def gen_ces_mean_tightness(
         raise ValidationError(f"need a >= 1, got {a}")
     if eps <= 0.0:
         raise ValidationError(f"need eps > 0, got {eps}")
-    steady = _point(1.0 + eps)
+    steady = Distribution.point(1.0 + eps)
     risky = _two_point(a, 1.0 / a)
     dists = tuple((steady,) if i < k else (risky,) for i in range(2 * k))
     scn = Scenario(
@@ -180,10 +177,10 @@ def gen_quantile_ces(
         raise ValidationError("a, b, c must be positive")
     if c <= max(a, b):
         raise ValidationError(f"need c > max(a, b) so the coin flips rank first, got a={a}, b={b}, c={c}")
-    constant = _point(a)
+    constant = Distribution.point(a)
     lottery = _two_point(b * theta * n / k, 1.0 / n)
     coin = _two_point(c, theta / k)
-    dead = _point(0.0)
+    dead = Distribution.point(0.0)
     rows = []
     for i in range(n):
         if i < k:
@@ -223,8 +220,8 @@ def gen_welfare_example1(r: int = 4) -> AdversarialInstance:
     sketch instead piles them into one project for welfare 1."""
     if r < 2:
         raise ValidationError(f"r must be >= 2, got {r}")
-    heavy = _point(1.0)
-    dead = _point(0.0)
+    heavy = Distribution.point(1.0)
+    dead = Distribution.point(0.0)
     dists = tuple(
         tuple(heavy if i < r else dead for _ in range(r)) for i in range(r * r)
     )
@@ -258,8 +255,8 @@ def gen_welfare_example2(r: int = 4) -> AdversarialInstance:
     scale = 1.0 / root
     rows = []
     for mu in means:
-        full = _point(mu)
-        scaled = _point(mu * scale)
+        full = Distribution.point(mu)
+        scaled = Distribution.point(mu * scale)
         rows.append((full,) + tuple(scaled for _ in range(r)))
     scn = Scenario(
         dists=tuple(rows),
@@ -299,15 +296,6 @@ class CheckRow:
     measured: Optional[float]
     ok: bool
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "expected": self.expected,
-            "measured": self.measured,
-            "ok": self.ok,
-        }
-
 
 @dataclass(frozen=True)
 class InstanceReport:
@@ -315,50 +303,24 @@ class InstanceReport:
     ok: bool
     rows: tuple[CheckRow, ...]
 
-    def to_json(self) -> dict:
-        return {"name": self.name, "ok": self.ok, "rows": [r.to_json() for r in self.rows]}
 
-
-def _measure_mean_bestshot(inst: AdversarialInstance) -> dict[str, float]:
+def _measure_selection(
+    inst: AdversarialInstance, scores: str, names: dict[str, str]
+) -> dict[str, float]:
+    """Greedy on ``scores`` against the exact optimum of a one-project
+    instance. ``names`` maps each expected key to the quantity it checks:
+    greedy's utility (greedy), the optimum (opt), their ratio (ratio) or
+    the utility of the specialists k..2k-1 (risky, valued only when
+    named)."""
     scn = inst.scenario
     k = int(inst.params["k"])
-    table = build_score_table(scn, "mean", max_r=k)
-    greedy = greedy_topk(scn, 0, k, table)
-    opt = brute_force_single(scn, 0, k)
-    risky = tuple(range(k, 2 * k))
-    return {
-        "greedy_mean_utility": greedy.total,
-        "risky_set_utility": project_utility(scn, 0, risky).value,
-        "opt_lower_bound": opt.total,
-        "ratio_upper_bound": greedy.total / opt.total,
-    }
-
-
-def _measure_quantile_linear(inst: AdversarialInstance) -> dict[str, float]:
-    scn = inst.scenario
-    k = int(inst.params["k"])
-    table = build_score_table(scn, "quantile", max_r=k, theta=inst.params["theta_cut"])
-    greedy = greedy_topk(scn, 0, k, table)
-    opt = brute_force_single(scn, 0, k)
-    return {
-        "greedy_quantile_utility": greedy.total,
-        "opt_utility": opt.total,
-        "ratio": greedy.total / opt.total,
-    }
-
-
-def _measure_ces_mean(inst: AdversarialInstance) -> dict[str, float]:
-    scn = inst.scenario
-    k = int(inst.params["k"])
-    table = build_score_table(scn, "mean", max_r=k)
-    greedy = greedy_topk(scn, 0, k, table)
-    opt = brute_force_single(scn, 0, k)
-    risky = tuple(range(k, 2 * k))
-    return {
-        "greedy_mean_utility": greedy.total,
-        "risky_set_utility_lower_bound": project_utility(scn, 0, risky).value,
-        "ratio_upper_bound": greedy.total / opt.total,
-    }
+    table = build_score_table(scn, scores, max_r=k, theta=inst.params.get("theta_cut"))
+    greedy = greedy_topk(scn, 0, k, table).total
+    opt = brute_force_single(scn, 0, k).total
+    quantities = {"greedy": greedy, "opt": opt, "ratio": greedy / opt}
+    if "risky" in names.values():
+        quantities["risky"] = project_utility(scn, 0, range(k, 2 * k)).value
+    return {key: quantities[q] for key, q in names.items()}
 
 
 def _measure_quantile_ces(inst: AdversarialInstance) -> dict[str, float]:
@@ -397,9 +359,22 @@ def _measure_welfare(inst: AdversarialInstance) -> dict[str, float]:
 
 
 _MEASURERS: dict[str, Callable[[AdversarialInstance], dict[str, float]]] = {
-    "mean_bestshot": _measure_mean_bestshot,
-    "quantile_linear": _measure_quantile_linear,
-    "ces_mean": _measure_ces_mean,
+    "mean_bestshot": partial(_measure_selection, scores="mean", names={
+        "greedy_mean_utility": "greedy",
+        "risky_set_utility": "risky",
+        "opt_lower_bound": "opt",
+        "ratio_upper_bound": "ratio",
+    }),
+    "quantile_linear": partial(_measure_selection, scores="quantile", names={
+        "greedy_quantile_utility": "greedy",
+        "opt_utility": "opt",
+        "ratio": "ratio",
+    }),
+    "ces_mean": partial(_measure_selection, scores="mean", names={
+        "greedy_mean_utility": "greedy",
+        "risky_set_utility_lower_bound": "risky",
+        "ratio_upper_bound": "ratio",
+    }),
     "quantile_ces": _measure_quantile_ces,
     "welfare_ex1": _measure_welfare,
     "welfare_ex2": _measure_welfare,

@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from functools import cache, partial
 from typing import Optional
 
@@ -108,11 +109,7 @@ def cmd_select(args) -> int:
     kind, theta = _parse_scores(args.scores)
     # single-project view with cardinality k, so score tables and the
     # oracle measure exactly the requested selection problem
-    view = Scenario(
-        dists=tuple((scn.dist(i, j),) for i in scn.agents),
-        value_fns=(scn.value_fns[j],),
-        cardinalities=(k,),
-    )
+    view = Scenario.single_project([scn.dist(i, j) for i in scn.agents], scn.value_fns[j], k)
     table = build_score_table(view, kind, max_r=k, theta=theta)
     result = greedy_topk(view, 0, k, table)
     report = {
@@ -129,7 +126,7 @@ def cmd_select(args) -> int:
         report["oracle_selected"] = [
             loaded.agent_names[i] for i in oracle.assignment.sets[0]
         ]
-        report["approximation"] = approx.to_json()
+        report["approximation"] = asdict(approx)
     _emit(json.dumps(report, indent=2), args.out)
     return EXIT_OK
 
@@ -154,7 +151,7 @@ def cmd_assign(args) -> int:
         oracle = brute_force_welfare(scn)
         approx = approximation_report(scn, result, oracle)
         report["oracle"] = oracle.to_json()
-        report["approximation"] = approx.to_json()
+        report["approximation"] = asdict(approx)
     _emit(json.dumps(report, indent=2), args.out)
     return EXIT_OK
 
@@ -223,7 +220,7 @@ def _suite_bounds(name: str, verify, seed: int, trials: int) -> dict:
         worst_upper = min(worst_upper, rep.worst_upper_slack)
         if not rep.ok:
             ok = False
-            failures.append({"trial": t, "witness": rep.witness.to_json()})
+            failures.append({"trial": t, "witness": asdict(rep.witness)})
     return {
         "suite": name,
         "trials": trials,
@@ -240,7 +237,7 @@ def _suite_adversarial(seed: int, trials: int) -> dict:
     return {
         "suite": "adversarial",
         "ok": all(r.ok for r in reports),
-        "instances": [r.to_json() for r in reports],
+        "instances": [asdict(r) for r in reports],
     }
 
 
@@ -380,7 +377,7 @@ def cmd_worstcase(args, parser: argparse.ArgumentParser) -> int:
     code = EXIT_OK
     if args.run:
         validation = validate_instance(inst)
-        report["validation"] = validation.to_json()
+        report["validation"] = asdict(validation)
         if not validation.ok:
             code = EXIT_PROPERTY
     _emit(json.dumps(report, indent=2), args.out)

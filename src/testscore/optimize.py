@@ -26,7 +26,7 @@ from .core import (
 )
 from . import utility
 from .scores import ScoreTable
-from .sketch import strong_sketch
+from .sketch import BOUND_TOL, strong_sketch
 from .utility import (
     UtilityEstimate,
     _batch_expectation,
@@ -39,7 +39,6 @@ from .utility import (
     team_values,
 )
 
-BOUND_TOL = 1e-9
 MC_OBJECTIVE_SAMPLES = 200_000
 # batched oracle values within this relative distance of the largest are
 # rescored one team at a time
@@ -89,10 +88,7 @@ class SelectionResult:
             "assignment": [list(S) for S in self.assignment.sets],
             "per_project": [asdict(est) for est in self.per_project],
             "total": self.total,
-            "trace": [
-                {"step": t.step, "agent": t.agent, "project": t.project, "score": t.score}
-                for t in self.score_trace
-            ],
+            "trace": [asdict(step) for step in self.score_trace],
         }
         if self.sketch_objective is not None:
             out["sketch_objective"] = self.sketch_objective
@@ -281,8 +277,9 @@ def brute_force_single(scn: Scenario, j: int, k: int) -> SelectionResult:
     total enumeration work would exceed the budget. The teams are streamed
     in lexicographic order, in blocks, and each block is screened in one
     array pass: best-shot and top-r teams on the pool's merged grid,
-    every other kind by ``team_values``. The teams within SCREEN_TOL of
-    the best are then rescored with ``project_utility``.
+    success-probability teams on the members' hit probabilities, and
+    ``total``/``ces`` teams by ``team_values``. The teams within
+    SCREEN_TOL of the best are then rescored with ``project_utility``.
     """
     if k < 1 or k > scn.n_agents:
         raise ValidationError(f"k must be in 1..{scn.n_agents}, got {k}")
@@ -296,7 +293,7 @@ def brute_force_single(scn: Scenario, j: int, k: int) -> SelectionResult:
     g = scn.value_fns[j]
     pool = [scn.dist(i, j) for i in scn.agents]
     # the up-front price covers every block's own charge, so no screen raises
-    if g.kind in ("best_shot", "top_r"):
+    if g.kind not in ("total", "ces"):
         screen = partial(_batch_expectation, g, pool, copies=1, budget=budget)
     else:
         screen = partial(team_values, scn, j)
@@ -515,14 +512,6 @@ class ApproxReport:
     bound: float
     satisfied: bool
     problem: str  # single | welfare
-
-    def to_json(self) -> dict:
-        return {
-            "ratio": self.ratio,
-            "bound": self.bound,
-            "satisfied": self.satisfied,
-            "problem": self.problem,
-        }
 
 
 def approximation_report(

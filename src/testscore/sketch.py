@@ -8,7 +8,6 @@ that grow only logarithmically with the team size.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -127,15 +126,6 @@ class BoundWitness:
     u: float
     v: float
 
-    def to_json(self) -> dict:
-        return {
-            "bound": self.bound,
-            "slack": self.slack,
-            "witness_set": list(self.witness_set),
-            "u": self.u,
-            "v": self.v,
-        }
-
 
 @dataclass(frozen=True)
 class SketchBoundReport:
@@ -159,15 +149,6 @@ class SketchBoundReport:
         if self.worst_upper.slack < -BOUND_TOL:
             return self.worst_upper
         return None
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "ok": self.ok,
-                "worst_lower": self.worst_lower.to_json(),
-                "worst_upper": self.worst_upper.to_json(),
-            }
-        )
 
 
 def _worse(cur: Optional[BoundWitness], cand: BoundWitness) -> BoundWitness:

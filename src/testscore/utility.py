@@ -107,25 +107,13 @@ def _h(g: ValueFunction, sums: np.ndarray) -> np.ndarray:
     return g.f.apply(sums) if g.kind == "total" else sums ** (1.0 / g.r)
 
 
-def _sum_work(g: ValueFunction, size: int, copies: int) -> int:
-    """The sum route's charge for ``copies`` copies of one member with
-    ``size`` atoms: the support once on linear variants, else partial-sum
-    atoms times support over the steps, size + size^2 + ... + size^copies
-    (nothing for a point mass, which only shifts the sum)."""
-    if _linear(g):
-        return size
-    return 0 if size == 1 else sum(size**c for c in range(1, copies + 1))
-
-
 def _batchable(g: ValueFunction, size: int, copies: int, budget: int) -> bool:
     """Whether ``copies`` copies of one member with ``size`` atoms can be
     scored as a row of a one-member batch: its own work fits the budget
     and, on the sum route, its partial sums never reach the merge of equal
     sums, which a batch does not do. Monotone in ``size``."""
-    if g.kind not in ("total", "ces"):
-        return _row_work(g, size, 1, copies) <= budget
-    merges = not _linear(g) and size**copies > _MERGE
-    return not merges and _sum_work(g, size, copies) <= budget
+    merges = g.kind in ("total", "ces") and not _linear(g) and size**copies > _MERGE
+    return not merges and _row_work(g, size, 1, copies) <= budget
 
 
 def _by_length(members: Pool) -> dict[int, list[int]]:
@@ -154,7 +142,7 @@ def _sum_rows(
         raise ValidationError("the sum route batches one-member rows only")
     members = [pool[i] for i in teams[:, 0].tolist()]
     groups = _by_length(members)
-    _charge(sum(_sum_work(g, s, copies) * len(rows) for s, rows in groups.items()), budget)
+    _charge(sum(_row_work(g, s, 1, copies) * len(rows) for s, rows in groups.items()), budget)
     out = np.empty(len(members))
     for s, rows in groups.items():
         atoms = _packed(members, rows)
@@ -216,11 +204,19 @@ def _grid(pool: Pool, n_teams: int) -> np.ndarray:
 
 
 def _row_work(g: ValueFunction, grid, k: int, copies: int):
-    """One team row's charge on the order and product routes: grid points
-    times members (best shot), times tracked counts and copies as well
-    (top-r), or support atoms plus members (success probability, where
-    ``grid`` is the team's summed support). Linear in ``grid``, which may
-    be an array of per-row sizes."""
+    """One team row's charge, on every route: grid points times members
+    (best shot), times tracked counts and copies as well (top-r), support
+    atoms plus members (success probability, where ``grid`` is the team's
+    summed support), the summed support once (linear ``total``/``ces``,
+    whose means suffice), or, for one member of ``grid`` atoms on the
+    other sum-route variants, partial-sum atoms times support over the
+    steps, grid + grid^2 + ... + grid^copies (nothing for a point mass,
+    which only shifts the sum). Linear in ``grid``, which may then be an
+    array of per-row sizes, except on that last form."""
+    if g.kind in ("total", "ces"):
+        if _linear(g):
+            return grid
+        return 0 if grid == 1 else sum(grid**c for c in range(1, copies + 1))
     if g.kind == "success_prob":
         return grid + k
     w = 1 if g.kind == "best_shot" else min(int(g.r), k * copies) * copies
@@ -360,8 +356,8 @@ def _batch_expectation(
     work passes the budget: grid cells (summed supports for one-member
     rows) times members times tracked counts per copy on the order route
     (best shot's power counting once per member), summed pool supports
-    plus team cells on the product route (``_row_work`` prices one row),
-    the rows' summed ``_sum_work`` on the sum route."""
+    plus team cells on the product route, the rows' summed charges on the
+    sum route; ``_row_work`` prices one row on every route."""
     if g.kind in ("total", "ces"):
         route = _sum_rows
     else:
@@ -449,7 +445,7 @@ def team_values(scn: Scenario, j: int, teams) -> np.ndarray:
         return np.array([_sum_route(g, [pool[i] for i in S], 1, budget) for S in teams.tolist()])
     k = teams.shape[1]
     support = _row_sums(np.array([len(d) for d in pool]), teams)
-    work = support if _linear(g) else _row_work(g, support, k, 1)
+    work = _row_work(g, support, k, 1)
     # the first row past the budget, found in Python: comparing the array
     # with the int would page in numpy kernels the oracles use nowhere else
     _charge(next((w for w in work.tolist() if w > budget), 0), budget)

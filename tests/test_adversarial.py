@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -157,7 +158,7 @@ class TestValidateInstanceMechanics:
 
     def test_report_round_trips_through_json(self):
         report = validate_instance(gen_mean_fails_bestshot())
-        blob = json.dumps(report.to_json())
+        blob = json.dumps(asdict(report))
         back = json.loads(blob)
         assert back["name"] == "mean_bestshot"
         assert back["ok"] is True

@@ -6,19 +6,23 @@ import json
 import math
 import subprocess
 import sys
-from types import SimpleNamespace
+from dataclasses import asdict
 
 import pytest
 
 from testscore import (
     Distribution,
+    RngSpec,
     Scenario,
     ValueFunction,
+    project_utility,
+    random_bsp_scenario,
     save_scenario,
     scenario_from_dict,
+    validate_instance,
 )
-from testscore import cli
-from testscore.adversarial import GENERATORS
+from testscore import cli, sketch, utility
+from testscore.adversarial import GENERATORS, InstanceReport
 from testscore.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -271,6 +275,58 @@ class TestCheck:
         )
         assert run(capsys, ["check", "--suite", "bsp"])[0] == EXIT_PROPERTY
 
+    def test_adversarial_suite_reports_every_instance(self, capsys):
+        code, out, _ = run(capsys, ["check", "--suite", "adversarial"])
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["ok"] is True
+        expected = [asdict(validate_instance(gen())) for gen in GENERATORS.values()]
+        assert doc["instances"] == json.loads(json.dumps(expected))
+
+    # each side's slack from the witness's u, v and team size t
+    SLACK = {
+        "strong_lower": lambda u, v, t: u - v / (2.0 * (math.log(t) + 1.0)),
+        "strong_upper": lambda u, v, t: 6.0 * v - u,
+        "goodness_lower": lambda u, v, t: u - (1.0 - 1.0 / math.e) * v,
+        "goodness_upper": lambda u, v, t: 4.0 * v - u,
+    }
+
+    @pytest.mark.parametrize("suite,prefix", [("sketch", "strong"), ("goodness", "goodness")])
+    @pytest.mark.parametrize("scale,side", [(10.0, "upper"), (0.0, "lower")])
+    def test_broken_bracket_dumps_its_witness(
+        self, capsys, monkeypatch, suite, prefix, scale, side
+    ):
+        real = sketch.team_values
+        monkeypatch.setattr(
+            sketch, "team_values", lambda scn, j, teams: scale * real(scn, j, teams)
+        )
+        code, out, _ = run(capsys, ["check", "--suite", suite, "--trials", "2"])
+        assert code == EXIT_PROPERTY
+        doc = json.loads(out)
+        assert doc["ok"] is False
+        assert [f["trial"] for f in doc["failures"]] == [0, 1]
+        for failure in doc["failures"]:
+            w = failure["witness"]
+            assert set(w) == {"bound", "slack", "witness_set", "u", "v"}
+            assert w["bound"] == f"{prefix}_{side}"
+            assert w["slack"] < -1e-9
+            scn = random_bsp_scenario(RngSpec(seed=7).generator(failure["trial"]))
+            assert w["u"] == scale * project_utility(scn, 0, w["witness_set"]).value
+            slack = self.SLACK[w["bound"]](w["u"], w["v"], len(w["witness_set"]))
+            assert w["slack"] == pytest.approx(slack, rel=1e-12, abs=1e-12)
+
+    def test_submodularity_failure_lists_the_witness(self, capsys, monkeypatch):
+        # |S|^2 is monotone but supermodular: adding agent 1 to {0} gains 3
+        # where adding it to {} gains 1
+        monkeypatch.setattr(
+            utility, "team_values", lambda scn, j, teams: [float(teams.shape[1] ** 2)] * len(teams)
+        )
+        code, out, _ = run(capsys, ["check", "--suite", "submodularity", "--trials", "2"])
+        assert code == EXIT_PROPERTY
+        doc = json.loads(out)
+        assert doc["ok"] is False
+        assert doc["failures"] == [{"trial": t, "witness": [[], [0], 1]} for t in range(2)]
+
     def test_bad_trials(self, capsys):
         assert run(capsys, ["check", "--suite", "bsp", "--trials", "0"])[0] == EXIT_VALIDATION
 
@@ -434,11 +490,11 @@ class TestWorstcase:
         assert run(capsys, ["worstcase", "mean_bestshot", "--k", "2.5"])[0] == EXIT_USAGE
 
     def test_validation_mismatch_exits_4(self, capsys, monkeypatch):
-        fake = SimpleNamespace(ok=False, to_json=lambda: {"ok": False, "rows": []})
+        fake = InstanceReport(name="welfare_ex1", ok=False, rows=())
         monkeypatch.setattr(cli, "validate_instance", lambda inst: fake)
         code, out, _ = run(capsys, ["worstcase", "welfare_ex1", "--r", "2", "--run"])
         assert code == EXIT_PROPERTY
-        assert json.loads(out)["validation"]["ok"] is False
+        assert json.loads(out)["validation"] == {"name": "welfare_ex1", "ok": False, "rows": []}
 
 
 class TestMainPlumbing:

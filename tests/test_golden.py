@@ -1,0 +1,60 @@
+"""Golden outputs: the bytes of each command's ``--out`` file.
+
+Each case runs one CLI command in process and compares its output file
+with ``tests/golden/<case>`` byte for byte, so a change that must leave
+every output unchanged is checked on every report the CLI writes:
+``check`` for every suite at small trial counts, ``select`` and
+``assign --oracle`` on the demo scenario, ``experiment --sample`` and
+``worstcase <name> --run`` for every bundled generator.
+
+Rewrite the goldens only for an intended numeric change, and record that
+change in CHANGES.md. The one call that rewrites them, from the repo root:
+
+    PYTHONPATH=src python3 tests/test_golden.py --rewrite
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from testscore.adversarial import GENERATORS
+from testscore.cli import EXIT_OK, main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+DEMO = str(ROOT / "demos" / "scenarios" / "ces_tightness.json")
+
+CASES = {
+    "check_sketch.json": ["check", "--suite", "sketch", "--trials", "20"],
+    "check_goodness.json": ["check", "--suite", "goodness", "--trials", "20"],
+    "check_adversarial.json": ["check", "--suite", "adversarial"],
+    "check_submodularity.json": ["check", "--suite", "submodularity", "--trials", "20"],
+    "check_bsp.json": ["check", "--suite", "bsp", "--trials", "200"],
+    "select_oracle.json": ["select", DEMO, "--oracle"],
+    "assign_oracle.json": ["assign", DEMO, "--oracle"],
+    "experiment_sample.csv": ["experiment", "--sample", "--trials", "3"],
+    **{f"worstcase_{name}.json": ["worstcase", name, "--run"] for name in sorted(GENERATORS)},
+}
+
+
+def run_case(name: str, out: Path) -> int:
+    return main(CASES[name] + ["--out", str(out)])
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden(name, tmp_path):
+    out = tmp_path / name
+    assert run_case(name, out) == EXIT_OK
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--rewrite"]:
+        sys.exit("usage: python3 tests/test_golden.py --rewrite")
+    GOLDEN.mkdir(exist_ok=True)
+    for name in sorted(CASES):
+        code = run_case(name, GOLDEN / name)
+        if code != EXIT_OK:
+            sys.exit(f"{name}: exit {code}")
+        print(f"wrote {GOLDEN / name}")

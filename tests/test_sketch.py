@@ -1,6 +1,8 @@
 """Harmonic strong sketch and its verified bound sandwiches."""
 
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -216,8 +218,11 @@ class TestBoundVerifiers:
         gen = np.random.default_rng(56)
         scn = random_bsp_scenario(gen)
         rep = verify_strong_sketch_bounds(scn, 0, scn.cardinalities[0])
-        doc = rep.to_json()
+        doc = json.dumps(asdict(rep))
         assert '"ok": true' in doc
+        back = json.loads(doc)
+        assert set(back) == {"ok", "worst_lower", "worst_upper"}
+        assert set(back["worst_lower"]) == {"bound", "slack", "witness_set", "u", "v"}
 
     def test_mc_entries_refused(self, monkeypatch):
         # exactness matters at 1e-9 tolerance, so the verifier must not

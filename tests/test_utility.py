@@ -21,7 +21,9 @@ from testscore import (
 from testscore.adversarial import CATALOGUE_POOL
 from testscore.production import evaluate
 from testscore.scenario_io import value_fn_tag
+from testscore import utility
 from testscore.utility import (
+    SUBMODULARITY_TOL,
     _MERGE,
     _subsets,
     exact_utility,
@@ -354,3 +356,33 @@ class TestSubmodularity:
         scn = Scenario.single_project([TWO_POINT] * 6, ValueFunction.best_shot(), 2)
         with pytest.raises(BudgetExceededError):
             submodularity_check(scn, 0, max_agents=5)
+
+    @staticmethod
+    def by_size(monkeypatch, f):
+        # every team of size t is worth f(t); the empty team stays 0
+        monkeypatch.setattr(
+            utility, "team_values", lambda scn, j, teams: np.full(len(teams), f(teams.shape[1]))
+        )
+        return lambda S: 0.0 if not S else f(len(S))
+
+    def test_monotonicity_witness(self, monkeypatch):
+        u = self.by_size(monkeypatch, lambda t: -float(t))
+        scn = Scenario.single_project([TWO_POINT] * 4, ValueFunction.best_shot(), 2)
+        report = submodularity_check(scn, 0)
+        assert not report.ok
+        S, T, i = report.witness
+        assert i is None
+        assert set(S) <= set(T)
+        assert u(S) > u(T) + SUBMODULARITY_TOL
+
+    def test_diminishing_returns_witness(self, monkeypatch):
+        u = self.by_size(monkeypatch, lambda t: float(t * t))
+        scn = Scenario.single_project([TWO_POINT] * 4, ValueFunction.best_shot(), 2)
+        report = submodularity_check(scn, 0)
+        assert not report.ok
+        S, T, i = report.witness
+        assert i is not None and i not in T
+        assert set(S) <= set(T)
+        gain_T = u(T + (i,)) - u(T)
+        gain_S = u(S + (i,)) - u(S)
+        assert gain_T > gain_S + SUBMODULARITY_TOL
