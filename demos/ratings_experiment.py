@@ -32,11 +32,12 @@ ratios = {k: [] for k in (2, 3, 4)}
 for t in range(TRIALS):
     gen = RngSpec(SEED).generator(t)
     chosen = sorted(int(i) for i in gen.choice(scn.n_agents, POOL, replace=False))
+    sub = Scenario.single_project(
+        [scn.dist(i, 0) for i in chosen], scn.value_fns[0], max(ratios)
+    )
+    # one table up to the largest k: each k reads its own column
+    table = build_score_table(sub, "replication", max_r=max(ratios))
     for k in ratios:
-        sub = Scenario.single_project(
-            [scn.dist(i, 0) for i in chosen], scn.value_fns[0], k
-        )
-        table = build_score_table(sub, "replication", max_r=k)
         greedy = greedy_topk(sub, 0, k, table)
         opt = brute_force_single(sub, 0, k)
         ratios[k].append(greedy.total / opt.total)

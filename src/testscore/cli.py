@@ -280,12 +280,17 @@ def _experiment_trial(packed) -> list[tuple]:
     scn, seed, trial, n, ks = packed
     gen = RngSpec(seed=seed).generator(trial)
     chosen = sorted(int(i) for i in gen.choice(scn.n_agents, size=n, replace=False))
+    sub = Scenario.single_project(
+        [scn.dist(i, 0) for i in chosen], scn.value_fns[0], max(ks)
+    )
+    # one table serves every k. Its exact cells equal replication_score
+    # bit for bit whatever max_r is. A Monte Carlo cell's stream does
+    # depend on max_r, but a best-shot cell's work is its support size at
+    # every r, so a cell past the budget puts every k's oracle past it too:
+    # the trial raises before any such cell reaches a row
+    table = build_score_table(sub, "replication", max_r=max(ks))
     rows = []
     for k in ks:
-        sub = Scenario.single_project(
-            [scn.dist(i, 0) for i in chosen], scn.value_fns[0], k
-        )
-        table = build_score_table(sub, "replication", max_r=k)
         greedy = greedy_topk(sub, 0, k, table)
         oracle = brute_force_single(sub, 0, k)
         ratio = 1.0 if oracle.total <= 0 else greedy.total / oracle.total

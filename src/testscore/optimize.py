@@ -41,7 +41,7 @@ from .utility import (
 
 MC_OBJECTIVE_SAMPLES = 200_000
 # batched oracle values within this relative distance of the largest are
-# rescored one team at a time
+# rescored with each team's own bits
 SCREEN_TOL = 1e-9
 
 # single-selection guarantee for replication-score greedy on balanced
@@ -279,7 +279,9 @@ def brute_force_single(scn: Scenario, j: int, k: int) -> SelectionResult:
     array pass: best-shot and top-r teams on the pool's merged grid,
     success-probability teams on the members' hit probabilities, and
     ``total``/``ces`` teams by ``team_values``. The teams within
-    SCREEN_TOL of the best are then rescored with ``project_utility``.
+    SCREEN_TOL of the best are then rescored on their own bits: several in
+    one ``team_values`` block, a lone one by its reported
+    ``project_utility``, which the up-front price keeps exact.
     """
     if k < 1 or k > scn.n_agents:
         raise ValidationError(f"k must be in 1..{scn.n_agents}, got {k}")
@@ -298,16 +300,10 @@ def brute_force_single(scn: Scenario, j: int, k: int) -> SelectionResult:
     else:
         screen = partial(team_values, scn, j)
     teams = _near_best((screen(block), block) for block in _team_blocks(len(pool), k))
-    # batched values can round differently from a team's own, so the
-    # screened teams are rescored before the strict-> tie rule
-    best_S: Optional[tuple[int, ...]] = None
-    best_u = -math.inf
-    for S in map(tuple, teams.tolist()):
-        u = project_utility(scn, j, S).value
-        if u > best_u:
-            best_u = u
-            best_S = S
-    assert best_S is not None
+    # batched values can round differently from a team's own; on the own
+    # bits the first argmax keeps the lexicographically smallest tied team
+    best = 0 if len(teams) == 1 else int(team_values(scn, j, teams).argmax())
+    best_S = tuple(teams[best].tolist())
     sets = [() if jj != j else best_S for jj in scn.projects]
     return _result(scn, sets)
 

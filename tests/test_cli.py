@@ -447,6 +447,22 @@ class TestExperiment:
         for argv in bad:
             assert run(capsys, argv)[0] == EXIT_VALIDATION, argv
 
+    def test_budget_exhaustion_exits_3(self, capsys, monkeypatch, tmp_path, bestshot_file):
+        # under a budget of 1 the two-atom agents' score cells fall back to
+        # Monte Carlo, and the oracle is priced past it at every k, so the
+        # trial stops before any row is written
+        monkeypatch.setenv("TESTSCORE_BUDGET", "1")
+        out = tmp_path / "experiment.csv"
+        code, _, err = run(
+            capsys,
+            ["experiment", bestshot_file, "--n", "4", "--k", "2,3", "--trials", "2",
+             "--out", str(out)],
+        )
+        assert code == EXIT_BUDGET
+        assert err.startswith("error: brute_force_single subset enumeration budget exceeded: ")
+        assert err.rstrip().endswith("> 1 (n=4, k=2, largest support 2)")
+        assert not out.exists()
+
     def test_source_exclusive(self, capsys, bestshot_file):
         assert run(capsys, ["experiment", bestshot_file, "--sample"])[0] == EXIT_USAGE
         assert run(capsys, ["experiment"])[0] == EXIT_USAGE

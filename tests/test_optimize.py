@@ -219,7 +219,7 @@ class TestBruteForceSingle:
         want_S, want_u = self.per_team_oracle(scn, k)
         res = brute_force_single(scn, 0, k)
         assert res.assignment.sets[0] == want_S, (scn.value_fns[0], k)
-        assert res.total == pytest.approx(want_u, rel=1e-12, abs=0)
+        assert res.total.hex() == want_u.hex(), (scn.value_fns[0], k)
 
     @pytest.mark.parametrize("g", CATALOGUE, ids=CATALOGUE_TAGS)
     def test_matches_per_team_loop(self, g):
@@ -288,7 +288,9 @@ class TestBruteForceSingle:
         monkeypatch.delenv("TESTSCORE_BUDGET", raising=False)
         assert _subset_enum_cost(scn, 0, 3) == want
         monkeypatch.setenv("TESTSCORE_BUDGET", str(want))
-        brute_force_single(scn, 0, 3)
+        # the up-front price bounds the best team's own charge, so its
+        # reported value is exact, never the Monte Carlo fallback
+        assert brute_force_single(scn, 0, 3).per_project[0].method != "monte_carlo"
         monkeypatch.setenv("TESTSCORE_BUDGET", str(want - 1))
         with pytest.raises(BudgetExceededError):
             brute_force_single(scn, 0, 3)
@@ -340,15 +342,20 @@ class TestBruteForceSingle:
     @pytest.mark.parametrize("g", CATALOGUE, ids=CATALOGUE_TAGS)
     def test_blocks_match_per_team_loop(self, g, monkeypatch):
         # one or two teams per block, so every kind's screen carries its
-        # running maximum across block boundaries; repeated agents tie
+        # running maximum across block boundaries; repeated agents tie, and
+        # so do the C(n-1, k-1) teams holding a point mass above every
+        # other support
         gen = np.random.default_rng(74)
         coin = Distribution.from_pairs(((0.5, 0.4), (2.0, 0.6)))
         few = [d for (d,) in random_single_scenario(gen, g, n=4, k=1).dists]
+        rest = [d for (d,) in random_single_scenario(gen, g, n=6, k=1).dists]
+        top = Distribution.point(1.0 + max(max(d.values) for d in rest))
         pools = (
             [d for (d,) in random_single_scenario(gen, g, n=7, k=1).dists],
             few + few[:3],
             [coin] * 6,
             [Distribution.point(v) for v in (1.0, 2.0, 2.0, 0.0, 2.0, 1.0)],
+            rest[:2] + [top] + rest[2:],
         )
         monkeypatch.setattr(utility, "_BLOCK", 5)
         for dists in pools:

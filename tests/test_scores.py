@@ -430,6 +430,38 @@ class TestTableMatchesReplicationScore:
                 assert table.get(i, 0, r) == replication_score(g, d, r), (i, r)
                 assert table.diag(i, 0, r) == ScoreDiag(method=method)
 
+    @pytest.mark.parametrize("g", [g for g, _ in PAIRED], ids=TAGS)
+    def test_columns_do_not_depend_on_max_r_property(self, g):
+        # one table up to the largest k serves every smaller k (the
+        # experiment builds one per trial); its columns grow with r
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        atoms = st.lists(
+            st.tuples(st.sampled_from([0.0, 0.5, 1.0, 1.75, 2.0, 3.0]), st.integers(1, 4)),
+            min_size=1, max_size=3, unique_by=lambda a: a[0],
+        )
+
+        @hypothesis.settings(max_examples=15, deadline=None, derandomize=True)
+        @hypothesis.given(data=st.data())
+        def check(data):
+            big_r = data.draw(st.integers(2, 4))
+            k = data.draw(st.integers(1, big_r - 1))
+            pools = data.draw(st.lists(atoms, min_size=big_r, max_size=5))
+            dists = [
+                Distribution.from_pairs((v, w / sum(w for _, w in pairs)) for v, w in pairs)
+                for pairs in pools
+            ]
+            scn = Scenario.single_project(dists, g, big_r)
+            big = build_score_table(scn, "replication", max_r=big_r)
+            small = build_score_table(scn, "replication", max_r=k)
+            assert big.scores[:, :, :k].tobytes() == small.scores.tobytes()
+            assert (big.methods[:, :, :k] == small.methods).all()
+            assert big.std_errors[:, :, :k].tobytes() == small.std_errors.tobytes()
+            steps = np.diff(big.scores, axis=2)
+            assert (steps >= -1e-12 * np.abs(big.scores[:, :, 1:])).all()
+
+        check()
+
 
 # Agents x projects support sizes of the mixed table. Under a budget of 6
 # some cells of each project's columns run exact and the rest fall back to
