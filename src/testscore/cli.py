@@ -12,6 +12,7 @@ import csv
 import inspect
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
@@ -107,9 +108,9 @@ def cmd_select(args) -> int:
     scn = loaded.scenario
     k = args.k if args.k is not None else scn.cardinalities[j]
     kind, theta = _parse_scores(args.scores)
-    # single-project view with cardinality k, so score tables and the
-    # oracle measure exactly the requested selection problem
-    view = Scenario.single_project([scn.dist(i, j) for i in scn.agents], scn.value_fns[j], k)
+    # single-project view of project j's store with cardinality k, so score
+    # tables and the oracle measure exactly the requested selection problem
+    view = Scenario(None, (scn.value_fns[j],), (k,), stores=(scn.store(j),))
     table = build_score_table(view, kind, max_r=k, theta=theta)
     result = greedy_topk(view, 0, k, table)
     report = {
@@ -312,8 +313,10 @@ def cmd_experiment(args) -> int:
         ks = [int(part) for part in args.k.split(",") if part]
     except ValueError:
         raise ValidationError(f"bad --k list {args.k!r}") from None
-    if not ks or min(ks) < 1:
-        raise ValidationError(f"bad --k list {args.k!r}")
+    if not ks or min(ks) < 1 or len(set(ks)) < len(ks):
+        raise ValidationError(f"bad --k list {args.k!r} (distinct sizes >= 1)")
+    if args.n < 1:
+        raise ValidationError(f"--n must be >= 1, got {args.n}")
     if args.n > scn.n_agents:
         raise ValidationError(
             f"--n {args.n} exceeds the {scn.n_agents} available agents"
@@ -325,8 +328,9 @@ def cmd_experiment(args) -> int:
     if args.jobs < 1:
         raise ValidationError(f"--jobs must be >= 1, got {args.jobs}")
     tasks = [(scn, args.seed, t, args.n, ks) for t in range(args.trials)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    jobs = min(args.jobs, args.trials, os.cpu_count() or 1)
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             per_trial = list(pool.map(_experiment_trial, tasks))
     else:
         per_trial = [_experiment_trial(t) for t in tasks]
@@ -367,7 +371,7 @@ def cmd_worstcase(args, parser: argparse.ArgumentParser) -> int:
                 f"(accepted: {', '.join('--' + q for q in accepted)})"
             )
         if isinstance(accepted[param].default, int):
-            if value != int(value):
+            if not value.is_integer():
                 parser.error(f"--{param} must be an integer for {args.name}")
             value = int(value)
         kwargs[param] = value
@@ -439,7 +443,8 @@ def build_parser() -> _Parser:
     p_exp.add_argument("--k", default="2,3,4", help="comma-separated team sizes")
     p_exp.add_argument("--trials", type=int, default=100)
     p_exp.add_argument("--seed", type=int, default=0)
-    p_exp.add_argument("--jobs", type=int, default=1)
+    p_exp.add_argument("--jobs", type=int, default=1,
+                       help="worker processes, capped at --trials and the CPU count")
     p_exp.add_argument("--out", default=None, help="write CSV here instead of stdout")
     p_exp.set_defaults(func=cmd_experiment)
 

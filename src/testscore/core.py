@@ -1,22 +1,24 @@
-"""Shared domain types: discrete performance distributions, scenarios,
-assignments, and the deterministic sampling contract.
+"""Shared domain types: discrete performance distributions, per-project
+packed stores of them, scenarios, assignments, and the deterministic
+sampling contract.
 
 Agents and projects are dense integer identifiers (0..n-1 and 0..m-1);
 external names are mapped at the CLI boundary. All types here are immutable
-after construction and safe to share across workers.
+after construction, apart from caches of values derived on first use, and
+safe to share across workers.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .production import ValueFunction
+from .production import ValidationError, ValueFunction
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -27,10 +29,6 @@ PROB_SUM_SLACK = 1e-9
 # division by the sum always lands inside this band, so normalizing twice
 # changes nothing.
 NORMALIZED_SLACK = 2.0**-52
-
-
-class ValidationError(ValueError):
-    """Raised when an input fails a structural precondition."""
 
 
 class BudgetExceededError(RuntimeError):
@@ -114,13 +112,15 @@ class Distribution:
         return cls(tuple(v for v, _ in pairs), tuple(p for _, p in pairs))
 
     @classmethod
-    def _trusted(cls, values, probs) -> "Distribution":
-        """A distribution from atoms that already passed these checks, sorted
-        and normalized as construction leaves them; runs no checks. For
-        loaders that validate a whole file of supports at once."""
+    def _trusted(cls, values, probs, cdf) -> "Distribution":
+        """A distribution from arrays of atoms that already passed these
+        checks, sorted and normalized as construction leaves them, and
+        their ``cdf_rows``; runs no checks and keeps the arrays as its own.
+        For stores, whose loader validates a whole file at once."""
         d = object.__new__(cls)
-        object.__setattr__(d, "values", values)
-        object.__setattr__(d, "probs", probs)
+        object.__setattr__(d, "values", tuple(values.tolist()))
+        object.__setattr__(d, "probs", tuple(probs.tolist()))
+        d.__dict__.update(values_array=values, probs_array=probs, cdf_array=cdf)
         return d
 
     @classmethod
@@ -210,29 +210,102 @@ def empirical_distribution(samples: Sequence[float]) -> Distribution:
     return Distribution(tuple(values.tolist()), tuple(probs.tolist()))
 
 
+class ProjectStore:
+    """One project's supports, packed agent after agent.
+
+    Agent i's atoms sit at ``offsets[i] : offsets[i] + lengths[i]`` of the
+    flat ``values`` and ``probs`` arrays, sorted and normalized as
+    ``Distribution`` leaves them. ``groups`` holds the agents grouped by
+    support length: for each length s, in ascending order, (s, the agents,
+    and their values, probabilities and CDFs (``cdf_rows``) as (agents, s)
+    arrays), which the engine's one-member routes read. The arrays are
+    read-only; ``groups`` and each agent's ``Distribution`` (``dist``) are
+    built on first use and cached.
+    """
+
+    def __init__(self, values: np.ndarray, probs: np.ndarray, lengths: np.ndarray, dists=None):
+        self.values, self.probs, self.lengths = values, probs, lengths
+        self.offsets = np.cumsum(lengths) - lengths
+        for arr in (values, probs, lengths, self.offsets):
+            arr.flags.writeable = False
+        self._dists = list(dists) if dists is not None else [None] * len(lengths)
+
+    @classmethod
+    def pack(cls, dists: Sequence[Distribution]) -> "ProjectStore":
+        """The store of the given distributions, one agent each; ``dist``
+        returns the given objects."""
+        return cls(
+            np.concatenate([d.values_array for d in dists]),
+            np.concatenate([d.probs_array for d in dists]),
+            np.fromiter(map(len, dists), dtype=np.intp, count=len(dists)),
+            dists,
+        )
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    @cached_property
+    def groups(self) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        out = []
+        # sorted in Python: np.unique would page in integer sort kernels
+        # that nothing else runs
+        for s in sorted(set(self.lengths.tolist())):
+            agents = np.flatnonzero(self.lengths == s)
+            atoms = self.offsets[agents, None] + np.arange(s)
+            probs = self.probs[atoms]
+            out.append((s, agents, self.values[atoms], probs, cdf_rows(probs)))
+        return out
+
+    def dist(self, agent: int) -> Distribution:
+        d = self._dists[agent]
+        if d is None:
+            span = slice(self.offsets[agent], self.offsets[agent] + self.lengths[agent])
+            probs = self.probs[span]
+            d = Distribution._trusted(self.values[span], probs, cdf_rows(probs))
+            self._dists[agent] = d
+        return d
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A team formation instance: agents x projects with per-pair performance
     distributions, one value function and one cardinality per project.
 
-    ``dists[i][j]`` is agent i's distribution on project j. Feasibility
-    requires sum(k_j) <= n so that a full disjoint assignment exists.
+    ``dist(i, j)`` is agent i's distribution on project j, and ``store(j)``
+    holds project j's supports packed (``ProjectStore``). A scenario is
+    built from either:
+
+    - ``dists``, where ``dists[i][j]`` is that Distribution object, which
+      ``dist`` returns; each project's store is packed from them the first
+      time it is asked for;
+    - ``stores``, one per project, as the loader builds it, with ``dists``
+      None; ``dist(i, j)`` builds the cell's Distribution on first use.
+
+    Feasibility requires sum(k_j) <= n so that a full disjoint assignment
+    exists.
     """
 
-    dists: tuple[tuple[Distribution, ...], ...]
+    dists: Optional[tuple[tuple[Distribution, ...], ...]]
     value_fns: tuple[ValueFunction, ...]
     cardinalities: tuple[int, ...]
+    stores: Optional[tuple[ProjectStore, ...]] = field(default=None, repr=False)
 
     def __post_init__(self):
-        n = len(self.dists)
+        if (self.dists is None) == (self.stores is None):
+            raise ValidationError("a scenario needs either dists or stores")
+        m = len(self.value_fns)
+        if self.stores is not None and (
+            len(self.stores) != m or len(set(map(len, self.stores))) != 1
+        ):
+            raise ValidationError("one store per project, each holding every agent, required")
+        n = self.n_agents
         if n == 0:
             raise ValidationError("scenario needs at least one agent")
-        m = len(self.value_fns)
         if m == 0:
             raise ValidationError("scenario needs at least one project")
         if len(self.cardinalities) != m:
             raise ValidationError("one cardinality per project required")
-        for i, row in enumerate(self.dists):
+        for i, row in enumerate(self.dists or ()):
             if len(row) != m:
                 raise ValidationError(
                     f"agent {i} has {len(row)} distributions, expected {m}"
@@ -251,7 +324,7 @@ class Scenario:
 
     @property
     def n_agents(self) -> int:
-        return len(self.dists)
+        return len(self.dists) if self.dists is not None else len(self.stores[0])
 
     @property
     def n_projects(self) -> int:
@@ -266,7 +339,19 @@ class Scenario:
         return range(self.n_projects)
 
     def dist(self, agent: int, project: int) -> Distribution:
-        return self.dists[agent][project]
+        if self.dists is not None:
+            return self.dists[agent][project]
+        return self.stores[project].dist(agent)
+
+    @cached_property
+    def _stores(self) -> list:
+        return list(self.stores or [None] * self.n_projects)
+
+    def store(self, project: int) -> ProjectStore:
+        """Project ``project``'s packed supports."""
+        if self._stores[project] is None:
+            self._stores[project] = ProjectStore.pack([row[project] for row in self.dists])
+        return self._stores[project]
 
     @classmethod
     def single_project(

@@ -32,6 +32,7 @@ from .utility import (
     _batch_expectation,
     _grid,
     _linear,
+    _member_rows,
     _row_work,
     _subsets,
     mc_utility,
@@ -202,16 +203,18 @@ def greedy_welfare(
     )
 
 
-def _subset_enum_cost(scn: Scenario, j: int, k: int) -> int:
-    # the work brute_force_single's routes charge over all C(n, k) teams
+def _subset_enum_cost(scn: Scenario, j: int, k: int, grid=None) -> int:
+    # the work brute_force_single's routes charge over all C(n, k) teams;
+    # grid, when given, is the pool's merged grid that teams of several
+    # members are screened on
     g = scn.value_fns[j]
     pool = [scn.dist(i, j) for i in scn.agents]
     teams = math.comb(len(pool), k)
     sizes = [len(d) for d in pool]
     if g.kind in ("best_shot", "top_r"):
         # one-member teams each run on their own support
-        cells = sum(sizes) if k == 1 else teams * len(_grid(pool, teams))
-        return _row_work(g, cells, k, 1)
+        grid = _grid(pool, teams) if grid is None and k > 1 else grid
+        return _row_work(g, sum(sizes) if k == 1 else teams * len(grid), k, 1)
     if g.kind == "success_prob":
         return sum(sizes) + teams * k
     if _linear(g):
@@ -276,7 +279,8 @@ def brute_force_single(scn: Scenario, j: int, k: int) -> SelectionResult:
     Ties resolve to the lexicographically smallest subset. Raises when the
     total enumeration work would exceed the budget. The teams are streamed
     in lexicographic order, in blocks, and each block is screened in one
-    array pass: best-shot and top-r teams on the pool's merged grid,
+    array pass: best-shot and top-r teams on the pool's merged grid (lone
+    members on their own supports, read from the project's store),
     success-probability teams on the members' hit probabilities, and
     ``total``/``ces`` teams by ``team_values``. The teams within
     SCREEN_TOL of the best are then rescored on their own bits: several in
@@ -286,19 +290,24 @@ def brute_force_single(scn: Scenario, j: int, k: int) -> SelectionResult:
     if k < 1 or k > scn.n_agents:
         raise ValidationError(f"k must be in 1..{scn.n_agents}, got {k}")
     budget = enumeration_budget()
-    cost = _subset_enum_cost(scn, j, k)
+    g = scn.value_fns[j]
+    pool = [scn.dist(i, j) for i in scn.agents]
+    # one merged grid, built once, prices the screen and is screened on
+    merged = g.kind in ("best_shot", "top_r") and k > 1
+    grid = _grid(pool, math.comb(len(pool), k)) if merged else None
+    cost = _subset_enum_cost(scn, j, k, grid)
     if cost > budget:
         raise BudgetExceededError(
             cost, budget, what="brute_force_single subset enumeration",
             shape=_shape(scn, [j], f"k={k}"),
         )
-    g = scn.value_fns[j]
-    pool = [scn.dist(i, j) for i in scn.agents]
     # the up-front price covers every block's own charge, so no screen raises
-    if g.kind not in ("total", "ces"):
-        screen = partial(_batch_expectation, g, pool, copies=1, budget=budget)
-    else:
+    if g.kind in ("total", "ces"):
         screen = partial(team_values, scn, j)
+    elif k == 1:  # each agent alone, on its own support
+        screen = lambda block: _member_rows(g, scn.store(j), 1, budget)[block[:, 0]]
+    else:
+        screen = partial(_batch_expectation, g, pool, copies=1, budget=budget, grid=grid)
     teams = _near_best((screen(block), block) for block in _team_blocks(len(pool), k))
     # batched values can round differently from a team's own; on the own
     # bits the first argmax keeps the lexicographically smallest tied team

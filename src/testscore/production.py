@@ -21,7 +21,11 @@ import numpy as np
 PROP_TOL = 1e-9
 
 
-class InverseUnboundedError(ValueError):
+class ValidationError(ValueError):
+    """Raised when an input fails a structural precondition."""
+
+
+class InverseUnboundedError(ValidationError):
     """The sub-level set {y : g(y,0,...,0) <= x} is unbounded."""
 
 
@@ -34,9 +38,11 @@ class ConcaveFn:
 
     def __post_init__(self):
         if self.kind not in ("identity", "sqrt", "log1p", "power"):
-            raise ValueError(f"unknown concave fn {self.kind!r}")
+            raise ValidationError(f"unknown concave fn {self.kind!r}")
         if self.kind == "power" and not (0 < self.p <= 1):
-            raise ValueError(f"power exponent must be in (0, 1], got {self.p}")
+            raise ValidationError(f"power exponent must be in (0, 1], got {self.p}")
+        if not math.isfinite(self.p):
+            raise ValidationError(f"exponent must be finite, got {self.p}")
 
     def apply(self, x):
         x = np.asarray(x, dtype=float)
@@ -52,7 +58,7 @@ class ConcaveFn:
         # Exact inverses; each variant is strictly increasing so these are
         # the max-formulation inverses as well.
         if y < 0:
-            raise ValueError(f"inverse argument must be >= 0, got {y}")
+            raise ValidationError(f"inverse argument must be >= 0, got {y}")
         if self.kind == "identity":
             return float(y)
         if self.kind == "sqrt":
@@ -71,9 +77,9 @@ class UnitFn:
 
     def __post_init__(self):
         if self.kind not in ("clamp_linear", "one_minus_exp"):
-            raise ValueError(f"unknown unit fn {self.kind!r}")
-        if not (self.param > 0):
-            raise ValueError(f"parameter must be positive, got {self.param}")
+            raise ValidationError(f"unknown unit fn {self.kind!r}")
+        if not (0 < self.param < math.inf):
+            raise ValidationError(f"parameter must be positive and finite, got {self.param}")
 
     def apply(self, x):
         x = np.asarray(x, dtype=float)
@@ -97,23 +103,25 @@ class ValueFunction:
     r: float | None = None
 
     def __post_init__(self):
+        if self.r is not None and not math.isfinite(self.r):
+            raise ValidationError(f"{self.kind} parameter must be finite, got {self.r}")
         if self.kind == "total":
             if not isinstance(self.f, ConcaveFn):
-                raise ValueError("total production requires a ConcaveFn")
+                raise ValidationError("total production requires a ConcaveFn")
         elif self.kind == "best_shot":
             pass
         elif self.kind == "top_r":
             if self.r is None or int(self.r) != self.r or self.r < 1:
-                raise ValueError(f"top_r requires integer r >= 1, got {self.r}")
+                raise ValidationError(f"top_r requires integer r >= 1, got {self.r}")
         elif self.kind == "ces":
             # submodular exactly when r >= 1
             if self.r is None or self.r < 1:
-                raise ValueError(f"ces requires r >= 1, got {self.r}")
+                raise ValidationError(f"ces requires r >= 1, got {self.r}")
         elif self.kind == "success_prob":
             if not isinstance(self.f, UnitFn):
-                raise ValueError("success probability requires a UnitFn")
+                raise ValidationError("success probability requires a UnitFn")
         else:
-            raise ValueError(f"unknown value function kind {self.kind!r}")
+            raise ValidationError(f"unknown value function kind {self.kind!r}")
 
     @classmethod
     def total(cls, f: ConcaveFn) -> "ValueFunction":
@@ -144,7 +152,7 @@ def evaluate(g: ValueFunction, x: Sequence[float]) -> float:
     """
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
-        raise ValueError("expected a flat vector")
+        raise ValidationError("expected a flat vector")
     return float(evaluate_batch(g, arr.reshape(1, -1))[0])
 
 
@@ -152,7 +160,7 @@ def evaluate_batch(g: ValueFunction, X: np.ndarray) -> np.ndarray:
     """Evaluate g on each row of a 2-D array (vectorized evaluate)."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
-        raise ValueError("expected a 2-D array of row vectors")
+        raise ValidationError("expected a 2-D array of row vectors")
     if X.shape[1] == 0:
         return np.zeros(X.shape[0])
     if g.kind == "total":
@@ -178,7 +186,7 @@ def single_inverse(g: ValueFunction, x: float) -> float:
     the sub-level set is unbounded (success probability with x >= 1).
     """
     if x < 0:
-        raise ValueError(f"inverse argument must be >= 0, got {x}")
+        raise ValidationError(f"inverse argument must be >= 0, got {x}")
     if g.kind == "total":
         return g.f.inverse(x)
     if g.kind in ("best_shot", "top_r", "ces"):
@@ -208,7 +216,7 @@ def bsp_check(g: ValueFunction, x: Sequence[float]) -> BspResult:
     """
     vec = [float(v) for v in x]
     if len(vec) < 2:
-        raise ValueError("bsp check needs at least two coordinates")
+        raise ValidationError("bsp check needs at least two coordinates")
     prefix_value = evaluate(g, vec[:-1])
     collapsed = single_inverse(g, prefix_value)
     lhs = evaluate(g, [collapsed, vec[-1]])
@@ -223,9 +231,9 @@ def diminishing_across_check(
     along the ascending grid (within tolerance)."""
     grid = [float(v) for v in xgrid]
     if len(grid) < 2:
-        raise ValueError("grid needs at least two points")
+        raise ValidationError("grid needs at least two points")
     if any(b < a for a, b in zip(grid, grid[1:])):
-        raise ValueError("grid must be ascending")
+        raise ValidationError("grid must be ascending")
     marginals = [evaluate(g, [x, y]) - evaluate(g, [x]) for x in grid]
     return all(b <= a + PROP_TOL for a, b in zip(marginals, marginals[1:]))
 
@@ -237,7 +245,7 @@ def value_submodularity_check(
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     if xa.shape != ya.shape:
-        raise ValueError("vectors must have equal length")
+        raise ValidationError("vectors must have equal length")
     join = np.maximum(xa, ya)
     meet = np.minimum(xa, ya)
     lhs = evaluate(g, join) + evaluate(g, meet)

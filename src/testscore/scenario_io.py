@@ -27,6 +27,7 @@ import numpy as np
 from .core import (
     PROB_SUM_SLACK,
     Distribution,
+    ProjectStore,
     Scenario,
     ValidationError,
     empirical_distribution,
@@ -162,25 +163,28 @@ def _raise_first_invalid(entries: list, supports: list, candidates) -> None:
     raise AssertionError("the file-wide checks rejected a distribution Distribution accepts")
 
 
-def _distributions(entries: list, supports: list) -> list[Distribution]:
+def _stores(entries: list, supports: list, order: list[int], n: int) -> tuple[ProjectStore, ...]:
     """Every entry's support validated and normalized in one pass over the
-    file's atoms, packed entry after entry (CSR order: one flat array plus
-    per-entry offsets), with the rules and results of ``Distribution``.
-    The first invalid entry in file order raises, naming its pair."""
-    lengths = np.fromiter(map(len, supports), dtype=np.intp, count=len(supports))
+    file's atoms, with the rules and results of ``Distribution``, and
+    packed into one store per project. ``order`` lists the entries project
+    after project, each project's agent after agent, which is the order
+    the atoms are packed in (one flat array plus per-entry lengths). The
+    first invalid entry in file order raises, naming its pair."""
+    cells = [supports[e] for e in order]
+    lengths = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
     stops = np.cumsum(lengths)
     bounds = list(zip((stops - lengths).tolist(), stops.tolist()))
-    flat = chain.from_iterable(chain.from_iterable(supports))
+    flat = chain.from_iterable(chain.from_iterable(cells))
     try:
         atoms = np.fromiter(flat, dtype=float, count=2 * int(stops[-1])).reshape(-1, 2)
     except OverflowError:  # an integer past the float range
         _raise_first_invalid(entries, supports, range(len(entries)))
-    owner = np.repeat(np.arange(len(supports)), lengths)
+    owner = np.repeat(np.arange(len(cells)), lengths)
     # sorted by value within each entry, as construction sorts the pairs
-    order = np.lexsort((atoms[:, 1], atoms[:, 0], owner))
-    values, probs = atoms[order, 0], atoms[order, 1]
+    perm = np.lexsort((atoms[:, 1], atoms[:, 0], owner))
+    values, probs = atoms[perm, 0], atoms[perm, 1]
     bad_atom = ~(np.isfinite(values) & (values >= 0) & (probs > 0))
-    bad = np.zeros(len(supports), dtype=bool)
+    bad = np.zeros(len(cells), dtype=bool)
     bad[owner[bad_atom]] = True
     bad[owner[1:][(owner[1:] == owner[:-1]) & ~(values[1:] > values[:-1])]] = True
     bad |= lengths == 0
@@ -190,17 +194,21 @@ def _distributions(entries: list, supports: list) -> list[Distribution]:
     totals = np.array([math.fsum(kept[a:b]) for a, b in bounds])
     bad |= np.abs(totals - 1.0) > PROB_SUM_SLACK
     if bad.any():
-        _raise_first_invalid(entries, supports, np.flatnonzero(bad).tolist())
+        _raise_first_invalid(entries, supports, sorted(order[c] for c in np.flatnonzero(bad)))
     probs = probs / np.repeat(normalizing_divisor(totals), lengths)
-    vals, prbs = values.tolist(), probs.tolist()
-    return [Distribution._trusted(tuple(vals[a:b]), tuple(prbs[a:b])) for a, b in bounds]
+    edges = [0] + stops[n - 1 :: n].tolist()  # where each project's atoms start
+    return tuple(
+        ProjectStore(values[a:b], probs[a:b], lengths[j * n : (j + 1) * n])
+        for j, (a, b) in enumerate(zip(edges, edges[1:]))
+    )
 
 
 def scenario_from_dict(doc: dict) -> LoadedScenario:
     """Validate a scenario document. The entries are walked once for their
     structure (fields, names, duplicate and missing pairs, list shapes);
     then all support numbers are type-checked at once and validated and
-    normalized in one array pass (``_distributions``)."""
+    normalized in one array pass and packed into per-project stores
+    (``_stores``), building no per-entry Distribution."""
     _require_keys(doc, {"agents", "projects", "distributions"}, "scenario document")
     agents = doc["agents"]
     if not isinstance(agents, list) or not agents or not all(isinstance(a, str) for a in agents):
@@ -259,11 +267,12 @@ def scenario_from_dict(doc: dict) -> LoadedScenario:
         raise ValidationError(
             f"support for {_pair(entries[e])} must be a list of [value, prob] number pairs"
         )
-    dists = _distributions(entries, supports)
+    order = [e for j in range(m) for e in slot[j::m]]
     scn = Scenario(
-        dists=tuple(tuple(dists[e] for e in slot[i * m : (i + 1) * m]) for i in range(len(agents))),
+        dists=None,
         value_fns=tuple(fns),
         cardinalities=tuple(ks),
+        stores=_stores(entries, supports, order, len(agents)),
     )
     return LoadedScenario(scn, tuple(agents), tuple(names))
 

@@ -19,7 +19,6 @@ scored one at a time.
 from __future__ import annotations
 
 import csv
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
@@ -37,7 +36,7 @@ from .core import (
     enumeration_budget,
 )
 from .production import ValueFunction
-from .utility import _batch_expectation, _batchable, _expectation, _mc
+from .utility import _batchable, _expectation, _mc, _member_rows
 
 MC_TARGET_REL_SE = 1e-3
 MC_BASE_SAMPLES = 100_000
@@ -176,8 +175,9 @@ def build_score_table(
     Mean and quantile scores do not depend on r: one (n, m) slice is
     computed and repeated across r. Replication scores are filled one
     (project, r) column at a time: each column goes through the exact
-    engine in one batched call, a row per agent, each row on its agent's
-    own support so it equals ``replication_score`` bit for bit. Methods
+    engine in one batched call on the project's packed store, a row per
+    agent, each row on its agent's own support so it equals
+    ``replication_score`` bit for bit. Methods
     read ``exact_best_shot`` for best-shot projects and ``exact``
     otherwise.
 
@@ -209,7 +209,7 @@ def build_score_table(
     n, m = scn.n_agents, scn.n_projects
     if kind != "replication":
         score = mean_score if kind == "mean" else lambda d: quantile_score(d, theta)
-        base = np.array([[score(d) for d in row] for row in scn.dists])
+        base = np.array([[score(scn.dist(i, j)) for j in scn.projects] for i in scn.agents])
         return ScoreTable(
             kind=kind,
             scores=np.repeat(base[:, :, None], max_r, axis=2),
@@ -222,26 +222,17 @@ def build_score_table(
     scores = np.empty((n, m, max_r))
     methods = np.empty((n, m, max_r), dtype=object)
     std_errors = np.zeros((n, m, max_r))
-    everyone = np.arange(n)[:, None]
-    batches = []  # (column, project, r, agents): cells scored in one batch
     single = []  # (agent, project, r): cells scored one by one
     for j in scn.projects:
         g = scn.value_fns[j]
         methods[:, j] = "exact_best_shot" if g.kind == "best_shot" else "exact"
-        column = [scn.dist(i, j) for i in scn.agents]
-        sizes = [len(d.values) for d in column]
         for r in range(1, max_r + 1):
-            # cells that fit a batch (``_batchable``: their own one-row
-            # work within the budget, no merge of partial sums) run as
-            # one, priced here cell by cell, so the batch as a whole is
-            # not metered
-            if _batchable(g, max(sizes), r, budget):
-                batches.append((column, j, r, slice(None)))
-                continue
-            alone = [i for i in scn.agents if not _batchable(g, sizes[i], r, budget)]
-            single += [(i, j, r) for i in alone]
-            if len(alone) < n:
-                batches.append((column, j, r, [i for i in scn.agents if i not in alone]))
+            # a cell fits its column's batch when ``_batchable`` (its own
+            # one-row work within the budget, no merge of partial sums),
+            # which depends on its support length alone
+            for s, agents, *_ in scn.store(j).groups:
+                if not _batchable(g, s, r, budget):
+                    single += [(i, j, r) for i in agents.tolist()]
     # in (agent, project, r) order, so that without the fallback the first
     # over-budget cell raises before any later cell is scored
     for i, j, r in sorted(single):
@@ -264,10 +255,9 @@ def build_score_table(
         scores[i, j, r - 1] = est.value
         methods[i, j, r - 1] = "monte_carlo"
         std_errors[i, j, r - 1] = est.std_error
-    for column, j, r, rows in batches:
-        scores[rows, j, r - 1] = _batch_expectation(
-            scn.value_fns[j], column, everyone[rows], r, sys.maxsize
-        )
+    for j in scn.projects:
+        for r in range(1, max_r + 1):
+            _member_rows(scn.value_fns[j], scn.store(j), r, budget, scores[:, j, r - 1])
     return ScoreTable(
         kind=kind, scores=scores, theta=theta, methods=methods, std_errors=std_errors
     )

@@ -5,19 +5,20 @@ of a pool of distributions: a team passes one copy per agent, a
 replication score a^r passes r copies of one agent. It never enumerates the
 outcome product: ``total`` and ``ces`` build the distribution of the sum of
 phi(x_i) copy by copy, ``best_shot`` and ``top_r`` count the members
-above each support point, and ``success_prob`` factorizes. Every route
-scores a block of rows in one array pass (``_batch_expectation``): the
-order and product routes take teams drawn from one pool, and all routes
-take a block of one-member teams, such as a score table's column, whose
-rows of one support length share arrays while each row is scored on its
-member's own support, so every row equals that member scored alone. A
-single team is a block of one row, except on the sum route, which scores
-it alone (``_sum_route``). ``team_values`` scores the blocks of teams
-the exhaustive oracles need, each row equal to its own
-``project_utility`` call bit for bit: best-shot and top-r rows each run
-on their own concatenated supports, not on the pool's merged grid, and
-non-linear sum-route teams are scored one at a time. Monte Carlo covers
-work past the budget.
+above each support point, and ``success_prob`` factorizes. The routes
+score blocks of rows in one array pass. ``_batch_expectation`` takes
+teams drawn from one pool on the order and product routes, sharing the
+pool's merged grid; a single team is a block of one row, except on the
+sum route, which scores it alone (``_sum_route``). ``_member_rows`` takes
+one-member teams on every route, such as a score table's column: it
+reads a project's packed store (``core.ProjectStore``), whose agents of
+one support length already sit in shared arrays, and scores each row on
+its member's own support, so every row equals that member scored alone.
+``team_values`` scores the blocks of teams the exhaustive oracles need,
+each row equal to its own ``project_utility`` call bit for bit:
+best-shot and top-r rows each run on their own concatenated supports,
+not on the pool's merged grid, and non-linear sum-route teams are scored
+one at a time. Monte Carlo covers work past the budget.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ import numpy as np
 from .core import (
     BudgetExceededError,
     Distribution,
+    ProjectStore,
     RngSpec,
     Scenario,
     ValidationError,
-    cdf_rows,
     enumeration_budget,
 )
 from .production import ValueFunction, evaluate, evaluate_batch
@@ -116,55 +117,41 @@ def _batchable(g: ValueFunction, size: int, copies: int, budget: int) -> bool:
     return not merges and _row_work(g, size, 1, copies) <= budget
 
 
-def _by_length(members: Pool) -> dict[int, list[int]]:
-    # row indices of the members, grouped by support length
-    groups: dict[int, list[int]] = {}
-    for row, d in enumerate(members):
-        groups.setdefault(len(d.values), []).append(row)
-    return groups
-
-
-def _packed(members: Pool, rows: list[int]) -> np.ndarray:
-    # one array of values then probabilities, one row per member of one
-    # support length, built from the atoms' tuples so no member builds
-    # arrays of its own
-    return np.array([members[row].values + members[row].probs for row in rows])
-
-
-def _sum_rows(
-    g: ValueFunction, pool: Pool, teams: np.ndarray, copies: int, budget: int
+def _member_rows(
+    g: ValueFunction, store: ProjectStore, copies: int, budget: int, out=None
 ) -> np.ndarray:
-    # the sum route for a block of one-member rows, rows of one support
-    # length together: the copies are stepped in by broadcast outer sums
-    # and products and each row's expectation is its own dot, so every
-    # row equals ``_sum_route`` on that member alone bit for bit
-    if teams.shape[1] != 1:
-        raise ValidationError("the sum route batches one-member rows only")
-    members = [pool[i] for i in teams[:, 0].tolist()]
-    groups = _by_length(members)
-    _charge(sum(_row_work(g, s, 1, copies) * len(rows) for s, rows in groups.items()), budget)
-    out = np.empty(len(members))
-    for s, rows in groups.items():
-        atoms = _packed(members, rows)
-        values, probs = atoms[:, :s], atoms[:, s:]
-        if _linear(g):
-            out[rows] = copies * _row_dots(values, probs)
+    """E[g] over ``copies`` independent copies of each agent of ``store``
+    alone, written to ``out`` (by default a new array of NaNs, one entry
+    per agent) at the agent's index, and returned. The agents of one
+    support length are scored together on the store's length group, each
+    row on its own support and with its own dot products, so every entry
+    equals ``_expectation`` on that agent alone bit for bit. Rows that
+    are not ``_batchable`` under the budget are skipped, their entries
+    left as they are, so the block as a whole needs no metering."""
+    out = np.full(len(store), np.nan) if out is None else out
+    for s, agents, values, probs, cdf in store.groups:
+        if not _batchable(g, s, copies, budget):
             continue
-        if s == 1:
+        if g.kind in ("best_shot", "top_r"):
+            out[agents] = _top_w(g, values, cdf[None], copies)
+        elif g.kind == "success_prob":
+            out[agents] = 1.0 - _product((1.0 - _row_dots(g.f.apply(values), probs))[None], copies)
+        elif _linear(g):
+            out[agents] = copies * _row_dots(values, probs)
+        elif s == 1:
             # a point mass only shifts the sum, which starts at 0.0, by a
             # Python scalar as the engine does (numpy's power can round
             # differently)
-            sums = np.array([0.0 + copies * _phi(g, v) for v in values[:, 0].tolist()])
-            out[rows] = _h(g, sums)
-            continue
-        if s**copies > _MERGE:
-            raise ValidationError("batched partial sums would pass the merge size")
-        terms = _phi(g, values)
-        sums, weights = np.zeros((len(rows), 1)), np.ones((len(rows), 1))
-        for _ in range(copies):
-            sums = (sums[:, :, None] + terms[:, None, :]).reshape(len(rows), -1)
-            weights = (weights[:, :, None] * probs[:, None, :]).reshape(len(rows), -1)
-        out[rows] = _row_dots(_h(g, sums), weights)
+            out[agents] = _h(g, np.array([0.0 + copies * _phi(g, v) for v in values[:, 0].tolist()]))
+        else:
+            # the copies are stepped in by broadcast outer sums and
+            # products, as ``_sum_route`` steps them into one row
+            terms = _phi(g, values)
+            sums, weights = np.zeros((len(agents), 1)), np.ones((len(agents), 1))
+            for _ in range(copies):
+                sums = (sums[:, :, None] + terms[:, None, :]).reshape(len(agents), -1)
+                weights = (weights[:, :, None] * probs[:, None, :]).reshape(len(agents), -1)
+            out[agents] = _row_dots(_h(g, sums), weights)
     return out
 
 
@@ -262,31 +249,13 @@ def _top_w(g: ValueFunction, grid: np.ndarray, cols: np.ndarray, copies: int) ->
 
 
 def _order_route(
-    g: ValueFunction, pool: Pool, teams: np.ndarray, copies: int, budget: int
+    g: ValueFunction, pool: Pool, teams: np.ndarray, copies: int, budget: int, grid=None
 ) -> np.ndarray:
+    # each team gathers its members' rows of the pool's CDF matrix F on
+    # the shared grid, ``_grid(pool, len(teams))`` unless given
+    if grid is None:
+        grid = _grid(pool, len(teams))
     k = teams.shape[1]
-    if k == 1:
-        # one member per row: each row integrates over its member's own
-        # support, so it equals that member scored alone; rows with
-        # supports of one length share a block
-        members = [pool[i] for i in teams[:, 0].tolist()]
-        groups = _by_length(members)
-        _charge(_row_work(g, sum(s * len(rows) for s, rows in groups.items()), 1, copies), budget)
-        out = np.empty(len(members))
-        for s, rows in groups.items():
-            if len(rows) == 1:
-                # a lone row takes the shared-grid form on its member's
-                # cached arrays, which rounds like the per-row form and
-                # costs fewer numpy calls
-                d = members[rows[0]]
-                out[rows[0]] = _top_w(g, d.values_array, d.cdf_array[None, None], copies)[0]
-                continue
-            atoms = _packed(members, rows)
-            out[rows] = _top_w(g, atoms[:, :s], cdf_rows(atoms[None, :, s:]), copies)
-        return out
-    # teams of several members: each gathers its members' rows of the
-    # pool's CDF matrix F on the shared grid
-    grid = _grid(pool, len(teams))
     F = np.array([
         np.concatenate(([0.0], d.cdf_array))[d.values_array.searchsorted(grid, "right")]
         for d in pool
@@ -344,25 +313,21 @@ def _product_route(
 
 
 def _batch_expectation(
-    g: ValueFunction, pool: Pool, teams: np.ndarray, copies: int, budget: int
+    g: ValueFunction, pool: Pool, teams: np.ndarray, copies: int, budget: int, grid=None
 ) -> np.ndarray:
-    """Exact E[g] for every row of ``teams``, a (B, k) array of indices
-    into ``pool``, each member taking ``copies`` independent copies. Rows
-    of one member each run on that member's own support and equal its
-    one-row value bit for bit; teams of several members share the pool's
-    merged grid on the order and product routes. ``total`` and ``ces``
-    take one-member rows only, none of whose partial sums pass the merge
-    size (``_batchable``). Raises BudgetExceededError when the block's
-    work passes the budget: grid cells (summed supports for one-member
-    rows) times members times tracked counts per copy on the order route
-    (best shot's power counting once per member), summed pool supports
-    plus team cells on the product route, the rows' summed charges on the
-    sum route; ``_row_work`` prices one row on every route."""
-    if g.kind in ("total", "ces"):
-        route = _sum_rows
-    else:
-        route = _order_route if g.kind in ("best_shot", "top_r") else _product_route
-    return route(g, pool, teams, copies, budget)
+    """Exact E[g] on the order and product routes for every row of
+    ``teams``, a (B, k) array of indices into ``pool``, each member taking
+    ``copies`` independent copies: the rows share the pool's merged grid
+    (``grid``, when given, is that grid) or its members' hit
+    probabilities. Raises BudgetExceededError when the block's work
+    passes the budget: grid points times members times tracked counts per
+    copy on the order route (best shot's power counting once per member),
+    summed pool supports plus team cells on the product route;
+    ``_row_work`` prices one row on every route. ``_member_rows`` scores
+    one-member rows each on its own support instead."""
+    if g.kind == "success_prob":
+        return _product_route(g, pool, teams, copies, budget)
+    return _order_route(g, pool, teams, copies, budget, grid)
 
 
 def _expectation(g: ValueFunction, pool: Pool, copies: int, budget: int) -> float:

@@ -442,10 +442,47 @@ class TestExperiment:
             ["experiment", bestshot_file, "--trials", "0"],
             ["experiment", bestshot_file, "--jobs", "0"],
             ["experiment", bestshot_file, "--jobs", "-3"],
+            ["experiment", bestshot_file, "--n", "3", "--k", "2,2"],
             ["experiment", welfare_file],
         ]
         for argv in bad:
             assert run(capsys, argv)[0] == EXIT_VALIDATION, argv
+
+    def test_n_below_one_names_n(self, capsys, bestshot_file):
+        code, _, err = run(capsys, ["experiment", bestshot_file, "--n", "0"])
+        assert code == EXIT_VALIDATION
+        assert err == "error: --n must be >= 1, got 0\n"
+
+    def test_jobs_capped_by_trials_and_cpus(self, capsys, monkeypatch, tmp_path, bestshot_file):
+        # a recorder stands in for the pool, so no process is started
+        started = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+        args = ["experiment", bestshot_file, "--n", "4", "--k", "2,3", "--trials", "2"]
+        outputs = []
+        for cpus, jobs in ((64, "1"), (64, "1000"), (1, "1000"), (64, "2")):
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+            out = tmp_path / f"jobs{cpus}_{jobs}.csv"
+            assert run(capsys, args + ["--jobs", jobs, "--out", str(out)])[0] == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert started == [2, 2]  # --jobs 1000 capped at the 2 trials; 1 CPU starts no pool
+        assert len(set(outputs)) == 1
+        code, out, _ = run(capsys, ["experiment", "--help"])
+        assert code == EXIT_OK
+        assert "capped at --trials and the CPU count" in " ".join(out.split())
 
     def test_budget_exhaustion_exits_3(self, capsys, monkeypatch, tmp_path, bestshot_file):
         # under a budget of 1 the two-atom agents' score cells fall back to
@@ -504,6 +541,7 @@ class TestWorstcase:
     def test_integer_params_enforced(self, capsys):
         assert run(capsys, ["worstcase", "welfare_ex1", "--r", "2.5"])[0] == EXIT_USAGE
         assert run(capsys, ["worstcase", "mean_bestshot", "--k", "2.5"])[0] == EXIT_USAGE
+        assert run(capsys, ["worstcase", "welfare_ex2", "--r", "nan"])[0] == EXIT_USAGE
 
     def test_validation_mismatch_exits_4(self, capsys, monkeypatch):
         fake = InstanceReport(name="welfare_ex1", ok=False, rows=())
@@ -511,6 +549,32 @@ class TestWorstcase:
         code, out, _ = run(capsys, ["worstcase", "welfare_ex1", "--r", "2", "--run"])
         assert code == EXIT_PROPERTY
         assert json.loads(out)["validation"] == {"name": "welfare_ex1", "ok": False, "rows": []}
+
+
+class TestBadParametersExit2:
+    def check(self, capsys, argv, named):
+        code, _, err = run(capsys, argv)
+        assert code == EXIT_VALIDATION
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err and named in err
+
+    @pytest.mark.parametrize("tag", ["ces:nan", "ces:inf", "success_prob:clamp_linear:inf"])
+    def test_non_finite_value_fn_tag(self, capsys, tmp_path, bestshot_file, tag):
+        doc = json.loads(open(bestshot_file).read())
+        doc["projects"][0]["value_fn"] = tag
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        self.check(capsys, ["select", str(path), "--oracle"], tag)
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["worstcase", "ces_mean", "--r", "0.5"], "0.5"),
+            (["worstcase", "quantile_ces", "--r", "nan", "--run"], "nan"),
+        ],
+    )
+    def test_generator_parameter(self, capsys, argv, named):
+        self.check(capsys, argv, named)
 
 
 class TestMainPlumbing:

@@ -33,7 +33,7 @@ from testscore import (
     strong_sketch,
     welfare_greedy_bound,
 )
-from testscore import adversarial, utility
+from testscore import adversarial, optimize, utility
 from testscore.adversarial import CATALOGUE_POOL, random_single_scenario
 from testscore.optimize import _maximize_assignment, _subset_enum_cost, _team_blocks
 from testscore.scenario_io import value_fn_tag
@@ -184,6 +184,28 @@ class TestBruteForceSingle:
         scn = Scenario.single_project([TWO_POINT] * 3, ValueFunction.ces(2.0), 3)
         res = brute_force_single(scn, 0, 3)
         assert res.assignment.sets[0] == (0, 1, 2)
+
+    @pytest.mark.parametrize("g", [ValueFunction.best_shot(), ValueFunction.top_r(2)], ids=value_fn_tag)
+    @pytest.mark.parametrize("k", [2, 3, 6])
+    def test_pool_grid_built_once(self, monkeypatch, g, k):
+        scn = random_single_scenario(np.random.default_rng(17), g, n=6, k=k)
+        want = brute_force_single(scn, 0, k)
+        grids = []  # the team count of each grid built on the whole pool
+        real = utility._grid
+
+        def counting(pool, n_teams):
+            if len(pool) == scn.n_agents:
+                grids.append(n_teams)
+            return real(pool, n_teams)
+
+        monkeypatch.setattr(utility, "_grid", counting)
+        monkeypatch.setattr(optimize, "_grid", counting)
+        got = brute_force_single(scn, 0, k)
+        # one grid prices and screens the C(6, k) teams; at k = n it is the
+        # lone team's sorted grid, and the reported objective of that team
+        # builds it once more
+        assert grids == [math.comb(6, k)] + [1] * (k == 6)
+        assert got.to_json() == want.to_json()
 
     def test_lexicographic_tie_break(self):
         scn = Scenario.single_project([TWO_POINT] * 5, ValueFunction.best_shot(), 2)

@@ -17,6 +17,8 @@ from testscore import (
     single_inverse,
     value_submodularity_check,
 )
+from testscore import core
+from testscore.production import ValidationError
 from oracle_tools import (
     fn_best_shot,
     fn_ces,
@@ -148,6 +150,26 @@ class TestConstruction:
             ValueFunction("total", f=UnitFn("clamp_linear"))
         with pytest.raises(ValueError):
             ValueFunction("success_prob", f=ConcaveFn("sqrt"))
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_parameters(self, x):
+        makers = [
+            lambda: ConcaveFn("power", x),
+            lambda: ConcaveFn("sqrt", x),
+            lambda: UnitFn("clamp_linear", x),
+            lambda: UnitFn("one_minus_exp", x),
+            lambda: ValueFunction.ces(x),
+            lambda: ValueFunction("top_r", r=x),
+        ]
+        for make in makers:
+            with pytest.raises(ValidationError):
+                make()
+
+    def test_validation_error_is_one_class(self):
+        # defined here, re-exported by core, and still a ValueError
+        assert core.ValidationError is ValidationError
+        assert issubclass(ValidationError, ValueError)
+        assert issubclass(InverseUnboundedError, ValidationError)
 
 
 class TestInverse:

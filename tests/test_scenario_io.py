@@ -21,12 +21,14 @@ from testscore import (
     load_scenario,
     parse_value_fn,
     read_ratings,
+    replication_score,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
     value_fn_tag,
 )
 from testscore.core import PROB_SUM_SLACK
+from testscore.utility import _MERGE
 from testscore.data import sample_ratings_path
 
 
@@ -228,6 +230,95 @@ class TestLoadedSupports:
         doc["distributions"][2]["support"] = [[10**400, 1]]
         with pytest.raises(ValidationError, match="agent 'a1', project 'p0'"):
             scenario_from_dict(doc)
+
+
+def reloaded(scn: Scenario) -> Scenario:
+    buf = io.StringIO()
+    save_scenario(buf, scn)
+    return load_scenario(io.StringIO(buf.getvalue())).scenario
+
+
+def store_hexes(store) -> list:
+    groups = [
+        (s, agents.tolist(), hexes(v.ravel()), hexes(p.ravel()), hexes(c.ravel()))
+        for s, agents, v, p, c in store.groups
+    ]
+    return [hexes(store.values), hexes(store.probs), store.lengths.tolist(),
+            store.offsets.tolist(), groups]
+
+
+class TestProjectStores:
+    def mixed(self, gen, fns, lengths, ks) -> Scenario:
+        # one fresh support on [0.01, 3] per cell, the given length per agent
+        rows = []
+        for s in lengths:
+            row = []
+            for _ in fns:
+                values = np.sort(gen.permutation(300)[:s] + 1) / 100.0
+                w = gen.uniform(0.2, 1.0, s)
+                row.append(Distribution(tuple(values.tolist()), tuple((w / w.sum()).tolist())))
+            rows.append(tuple(row))
+        return Scenario(dists=tuple(rows), value_fns=tuple(fns), cardinalities=ks)
+
+    def same_tables(self, scn, max_r):
+        want = build_score_table(scn, "replication", max_r=max_r)
+        got = build_score_table(reloaded(scn), "replication", max_r=max_r)
+        assert got.scores.tobytes() == want.scores.tobytes()
+        assert np.array_equal(got.methods, want.methods)
+        assert got.std_errors.tobytes() == want.std_errors.tobytes()
+        return got
+
+    @pytest.mark.parametrize("factory", CATALOGUE_POOL, ids=lambda f: value_fn_tag(f()))
+    def test_loaded_table_equals_built_table(self, factory):
+        # mixed support lengths, point masses, and a 9-atom agent whose
+        # r = 4 sum-route cell steps through 9^4 > _MERGE partial sums
+        assert 9**4 > _MERGE
+        g = factory()
+        scn = self.mixed(np.random.default_rng(3), [g], (1, 2, 3, 9, 1, 5, 2, 3), (4,))
+        table = self.same_tables(scn, 4)
+        for i in scn.agents:
+            for r in range(1, 5):
+                assert table.get(i, 0, r) == replication_score(g, scn.dist(i, 0), r)
+
+    def test_loaded_monte_carlo_cells_equal_built_ones(self, monkeypatch):
+        # at budget 20 the 6-atom agent's r = 2 cells cost 6 + 36 on the
+        # non-linear sum route and 6 * 2 * 2 on top-r, so they fall back
+        monkeypatch.setenv("TESTSCORE_BUDGET", "20")
+        fns = [factory() for factory in CATALOGUE_POOL]
+        lengths = (6,) + (1, 2) * 6
+        scn = self.mixed(np.random.default_rng(4), fns, lengths, (2,) + (1,) * 11)
+        table = self.same_tables(scn, 2)
+        assert (table.methods == "monte_carlo").sum() == 7
+
+    def test_dist_is_built_once(self):
+        scn = roster(np.random.default_rng(8), n=20, m=12)
+        loaded = reloaded(scn)
+        assert loaded.dist(3, 2) is loaded.dist(3, 2)
+        # a scenario built from Distribution objects hands out those, also
+        # through the store packed from them
+        assert scn.dist(3, 2) is scn.dists[3][2] is scn.store(2).dist(3)
+        assert scn.store(2) is scn.store(2)
+
+    def test_round_trip_keeps_every_bit(self):
+        scn = roster(np.random.default_rng(9), n=20, m=12)
+        loaded = reloaded(scn)
+        again = reloaded(loaded)  # saved from its stores
+        for j in scn.projects:
+            want = store_hexes(scn.store(j))
+            assert store_hexes(loaded.store(j)) == want
+            assert store_hexes(again.store(j)) == want
+            # each group row holds its agent's own atoms and CDF
+            for _s, agents, values, probs, cdf in loaded.store(j).groups:
+                for row, i in enumerate(agents.tolist()):
+                    d = scn.dist(i, j)
+                    assert hexes(values[row]) == hexes(d.values)
+                    assert hexes(probs[row]) == hexes(d.probs)
+                    assert hexes(cdf[row]) == hexes(d.cdf_array)
+            for i in scn.agents:
+                for d in (loaded.dist(i, j), again.dist(i, j)):
+                    assert hexes(d.values) == hexes(scn.dist(i, j).values)
+                    assert hexes(d.probs) == hexes(scn.dist(i, j).probs)
+                    assert hexes(d.cdf_array) == hexes(scn.dist(i, j).cdf_array)
 
 
 class TestStrictParsing:

@@ -593,7 +593,7 @@ def _forbid_batches(monkeypatch):
     def no_batch(*args):
         raise AssertionError("a batch ran although a cell was over budget")
 
-    monkeypatch.setattr("testscore.scores._batch_expectation", no_batch)
+    monkeypatch.setattr("testscore.scores._member_rows", no_batch)
 
 
 class TestMixedTable:
