@@ -63,12 +63,7 @@ def gen_mean_fails_bestshot(k: int = 4, a: float = 10.0, p: float = 0.09) -> Adv
         raise ValidationError(f"need 0 < p < 1 and a*p < 1, got a={a}, p={p}")
     steady = Distribution.point(1.0)
     risky = _two_point(a, p)
-    dists = tuple((steady,) if i < k else (risky,) for i in range(2 * k))
-    scn = Scenario(
-        dists=dists,
-        value_fns=(ValueFunction.best_shot(),),
-        cardinalities=(k,),
-    )
+    scn = Scenario.single_project([steady] * k + [risky] * k, ValueFunction.best_shot(), k)
     hit = a * (1.0 - (1.0 - p) ** k)
     return AdversarialInstance(
         name="mean_bestshot",
@@ -98,12 +93,7 @@ def gen_quantile_fails_linear(k: int = 10, a: float = 1.5, p: float = 0.11) -> A
         raise ValidationError(f"need a*p < 1, got a={a}, p={p}")
     steady = Distribution.point(1.0)
     risky = _two_point(a, p)
-    dists = tuple((steady,) if i < k else (risky,) for i in range(2 * k))
-    scn = Scenario(
-        dists=dists,
-        value_fns=(ValueFunction.ces(1.0),),
-        cardinalities=(k,),
-    )
+    scn = Scenario.single_project([steady] * k + [risky] * k, ValueFunction.ces(1.0), k)
     return AdversarialInstance(
         name="quantile_linear",
         scenario=scn,
@@ -132,12 +122,7 @@ def gen_ces_mean_tightness(
         raise ValidationError(f"need eps > 0, got {eps}")
     steady = Distribution.point(1.0 + eps)
     risky = _two_point(a, 1.0 / a)
-    dists = tuple((steady,) if i < k else (risky,) for i in range(2 * k))
-    scn = Scenario(
-        dists=dists,
-        value_fns=(ValueFunction.ces(r),),
-        cardinalities=(k,),
-    )
+    scn = Scenario.single_project([steady] * k + [risky] * k, ValueFunction.ces(r), k)
     floor = a * (1.0 - math.exp(-k / a))
     return AdversarialInstance(
         name="ces_mean",
@@ -449,8 +434,7 @@ def random_single_scenario(
     gen: np.random.Generator, g: ValueFunction, *, n: int = 5, k: int = 2
 ) -> Scenario:
     """Random one-project scenario with a caller-chosen value function."""
-    dists = tuple((_random_dist(gen),) for _ in range(n))
-    return Scenario(dists=dists, value_fns=(g,), cardinalities=(k,))
+    return Scenario.single_project([_random_dist(gen) for _ in range(n)], g, k)
 
 
 def random_bsp_scenario(
@@ -469,8 +453,7 @@ def random_bsp_scenario(
     n = int(gen.integers(max(2, k_min), n_max + 1))
     k = int(gen.integers(k_min, min(k_max, n) + 1))
     g = candidates[int(gen.integers(len(candidates)))]()
-    dists = tuple((_random_dist(gen),) for _ in range(n))
-    return Scenario(dists=dists, value_fns=(g,), cardinalities=(k,))
+    return Scenario.single_project([_random_dist(gen) for _ in range(n)], g, k)
 
 
 def random_welfare_scenario(

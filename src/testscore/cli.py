@@ -341,13 +341,10 @@ def cmd_experiment(args) -> int:
         writer.writerow(["trial", "k", "greedy", "opt", "ratio"])
         for trial, k, greedy, opt, ratio in rows:
             writer.writerow([trial, k, repr(greedy), repr(opt), repr(ratio)])
-        ratios_by_k = {k: [r[4] for r in rows if r[1] == k] for k in ks}
-        for k in ks:
-            writer.writerow(["mean", k, "", "", repr(float(np.mean(ratios_by_k[k])))])
-            writer.writerow(["min", k, "", "", repr(float(np.min(ratios_by_k[k])))])
-        everything = [r[4] for r in rows]
-        writer.writerow(["mean", "all", "", "", repr(float(np.mean(everything)))])
-        writer.writerow(["min", "all", "", "", repr(float(np.min(everything)))])
+        groups = [(k, [r[4] for r in rows if r[1] == k]) for k in ks] + [("all", [r[4] for r in rows])]
+        for key, ratios in groups:
+            writer.writerow(["mean", key, "", "", repr(float(np.mean(ratios)))])
+            writer.writerow(["min", key, "", "", repr(float(np.min(ratios)))])
 
     if args.out is None:
         write(sys.stdout)

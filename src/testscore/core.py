@@ -241,6 +241,11 @@ class ProjectStore:
             dists,
         )
 
+    @classmethod
+    def concat(cls, stores: Iterable["ProjectStore"]) -> "ProjectStore":
+        """One store of the given stores' agents, store after store."""
+        return cls(*map(np.concatenate, zip(*((s.values, s.probs, s.lengths) for s in stores))))
+
     def __len__(self) -> int:
         return len(self.lengths)
 

@@ -133,7 +133,7 @@ def greedy_topk(scn: Scenario, j: int, k: int, table: ScoreTable) -> SelectionRe
     """
     if k < 1 or k > scn.n_agents:
         raise ValidationError(f"k must be in 1..{scn.n_agents}, got {k}")
-    table.get(scn.n_agents - 1, j, k)  # the table covers every agent at size k
+    table.require(scn.n_agents - 1, j, k)  # the table covers every agent at size k
     scores = table.scores[: scn.n_agents, j, k - 1]
     # a stable sort keeps equal scores in id order
     ranked = np.argsort(-scores, kind="stable")[:k].tolist()
@@ -168,7 +168,7 @@ def greedy_welfare(
     if max(scn.cardinalities) > table.max_r:
         raise ValidationError("table max_r does not cover the largest project")
     n, m, ks = scn.n_agents, scn.n_projects, scn.cardinalities
-    table.get(n - 1, m - 1, 1)  # the table covers every agent and project
+    table.require(n - 1, m - 1, 1)  # the table covers every agent and project
     a = table.scores[:n, :m]
     gen = tie_rng.generator(0) if tie_rng is not None else None
     # nxt[i, j] = a[i, j, r_j - 1] / r_j for the slot r_j project j fills
@@ -486,7 +486,7 @@ def _best_assignment_by_sketch(
         if sketch_of == "strong":
             return np.array([strong_sketch(table, j, S).strong for S in teams.tolist()])
         k = teams.shape[1]
-        table.get(scn.n_agents - 1, j, k)  # the table covers every agent at size k
+        table.require(scn.n_agents - 1, j, k)  # the table covers every agent at size k
         scores = table.scores[teams, j, k - 1]
         return scores.min(axis=1) if sketch_of == "min" else scores.max(axis=1)
 

@@ -180,9 +180,12 @@ def _stores(entries: list, supports: list, order: list[int], n: int) -> tuple[Pr
     except OverflowError:  # an integer past the float range
         _raise_first_invalid(entries, supports, range(len(entries)))
     owner = np.repeat(np.arange(len(cells)), lengths)
-    # sorted by value within each entry, as construction sorts the pairs
-    perm = np.lexsort((atoms[:, 1], atoms[:, 0], owner))
-    values, probs = atoms[perm, 0], atoms[perm, 1]
+    values, probs = atoms[:, 0].copy(), atoms[:, 1]  # the stores keep values contiguous
+    # sorted by value within each entry, as construction sorts the pairs,
+    # unless already strictly rising, as ``save_scenario`` writes them
+    if not ((owner[1:] != owner[:-1]) | (values[1:] > values[:-1])).all():
+        perm = np.lexsort((probs, values, owner))
+        values, probs = values[perm], probs[perm]
     bad_atom = ~(np.isfinite(values) & (values >= 0) & (probs > 0))
     bad = np.zeros(len(cells), dtype=bool)
     bad[owner[bad_atom]] = True

@@ -8,12 +8,12 @@ i.i.d. copies of the agent, computed by the same exact engine as team
 utilities (see ``utility``), with Monte Carlo past the budget.
 
 A ScoreTable is one dense (n, m, max_r) array with two arrays of the same
-shape saying how each cell was computed. ``build_score_table`` fills it one
-(project, r) column per engine call, every value-function kind alike, so
-the greedy routines read whole columns while the sketches read single
-cells through ``ScoreTable.get``. Only cells that can fall back to Monte
-Carlo, and sum-route cells large enough to merge equal partial sums, are
-scored one at a time.
+shape saying how each cell was computed. ``build_score_table`` fills it
+with one engine call per r for the projects of each value function, so the
+greedy routines read whole columns while the sketches read single cells
+through ``ScoreTable.get``. Only cells that can fall back to Monte Carlo,
+and sum-route cells large enough to merge equal partial sums, are scored
+one at a time.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import numpy as np
 from .core import (
     BudgetExceededError,
     Distribution,
+    ProjectStore,
     RngSpec,
     Scenario,
     ValidationError,
@@ -98,9 +99,9 @@ class ScoreTable:
     ``methods`` and ``std_errors`` have the same shape (given values are
     broadcast to it) and say how each cell was computed; a hand-built table
     may leave them out, and its cells then read as the table's kind with no
-    standard error. The arrays are read-only copies. ``get`` and ``diag`` read one cell and raise
-    ValidationError for a cell outside the table, negative indices
-    included.
+    standard error. The arrays are read-only copies. ``get`` and ``diag``
+    read one cell and raise ValidationError for a cell outside the table,
+    negative indices included, as ``require`` does from the shape alone.
     """
 
     kind: str  # mean | quantile | replication
@@ -141,6 +142,13 @@ class ScoreTable:
             f"missing table entry for agent {agent}, project {project}, r={r}"
         )
 
+    def require(self, agent: int, project: int, r: int) -> None:
+        """Raise the error ``get`` raises unless the table holds cell
+        (agent, project, r), reading only the table's shape."""
+        n, m, max_r = self.scores.shape
+        if not (0 <= agent < n and 0 <= project < m and 1 <= r <= max_r):
+            self.get(agent, project, r)  # raises
+
     def diag(self, agent: int, project: int, r: int) -> ScoreDiag:
         """How cell (agent, project, r) was computed."""
         self.get(agent, project, r)
@@ -173,20 +181,20 @@ def build_score_table(
     """Fill every (agent, project, r) cell.
 
     Mean and quantile scores do not depend on r: one (n, m) slice is
-    computed and repeated across r. Replication scores are filled one
-    (project, r) column at a time: each column goes through the exact
-    engine in one batched call on the project's packed store, a row per
-    agent, each row on its agent's own support so it equals
-    ``replication_score`` bit for bit. Methods
-    read ``exact_best_shot`` for best-shot projects and ``exact``
-    otherwise.
+    computed and repeated across r. Replication scores are filled per
+    class of projects with equal value functions: for each r the exact
+    engine scores the class in one batched call on its projects' packed
+    stores side by side (a class of one reads its project's own), each
+    row on its agent's own support so it equals ``replication_score`` bit
+    for bit. Methods read ``exact_best_shot`` for best-shot projects and
+    ``exact`` otherwise.
 
     Each cell is exact when its own work fits the enumeration budget and
     otherwise falls back to Monte Carlo on its own stream, recording the
     standard error (sampling is escalated a few rounds toward a 1e-3
     relative standard error). Those cells, and ``total`` or ``ces`` cells
     whose partial sums would pass the engine's merge of equal sums, are
-    left out of their column's batch and scored one at a time. With
+    left out of their class's batch and scored one at a time. With
     mc_fallback=False the budget error of the first over-budget cell in
     (agent, project, r) order is raised instead, for callers that need
     exact entries only; cells scored one at a time run first, in that
@@ -222,17 +230,26 @@ def build_score_table(
     scores = np.empty((n, m, max_r))
     methods = np.empty((n, m, max_r), dtype=object)
     std_errors = np.zeros((n, m, max_r))
-    single = []  # (agent, project, r): cells scored one by one
+    labels = ["exact_best_shot" if g.kind == "best_shot" else "exact" for g in scn.value_fns]
+    methods[...] = np.array(labels, dtype=object)[:, None]
+    # projects with equal value functions form a class, scored on one store:
+    # its projects' stores side by side, agent i of its c-th project at row c * n + i
+    classes: dict[ValueFunction, list[int]] = {}
     for j in scn.projects:
-        g = scn.value_fns[j]
-        methods[:, j] = "exact_best_shot" if g.kind == "best_shot" else "exact"
+        classes.setdefault(scn.value_fns[j], []).append(j)
+    stores = [
+        ProjectStore.concat(map(scn.store, js)) if js[1:] else scn.store(js[0])
+        for js in classes.values()
+    ]
+    single = []  # (agent, project, r): cells scored one by one
+    for (g, js), store in zip(classes.items(), stores):
         for r in range(1, max_r + 1):
-            # a cell fits its column's batch when ``_batchable`` (its own
+            # a cell fits its class's batch when ``_batchable`` (its own
             # one-row work within the budget, no merge of partial sums),
             # which depends on its support length alone
-            for s, agents, *_ in scn.store(j).groups:
+            for s, rows, *_ in store.groups:
                 if not _batchable(g, s, r, budget):
-                    single += [(i, j, r) for i in agents.tolist()]
+                    single += [(row % n, js[row // n], r) for row in rows.tolist()]
     # in (agent, project, r) order, so that without the fallback the first
     # over-budget cell raises before any later cell is scored
     for i, j, r in sorted(single):
@@ -255,9 +272,15 @@ def build_score_table(
         scores[i, j, r - 1] = est.value
         methods[i, j, r - 1] = "monte_carlo"
         std_errors[i, j, r - 1] = est.std_error
-    for j in scn.projects:
+    for (g, js), store in zip(classes.items(), stores):
         for r in range(1, max_r + 1):
-            _member_rows(scn.value_fns[j], scn.store(j), r, budget, scores[:, j, r - 1])
+            if not js[1:]:  # in place: one-project tables copy nothing
+                _member_rows(g, store, r, budget, scores[:, js[0], r - 1])
+                continue
+            # project after project; rows left out keep the scores set above
+            cells = scores[:, js, r - 1].T.copy()
+            _member_rows(g, store, r, budget, cells.reshape(-1))
+            scores[:, js, r - 1] = cells.T
     return ScoreTable(
         kind=kind, scores=scores, theta=theta, methods=methods, std_errors=std_errors
     )

@@ -10,10 +10,10 @@ score blocks of rows in one array pass. ``_batch_expectation`` takes
 teams drawn from one pool on the order and product routes, sharing the
 pool's merged grid; a single team is a block of one row, except on the
 sum route, which scores it alone (``_sum_route``). ``_member_rows`` takes
-one-member teams on every route, such as a score table's column: it
-reads a project's packed store (``core.ProjectStore``), whose agents of
-one support length already sit in shared arrays, and scores each row on
-its member's own support, so every row equals that member scored alone.
+one-member teams on every route, such as a score table's columns: it
+reads a packed store (``core.ProjectStore``), whose agents of one
+support length already sit in shared arrays, and scores each row on its
+member's own support, so every row equals that member scored alone.
 ``team_values`` scores the blocks of teams the exhaustive oracles need,
 each row equal to its own ``project_utility`` call bit for bit:
 best-shot and top-r rows each run on their own concatenated supports,

@@ -3,13 +3,21 @@
 Everything here is deliberately written the slow, obvious way: plain
 Python loops over itertools products, no shared helpers from the library
 beyond the dataclasses being checked (and ``evaluate``, the function the
-bisection inverts). Keep these dumb.
+bisection inverts). Keep these dumb. The one exception is
+``ref_replication_table``, which keeps the score table's earlier
+per-project fill on the engine's own kernels, so that comparing it with
+``build_score_table`` checks how the cells are grouped and nothing else.
 """
 
 import itertools
 import math
 
-from testscore import InverseUnboundedError, evaluate
+import numpy as np
+
+from testscore import BudgetExceededError, InverseUnboundedError, RngSpec, evaluate
+from testscore.core import enumeration_budget
+from testscore.scores import MC_BASE_SAMPLES, MC_MAX_ROUNDS, MC_TARGET_REL_SE
+from testscore.utility import _batchable, _expectation, _mc, _member_rows
 
 BISECT_TOL = 1e-10
 
@@ -267,3 +275,46 @@ def ref_maximize_assignment(n, ks, value_of):
                 mask |= mask_of(S)
                 break
     return sets, tables[0][0]
+
+
+def ref_replication_table(scn, max_r, rng=None, mc_fallback=True):
+    """A replication table filled one (project, r) column at a time: each
+    column's batchable cells in one ``_member_rows`` call on the project's
+    own store, the others one at a time in (agent, project, r) order, by
+    the engine or, past the budget, by Monte Carlo on the cell's stream.
+    Returns (scores, methods, std_errors) arrays of shape (n, m, max_r)."""
+    n, m = scn.n_agents, scn.n_projects
+    budget = enumeration_budget()
+    rng = rng if rng is not None else RngSpec(seed=0)
+    scores = np.empty((n, m, max_r))
+    methods = np.empty((n, m, max_r), dtype=object)
+    std_errors = np.zeros((n, m, max_r))
+    single = []
+    for j in scn.projects:
+        g = scn.value_fns[j]
+        methods[:, j] = "exact_best_shot" if g.kind == "best_shot" else "exact"
+        for r in range(1, max_r + 1):
+            for s, agents, *_ in scn.store(j).groups:
+                if not _batchable(g, s, r, budget):
+                    single += [(i, j, r) for i in agents.tolist()]
+    for i, j, r in sorted(single):
+        g, d = scn.value_fns[j], scn.dist(i, j)
+        try:
+            scores[i, j, r - 1] = _expectation(g, [d], r, budget)
+            continue
+        except BudgetExceededError:
+            if not mc_fallback:
+                raise
+        samples = MC_BASE_SAMPLES
+        for _ in range(MC_MAX_ROUNDS):
+            est = _mc(g, [d], r, rng, samples, (i * m + j) * max_r + (r - 1))
+            if est.std_error <= MC_TARGET_REL_SE * max(abs(est.value), 1e-12):
+                break
+            samples *= 2
+        scores[i, j, r - 1] = est.value
+        methods[i, j, r - 1] = "monte_carlo"
+        std_errors[i, j, r - 1] = est.std_error
+    for j in scn.projects:
+        for r in range(1, max_r + 1):
+            _member_rows(scn.value_fns[j], scn.store(j), r, budget, scores[:, j, r - 1])
+    return scores, methods, std_errors

@@ -454,6 +454,27 @@ class TestGreedyWelfare:
             )
             assert res.sketch_objective == pytest.approx(want, abs=1e-12)
 
+    def test_objective_equals_sum_of_final_sketches_property(self):
+        # each project's picks are its strong sketch's ranking, term for
+        # term; the totals differ only in the order of the sum
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+        @hypothesis.given(seed=st.integers(0, 2**32 - 1))
+        def check(seed):
+            scn = random_welfare_scenario(np.random.default_rng(seed), n_max=10, m_max=4)
+            table = build_score_table(scn, "replication", max_r=max(scn.cardinalities))
+            res = greedy_welfare(scn, table)
+            sketches = [strong_sketch(table, j, S) for j, S in enumerate(res.assignment.sets)]
+            for j, ev in enumerate(sketches):
+                picks = [t for t in res.score_trace if t.project == j]
+                assert [(t.agent, r, t.score) for r, t in enumerate(picks, 1)] == list(ev.per_term)
+            want = math.fsum(ev.strong for ev in sketches)
+            assert math.isclose(res.sketch_objective, want, rel_tol=1e-12, abs_tol=1e-12)
+
+        check()
+
     def test_total_is_exact_welfare(self):
         gen = np.random.default_rng(67)
         scn = random_welfare_scenario(gen)

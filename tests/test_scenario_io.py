@@ -290,6 +290,27 @@ class TestProjectStores:
         table = self.same_tables(scn, 2)
         assert (table.methods == "monte_carlo").sum() == 7
 
+    def test_shuffled_atoms_load_to_the_same_stores(self):
+        # the loader keeps a file's atom order when every entry already
+        # rises, as save_scenario writes them, and sorts otherwise; both
+        # give the same bits, and contiguous store arrays
+        gen = np.random.default_rng(10)
+        doc = scenario_to_dict(roster(gen, n=20, m=12))
+        shuffled = json.loads(json.dumps(doc))
+        moved = 0
+        for entry in shuffled["distributions"]:
+            support = entry["support"]
+            entry["support"] = [support[t] for t in gen.permutation(len(support))]
+            moved += entry["support"] != support
+        assert moved > 50
+        in_order = scenario_from_dict(doc).scenario
+        sorted_on_load = scenario_from_dict(shuffled).scenario
+        for j in in_order.projects:
+            want = store_hexes(in_order.store(j))
+            assert store_hexes(sorted_on_load.store(j)) == want
+            for store in (in_order.store(j), sorted_on_load.store(j)):
+                assert store.values.flags.c_contiguous and store.probs.flags.c_contiguous
+
     def test_dist_is_built_once(self):
         scn = roster(np.random.default_rng(8), n=20, m=12)
         loaded = reloaded(scn)

@@ -1,6 +1,7 @@
 """Test scores: mean, quantile tail integral, replication, score tables."""
 
 import io
+import json
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from testscore import (
 )
 
 from testscore.adversarial import CATALOGUE_POOL
-from testscore.scenario_io import value_fn_tag
+from testscore.scenario_io import scenario_from_dict, scenario_to_dict, value_fn_tag
 from testscore.scores import (
     MC_BASE_SAMPLES,
     MC_MAX_ROUNDS,
@@ -30,7 +31,7 @@ from testscore.scores import (
     ScoreDiag,
     ScoreTable,
 )
-from testscore.utility import _MERGE, _expectation, _mc
+from testscore.utility import _MERGE, _expectation, _mc, _member_rows
 
 from oracle_tools import (
     CATALOGUE_REFS,
@@ -40,6 +41,7 @@ from oracle_tools import (
     fn_total,
     ref_quantile,
     ref_replication,
+    ref_replication_table,
 )
 
 PAIRED = [
@@ -726,3 +728,116 @@ class TestSumColumns:
             build_score_table(scn, "replication", max_r=2, mc_fallback=False)
         assert scored == [(1, 0, 2)]
         assert str(exc.value) == "exact expectation budget exceeded: 30 > 20"
+
+
+def _class_scenario(gen, fns, lengths, ks):
+    # a fresh support of up to the given length (exactly 9 for 9) for every
+    # agent on every project
+    rows = tuple(
+        tuple(_random_dist(gen, s) if s < 9 else _spread(9, 0.1 * j) for j in range(len(fns)))
+        for s in lengths
+    )
+    return Scenario(dists=rows, value_fns=tuple(fns), cardinalities=ks)
+
+
+def _reloaded(scn):
+    return scenario_from_dict(json.loads(json.dumps(scenario_to_dict(scn)))).scenario
+
+
+class TestClassPass:
+    """Projects whose value functions are equal are scored in one engine
+    call per r; every cell keeps the bits, method and standard error of
+    the per-project fill (``ref_replication_table``)."""
+
+    def same(self, scn, max_r, rng=None):
+        table = build_score_table(scn, "replication", max_r=max_r, rng=rng)
+        scores, methods, std_errors = ref_replication_table(scn, max_r, rng)
+        assert [x.hex() for x in table.scores.ravel().tolist()] == [
+            x.hex() for x in scores.ravel().tolist()
+        ]
+        assert table.methods.tolist() == methods.tolist()
+        assert table.std_errors.tobytes() == std_errors.tobytes()
+        return table
+
+    def spy(self, monkeypatch):
+        calls = []  # (value function, store) of every batch
+
+        def spy(g, store, copies, budget, out=None):
+            calls.append((g, store))
+            return _member_rows(g, store, copies, budget, out)
+
+        monkeypatch.setattr("testscore.scores._member_rows", spy)
+        return calls
+
+    @pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+    def test_every_catalogue_variant_in_classes(self, loaded, monkeypatch):
+        # three projects per variant, the classes interleaved; point
+        # masses, and a 9-atom agent whose r = 4 sum-route cells step
+        # through 9^4 > _MERGE partial sums
+        assert 9**4 > _MERGE
+        fns = [g for _ in range(3) for g, _ in PAIRED]
+        lengths = (1, 2, 3, 9, 1, 5, 2, 4, 1, 3) * 4
+        scn = _class_scenario(np.random.default_rng(41), fns, lengths, (4,) + (1,) * 35)
+        if loaded:
+            scn = _reloaded(scn)
+        calls = self.spy(monkeypatch)
+        self.same(scn, 4)
+        # one batch per variant and r, each on its three projects' stores
+        assert len(calls) == 4 * len(PAIRED)
+        assert all(len(store) == 3 * scn.n_agents for _, store in calls)
+
+    def test_equal_value_functions_that_are_not_the_same_object(self, monkeypatch):
+        fns = [
+            ValueFunction.ces(2),
+            ValueFunction.top_r(2),
+            ValueFunction.ces(2.0),
+            ValueFunction("top_r", r=2.0),
+            ValueFunction.total(ConcaveFn("sqrt")),
+            ValueFunction.total(ConcaveFn("sqrt")),
+            ValueFunction.best_shot(),
+        ]
+        lengths = (1, 3, 2, 4, 1, 2, 5, 3, 2, 1)
+        scn = _class_scenario(np.random.default_rng(42), fns, lengths, (3,) + (1,) * 6)
+        calls = self.spy(monkeypatch)
+        self.same(scn, 3)
+        # ces, top-r and total:sqrt classes of two projects, then best shot alone
+        assert [len(store) for _, store in calls] == [20] * 9 + [10] * 3
+        # a class of one reads its project's own cached store
+        assert all(store is scn.store(6) for _, store in calls[9:])
+
+    @pytest.mark.parametrize("r", [1.5, 4.0])
+    def test_point_masses(self, r):
+        gen = np.random.default_rng(43)
+        values = np.unique(gen.uniform(0.0, 3.0, 240)).tolist()[:240]
+        dists = tuple(
+            (Distribution.point(values[2 * i]), Distribution.point(values[2 * i + 1]))
+            for i in range(len(values) // 2)
+        ) + ((Distribution.point(0.0),) * 2,)
+        fns = (ValueFunction.ces(r),) * 2
+        self.same(Scenario(dists=dists, value_fns=fns, cardinalities=(3, 3)), 3)
+
+    def test_monte_carlo_cells(self, monkeypatch):
+        # at budget 20 the 6-atom agent's r = 2 cells cost 6 + 36 on the
+        # non-linear sum route and 6 * 2 * 2 on top-r, so they fall back
+        monkeypatch.setenv("TESTSCORE_BUDGET", "20")
+        fns = [g for _ in range(2) for g, _ in PAIRED]
+        scn = _class_scenario(np.random.default_rng(44), fns, (6,) + (1, 2, 3) * 9, (2,) + (1,) * 23)
+        table = self.same(scn, 2, RngSpec(seed=3))
+        assert (table.methods == "monte_carlo").sum() == 14
+        loaded = build_score_table(_reloaded(scn), "replication", max_r=2, rng=RngSpec(seed=3))
+        for a, b in ((loaded.scores, table.scores), (loaded.std_errors, table.std_errors)):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("budget", [3, 6, 20])
+    def test_no_fallback_raises_on_the_same_first_cell(self, budget, monkeypatch):
+        monkeypatch.setenv("TESTSCORE_BUDGET", str(budget))
+        fns = [g for _ in range(2) for g, _ in PAIRED]
+        scn = _class_scenario(np.random.default_rng(45), fns, (2, 1, 3, 6, 1, 4) * 5, (2,) + (1,) * 23)
+        with pytest.raises(BudgetExceededError) as want:
+            ref_replication_table(scn, 2, mc_fallback=False)
+        scored = _spy_single(monkeypatch, scn)
+        _forbid_batches(monkeypatch)
+        with pytest.raises(BudgetExceededError) as got:
+            build_score_table(scn, "replication", max_r=2, mc_fallback=False)
+        assert str(got.value) == str(want.value)
+        assert len(scored) == 1

@@ -328,6 +328,26 @@ class TestMonteCarlo:
         with pytest.raises(ValidationError):
             mc_utility(scn, 0, [0], RngSpec(seed=0), samples=1)
 
+    @pytest.mark.parametrize("g", [g for g, _ in PAIRED], ids=TAGS)
+    def test_within_five_standard_errors_property(self, g):
+        # a spread of 0 (every member a point mass) leaves only the
+        # rounding of the sample mean
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=12, deadline=None, derandomize=True)
+        @hypothesis.given(seed=st.integers(0, 2**32 - 1), data=st.data())
+        def check(seed, data):
+            gen = np.random.default_rng(seed)
+            n = data.draw(st.integers(1, 4))
+            scn = Scenario.single_project(random_dists(gen, n), g, n)
+            S = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+            est = mc_utility(scn, 0, S, RngSpec(seed=seed), samples=4000)
+            exact = project_utility(scn, 0, S).value
+            assert abs(est.value - exact) <= 5 * est.std_error + 1e-12 * max(1.0, abs(exact))
+
+        check()
+
 
 class TestSubmodularity:
     def test_catalogue_instances_pass(self):
