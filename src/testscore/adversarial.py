@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Distribution, Scenario, ValidationError
+from .core import BudgetExceededError, Distribution, Scenario, ValidationError, enumeration_budget
 from .production import ConcaveFn, UnitFn, ValueFunction
 from .optimize import (
     baseline_max_sketch_welfare,
@@ -50,6 +50,14 @@ def _two_point(v: float, p: float) -> Distribution:
     return Distribution.from_pairs(((0.0, 1.0 - p), (v, p)))
 
 
+def _price(name: str, agents: int, projects: int, atoms: int) -> None:
+    # an instance's cells times atoms per cell against the budget, before it is built
+    size, budget = agents * projects * atoms, enumeration_budget()
+    if size > budget:
+        shape = f"{agents} agents x {projects} projects x {atoms} atoms"
+        raise BudgetExceededError(size, budget, what=f"{name} instance", shape=shape)
+
+
 def gen_mean_fails_bestshot(k: int = 4, a: float = 10.0, p: float = 0.09) -> AdversarialInstance:
     """Steady performers versus all-or-nothing specialists on a best-shot
     project. Mean scores rank the steady agents first, yet one specialist
@@ -57,6 +65,7 @@ def gen_mean_fails_bestshot(k: int = 4, a: float = 10.0, p: float = 0.09) -> Adv
     fraction of optimal as k grows."""
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
+    _price("mean_bestshot", 2 * k, 1, 2)
     if a <= 1.0:
         raise ValidationError(f"need a > 1, got {a}")
     if not (0.0 < p < 1.0) or a * p >= 1.0:
@@ -85,6 +94,7 @@ def gen_quantile_fails_linear(k: int = 10, a: float = 1.5, p: float = 0.11) -> A
     only a*p < 1 each, so the tail-score team underperforms by factor a*p."""
     if k < 2:
         raise ValidationError(f"k must be >= 2, got {k}")
+    _price("quantile_linear", 2 * k, 1, 2)
     if a <= 1.0:
         raise ValidationError(f"need a > 1, got {a}")
     if not (1.0 / k < p < 1.0):
@@ -116,6 +126,7 @@ def gen_ces_mean_tightness(
     the specialist block alone is worth at least a(1 - e^(-k/a))."""
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
+    _price("ces_mean", 2 * k, 1, 2)
     if a < 1.0:
         raise ValidationError(f"need a >= 1, got {a}")
     if eps <= 0.0:
@@ -156,6 +167,7 @@ def gen_quantile_ces(
         raise ValidationError(f"need 0 < theta <= k, got {theta}")
     if n < 3 * k:
         raise ValidationError(f"need n >= 3k = {3 * k}, got {n}")
+    _price("quantile_ces", n, 1, 2)
     if n * theta < k:
         raise ValidationError(f"need n*theta >= k for an exact tail score, got n={n}, theta={theta}")
     if min(a, b, c) <= 0.0:
@@ -205,6 +217,7 @@ def gen_welfare_example1(r: int = 4) -> AdversarialInstance:
     sketch instead piles them into one project for welfare 1."""
     if r < 2:
         raise ValidationError(f"r must be >= 2, got {r}")
+    _price("welfare_ex1", r * r, r, 1)
     heavy = Distribution.point(1.0)
     dead = Distribution.point(0.0)
     dists = tuple(
@@ -235,6 +248,7 @@ def gen_welfare_example2(r: int = 4) -> AdversarialInstance:
     the summed max-score sketch scatters them for about 2 sqrt(r)."""
     if r < 2:
         raise ValidationError(f"r must be >= 2, got {r}")
+    _price("welfare_ex2", 2 * r, r + 1, 1)
     root = math.sqrt(r)
     means = [root] + [1.0] * (r - 1) + [0.0] * r
     scale = 1.0 / root

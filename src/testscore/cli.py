@@ -368,7 +368,7 @@ def cmd_worstcase(args, parser: argparse.ArgumentParser) -> int:
                 f"(accepted: {', '.join('--' + q for q in accepted)})"
             )
         if isinstance(accepted[param].default, int):
-            if not value.is_integer():
+            if isinstance(value, float) and not value.is_integer():
                 parser.error(f"--{param} must be an integer for {args.name}")
             value = int(value)
         kwargs[param] = value

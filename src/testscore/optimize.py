@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
-from itertools import chain, combinations, islice
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,7 +25,7 @@ from .core import (
 )
 from . import utility
 from .scores import ScoreTable
-from .sketch import BOUND_TOL, strong_sketch
+from .sketch import BOUND_TOL, _strong_sketch_values
 from .utility import (
     UtilityEstimate,
     _batch_expectation,
@@ -35,6 +34,7 @@ from .utility import (
     _member_rows,
     _row_work,
     _subsets,
+    _team_blocks,
     mc_utility,
     project_utility,
     team_values,
@@ -235,18 +235,6 @@ def _subset_enum_cost(scn: Scenario, j: int, k: int, grid=None) -> int:
             work[c] += work[c - 1] + size[c - 1] * s
             size[c] += size[c - 1] * max(s, 1)
     return work[k] + teams
-
-
-def _team_blocks(n: int, k: int):
-    # the size-k teams of range(n) in lexicographic order, as (rows, k)
-    # arrays of at most _BLOCK cells in the smallest integer type that
-    # holds n; never one C(n, k) x k array
-    flat = chain.from_iterable(combinations(range(n), k))
-    rows = max(1, utility._BLOCK // k)
-    for lo in range(0, math.comb(n, k), rows):
-        cells = min(rows, math.comb(n, k) - lo) * k
-        block = np.fromiter(islice(flat, cells), dtype=np.min_scalar_type(-n), count=cells)
-        yield block.reshape(-1, k)
 
 
 def _near_best(scored) -> np.ndarray:
@@ -484,7 +472,7 @@ def _best_assignment_by_sketch(
 ) -> SelectionResult:
     def values(j: int, teams: np.ndarray) -> np.ndarray:
         if sketch_of == "strong":
-            return np.array([strong_sketch(table, j, S).strong for S in teams.tolist()])
+            return _strong_sketch_values(table, j, teams)
         k = teams.shape[1]
         table.require(scn.n_agents - 1, j, k)  # the table covers every agent at size k
         scores = table.scores[teams, j, k - 1]

@@ -117,11 +117,10 @@ class ScoreTable:
             raise ValidationError(
                 f"scores must be a non-empty (n, m, max_r) array, got shape {scores.shape}"
             )
-        methods = np.full(scores.shape, self.kind, dtype=object)
-        std_errors = np.zeros(scores.shape)
-        for arr, given in ((methods, self.methods), (std_errors, self.std_errors)):
-            if given is not None:
-                arr[...] = given  # raises unless it broadcasts to the shape of scores
+        # one pass each; a given value raises unless it broadcasts to the shape of scores
+        methods, std_errors = np.empty(scores.shape, dtype=object), np.empty(scores.shape)
+        methods[...] = self.kind if self.methods is None else self.methods
+        std_errors[...] = 0.0 if self.std_errors is None else self.std_errors
         for name, arr in (("scores", scores), ("methods", methods), ("std_errors", std_errors)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)

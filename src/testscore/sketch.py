@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .core import Scenario, ValidationError
 from .scores import ScoreTable, build_score_table
 from .utility import _subsets, team_values
@@ -95,6 +97,25 @@ def strong_sketch(table: ScoreTable, j: int, S) -> SketchEval:
     )
 
 
+def _strong_sketch_values(table: ScoreTable, j: int, teams: np.ndarray) -> np.ndarray:
+    """``strong_sketch(table, j, S).strong`` for every row S of ``teams``,
+    bit for bit, when each row is a non-empty team in ascending order, as
+    ``_subsets`` lists them: at each rank r a row takes the first largest
+    a^r of its members not yet ranked (ties go to the smallest id) and
+    adds a^r / r to a sum from 0.0."""
+    if table.kind != "replication":
+        raise ValidationError(f"strong sketch needs a replication table, got {table.kind!r}")
+    B, t = teams.shape
+    table.require(int(teams.max()), j, t)  # the table covers every member at size t
+    rows, ranked, total = np.arange(B), np.zeros((B, t), dtype=bool), np.zeros(B)
+    for r in range(1, t + 1):
+        scores = np.where(ranked, -np.inf, table.scores[teams, j, r - 1])
+        pick = scores.argmax(axis=1)
+        ranked[rows, pick] = True
+        total += scores[rows, pick] / r
+    return total
+
+
 @dataclass(frozen=True)
 class MaxTermBound:
     holds: bool
@@ -157,20 +178,24 @@ def _worse(cur: Optional[BoundWitness], cand: BoundWitness) -> BoundWitness:
 
 def _verify_bracket(scn: Scenario, j: int, k: int, sizes, sides) -> SketchBoundReport:
     """The worst slack of a bracket's lower and upper side over every team
-    whose size is in ``sizes``: ``sides(table, S, u)`` returns both as
-    (bound, slack, v), from the exact replication table up to size k and
-    the team's exact utility u."""
+    whose size is in ``sizes``: ``sides(table, teams, u)`` returns both as
+    (bound, slacks, v) for one block of teams of a size, from the exact
+    replication table up to size k and the teams' exact utilities u. A
+    side's witness is its first smallest slack in lexicographic order, a
+    later size replacing it only with a strictly smaller one."""
     if k < 1 or k > scn.n_agents:
         raise ValidationError(f"k must be in 1..{scn.n_agents}, got {k}")
     table = build_score_table(scn, "replication", max_r=k, mc_fallback=False)
-    worst_lo: Optional[BoundWitness] = None
-    worst_hi: Optional[BoundWitness] = None
+    worst: list[Optional[BoundWitness]] = [None, None]  # lower side, upper side
     for t in sizes:
         teams = _subsets(scn.n_agents, t)
-        for S, u in zip(map(tuple, teams.tolist()), team_values(scn, j, teams).tolist()):
-            lo, hi = sides(table, S, u)
-            worst_lo = _worse(worst_lo, BoundWitness(lo[0], lo[1], S, u=u, v=lo[2]))
-            worst_hi = _worse(worst_hi, BoundWitness(hi[0], hi[1], S, u=u, v=hi[2]))
+        u = team_values(scn, j, teams)
+        for side, (bound, slack, v) in enumerate(sides(table, teams, u)):
+            i = int(slack.argmin())  # the first smallest
+            S = tuple(teams[i].tolist())
+            cand = BoundWitness(bound, float(slack[i]), S, u=float(u[i]), v=float(v[i]))
+            worst[side] = _worse(worst[side], cand)
+    worst_lo, worst_hi = worst
     assert worst_lo is not None and worst_hi is not None
     ok = worst_lo.slack >= -BOUND_TOL and worst_hi.slack >= -BOUND_TOL
     return SketchBoundReport(ok=ok, worst_lower=worst_lo, worst_upper=worst_hi)
@@ -186,9 +211,9 @@ def verify_strong_sketch_bounds(scn: Scenario, j: int, k: int) -> SketchBoundRep
     equal to ``project_utility`` bit for bit.
     """
 
-    def sides(table, S, u):
-        v = strong_sketch(table, j, S).strong
-        scale = 2.0 * (math.log(len(S)) + 1.0)
+    def sides(table, teams, u):
+        v = _strong_sketch_values(table, j, teams)
+        scale = 2.0 * (math.log(teams.shape[1]) + 1.0)
         return ("strong_lower", u - v / scale, v), ("strong_upper", 6.0 * v - u, v)
 
     return _verify_bracket(scn, j, k, range(1, k + 1), sides)
@@ -204,8 +229,9 @@ def verify_goodness_sandwich(scn: Scenario, j: int, k: int) -> SketchBoundReport
     """
     lo_factor = 1.0 - 1.0 / math.e
 
-    def sides(table, S, u):
-        lower, upper = minmax_sketch(table, j, S, k)
+    def sides(table, teams, u):
+        scores = table.scores[teams, j, k - 1]
+        lower, upper = scores.min(axis=1), scores.max(axis=1)
         return (
             ("goodness_lower", u - lo_factor * lower, lower),
             ("goodness_upper", 4.0 * upper - u, upper),

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -43,6 +43,7 @@ from .production import ValueFunction, evaluate, evaluate_batch
 
 _MERGE = 1 << 12  # partial-sum atoms past which equal sums are merged
 _BLOCK = 1 << 16  # team-by-grid cells the order route scores per array pass
+_TABLE = 1 << 14  # cells of a subset table ``_lex_table`` builds; ids fit int8
 SUBMODULARITY_TOL = 1e-9
 
 Pool = Sequence[Distribution]
@@ -169,17 +170,78 @@ def _row_sums(values: np.ndarray, teams: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=64)  # at most 64 * _TABLE bytes, 1 MB, kept
+def _lex_table(m: int, c: int) -> np.ndarray:
+    """The c-subsets of range(m), 1 < c < m, in lexicographic order,
+    read-only, in the smallest integer type that holds m, built a column
+    at a time from the last: the j-subsets of range(c - j, m) that start
+    with a are a followed by the (j - 1)-subsets that start past a, a
+    suffix of the previous table. Callers ask for at most _TABLE cells."""
+    dtype = np.min_scalar_type(-m)
+    table = np.arange(c - 1, m, dtype=dtype)[:, None]
+    for j in range(2, c + 1):
+        first = np.arange(c - j, m - j + 1, dtype=dtype)
+        starts = np.searchsorted(table[:, 0], first, side="right")
+        counts = len(table) - starts
+        ends = np.cumsum(counts)
+        wider = np.empty((ends[-1], j), dtype)
+        wider[:, 0] = np.repeat(first, counts)
+        wider[:, 1:] = table[np.arange(ends[-1]) + np.repeat(starts + counts - ends, counts)]
+        table = wider
+    table.flags.writeable = False
+    return table
+
+
+def _team_blocks(n: int, k: int, rows: int = 0, dtype=None):
+    """The k-subsets of range(n) in lexicographic order, in blocks of
+    exactly ``rows`` teams (default _BLOCK // k; the last one fewer) typed
+    ``dtype`` (default: the smallest that holds n). Prefixes are split
+    until the suffix is a range or a cached ``_lex_table`` of at most
+    _TABLE cells, and each block is filled with prefixes next to suffixes;
+    the last first elements of a split share one such table."""
+    rows, total = rows or max(1, _BLOCK // max(k, 1)), math.comb(n, k)
+    dtype = np.min_scalar_type(-n) if dtype is None else dtype
+    block, at = np.empty((min(rows, total), k), dtype), 0  # filled up to at
+    stack = [((), 0)] if total else []  # (prefix, lo): next to subsets of range(lo, n)
+    while stack:
+        prefix, lo = stack.pop()
+        c = k - len(prefix)
+        if c > 1 and math.comb(n - lo, c) > max(1, _TABLE // c):
+            # each first element a below the tail that fits in one table leads a prefix
+            tail = next(a for a in range(lo + 1, n) if math.comb(n - a, c) <= max(1, _TABLE // c))
+            stack += [(prefix, tail)] + [(prefix + (a,), a + 1) for a in range(tail - 1, lo - 1, -1)]
+            continue
+        if 1 < c < n - lo:
+            suffix, shift = _lex_table(n - lo, c), lo
+        else:  # one column, or one row (for k = 0 the empty team)
+            suffix, shift = np.arange(lo, n)[:, None] if c == 1 else np.arange(lo, lo + c)[None], 0
+        done = 0
+        while done < len(suffix):
+            take = min(len(suffix) - done, len(block) - at)
+            part = block[at : at + take]
+            part[:, len(prefix) :] = suffix[done : done + take]
+            if prefix:
+                part[:, : len(prefix)] = prefix
+            if shift:  # in the block's type, which holds n
+                part[:, len(prefix) :] += shift
+            done, at, total = done + take, at + take, total - take
+            if at == len(block):
+                yield block
+                block, at = np.empty((min(rows, total), k), dtype), 0
+
+
 def _subsets(n: int, k: int, colex: bool = False, dtype=np.intp) -> np.ndarray:
     """The k-subsets of range(n), one ascending row each, in lexicographic
     order, or in colex order: by largest element first, which is the
     order of their bitmasks and of the colex rank sum_i C(a_i, i + 1)
-    over the ascending a_i (the lexicographic subsets of the descending
-    range, reversed both ways)."""
-    count = math.comb(n, k)
-    agents = range(n - 1, -1, -1) if colex else range(n)
-    flat = chain.from_iterable(combinations(agents, k))
-    rows = np.fromiter(flat, dtype=dtype, count=count * k).reshape(count, k)
-    return rows[::-1, ::-1] if colex else rows
+    over the ascending a_i (the lexicographic subsets with each a mapped
+    to n - 1 - a, reversed both ways); ``_team_blocks`` fills them as one
+    block."""
+    rows = next(_team_blocks(n, k, max(1, math.comb(n, k)), dtype), np.empty((0, k), dtype))
+    if colex:
+        np.subtract(n - 1, rows, out=rows)
+        return rows[::-1, ::-1]
+    return rows
 
 
 def _grid(pool: Pool, n_teams: int) -> np.ndarray:
@@ -411,9 +473,10 @@ def team_values(scn: Scenario, j: int, teams) -> np.ndarray:
     k = teams.shape[1]
     support = _row_sums(np.array([len(d) for d in pool]), teams)
     work = _row_work(g, support, k, 1)
-    # the first row past the budget, found in Python: comparing the array
-    # with the int would page in numpy kernels the oracles use nowhere else
-    _charge(next((w for w in work.tolist() if w > budget), 0), budget)
+    # the first row past the budget, found in Python when there is one:
+    # comparing the array with the int would page in kernels used nowhere else
+    if work.max() > budget:
+        _charge(next(w for w in work.tolist() if w > budget), budget)
     # every row fits the budget, so the routes below run unmetered
     if _linear(g):
         means = np.array([np.dot(d.values_array, d.probs_array) for d in pool])

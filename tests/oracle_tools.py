@@ -3,10 +3,13 @@
 Everything here is deliberately written the slow, obvious way: plain
 Python loops over itertools products, no shared helpers from the library
 beyond the dataclasses being checked (and ``evaluate``, the function the
-bisection inverts). Keep these dumb. The one exception is
-``ref_replication_table``, which keeps the score table's earlier
-per-project fill on the engine's own kernels, so that comparing it with
+bisection inverts). Keep these dumb. There are two exceptions.
+``ref_replication_table`` keeps the score table's earlier per-project
+fill on the engine's own kernels, so that comparing it with
 ``build_score_table`` checks how the cells are grouped and nothing else.
+``ref_verify_bracket`` keeps the sketch verifiers' earlier per-team loop
+on the library's per-team calls, so that comparing it with the verifiers
+checks their team blocks and witness choice and nothing else.
 """
 
 import itertools
@@ -14,7 +17,18 @@ import math
 
 import numpy as np
 
-from testscore import BudgetExceededError, InverseUnboundedError, RngSpec, evaluate
+from testscore import (
+    BoundWitness,
+    BudgetExceededError,
+    InverseUnboundedError,
+    RngSpec,
+    SketchBoundReport,
+    build_score_table,
+    evaluate,
+    minmax_sketch,
+    project_utility,
+    strong_sketch,
+)
 from testscore.core import enumeration_budget
 from testscore.scores import MC_BASE_SAMPLES, MC_MAX_ROUNDS, MC_TARGET_REL_SE
 from testscore.utility import _batchable, _expectation, _mc, _member_rows
@@ -318,3 +332,33 @@ def ref_replication_table(scn, max_r, rng=None, mc_fallback=True):
         for r in range(1, max_r + 1):
             _member_rows(scn.value_fns[j], scn.store(j), r, budget, scores[:, j, r - 1])
     return scores, methods, std_errors
+
+
+def ref_verify_bracket(scn, j, k, which):
+    """A sketch verifier's report by one call per team: every team of
+    sizes 1..k (``which == "strong"``, the harmonic-sketch bracket) or of
+    size k (``"goodness"``, the min/max sandwich), in
+    ``itertools.combinations`` order, valued by its own ``project_utility``
+    and its own ``strong_sketch`` or ``minmax_sketch`` call; each side's
+    worst slack is replaced only by a strictly smaller one."""
+    table = build_score_table(scn, "replication", max_r=k, mc_fallback=False)
+    worst = [None, None]
+    for t in range(1, k + 1) if which == "strong" else (k,):
+        for S in itertools.combinations(range(scn.n_agents), t):
+            u = project_utility(scn, j, S).value
+            if which == "strong":
+                v = strong_sketch(table, j, S).strong
+                scale = 2.0 * (math.log(t) + 1.0)
+                sides = [("strong_lower", u - v / scale, v), ("strong_upper", 6.0 * v - u, v)]
+            else:
+                lower, upper = minmax_sketch(table, j, S, k)
+                sides = [
+                    ("goodness_lower", u - (1.0 - 1.0 / math.e) * lower, lower),
+                    ("goodness_upper", 4.0 * upper - u, upper),
+                ]
+            for side, (bound, slack, v) in enumerate(sides):
+                if worst[side] is None or slack < worst[side].slack:
+                    worst[side] = BoundWitness(bound, slack, S, u=u, v=v)
+    lo, hi = worst
+    ok = lo.slack >= -1e-9 and hi.slack >= -1e-9
+    return SketchBoundReport(ok=ok, worst_lower=lo, worst_upper=hi)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from testscore import (
+    BudgetExceededError,
     CATALOGUE_POOL,
     GENERATORS,
     RngSpec,
@@ -140,6 +141,26 @@ class TestGeneratorPreconditions:
     def test_welfare_rejects_small_r(self, gen):
         with pytest.raises(ValidationError):
             gen(r=1)
+
+    @pytest.mark.parametrize(
+        "make, cells",
+        [
+            (gen_mean_fails_bestshot, 8 * 1 * 2),  # 2k agents, one project, two atoms
+            (gen_quantile_fails_linear, 20 * 1 * 2),
+            (gen_ces_mean_tightness, 8 * 1 * 2),
+            (gen_quantile_ces, 64 * 1 * 2),
+            (gen_welfare_example1, 16 * 4 * 1),  # r^2 agents, r projects
+            (gen_welfare_example2, 8 * 5 * 1),  # 2r agents, r + 1 projects
+        ],
+    )
+    def test_instance_priced_against_the_budget(self, monkeypatch, make, cells):
+        monkeypatch.setenv("TESTSCORE_BUDGET", str(cells))
+        make()
+        monkeypatch.setenv("TESTSCORE_BUDGET", str(cells - 1))
+        with pytest.raises(BudgetExceededError) as exc:
+            make()
+        assert (exc.value.required, exc.value.budget) == (cells, cells - 1)
+        assert " agents x " in exc.value.shape and exc.value.shape.endswith(" atoms")
 
 
 class TestValidateInstanceMechanics:

@@ -538,6 +538,47 @@ class TestWorstcase:
         assert "--k does not apply" in err
         assert "--r" in err
 
+    @pytest.mark.parametrize(
+        "argv, params",
+        [
+            (["mean_bestshot", "--k", "4"], {"k": 4}),
+            (["quantile_linear", "--k", "3", "--p", "0.5"], {"k": 3}),
+            (["ces_mean", "--k", "2"], {"k": 2}),
+            (["quantile_ces", "--n", "64"], {"n": 64}),
+            (["quantile_ces", "--k", "2", "--n", "6"], {"k": 2, "n": 6}),
+        ],
+    )
+    def test_integer_flags(self, capsys, argv, params):
+        # --k and --n parse as ints, which have no is_integer before Python 3.12
+        code, out, err = run(capsys, ["worstcase", *argv, "--run"])
+        assert (code, err) == (EXIT_OK, "")
+        doc = json.loads(out)
+        assert {key: doc["params"][key] for key in params} == params
+        assert doc["validation"]["ok"] is True
+
+    @pytest.mark.parametrize(
+        "argv, shape",
+        [
+            (["welfare_ex2", "--r", "100000000000"], "200000000000 agents x 100000000001 projects x 1 atoms"),
+            (["welfare_ex1", "--r", "1000"], "1000000 agents x 1000 projects x 1 atoms"),
+            (["mean_bestshot", "--k", "100000000"], "200000000 agents x 1 projects x 2 atoms"),
+            (["quantile_ces", "--n", "10000000"], "10000000 agents x 1 projects x 2 atoms"),
+        ],
+    )
+    def test_oversized_instance_exits_3_before_it_is_built(self, capsys, argv, shape):
+        code, out, err = run(capsys, ["worstcase", *argv])
+        assert (code, out) == (EXIT_BUDGET, "")
+        assert err.startswith(f"error: {argv[0]} instance budget exceeded: ")
+        assert err.endswith(f" > 10000000 ({shape})\n")
+
+    @pytest.mark.parametrize("name, flag", [("quantile_linear", "--k"), ("quantile_ces", "--n")])
+    def test_integer_flag_past_float_range_exits_3(self, capsys, name, flag):
+        # an int flag needs no integrality check, and the instance is priced
+        # before any float arithmetic on it
+        code, out, err = run(capsys, ["worstcase", name, flag, "9" * 400])
+        assert (code, out) == (EXIT_BUDGET, "")
+        assert err.startswith(f"error: {name} instance budget exceeded: ")
+
     def test_integer_params_enforced(self, capsys):
         assert run(capsys, ["worstcase", "welfare_ex1", "--r", "2.5"])[0] == EXIT_USAGE
         assert run(capsys, ["worstcase", "mean_bestshot", "--k", "2.5"])[0] == EXIT_USAGE

@@ -395,6 +395,22 @@ class TestBruteForceSingle:
         assert len(blocks) == math.ceil(math.comb(7, 3) / 3)
         assert [tuple(t) for t in np.concatenate(blocks).tolist()] == list(combinations(range(7), 3))
 
+    @pytest.mark.parametrize("block", [None, 1, 10, 64])
+    def test_team_blocks_equal_combinations(self, monkeypatch, block):
+        # blocks of exactly _BLOCK // k teams, the last one fewer, cut
+        # across the prefix pieces, in the smallest type that holds n
+        if block is not None:
+            monkeypatch.setattr(utility, "_BLOCK", block)
+        shapes = [(n, k) for n in range(1, 13) for k in range(1, n + 1)]
+        shapes += [(n, k) for n in (127, 128, 129) for k in (1, 2, n - 1, n)]
+        for n, k in shapes:
+            rows = max(1, utility._BLOCK // k)
+            blocks = list(_team_blocks(n, k))
+            assert all(len(b) == rows for b in blocks[:-1]) and 0 < len(blocks[-1]) <= rows
+            assert {b.dtype for b in blocks} == {np.min_scalar_type(-n)}
+            got = [tuple(t) for t in np.concatenate(blocks).tolist()]
+            assert got == list(combinations(range(n), k)), (n, k)
+
     def test_budget_error_names_oracle_and_shape(self, monkeypatch):
         monkeypatch.setenv("TESTSCORE_BUDGET", "10")
         dists = [TWO_POINT] * 7 + [Distribution.point(1.0)]

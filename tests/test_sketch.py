@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from testscore import (
+    CATALOGUE_POOL,
     Distribution,
     Scenario,
     ScoreTable,
@@ -23,6 +24,10 @@ from testscore import (
     verify_strong_sketch_bounds,
 )
 from testscore.core import RngSpec
+from testscore.sketch import _strong_sketch_values
+from testscore.utility import _subsets
+
+from oracle_tools import ref_verify_bracket
 
 
 def table_from(entries, max_r, kind="replication"):
@@ -117,6 +122,33 @@ class TestStrongSketch:
         table = table_from({(0, 1): 1.0}, max_r=1)
         with pytest.raises(ValidationError):
             strong_sketch(table, 0, [])
+
+
+class TestStrongSketchValues:
+    def test_equal_to_strong_sketch_bit_for_bit_with_ties(self):
+        # integer scores in 0..3 tie often, so the rank order rests on the
+        # smallest-id rule, and score / r rounds for r = 3, 5, 6
+        gen = np.random.default_rng(59)
+        for _ in range(12):
+            n, m, max_r = int(gen.integers(2, 9)), int(gen.integers(1, 3)), int(gen.integers(1, 7))
+            scores = gen.integers(0, 4, size=(n, m, max_r)).astype(float)
+            table = ScoreTable(kind="replication", scores=scores)
+            for j in range(m):
+                for t in range(1, min(n, max_r) + 1):
+                    teams = _subsets(n, t)
+                    got = _strong_sketch_values(table, j, teams).tolist()
+                    want = [strong_sketch(table, j, S).strong for S in teams.tolist()]
+                    assert [x.hex() for x in got] == [x.hex() for x in want], (n, j, t)
+
+    def test_rejects_the_tables_strong_sketch_rejects(self):
+        table = table_from({(i, r): 1.0 for i in range(3) for r in (1, 2)}, max_r=2)
+        with pytest.raises(ValidationError, match="missing table entry"):
+            _strong_sketch_values(table, 0, np.array([[0, 1, 2]]))  # past max_r
+        with pytest.raises(ValidationError, match="missing table entry"):
+            _strong_sketch_values(table, 0, np.array([[1, 3]]))
+        mean = table_from({(0, 1): 1.0}, max_r=1, kind="mean")
+        with pytest.raises(ValidationError, match="replication"):
+            _strong_sketch_values(mean, 0, np.array([[0]]))
 
 
 class TestMinMaxSketch:
@@ -234,3 +266,29 @@ class TestBoundVerifiers:
 
         with pytest.raises(BudgetExceededError):
             verify_strong_sketch_bounds(scn, 0, 3)
+
+
+class TestBlockedVerifiers:
+    @staticmethod
+    def scenarios():
+        gen = np.random.default_rng(60)
+        scns = [random_bsp_scenario(gen, pool=CATALOGUE_POOL) for _ in range(40)]
+        # identical agents tie every slack, so the witness is the first
+        # team; two kinds of agent tie between sizes as well
+        d = Distribution.from_pairs(((0.0, 0.5), (2.0, 0.5)))
+        scns.append(Scenario.single_project([d] * 5, ValueFunction.best_shot(), 3))
+        scns.append(Scenario.single_project([Distribution.point(1.0), d] * 3, ValueFunction.top_r(2), 3))
+        # every slack 0: the first size keeps the witness
+        scns.append(Scenario.single_project([Distribution.point(0.0)] * 4, ValueFunction.ces(2.0), 3))
+        return scns
+
+    def test_reports_equal_per_team_loop(self):
+        for scn in self.scenarios():
+            k = scn.cardinalities[0]
+            for verify, which in (
+                (verify_strong_sketch_bounds, "strong"),
+                (verify_goodness_sandwich, "goodness"),
+            ):
+                # repr tells every float apart, -0.0 from 0.0 included
+                want = repr(ref_verify_bracket(scn, 0, k, which))
+                assert repr(verify(scn, 0, k)) == want, (scn, which)

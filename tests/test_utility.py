@@ -1,6 +1,7 @@
 """Expected team utility: exact routes, Monte Carlo, submodularity."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -230,6 +231,96 @@ def lattice_dists(gen, n, max_support):
         probs = gen.uniform(0.2, 1.0, s)
         out.append(Distribution(tuple(values.tolist()), tuple((probs / probs.sum()).tolist())))
     return out
+
+
+def colex(n, k):
+    # the k-subsets of range(n) by bitmask: largest element first
+    return sorted(combinations(range(n), k), key=lambda S: S[::-1])
+
+
+class TestSubsetTables:
+    """The lexicographic tables against ``itertools.combinations``."""
+
+    def check(self, n, ks, dtypes):
+        for k in ks:
+            want, want_colex = list(combinations(range(n), k)), colex(n, k)
+            for dtype in dtypes:
+                lex = _subsets(n, k, dtype=dtype)
+                assert lex.dtype == dtype and lex.shape == (len(want), k)
+                assert list(map(tuple, lex.tolist())) == want, (n, k, dtype)
+                co = _subsets(n, k, True, dtype)
+                assert co.dtype == dtype
+                assert list(map(tuple, co.tolist())) == want_colex, (n, k, dtype)
+
+    def test_small_n_every_k(self):
+        for n in range(13):
+            self.check(n, range(n + 2), (np.intp, np.int8, np.int16, np.int64))
+
+    def test_past_the_int8_range(self):
+        # 127 agents fit int8 ids, 129 do not; at 128 the ids do but the
+        # shift past the last id does not
+        for n in (127, 128, 129):
+            self.check(n, (1, 2, n - 1, n), (np.intp, np.min_scalar_type(-n)))
+        self.check(128, (126,), (np.int8,))  # prefixes split about 110 deep
+
+    def test_small_tables_split_on_prefixes(self, monkeypatch):
+        for cells in (1, 7, 40):
+            monkeypatch.setattr(utility, "_BLOCK", cells)
+            monkeypatch.setattr(utility, "_TABLE", cells)
+            for n in range(10):
+                self.check(n, range(n + 1), (np.intp,))
+            self.check(128, (1, 2, 127, 128), (np.int8,))
+
+    def test_nearly_full_tables(self):
+        # prefixes split about 1,000 deep, one after another
+        n = 1100
+        want = np.arange(n)[None].repeat(n, axis=0)[~np.eye(n, dtype=bool)[::-1]]
+        assert (_subsets(n, n - 1) == want.reshape(n, n - 1)).all()  # row i lacks n - 1 - i
+        assert (_subsets(n, n, True) == np.arange(n)).all()
+
+    @staticmethod
+    def record_tables(monkeypatch):
+        asked = []
+
+        def lex_table(m, c):
+            asked.append(table := kept(m, c))
+            return table
+
+        kept = utility._lex_table
+        monkeypatch.setattr(utility, "_lex_table", lex_table)
+        return asked
+
+    def test_one_column_and_one_row_need_no_table(self, monkeypatch):
+        # k = 1 is a range cut into blocks and k = n one row, however
+        # many agents: no prefix is split and no table is built
+        asked = self.record_tables(monkeypatch)
+        monkeypatch.setattr(utility, "_BLOCK", 100)
+        for n in (3000, 5000):
+            blocks = list(utility._team_blocks(n, 1))
+            assert [len(b) for b in blocks] == [100] * (n // 100)
+            assert (np.concatenate(blocks)[:, 0] == np.arange(n)).all()
+            (row,) = utility._team_blocks(n, n)
+            assert (row == np.arange(n)).all()
+        assert asked == []
+
+    def test_cached_tables_are_read_only_and_bounded(self, monkeypatch):
+        cached, asked = utility._lex_table, self.record_tables(monkeypatch)
+        for n in range(13):
+            for k in range(n + 1):
+                _subsets(n, k)
+        for n, k in ((20, 10), (129, 2), (129, 127), (200, 3)):
+            for _ in utility._team_blocks(n, k):
+                pass
+        # every table asked for fits _TABLE one-byte cells, so the 64
+        # kept hold at most 1 MB
+        assert asked and all(t.size <= utility._TABLE and t.dtype == np.int8 for t in asked)
+        info = cached.cache_info()
+        assert info.maxsize * utility._TABLE <= 1 << 20 and info.currsize <= info.maxsize
+        table = asked[-1]
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+        assert cached(12, 4) is cached(12, 4) and not cached(12, 4).flags.writeable
 
 
 class TestTeamValues:
