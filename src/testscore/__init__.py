@@ -19,7 +19,6 @@ from .core import (
     Scenario,
     ValidationError,
     dist_mean,
-    dist_sample,
     empirical_distribution,
     enumeration_budget,
 )

@@ -187,18 +187,6 @@ class RngSpec:
         return np.random.Generator(np.random.Philox(key=[int(self.seed), int(stream)]))
 
 
-def dist_sample(
-    d: Distribution, rng: RngSpec, count: int, stream: int = 0
-) -> np.ndarray:
-    """Draw ``count`` i.i.d. samples by inverse CDF over the sorted support."""
-    if count < 1:
-        raise ValidationError(f"count must be >= 1, got {count}")
-    gen = rng.generator(stream)
-    u = gen.random(count)
-    idx = np.searchsorted(d.cdf_array, u, side="right")
-    return d.values_array[idx]
-
-
 def empirical_distribution(samples: Sequence[float]) -> Distribution:
     """Distribution whose atoms are the distinct sample values with
     probabilities equal to relative frequencies."""
@@ -218,9 +206,12 @@ class ProjectStore:
     ``Distribution`` leaves them. ``groups`` holds the agents grouped by
     support length: for each length s, in ascending order, (s, the agents,
     and their values, probabilities and CDFs (``cdf_rows``) as (agents, s)
-    arrays), which the engine's one-member routes read. The arrays are
-    read-only; ``groups`` and each agent's ``Distribution`` (``dist``) are
-    built on first use and cached.
+    arrays), which the engine's one-member routes read; ``padded`` holds
+    the atoms padded with +inf to the longest support and the CDFs behind
+    a 0 (no atom below), as (agents, width) and (agents, width + 1) arrays,
+    which its team blocks read. The arrays are read-only; ``groups``,
+    ``padded``, and each agent's ``atoms`` and ``Distribution`` (``dist``)
+    are built on first use and cached.
     """
 
     def __init__(self, values: np.ndarray, probs: np.ndarray, lengths: np.ndarray, dists=None):
@@ -229,6 +220,7 @@ class ProjectStore:
         for arr in (values, probs, lengths, self.offsets):
             arr.flags.writeable = False
         self._dists = list(dists) if dists is not None else [None] * len(lengths)
+        self._atoms: list = [None] * len(lengths)
 
     @classmethod
     def pack(cls, dists: Sequence[Distribution]) -> "ProjectStore":
@@ -261,12 +253,31 @@ class ProjectStore:
             out.append((s, agents, self.values[atoms], probs, cdf_rows(probs)))
         return out
 
+    @cached_property
+    def padded(self) -> tuple[np.ndarray, np.ndarray]:
+        atoms = np.full((len(self), int(self.lengths.max())), np.inf)
+        cdfs = np.zeros((len(self), atoms.shape[1] + 1))
+        for s, agents, values, _, cdf in self.groups:
+            atoms[agents, :s] = values
+            cdfs[agents, 1 : s + 1] = cdf
+        return atoms, cdfs
+
+    def atoms(self, agent: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Agent ``agent``'s values and probabilities, as views, and its
+        CDF (``cdf_rows``) behind a 0 for no atom below; cached."""
+        atoms = self._atoms[agent]
+        if atoms is None:
+            span = slice(self.offsets[agent], self.offsets[agent] + self.lengths[agent])
+            probs = self.probs[span]
+            atoms = self.values[span], probs, np.concatenate(([0.0], cdf_rows(probs)))
+            self._atoms[agent] = atoms
+        return atoms
+
     def dist(self, agent: int) -> Distribution:
         d = self._dists[agent]
         if d is None:
-            span = slice(self.offsets[agent], self.offsets[agent] + self.lengths[agent])
-            probs = self.probs[span]
-            d = Distribution._trusted(self.values[span], probs, cdf_rows(probs))
+            values, probs, cdf = self.atoms(agent)
+            d = Distribution._trusted(values, probs, cdf[1:])
             self._dists[agent] = d
         return d
 
@@ -318,9 +329,23 @@ class Scenario:
             for j, d in enumerate(row):
                 if not isinstance(d, Distribution):
                     raise ValidationError(f"missing distribution for pair ({i}, {j})")
-        for j, k in enumerate(self.cardinalities):
+        for j, (g, k) in enumerate(zip(self.value_fns, self.cardinalities)):
             if k < 1:
                 raise ValidationError(f"cardinality k_{j} must be >= 1, got {k}")
+            if g.kind in ("total", "ces", "top_r"):
+                # a team's largest sum of phi(x), x^r for ces and x otherwise
+                if self.stores:
+                    top = float(self.stores[j].values.max())
+                else:
+                    top = max(row[j].values[-1] for row in self.dists)
+                try:
+                    largest = k * (top**g.r if g.kind == "ces" else top)
+                except OverflowError:
+                    largest = math.inf
+                if not math.isfinite(largest):
+                    raise ValidationError(
+                        f"project {j}: a team of {k} at support value {top} sums past the float range"
+                    )
         if sum(self.cardinalities) > n:
             raise ValidationError(
                 f"infeasible: sum of cardinalities {sum(self.cardinalities)} "

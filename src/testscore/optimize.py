@@ -28,10 +28,9 @@ from .scores import ScoreTable
 from .sketch import BOUND_TOL, _strong_sketch_values
 from .utility import (
     UtilityEstimate,
-    _batch_expectation,
     _grid,
     _linear,
-    _member_rows,
+    _order_route,
     _row_work,
     _subsets,
     _team_blocks,
@@ -205,15 +204,14 @@ def greedy_welfare(
 
 def _subset_enum_cost(scn: Scenario, j: int, k: int, grid=None) -> int:
     # the work brute_force_single's routes charge over all C(n, k) teams;
-    # grid, when given, is the pool's merged grid that teams of several
+    # grid, when given, is the project's merged grid that teams of several
     # members are screened on
-    g = scn.value_fns[j]
-    pool = [scn.dist(i, j) for i in scn.agents]
-    teams = math.comb(len(pool), k)
-    sizes = [len(d) for d in pool]
+    g, store = scn.value_fns[j], scn.store(j)
+    teams = math.comb(scn.n_agents, k)
+    sizes = store.lengths.tolist()
     if g.kind in ("best_shot", "top_r"):
         # one-member teams each run on their own support
-        grid = _grid(pool, teams) if grid is None and k > 1 else grid
+        grid = _grid(store.values, teams) if grid is None and k > 1 else grid
         return _row_work(g, sum(sizes) if k == 1 else teams * len(grid), k, 1)
     if g.kind == "success_prob":
         return sum(sizes) + teams * k
@@ -221,7 +219,7 @@ def _subset_enum_cost(scn: Scenario, j: int, k: int, grid=None) -> int:
         # each agent's support is read once per team it joins; this also
         # bounds the blocked sums of means, since C(n-1, k-1) * sum(sizes)
         # >= C(n, k) * k (every support has at least one atom)
-        return math.comb(len(pool) - 1, k - 1) * sum(sizes) + teams
+        return math.comb(scn.n_agents - 1, k - 1) * sum(sizes) + teams
     # sum route: a DP over the agents in id order sums, over the size-c
     # teams, the engine's charge (work[c]) and the partial-sum atoms
     # (size[c], the product of the supports stepped in; point masses only
@@ -257,7 +255,7 @@ def _near_best(scored) -> np.ndarray:
 
 
 def _shape(scn: Scenario, projects, sizes: str) -> str:
-    support = max(len(scn.dist(i, j)) for i in scn.agents for j in projects)
+    support = max(int(scn.store(j).lengths.max()) for j in projects)
     return f"n={scn.n_agents}, {sizes}, largest support {support}"
 
 
@@ -267,22 +265,19 @@ def brute_force_single(scn: Scenario, j: int, k: int) -> SelectionResult:
     Ties resolve to the lexicographically smallest subset. Raises when the
     total enumeration work would exceed the budget. The teams are streamed
     in lexicographic order, in blocks, and each block is screened in one
-    array pass: best-shot and top-r teams on the pool's merged grid (lone
-    members on their own supports, read from the project's store),
-    success-probability teams on the members' hit probabilities, and
-    ``total``/``ces`` teams by ``team_values``. The teams within
-    SCREEN_TOL of the best are then rescored on their own bits: several in
-    one ``team_values`` block, a lone one by its reported
+    array pass: best-shot and top-r teams of several members on the
+    project's merged grid, every other team by ``team_values``. The teams
+    within SCREEN_TOL of the best are then rescored on their own bits:
+    several in one ``team_values`` block, a lone one by its reported
     ``project_utility``, which the up-front price keeps exact.
     """
     if k < 1 or k > scn.n_agents:
         raise ValidationError(f"k must be in 1..{scn.n_agents}, got {k}")
     budget = enumeration_budget()
-    g = scn.value_fns[j]
-    pool = [scn.dist(i, j) for i in scn.agents]
+    g, store = scn.value_fns[j], scn.store(j)
     # one merged grid, built once, prices the screen and is screened on
     merged = g.kind in ("best_shot", "top_r") and k > 1
-    grid = _grid(pool, math.comb(len(pool), k)) if merged else None
+    grid = _grid(store.values, math.comb(scn.n_agents, k)) if merged else None
     cost = _subset_enum_cost(scn, j, k, grid)
     if cost > budget:
         raise BudgetExceededError(
@@ -290,13 +285,11 @@ def brute_force_single(scn: Scenario, j: int, k: int) -> SelectionResult:
             shape=_shape(scn, [j], f"k={k}"),
         )
     # the up-front price covers every block's own charge, so no screen raises
-    if g.kind in ("total", "ces"):
-        screen = partial(team_values, scn, j)
-    elif k == 1:  # each agent alone, on its own support
-        screen = lambda block: _member_rows(g, scn.store(j), 1, budget)[block[:, 0]]
+    if merged:
+        screen = partial(_order_route, g, store, scn.agents, copies=1, budget=budget, grid=grid)
     else:
-        screen = partial(_batch_expectation, g, pool, copies=1, budget=budget, grid=grid)
-    teams = _near_best((screen(block), block) for block in _team_blocks(len(pool), k))
+        screen = partial(team_values, scn, j)
+    teams = _near_best((screen(teams=block), block) for block in _team_blocks(scn.n_agents, k))
     # batched values can round differently from a team's own; on the own
     # bits the first argmax keeps the lexicographically smallest tied team
     best = 0 if len(teams) == 1 else int(team_values(scn, j, teams).argmax())

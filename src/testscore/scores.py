@@ -82,7 +82,7 @@ def replication_score(g: ValueFunction, d: Distribution, k: int) -> float:
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    return _expectation(g, [d], k, enumeration_budget())
+    return _expectation(g, ProjectStore.pack([d]), [0], k, enumeration_budget())
 
 
 @dataclass(frozen=True)
@@ -252,9 +252,9 @@ def build_score_table(
     # in (agent, project, r) order, so that without the fallback the first
     # over-budget cell raises before any later cell is scored
     for i, j, r in sorted(single):
-        g, d = scn.value_fns[j], scn.dist(i, j)
+        g, store = scn.value_fns[j], scn.store(j)
         try:
-            scores[i, j, r - 1] = _expectation(g, [d], r, budget)
+            scores[i, j, r - 1] = _expectation(g, store, [i], r, budget)
             continue
         except BudgetExceededError:
             if not mc_fallback:
@@ -264,7 +264,7 @@ def build_score_table(
         stream = (i * m + j) * max_r + (r - 1)
         samples = MC_BASE_SAMPLES
         for _ in range(MC_MAX_ROUNDS):
-            est = _mc(g, [d], r, mc_rng, samples, stream)
+            est = _mc(g, store, [i], r, mc_rng, samples, stream)
             if est.std_error <= MC_TARGET_REL_SE * max(abs(est.value), 1e-12):
                 break
             samples *= 2
@@ -273,9 +273,6 @@ def build_score_table(
         std_errors[i, j, r - 1] = est.std_error
     for (g, js), store in zip(classes.items(), stores):
         for r in range(1, max_r + 1):
-            if not js[1:]:  # in place: one-project tables copy nothing
-                _member_rows(g, store, r, budget, scores[:, js[0], r - 1])
-                continue
             # project after project; rows left out keep the scores set above
             cells = scores[:, js, r - 1].T.copy()
             _member_rows(g, store, r, budget, cells.reshape(-1))

@@ -1,24 +1,21 @@
 """Expected team utility u_j(S) = E[g_j(performances of S)].
 
 One exact engine, ``_expectation``, computes E[g] over independent copies
-of a pool of distributions: a team passes one copy per agent, a
-replication score a^r passes r copies of one agent. It never enumerates the
-outcome product: ``total`` and ``ces`` build the distribution of the sum of
-phi(x_i) copy by copy, ``best_shot`` and ``top_r`` count the members
-above each support point, and ``success_prob`` factorizes. The routes
-score blocks of rows in one array pass. ``_batch_expectation`` takes
-teams drawn from one pool on the order and product routes, sharing the
-pool's merged grid; a single team is a block of one row, except on the
-sum route, which scores it alone (``_sum_route``). ``_member_rows`` takes
-one-member teams on every route, such as a score table's columns: it
-reads a packed store (``core.ProjectStore``), whose agents of one
-support length already sit in shared arrays, and scores each row on its
-member's own support, so every row equals that member scored alone.
-``team_values`` scores the blocks of teams the exhaustive oracles need,
-each row equal to its own ``project_utility`` call bit for bit:
-best-shot and top-r rows each run on their own concatenated supports,
-not on the pool's merged grid, and non-linear sum-route teams are scored
-one at a time. Monte Carlo covers work past the budget.
+of agents of one project's packed store (``core.ProjectStore``), each
+member's atoms read as views of the store's arrays: a team passes one copy
+per agent, a replication score a^r passes r copies of one agent. It never
+enumerates the outcome product: ``total`` and ``ces`` build the
+distribution of the sum of phi(x_i) copy by copy (``_sum_route``),
+``best_shot`` and ``top_r`` count the members above each support point
+(``_order_route``), and ``success_prob`` factorizes (``_product_route``).
+Each route takes the form its input's shape runs fastest in: a lone team
+on its own sorted atoms; one-member rows, such as a score table's columns,
+on the store's length groups (``_member_rows``); blocks of teams in
+``team_values``, each row equal to its own ``project_utility`` call bit
+for bit (best-shot and top-r rows on their own supports, from the store's
+padded atoms; non-linear sum-route rows one at a time); and the
+single-project oracle's screen on the project's merged grid. Monte Carlo
+(``_mc``) covers work past the budget.
 """
 
 from __future__ import annotations
@@ -26,13 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .core import (
     BudgetExceededError,
-    Distribution,
     ProjectStore,
     RngSpec,
     Scenario,
@@ -45,9 +41,6 @@ _MERGE = 1 << 12  # partial-sum atoms past which equal sums are merged
 _BLOCK = 1 << 16  # team-by-grid cells the order route scores per array pass
 _TABLE = 1 << 14  # cells of a subset table ``_lex_table`` builds; ids fit int8
 SUBMODULARITY_TOL = 1e-9
-
-Pool = Sequence[Distribution]
-
 
 @dataclass(frozen=True)
 class UtilityEstimate:
@@ -77,22 +70,23 @@ def _linear(g: ValueFunction) -> bool:
     )
 
 
-def _sum_route(g: ValueFunction, pool: Pool, copies: int, budget: int) -> float:
+def _sum_route(g: ValueFunction, store: ProjectStore, agents, copies: int, budget: int) -> float:
+    members = [store.atoms(a) for a in agents]
     if _linear(g):  # linearity of expectation: the means suffice
-        _charge(sum(len(d) for d in pool), budget)
-        return copies * sum(float(np.dot(d.values_array, d.probs_array)) for d in pool)
+        _charge(sum(len(values) for values, _, _ in members), budget)
+        return copies * sum(float(np.dot(values, probs)) for values, probs, _ in members)
     # E[h(sum phi(x_i))] from the sum's distribution, one copy at a time
     shift, sums, probs, work = 0.0, np.zeros(1), np.ones(1), 0
-    for d in pool:
-        if len(d) == 1:  # a point mass only moves the sum
-            shift += copies * _phi(g, d.values[0])
+    for values, weights, _ in members:
+        if len(values) == 1:  # a point mass only moves the sum, by a Python scalar
+            shift += copies * _phi(g, float(values[0]))
             continue
-        terms = _phi(g, d.values_array)
+        terms = _phi(g, values)
         for _ in range(copies):
-            work += len(sums) * len(d)
+            work += len(sums) * len(values)
             _charge(work, budget)
             sums = np.add.outer(sums, terms).ravel()
-            probs = np.multiply.outer(probs, d.probs_array).ravel()
+            probs = np.multiply.outer(probs, weights).ravel()
             if len(sums) > _MERGE:
                 sums, inverse = np.unique(sums, return_inverse=True)
                 probs = np.bincount(inverse, weights=probs)
@@ -244,12 +238,11 @@ def _subsets(n: int, k: int, colex: bool = False, dtype=np.intp) -> np.ndarray:
     return rows
 
 
-def _grid(pool: Pool, n_teams: int) -> np.ndarray:
-    """The support points a team of several members integrates over: the
-    pool's supports side by side, merged into unique points when more than
-    one team shares them (repeated points only add zero-width gaps)."""
-    grid = np.concatenate([d.values_array for d in pool])
-    return np.unique(grid) if n_teams > 1 else np.sort(grid)
+def _grid(values: np.ndarray, n_teams: int) -> np.ndarray:
+    """The support points teams integrate over: their members' supports side
+    by side (``values``), merged into unique points when more than one team
+    shares them (repeated points only add zero-width gaps)."""
+    return np.unique(values) if n_teams > 1 else np.sort(values)
 
 
 def _row_work(g: ValueFunction, grid, k: int, copies: int):
@@ -311,17 +304,17 @@ def _top_w(g: ValueFunction, grid: np.ndarray, cols: np.ndarray, copies: int) ->
 
 
 def _order_route(
-    g: ValueFunction, pool: Pool, teams: np.ndarray, copies: int, budget: int, grid=None
+    g: ValueFunction, store: ProjectStore, agents, teams: np.ndarray, copies: int, budget: int,
+    grid=None,
 ) -> np.ndarray:
-    # each team gathers its members' rows of the pool's CDF matrix F on
-    # the shared grid, ``_grid(pool, len(teams))`` unless given
+    # each team, a row of indices into ``agents``, gathers its members'
+    # rows of their CDF matrix F on the shared grid, by default their
+    # supports side by side (``_grid``)
+    members = [store.atoms(a) for a in agents]
     if grid is None:
-        grid = _grid(pool, len(teams))
+        grid = _grid(np.concatenate([values for values, _, _ in members]), len(teams))
+    F = np.array([cdf[values.searchsorted(grid, "right")] for values, _, cdf in members])
     k = teams.shape[1]
-    F = np.array([
-        np.concatenate(([0.0], d.cdf_array))[d.values_array.searchsorted(grid, "right")]
-        for d in pool
-    ])
     _charge(len(teams) * _row_work(g, len(grid), k, copies), budget)
     rows = max(1, _BLOCK // len(grid))
     parts = [
@@ -331,22 +324,16 @@ def _order_route(
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _own_grid_rows(g: ValueFunction, pool: Pool, teams: np.ndarray) -> np.ndarray:
-    # the order route with each team on its own support: the sorted
-    # concatenation of its members' atoms, the grid it integrates over when
-    # scored alone. Rows of one summed support length L share arrays; a
-    # member's CDF at each grid point is read at the count of its atoms at
-    # or below the point, its atoms padded with +inf to a common width.
-    sizes = np.array([len(d) for d in pool])
-    width = max(len(d) for d in pool)
-    atoms = np.full((len(pool), width), np.inf)
-    cdfs = np.zeros((len(pool), width + 1))  # a 0 in front, for no atom below
-    for i, d in enumerate(pool):
-        atoms[i, : len(d)] = d.values_array
-        cdfs[i, 1 : len(d) + 1] = d.cdf_array
+def _own_grid_rows(g: ValueFunction, store: ProjectStore, teams: np.ndarray) -> np.ndarray:
+    # the order route with each team, a row of agents, on its own support:
+    # its members' atoms sorted, as it is scored alone. Rows of one summed
+    # support length L share arrays; a member's CDF at each grid point is
+    # read at the count of its padded atoms at or below the point.
+    atoms, cdfs = store.padded
+    width = atoms.shape[1]
     k = teams.shape[1]
     groups: dict[int, list[int]] = {}  # rows by summed support length
-    for row, L in enumerate(_row_sums(sizes, teams).tolist()):
+    for row, L in enumerate(_row_sums(store.lengths, teams).tolist()):
         groups.setdefault(L, []).append(row)
     out = np.empty(len(teams))
     for L, group in groups.items():
@@ -366,44 +353,31 @@ def _own_grid_rows(g: ValueFunction, pool: Pool, teams: np.ndarray) -> np.ndarra
 
 
 def _product_route(
-    g: ValueFunction, pool: Pool, teams: np.ndarray, copies: int, budget: int
+    g: ValueFunction, store: ProjectStore, agents, teams: np.ndarray, copies: int, budget: int
 ) -> np.ndarray:
-    # 1 - prod (1 - E f(X_i)), by independence
-    _charge(sum(len(d) for d in pool) + teams.size, budget)
-    hit = np.array([np.dot(g.f.apply(d.values_array), d.probs_array) for d in pool])
+    # 1 - prod (1 - E f(X_i)), by independence, for each row of indices
+    # into ``agents``
+    members = [store.atoms(a) for a in agents]
+    _charge(sum(len(values) for values, _, _ in members) + teams.size, budget)
+    hit = np.array([np.dot(g.f.apply(values), probs) for values, probs, _ in members])
     return 1.0 - _product(1.0 - hit.take(teams.T), copies)
 
 
-def _batch_expectation(
-    g: ValueFunction, pool: Pool, teams: np.ndarray, copies: int, budget: int, grid=None
-) -> np.ndarray:
-    """Exact E[g] on the order and product routes for every row of
-    ``teams``, a (B, k) array of indices into ``pool``, each member taking
-    ``copies`` independent copies: the rows share the pool's merged grid
-    (``grid``, when given, is that grid) or its members' hit
-    probabilities. Raises BudgetExceededError when the block's work
-    passes the budget: grid points times members times tracked counts per
-    copy on the order route (best shot's power counting once per member),
-    summed pool supports plus team cells on the product route;
-    ``_row_work`` prices one row on every route. ``_member_rows`` scores
-    one-member rows each on its own support instead."""
-    if g.kind == "success_prob":
-        return _product_route(g, pool, teams, copies, budget)
-    return _order_route(g, pool, teams, copies, budget, grid)
-
-
-def _expectation(g: ValueFunction, pool: Pool, copies: int, budget: int) -> float:
-    """Exact E[g] over ``copies`` independent copies of each distribution
-    in ``pool``: one copy per agent for a team, r copies of one agent for
-    a replication score. Raises BudgetExceededError when the route's
-    summed work passes the budget: partial-sum atoms times support per sum
-    step on the sum route, a one-row block's work otherwise."""
-    if not pool:
+def _expectation(g: ValueFunction, store: ProjectStore, agents, copies: int, budget: int) -> float:
+    """Exact E[g] over ``copies`` independent copies of each of the
+    store's ``agents``: one copy per agent for a team, r copies of one
+    agent for a replication score. Raises BudgetExceededError when the
+    route's work passes the budget: partial-sum atoms times support per
+    sum step on the sum route, grid points times members times tracked
+    counts per copy on the order route (best shot's power counting once
+    per member), summed supports plus members on the product route."""
+    if not len(agents):
         return 0.0  # g(0, ..., 0) = 0 across the catalogue
     if g.kind in ("total", "ces"):
-        return _sum_route(g, pool, copies, budget)
-    teams = np.arange(len(pool))[None]
-    return float(_batch_expectation(g, pool, teams, copies, budget)[0])
+        return _sum_route(g, store, agents, copies, budget)
+    team = np.arange(len(agents))[None]
+    route = _product_route if g.kind == "success_prob" else _order_route
+    return float(route(g, store, agents, team, copies, budget)[0])
 
 
 def _members(scn: Scenario, S: Iterable[int]) -> tuple[int, ...]:
@@ -414,17 +388,13 @@ def _members(scn: Scenario, S: Iterable[int]) -> tuple[int, ...]:
     return members
 
 
-def _team(scn: Scenario, j: int, S: Iterable[int]) -> Pool:
-    return [scn.dist(i, j) for i in _members(scn, S)]
-
-
 def exact_utility(scn: Scenario, j: int, S: Iterable[int]) -> UtilityEstimate:
     """Exact expected utility of team S on project j, from the engine.
 
     Raises BudgetExceededError past the enumeration budget. The empty team
     is worth g(0, ..., 0) = 0.
     """
-    value = _expectation(scn.value_fns[j], _team(scn, j, S), 1, enumeration_budget())
+    value = _expectation(scn.value_fns[j], scn.store(j), _members(scn, S), 1, enumeration_budget())
     return UtilityEstimate(value=value, method="exact")
 
 
@@ -436,7 +406,7 @@ def exact_utility_best_shot(scn: Scenario, j: int, S: Iterable[int]) -> UtilityE
         raise ValidationError(
             f"project {j} has value function {g.kind!r}, expected best_shot"
         )
-    value = _expectation(g, _team(scn, j, S), 1, enumeration_budget())
+    value = _expectation(g, scn.store(j), _members(scn, S), 1, enumeration_budget())
     return UtilityEstimate(value=value, method="exact_best_shot")
 
 
@@ -465,40 +435,39 @@ def team_values(scn: Scenario, j: int, teams) -> np.ndarray:
     teams = np.asarray(teams, dtype=np.intp)
     if teams.size == 0:
         return np.zeros(len(teams))  # g(0, ..., 0) = 0 across the catalogue
-    g = scn.value_fns[j]
-    pool = [scn.dist(i, j) for i in scn.agents]
-    budget = enumeration_budget()
+    g, store, budget = scn.value_fns[j], scn.store(j), enumeration_budget()
     if g.kind in ("total", "ces") and not _linear(g):
-        return np.array([_sum_route(g, [pool[i] for i in S], 1, budget) for S in teams.tolist()])
+        return np.array([_sum_route(g, store, S, 1, budget) for S in teams.tolist()])
     k = teams.shape[1]
-    support = _row_sums(np.array([len(d) for d in pool]), teams)
-    work = _row_work(g, support, k, 1)
+    work = _row_work(g, _row_sums(store.lengths, teams), k, 1)
     # the first row past the budget, found in Python when there is one:
     # comparing the array with the int would page in kernels used nowhere else
     if work.max() > budget:
         _charge(next(w for w in work.tolist() if w > budget), budget)
     # every row fits the budget, so the routes below run unmetered
     if _linear(g):
-        means = np.array([np.dot(d.values_array, d.probs_array) for d in pool])
+        means = np.array([np.dot(values, probs) for values, probs, _ in map(store.atoms, scn.agents)])
         return _row_sums(means, teams) + 0.0  # as sum() from 0: -0.0 becomes 0.0
     if g.kind == "success_prob":
-        return _product_route(g, pool, teams, 1, math.inf)
-    return _own_grid_rows(g, pool, teams)
+        return _product_route(g, store, scn.agents, teams, 1, math.inf)
+    return _own_grid_rows(g, store, teams)
 
 
 def _mc(
-    g: ValueFunction, pool: Pool, copies: int, rng: RngSpec, samples: int, stream: int
+    g: ValueFunction, store: ProjectStore, agents, copies: int, rng: RngSpec, samples: int,
+    stream: int,
 ) -> UtilityEstimate:
-    """Monte Carlo E[g] over ``copies`` independent copies of each
-    distribution in ``pool``, drawn by inverse CDF from one uniform draw
-    of ``samples`` rows: member c's copies read columns
+    """Monte Carlo E[g] over ``copies`` independent copies of each of the
+    store's ``agents``, drawn by inverse CDF from one uniform draw of
+    ``samples`` rows: member c's copies read columns
     c * copies .. (c + 1) * copies - 1. std_error is the sample standard
     deviation divided by sqrt(samples)."""
-    U = rng.generator(stream).random((samples, len(pool) * copies))
+    U = rng.generator(stream).random((samples, len(agents) * copies))
     X = np.empty_like(U)
-    for c, d in enumerate(pool):
+    for c, a in enumerate(agents):
+        values, _, cdf = store.atoms(a)
         cols = slice(c * copies, (c + 1) * copies)
-        X[:, cols] = d.values_array[np.searchsorted(d.cdf_array, U[:, cols], side="right")]
+        X[:, cols] = values[np.searchsorted(cdf[1:], U[:, cols], side="right")]
     vals = evaluate_batch(g, X)
     se = float(vals.std(ddof=1) / math.sqrt(samples))
     return UtilityEstimate(
@@ -522,7 +491,7 @@ def mc_utility(
     g = scn.value_fns[j]
     if not members:
         return UtilityEstimate(value=evaluate(g, []), method="exact")
-    return _mc(g, [scn.dist(i, j) for i in members], 1, rng, samples, stream)
+    return _mc(g, scn.store(j), members, 1, rng, samples, stream)
 
 
 @dataclass(frozen=True)

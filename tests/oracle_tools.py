@@ -10,6 +10,10 @@ fill on the engine's own kernels, so that comparing it with
 ``ref_verify_bracket`` keeps the sketch verifiers' earlier per-team loop
 on the library's per-team calls, so that comparing it with the verifiers
 checks their team blocks and witness choice and nothing else.
+``ref_lone_expectation`` and ``ref_lone_mc`` keep the engine's earlier
+lone-call form on lists of Distribution objects, on the engine's own
+kernels, so that comparing them with the engine checks how it reads the
+packed store and nothing else.
 """
 
 import itertools
@@ -31,7 +35,21 @@ from testscore import (
 )
 from testscore.core import enumeration_budget
 from testscore.scores import MC_BASE_SAMPLES, MC_MAX_ROUNDS, MC_TARGET_REL_SE
-from testscore.utility import _batchable, _expectation, _mc, _member_rows
+from testscore.production import evaluate_batch
+from testscore.utility import (
+    _MERGE,
+    _batchable,
+    _charge,
+    _expectation,
+    _h,
+    _linear,
+    _mc,
+    _member_rows,
+    _phi,
+    _product,
+    _row_work,
+    _top_w,
+)
 
 BISECT_TOL = 1e-10
 
@@ -312,16 +330,16 @@ def ref_replication_table(scn, max_r, rng=None, mc_fallback=True):
                 if not _batchable(g, s, r, budget):
                     single += [(i, j, r) for i in agents.tolist()]
     for i, j, r in sorted(single):
-        g, d = scn.value_fns[j], scn.dist(i, j)
+        g, store = scn.value_fns[j], scn.store(j)
         try:
-            scores[i, j, r - 1] = _expectation(g, [d], r, budget)
+            scores[i, j, r - 1] = _expectation(g, store, [i], r, budget)
             continue
         except BudgetExceededError:
             if not mc_fallback:
                 raise
         samples = MC_BASE_SAMPLES
         for _ in range(MC_MAX_ROUNDS):
-            est = _mc(g, [d], r, rng, samples, (i * m + j) * max_r + (r - 1))
+            est = _mc(g, store, [i], r, rng, samples, (i * m + j) * max_r + (r - 1))
             if est.std_error <= MC_TARGET_REL_SE * max(abs(est.value), 1e-12):
                 break
             samples *= 2
@@ -362,3 +380,55 @@ def ref_verify_bracket(scn, j, k, which):
     lo, hi = worst
     ok = lo.slack >= -1e-9 and hi.slack >= -1e-9
     return SketchBoundReport(ok=ok, worst_lower=lo, worst_upper=hi)
+
+
+def ref_lone_expectation(g, pool, copies, budget):
+    """Exact E[g] over ``copies`` copies of each Distribution of ``pool``,
+    as the engine computed one team or replication score before it read
+    the packed store: the sum route on the distributions' arrays, and the
+    order and product routes on a block of one row."""
+    if not pool:
+        return 0.0
+    if g.kind in ("total", "ces"):
+        if _linear(g):
+            _charge(sum(len(d) for d in pool), budget)
+            return copies * sum(float(np.dot(d.values_array, d.probs_array)) for d in pool)
+        shift, sums, probs, work = 0.0, np.zeros(1), np.ones(1), 0
+        for d in pool:
+            if len(d) == 1:
+                shift += copies * _phi(g, d.values[0])
+                continue
+            terms = _phi(g, d.values_array)
+            for _ in range(copies):
+                work += len(sums) * len(d)
+                _charge(work, budget)
+                sums = np.add.outer(sums, terms).ravel()
+                probs = np.multiply.outer(probs, d.probs_array).ravel()
+                if len(sums) > _MERGE:
+                    sums, inverse = np.unique(sums, return_inverse=True)
+                    probs = np.bincount(inverse, weights=probs)
+        return float(np.dot(_h(g, sums + shift), probs))
+    if g.kind == "success_prob":
+        _charge(sum(len(d) for d in pool) + len(pool), budget)
+        hit = np.array([np.dot(g.f.apply(d.values_array), d.probs_array) for d in pool])
+        return float(1.0 - _product((1.0 - hit)[:, None], copies)[0])
+    grid = np.sort(np.concatenate([d.values_array for d in pool]))
+    F = np.array([
+        np.concatenate(([0.0], d.cdf_array))[d.values_array.searchsorted(grid, "right")]
+        for d in pool
+    ])
+    _charge(_row_work(g, len(grid), len(pool), copies), budget)
+    return float(_top_w(g, grid, F[:, None, :], copies)[0])
+
+
+def ref_lone_mc(g, pool, copies, rng, samples, stream):
+    """Monte Carlo E[g] over ``copies`` copies of each Distribution of
+    ``pool`` by the engine's earlier inverse-CDF draw, as (value,
+    std_error)."""
+    U = rng.generator(stream).random((samples, len(pool) * copies))
+    X = np.empty_like(U)
+    for c, d in enumerate(pool):
+        cols = slice(c * copies, (c + 1) * copies)
+        X[:, cols] = d.values_array[np.searchsorted(d.cdf_array, U[:, cols], side="right")]
+    vals = evaluate_batch(g, X)
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))

@@ -22,7 +22,8 @@ from testscore import (
     validate_instance,
 )
 from testscore import cli, sketch, utility
-from testscore.adversarial import GENERATORS, InstanceReport
+from testscore.adversarial import CATALOGUE_POOL, GENERATORS, InstanceReport
+from testscore.scenario_io import value_fn_tag
 from testscore.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -448,6 +449,22 @@ class TestExperiment:
         for argv in bad:
             assert run(capsys, argv)[0] == EXIT_VALIDATION, argv
 
+    @pytest.mark.parametrize(
+        "g, extra, message",
+        [
+            (ValueFunction.best_shot(), ["--trials", "0"], "--trials must be >= 1, got 0"),
+            (ValueFunction.best_shot(), ["--jobs", "0"], "--jobs must be >= 1, got 0"),
+            (ValueFunction.ces(2.0), [], "experiment needs a best-shot scenario"),
+        ],
+        ids=["trials", "jobs", "not-best-shot"],
+    )
+    def test_each_check_names_its_input(self, capsys, tmp_path, g, extra, message):
+        # every other input valid, so that only the named check can fail
+        path = tmp_path / "one.json"
+        save_scenario(path, Scenario.single_project([coin(1.0)] * 3, g, 2))
+        argv = ["experiment", str(path), "--n", "3", "--k", "2"] + extra
+        assert run(capsys, argv)[::2] == (EXIT_VALIDATION, f"error: {message}\n")
+
     def test_n_below_one_names_n(self, capsys, bestshot_file):
         code, _, err = run(capsys, ["experiment", bestshot_file, "--n", "0"])
         assert code == EXIT_VALIDATION
@@ -616,6 +633,109 @@ class TestBadParametersExit2:
     )
     def test_generator_parameter(self, capsys, argv, named):
         self.check(capsys, argv, named)
+
+    @staticmethod
+    def ces_file(tmp_path, r):
+        # agent a pays 4.5 or 10, b and c a point mass at 1: at ces:400 a
+        # team of two can sum 2 * 10^400, past the float range
+        doc = {
+            "agents": ["a", "b", "c"],
+            "projects": [{"name": "p0", "value_fn": f"ces:{r}", "k": 2}],
+            "distributions": [
+                {"agent": "a", "project": "p0", "support": [[4.5, 0.5], [10.0, 0.5]]},
+                {"agent": "b", "project": "p0", "support": [[1.0, 1.0]]},
+                {"agent": "c", "project": "p0", "support": [[1.0, 1.0]]},
+            ],
+        }
+        path = tmp_path / f"ces{r}.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "command", [["select"], ["select", "--oracle"], ["assign"]], ids=" ".join
+    )
+    def test_team_sum_past_the_float_range(self, capsys, tmp_path, command):
+        path = self.ces_file(tmp_path, "400.0")
+        self.check(capsys, command[:1] + [path] + command[1:], "project 0: a team of 2")
+
+    def test_generated_team_sum_past_the_float_range(self, capsys):
+        argv = ["worstcase", "quantile_ces", "--r", "1e308", "--run"]
+        self.check(capsys, argv, "project 0: a team of 16")
+
+    def test_team_sum_within_the_float_range(self, capsys, tmp_path):
+        code, out, _ = run(capsys, ["select", self.ces_file(tmp_path, "300.0"), "--oracle"])
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["oracle_selected"] == ["a", "b"]
+        assert doc["oracle"]["total"] == pytest.approx(7.25, rel=1e-15)
+
+
+class TestLoadedFilesBuildNoDistribution:
+    """Commands on a loaded file read its packed per-project stores only:
+    no Distribution object is built, checked or trusted."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        count = []
+        trusted, post_init = Distribution._trusted.__func__, Distribution.__post_init__
+
+        def counting_trusted(cls, *args):
+            count.append(args)
+            return trusted(cls, *args)
+
+        def counting_post_init(self):
+            count.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Distribution, "_trusted", classmethod(counting_trusted))
+        monkeypatch.setattr(Distribution, "__post_init__", counting_post_init)
+        return count
+
+    @staticmethod
+    def saved(tmp_path, fns, ks):
+        supports = [
+            Distribution.point(1.25),
+            coin(3.0, 0.4),
+            Distribution.from_pairs(((0.5, 0.2), (1.0, 0.3), (2.0, 0.5))),
+            coin(2.0, 0.9),
+            Distribution.from_pairs(((0.25, 0.5), (0.75, 0.5))),
+        ]
+        dists = tuple(tuple(supports[(i + j) % 5] for j in range(len(fns))) for i in range(5))
+        path = tmp_path / "scenario.json"
+        save_scenario(path, Scenario(dists=dists, value_fns=tuple(fns), cardinalities=ks))
+        return str(path)
+
+    @pytest.mark.parametrize("factory", CATALOGUE_POOL, ids=lambda f: value_fn_tag(f()))
+    def test_select_oracle(self, capsys, tmp_path, built, factory):
+        path = self.saved(tmp_path, [factory()], (3,))
+        built.clear()
+        for k in ("1", "2", "3"):
+            assert run(capsys, ["select", path, "--k", k, "--oracle"])[0] == EXIT_OK
+        assert built == []
+
+    def test_assign_oracle(self, capsys, tmp_path, built):
+        path = self.saved(tmp_path, [factory() for factory in CATALOGUE_POOL[3:6]], (1, 2, 1))
+        built.clear()
+        assert run(capsys, ["assign", path])[0] == EXIT_OK
+        assert run(capsys, ["assign", path, "--oracle"])[0] == EXIT_OK
+        assert built == []
+
+    @pytest.mark.parametrize(
+        "command, fns, ks",
+        [
+            ("select", [ValueFunction.ces(2.0)], (2,)),
+            ("assign", [ValueFunction.ces(2.0), ValueFunction.best_shot()], (2, 1)),
+        ],
+        ids=["select", "assign"],
+    )
+    def test_monte_carlo_objective(self, capsys, monkeypatch, tmp_path, built, command, fns, ks):
+        path = self.saved(tmp_path, fns, ks)
+        built.clear()
+        monkeypatch.setenv("TESTSCORE_BUDGET", "3")
+        code, out, _ = run(capsys, [command, path])
+        assert code == EXIT_OK
+        assert "monte_carlo" in {est["method"] for est in json.loads(out)["result"]["per_project"]}
+        assert built == []
 
 
 class TestMainPlumbing:

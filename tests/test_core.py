@@ -8,16 +8,19 @@ import pytest
 from testscore import (
     Assignment,
     BudgetExceededError,
+    ConcaveFn,
     Distribution,
+    ProjectStore,
     RngSpec,
     Scenario,
     ValidationError,
     ValueFunction,
     dist_mean,
-    dist_sample,
     empirical_distribution,
     enumeration_budget,
+    mc_utility,
 )
+from testscore import utility
 
 TWO_POINT = Distribution.from_pairs(((0.0, 0.5), (2.0, 0.5)))
 
@@ -159,24 +162,40 @@ class TestRngSpec:
 
 
 class TestSampling:
-    def test_point_mass_sampling(self):
-        d = Distribution.point(7.0)
-        out = dist_sample(d, RngSpec(seed=5), count=5)
+    """Inverse-CDF draws, through the one sampler, ``mc_utility``."""
+
+    IDENTITY = ValueFunction.total(ConcaveFn("identity"))
+
+    def draws(self, monkeypatch, d, seed, samples):
+        # the sample matrix the value function is evaluated on
+        seen = []
+
+        def spy(g, X):
+            seen.append(X.copy())
+            return real(g, X)
+
+        real = utility.evaluate_batch
+        monkeypatch.setattr(utility, "evaluate_batch", spy)
+        scn = Scenario.single_project([d], self.IDENTITY, 1)
+        est = mc_utility(scn, 0, [0], RngSpec(seed=seed), samples=samples)
+        (X,) = seen
+        assert X.shape == (samples, 1)
+        return X[:, 0], est
+
+    def test_point_mass_sampling(self, monkeypatch):
+        out, _ = self.draws(monkeypatch, Distribution.point(7.0), 5, 5)
         assert out.tolist() == [7.0] * 5
 
-    def test_sample_mean_near_expectation(self):
+    def test_sample_mean_near_expectation(self, monkeypatch):
         # CLT band: sd of a {0,2} coin flip mean over 1e5 draws is ~1/sqrt(1e5)
-        out = dist_sample(TWO_POINT, RngSpec(seed=11), count=100_000)
-        assert abs(out.mean() - 1.0) <= 3.0 / math.sqrt(100_000)
+        out, est = self.draws(monkeypatch, TWO_POINT, 11, 100_000)
+        assert est.value == out.mean()
+        assert abs(est.value - 1.0) <= 3.0 / math.sqrt(100_000)
 
-    def test_sample_values_live_on_support(self):
+    def test_sample_values_live_on_support(self, monkeypatch):
         d = Distribution.from_pairs(((0.5, 0.3), (1.5, 0.3), (2.5, 0.4)))
-        out = dist_sample(d, RngSpec(seed=3), count=1000)
+        out, _ = self.draws(monkeypatch, d, 3, 1000)
         assert set(np.unique(out)) <= {0.5, 1.5, 2.5}
-
-    def test_rejects_zero_count(self):
-        with pytest.raises(ValidationError):
-            dist_sample(TWO_POINT, RngSpec(seed=0), count=0)
 
 
 class TestEmpiricalDistribution:
@@ -229,6 +248,59 @@ class TestScenario:
                 value_fns=(g, g),
                 cardinalities=(1, 1),
             )
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (
+                lambda g: Scenario(dists=((),), value_fns=(), cardinalities=()),
+                "scenario needs at least one project",
+            ),
+            (
+                lambda g: Scenario(
+                    dists=None,
+                    value_fns=(g, g),
+                    cardinalities=(1, 1),
+                    stores=(ProjectStore.pack([TWO_POINT] * 2), ProjectStore.pack([TWO_POINT] * 3)),
+                ),
+                "one store per project, each holding every agent, required",
+            ),
+            (
+                lambda g: Scenario(dists=((TWO_POINT, None),), value_fns=(g, g), cardinalities=(1, 1)),
+                r"missing distribution for pair \(0, 1\)",
+            ),
+        ],
+        ids=["no-projects", "unequal-stores", "missing-cell"],
+    )
+    def test_rejects_malformed_shapes(self, build, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            build(ValueFunction.best_shot())
+
+    @pytest.mark.parametrize("loaded", [False, True], ids=["dists", "stores"])
+    @pytest.mark.parametrize(
+        "g, top, ok",
+        [
+            (ValueFunction.ces(300.0), 10.0, True),
+            (ValueFunction.ces(400.0), 10.0, False),
+            (ValueFunction.ces(2.0), 1e300, False),
+            (ValueFunction.total(ConcaveFn("sqrt")), 1e308, False),
+            (ValueFunction.top_r(1), 1e308, False),
+            (ValueFunction.top_r(1), 8e307, True),
+            (ValueFunction.best_shot(), 1.7e308, True),
+        ],
+    )
+    def test_team_sums_must_stay_finite(self, g, top, ok, loaded):
+        # a team of 2 sums phi(x) over its members: x^r for ces, x otherwise
+        dists = [Distribution.from_pairs(((0.0, 0.5), (top, 0.5))), Distribution.point(1.0)]
+        if loaded:
+            build = lambda: Scenario(None, (g,), (2,), (ProjectStore.pack(dists),))
+        else:
+            build = lambda: Scenario.single_project(dists, g, 2)
+        if ok:
+            build()
+        else:
+            with pytest.raises(ValidationError, match="^project 0: a team of 2 "):
+                build()
 
     def test_rejects_no_agents(self):
         with pytest.raises(ValidationError):

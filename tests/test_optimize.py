@@ -190,13 +190,14 @@ class TestBruteForceSingle:
     def test_pool_grid_built_once(self, monkeypatch, g, k):
         scn = random_single_scenario(np.random.default_rng(17), g, n=6, k=k)
         want = brute_force_single(scn, 0, k)
-        grids = []  # the team count of each grid built on the whole pool
+        grids = []  # the team count of each grid built on every agent's atoms
         real = utility._grid
+        every_atom = int(scn.store(0).lengths.sum())
 
-        def counting(pool, n_teams):
-            if len(pool) == scn.n_agents:
+        def counting(values, n_teams):
+            if len(values) == every_atom:
                 grids.append(n_teams)
-            return real(pool, n_teams)
+            return real(values, n_teams)
 
         monkeypatch.setattr(utility, "_grid", counting)
         monkeypatch.setattr(optimize, "_grid", counting)
@@ -889,3 +890,38 @@ class TestApproximationReport:
     def test_welfare_bound_values(self):
         assert welfare_greedy_bound(1) == pytest.approx(1.0 / 24.0)
         assert welfare_greedy_bound(4) == pytest.approx(1.0 / (24.0 * (math.log(4) + 1)))
+
+
+def _two_projects():
+    # three agents, projects of sizes 1 and 2, a replication table up to size 1
+    scn = Scenario(
+        dists=((TWO_POINT, TWO_POINT),) * 3,
+        value_fns=(ValueFunction.best_shot(), ValueFunction.best_shot()),
+        cardinalities=(1, 2),
+    )
+    return scn, build_score_table(scn, "replication", max_r=1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda scn, t: greedy_topk(scn, 0, 0, t), r"k must be in 1..3, got 0"),
+        (lambda scn, t: greedy_topk(scn, 0, 4, t), r"k must be in 1..3, got 4"),
+        (lambda scn, t: brute_force_single(scn, 0, 0), r"k must be in 1..3, got 0"),
+        (lambda scn, t: brute_force_single(scn, 0, 4), r"k must be in 1..3, got 4"),
+        (
+            lambda scn, t: greedy_welfare(scn, build_score_table(scn, "mean", max_r=2)),
+            r"welfare greedy needs a replication table, got 'mean'",
+        ),
+        (
+            lambda scn, t: greedy_welfare(scn, t),
+            r"table max_r does not cover the largest project",
+        ),
+        (lambda scn, t: welfare_greedy_bound(0), r"k must be >= 1, got 0"),
+    ],
+    ids=["topk-0", "topk-n+1", "brute-0", "brute-n+1", "welfare-kind", "welfare-max_r", "bound-0"],
+)
+def test_rejects_out_of_range_inputs(call, message):
+    scn, table = _two_projects()
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        call(scn, table)

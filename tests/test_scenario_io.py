@@ -346,6 +346,27 @@ class TestStrictParsing:
     def doc(self):
         return scenario_to_dict(two_by_two())
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("projects", {"p0": {}}, "projects must be a non-empty list"),
+            ("projects", [], "projects must be a non-empty list"),
+            ("project name", 7, "project name must be a string"),
+            ("distributions", {}, "distributions must be a list"),
+            ("entry", ["a0", "p0", [[1.0, 1.0]]], "distribution entry must be an object"),
+        ],
+    )
+    def test_wrong_types(self, field, value, message):
+        doc = self.doc()
+        if field == "project name":
+            doc["projects"][0]["name"] = value
+        elif field == "entry":
+            doc["distributions"][0] = value
+        else:
+            doc[field] = value
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            scenario_from_dict(doc)
+
     def test_unknown_top_level_field(self):
         doc = self.doc()
         doc["comment"] = "hi"

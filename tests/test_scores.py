@@ -11,6 +11,7 @@ from testscore import (
     BudgetExceededError,
     ConcaveFn,
     Distribution,
+    ProjectStore,
     RngSpec,
     Scenario,
     ValidationError,
@@ -259,7 +260,7 @@ class TestReplicationScore:
     def test_monte_carlo_mode_converges(self):
         g = ValueFunction.ces(2.0)
         exact = replication_score(g, TWO_POINT, 3)
-        mc = _mc(g, [TWO_POINT], 3, RngSpec(seed=9), 200_000, 0).value
+        mc = _mc(g, ProjectStore.pack([TWO_POINT]), [0], 3, RngSpec(seed=9), 200_000, 0).value
         assert mc != exact  # sampled, not silently exact
         assert abs(mc - exact) < 0.01
 
@@ -557,7 +558,7 @@ def check_cells(scn, max_r, rng):
                     stream = (i * scn.n_projects + j) * max_r + (r - 1)
                     samples = MC_BASE_SAMPLES
                     for _ in range(MC_MAX_ROUNDS):
-                        est = _mc(g, [d], r, rng, samples, stream)
+                        est = _mc(g, scn.store(j), [i], r, rng, samples, stream)
                         want, se = est.value, est.std_error
                         if se <= MC_TARGET_REL_SE * max(abs(want), 1e-12):
                             break
@@ -576,16 +577,15 @@ def check_cells(scn, max_r, rng):
 
 def _spy_single(monkeypatch, scn):
     """Record the (agent, project, r) cells scored one at a time."""
-    cell = {
-        (id(scn.value_fns[j]), id(scn.dist(i, j))): (i, j)
-        for i in scn.agents
-        for j in scn.projects
-    }
+    project = {id(scn.store(j)): j for j in scn.projects}
     scored = []
 
-    def spy(g, pool, copies, budget):
-        scored.append(cell[id(g), id(pool[0])] + (copies,))
-        return _expectation(g, pool, copies, budget)
+    def spy(g, store, agents, copies, budget):
+        (i,) = agents
+        j = project[id(store)]
+        assert g is scn.value_fns[j]
+        scored.append((i, j, copies))
+        return _expectation(g, store, agents, copies, budget)
 
     monkeypatch.setattr("testscore.scores._expectation", spy)
     return scored

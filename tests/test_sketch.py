@@ -123,6 +123,16 @@ class TestStrongSketch:
         with pytest.raises(ValidationError):
             strong_sketch(table, 0, [])
 
+    @pytest.mark.parametrize(
+        "sketch",
+        [lambda t: strong_sketch(t, 0, [1, 0, 1]), lambda t: minmax_sketch(t, 0, [1, 1], 2)],
+        ids=["strong", "minmax"],
+    )
+    def test_duplicate_agents_rejected(self, sketch):
+        table = table_from({(0, 1): 1.0, (1, 1): 2.0, (0, 2): 1.0, (1, 2): 2.0}, max_r=2)
+        with pytest.raises(ValidationError, match="^duplicate agents in set$"):
+            sketch(table)
+
 
 class TestStrongSketchValues:
     def test_equal_to_strong_sketch_bit_for_bit_with_ties(self):
@@ -220,6 +230,15 @@ class TestBoundVerifiers:
             rep = verify_goodness_sandwich(scn, 0, scn.cardinalities[0])
             assert rep.ok
             assert rep.witness is None
+
+    @pytest.mark.parametrize("k", [0, 3])
+    @pytest.mark.parametrize("verify", [verify_strong_sketch_bounds, verify_goodness_sandwich])
+    def test_k_out_of_range(self, verify, k):
+        scn = Scenario.single_project(
+            [Distribution.from_pairs(((0.0, 0.5), (2.0, 0.5)))] * 2, ValueFunction.best_shot(), 1
+        )
+        with pytest.raises(ValidationError, match=f"^k must be in 1..2, got {k}$"):
+            verify(scn, 0, k)
 
     def test_single_agent_sandwich(self):
         scn = Scenario.single_project(

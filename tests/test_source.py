@@ -42,7 +42,7 @@ def test_finds_an_unused_import():
 # the package's public names, in the order testscore/__init__.py imports them
 PUBLIC_NAMES = """
 Assignment BudgetExceededError Distribution ProjectStore RngSpec Scenario
-ValidationError dist_mean dist_sample empirical_distribution enumeration_budget
+ValidationError dist_mean empirical_distribution enumeration_budget
 BspResult ConcaveFn InverseUnboundedError UnitFn ValueFunction bsp_check
 diminishing_across_check evaluate evaluate_batch single_inverse
 value_submodularity_check SubmodularityReport UtilityEstimate mc_utility

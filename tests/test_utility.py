@@ -1,5 +1,6 @@
 """Expected team utility: exact routes, Monte Carlo, submodularity."""
 
+import json
 import math
 from itertools import combinations
 
@@ -21,7 +22,7 @@ from testscore import (
 )
 from testscore.adversarial import CATALOGUE_POOL
 from testscore.production import evaluate
-from testscore.scenario_io import value_fn_tag
+from testscore.scenario_io import scenario_from_dict, scenario_to_dict, value_fn_tag
 from testscore import utility
 from testscore.utility import (
     SUBMODULARITY_TOL,
@@ -32,7 +33,13 @@ from testscore.utility import (
     team_values,
 )
 
-from oracle_tools import CATALOGUE_REFS, fn_top_r, ref_utility
+from oracle_tools import (
+    CATALOGUE_REFS,
+    fn_top_r,
+    ref_lone_expectation,
+    ref_lone_mc,
+    ref_utility,
+)
 
 TWO_POINT = Distribution.from_pairs(((0.0, 0.5), (2.0, 0.5)))
 
@@ -385,6 +392,61 @@ class TestTeamValues:
         assert team_values(scn, 0, np.zeros((3, 0), dtype=int)).tolist() == [0.0] * 3
 
 
+def reloaded(scn):
+    # the scenario as the loader builds it: stores, no Distribution objects
+    return scenario_from_dict(json.loads(json.dumps(scenario_to_dict(scn)))).scenario
+
+
+class TestLoneReference:
+    """The engine on the packed store against its earlier form on lists of
+    Distribution objects (``ref_lone_expectation``, ``ref_lone_mc``), bit
+    for bit (``float.hex``), on every team of sizes 0..n with 1..5 copies
+    of each member, on built and loaded scenarios. A budget error must
+    carry the same required work."""
+
+    @staticmethod
+    def outcome(call):
+        try:
+            return "value", call().hex()
+        except BudgetExceededError as exc:
+            return "budget", exc.required
+
+    @pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+    @pytest.mark.parametrize("factory", CATALOGUE_POOL, ids=TAGS)
+    def test_exact(self, factory, loaded):
+        gen = np.random.default_rng(93)
+        scn = Scenario.single_project(lattice_dists(gen, 5, 4), factory(), 1)
+        scn = reloaded(scn) if loaded else scn
+        g, store = scn.value_fns[0], scn.store(0)
+        kinds = set()
+        for budget in (8, 10**6):
+            for k in range(6):
+                for S in _subsets(5, k).tolist():
+                    pool = [scn.dist(i, 0) for i in S]
+                    for copies in range(1, 6):
+                        got = self.outcome(
+                            lambda: utility._expectation(g, store, S, copies, budget)
+                        )
+                        want = self.outcome(lambda: ref_lone_expectation(g, pool, copies, budget))
+                        assert got == want, (S, copies, budget)
+                        kinds.add(got[0])
+        assert kinds == {"value", "budget"}
+
+    @pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+    @pytest.mark.parametrize("factory", CATALOGUE_POOL, ids=TAGS)
+    def test_monte_carlo(self, factory, loaded):
+        gen = np.random.default_rng(94)
+        scn = Scenario.single_project(lattice_dists(gen, 5, 4), factory(), 1)
+        scn = reloaded(scn) if loaded else scn
+        g, store = scn.value_fns[0], scn.store(0)
+        for seed, S in enumerate(([0], [1, 3], [0, 2, 4], [0, 1, 2, 3, 4])):
+            pool = [scn.dist(i, 0) for i in S]
+            for copies in (1, 3):
+                est = utility._mc(g, store, S, copies, RngSpec(seed=seed), 64, copies)
+                value, se = ref_lone_mc(g, pool, copies, RngSpec(seed=seed), 64, copies)
+                assert (est.value.hex(), est.std_error.hex()) == (value.hex(), se.hex())
+
+
 class TestMonteCarlo:
     def test_matches_exact_within_error_band(self):
         scn = Scenario.single_project([TWO_POINT] * 2, ValueFunction.best_shot(), 2)
@@ -413,6 +475,12 @@ class TestMonteCarlo:
         a = mc_utility(scn, 0, [0, 1], RngSpec(seed=77), samples=5000, stream=0)
         b = mc_utility(scn, 0, [0, 1], RngSpec(seed=77), samples=5000, stream=1)
         assert a.value != b.value
+
+    @pytest.mark.parametrize("g", [g for g, _ in PAIRED], ids=TAGS)
+    def test_empty_team_is_exactly_zero(self, g):
+        scn = Scenario.single_project([TWO_POINT] * 2, g, 2)
+        est = mc_utility(scn, 0, [], RngSpec(seed=0), samples=100)
+        assert est == utility.UtilityEstimate(value=0.0, method="exact")
 
     def test_rejects_tiny_sample_count(self):
         scn = Scenario.single_project([TWO_POINT] * 2, ValueFunction.ces(2.0), 2)
