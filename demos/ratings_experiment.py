@@ -32,9 +32,8 @@ ratios = {k: [] for k in (2, 3, 4)}
 for t in range(TRIALS):
     gen = RngSpec(SEED).generator(t)
     chosen = sorted(int(i) for i in gen.choice(scn.n_agents, POOL, replace=False))
-    sub = Scenario.single_project(
-        [scn.dist(i, 0) for i in chosen], scn.value_fns[0], max(ratios)
-    )
+    # the sampled coders' slice of the ingested store, as `testscore experiment` takes it
+    sub = Scenario(None, scn.value_fns, (max(ratios),), stores=(scn.store(0).take(chosen),))
     # one table up to the largest k: each k reads its own column
     table = build_score_table(sub, "replication", max_r=max(ratios))
     for k in ratios:

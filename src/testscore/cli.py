@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from array import array
 from dataclasses import asdict
 from functools import cache, partial
 from typing import Optional
@@ -281,9 +281,7 @@ def _experiment_trial(packed) -> list[tuple]:
     scn, seed, trial, n, ks = packed
     gen = RngSpec(seed=seed).generator(trial)
     chosen = sorted(int(i) for i in gen.choice(scn.n_agents, size=n, replace=False))
-    sub = Scenario.single_project(
-        [scn.dist(i, 0) for i in chosen], scn.value_fns[0], max(ks)
-    )
+    sub = Scenario(None, scn.value_fns, (max(ks),), stores=(scn.store(0).take(chosen),))
     # one table serves every k. Its exact cells equal replication_score
     # bit for bit whatever max_r is. A Monte Carlo cell's stream does
     # depend on max_r, but a best-shot cell's work is its support size at
@@ -325,32 +323,34 @@ def cmd_experiment(args) -> int:
         raise ValidationError(f"--k {max(ks)} exceeds --n {args.n}")
     if args.trials < 1:
         raise ValidationError(f"--trials must be >= 1, got {args.trials}")
-    if args.jobs < 1:
-        raise ValidationError(f"--jobs must be >= 1, got {args.jobs}")
-    tasks = [(scn, args.seed, t, args.n, ks) for t in range(args.trials)]
-    jobs = min(args.jobs, args.trials, os.cpu_count() or 1)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_trial = list(pool.map(_experiment_trial, tasks))
-    else:
-        per_trial = [_experiment_trial(t) for t in tasks]
-    rows = [row for batch in per_trial for row in batch]
 
     def write(fh) -> None:
+        # rows stream out; only the ratios are kept, for the summary rows
+        ratios = {k: array("d") for k in ks} | {"all": array("d")}
         writer = csv.writer(fh)
         writer.writerow(["trial", "k", "greedy", "opt", "ratio"])
-        for trial, k, greedy, opt, ratio in rows:
-            writer.writerow([trial, k, repr(greedy), repr(opt), repr(ratio)])
-        groups = [(k, [r[4] for r in rows if r[1] == k]) for k in ks] + [("all", [r[4] for r in rows])]
-        for key, ratios in groups:
-            writer.writerow(["mean", key, "", "", repr(float(np.mean(ratios)))])
-            writer.writerow(["min", key, "", "", repr(float(np.min(ratios)))])
+        for t in range(args.trials):
+            for trial, k, greedy, opt, ratio in _experiment_trial((scn, args.seed, t, args.n, ks)):
+                writer.writerow([trial, k, repr(greedy), repr(opt), repr(ratio)])
+                ratios[k].append(ratio)
+                ratios["all"].append(ratio)
+        for key, kept in ratios.items():
+            writer.writerow(["mean", key, "", "", repr(float(np.mean(kept)))])
+            writer.writerow(["min", key, "", "", repr(float(np.min(kept)))])
 
     if args.out is None:
         write(sys.stdout)
-    else:
-        with open(args.out, "w", newline="") as fh:
+        return EXIT_OK
+    # --out is replaced after the last trial, so a failed run leaves it as it was
+    part = f"{args.out}.{os.getpid()}.part"
+    fh = open(part, "x", newline="")
+    try:
+        with fh:
             write(fh)
+        os.replace(part, args.out)
+    except BaseException:
+        os.unlink(part)
+        raise
     return EXIT_OK
 
 
@@ -440,8 +440,6 @@ def build_parser() -> _Parser:
     p_exp.add_argument("--k", default="2,3,4", help="comma-separated team sizes")
     p_exp.add_argument("--trials", type=int, default=100)
     p_exp.add_argument("--seed", type=int, default=0)
-    p_exp.add_argument("--jobs", type=int, default=1,
-                       help="worker processes, capped at --trials and the CPU count")
     p_exp.add_argument("--out", default=None, help="write CSV here instead of stdout")
     p_exp.set_defaults(func=cmd_experiment)
 

@@ -209,9 +209,9 @@ class ProjectStore:
     arrays), which the engine's one-member routes read; ``padded`` holds
     the atoms padded with +inf to the longest support and the CDFs behind
     a 0 (no atom below), as (agents, width) and (agents, width + 1) arrays,
-    which its team blocks read. The arrays are read-only; ``groups``,
-    ``padded``, and each agent's ``atoms`` and ``Distribution`` (``dist``)
-    are built on first use and cached.
+    which its team blocks read. ``take`` copies some agents into a store of
+    their own. The arrays are read-only; ``groups``, ``padded``, and each
+    agent's ``atoms`` and ``Distribution`` (``dist``) are cached.
     """
 
     def __init__(self, values: np.ndarray, probs: np.ndarray, lengths: np.ndarray, dists=None):
@@ -237,6 +237,13 @@ class ProjectStore:
     def concat(cls, stores: Iterable["ProjectStore"]) -> "ProjectStore":
         """One store of the given stores' agents, store after store."""
         return cls(*map(np.concatenate, zip(*((s.values, s.probs, s.lengths) for s in stores))))
+
+    def take(self, agents: Sequence[int]) -> "ProjectStore":
+        """The store of the given agents' atoms, in the given order."""
+        agents = np.asarray(agents, dtype=np.intp)
+        lengths = self.lengths[agents]
+        atoms = np.repeat(self.offsets[agents] - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+        return ProjectStore(self.values[atoms], self.probs[atoms], lengths)
 
     def __len__(self) -> int:
         return len(self.lengths)

@@ -6,22 +6,29 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from testscore import (
+    BudgetExceededError,
     Distribution,
+    ProjectStore,
     RngSpec,
     Scenario,
     ValueFunction,
+    ingest_ratings,
+    load_scenario,
     project_utility,
     random_bsp_scenario,
+    read_ratings,
     save_scenario,
     scenario_from_dict,
     validate_instance,
 )
-from testscore import cli, sketch, utility
+from testscore import cli, data, sketch, utility
 from testscore.adversarial import CATALOGUE_POOL, GENERATORS, InstanceReport
 from testscore.scenario_io import value_fn_tag
 from testscore.cli import (
@@ -415,14 +422,7 @@ class TestExperiment:
         assert run(capsys, args + ["--out", str(a)])[0] == EXIT_OK
         assert run(capsys, args + ["--out", str(b)])[0] == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
-
-    def test_jobs_leave_bytes_unchanged(self, capsys, tmp_path, bestshot_file):
-        args = ["experiment", bestshot_file, "--n", "4", "--k", "2,3", "--trials", "6",
-                "--seed", "5"]
-        a, b = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-        assert run(capsys, args + ["--jobs", "1", "--out", str(a)])[0] == EXIT_OK
-        assert run(capsys, args + ["--jobs", "2", "--out", str(b)])[0] == EXIT_OK
-        assert a.read_bytes() == b.read_bytes()
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["a.csv", "b.csv", "bestshot.json"]
 
     def test_sample_smoke(self, capsys):
         code, out, _ = run(
@@ -435,28 +435,33 @@ class TestExperiment:
             assert 0.0 < float(row[4]) <= 1.0 + 1e-12
 
     def test_validation_failures(self, capsys, bestshot_file, welfare_file):
-        bad = [
-            ["experiment", bestshot_file, "--k", "0"],
-            ["experiment", bestshot_file, "--k", "abc"],
-            ["experiment", bestshot_file, "--n", "9"],
-            ["experiment", bestshot_file, "--n", "2", "--k", "3"],
-            ["experiment", bestshot_file, "--trials", "0"],
-            ["experiment", bestshot_file, "--jobs", "0"],
-            ["experiment", bestshot_file, "--jobs", "-3"],
-            ["experiment", bestshot_file, "--n", "3", "--k", "2,2"],
-            ["experiment", welfare_file],
+        # every other flag valid, so that each case stops at its own check
+        cases = [
+            (bestshot_file, ["--n", "3", "--k", "0"], "bad --k list '0' (distinct sizes >= 1)"),
+            (bestshot_file, ["--n", "3", "--k", "abc"], "bad --k list 'abc'"),
+            (bestshot_file, ["--n", "3", "--k", "2,2"], "bad --k list '2,2' (distinct sizes >= 1)"),
+            (bestshot_file, ["--n", "9", "--k", "2"], "--n 9 exceeds the 4 available agents"),
+            (bestshot_file, ["--n", "2", "--k", "3"], "--k 3 exceeds --n 2"),
+            (bestshot_file, ["--n", "3", "--k", "2", "--trials", "0"], "--trials must be >= 1, got 0"),
+            (welfare_file, ["--n", "3", "--k", "2"], "experiment needs a single-project scenario"),
         ]
-        for argv in bad:
-            assert run(capsys, argv)[0] == EXIT_VALIDATION, argv
+        for path, flags, message in cases:
+            argv = ["experiment", path] + flags
+            assert run(capsys, argv)[::2] == (EXIT_VALIDATION, f"error: {message}\n"), argv
+
+    def test_jobs_is_no_longer_a_flag(self, capsys, bestshot_file):
+        argv = ["experiment", bestshot_file, "--n", "3", "--k", "2", "--jobs", "2"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "unrecognized arguments: --jobs 2" in err
 
     @pytest.mark.parametrize(
         "g, extra, message",
         [
             (ValueFunction.best_shot(), ["--trials", "0"], "--trials must be >= 1, got 0"),
-            (ValueFunction.best_shot(), ["--jobs", "0"], "--jobs must be >= 1, got 0"),
             (ValueFunction.ces(2.0), [], "experiment needs a best-shot scenario"),
         ],
-        ids=["trials", "jobs", "not-best-shot"],
+        ids=["trials", "not-best-shot"],
     )
     def test_each_check_names_its_input(self, capsys, tmp_path, g, extra, message):
         # every other input valid, so that only the named check can fail
@@ -469,37 +474,6 @@ class TestExperiment:
         code, _, err = run(capsys, ["experiment", bestshot_file, "--n", "0"])
         assert code == EXIT_VALIDATION
         assert err == "error: --n must be >= 1, got 0\n"
-
-    def test_jobs_capped_by_trials_and_cpus(self, capsys, monkeypatch, tmp_path, bestshot_file):
-        # a recorder stands in for the pool, so no process is started
-        started = []
-
-        class Recorder:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
-        args = ["experiment", bestshot_file, "--n", "4", "--k", "2,3", "--trials", "2"]
-        outputs = []
-        for cpus, jobs in ((64, "1"), (64, "1000"), (1, "1000"), (64, "2")):
-            monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-            out = tmp_path / f"jobs{cpus}_{jobs}.csv"
-            assert run(capsys, args + ["--jobs", jobs, "--out", str(out)])[0] == EXIT_OK
-            outputs.append(out.read_bytes())
-        assert started == [2, 2]  # --jobs 1000 capped at the 2 trials; 1 CPU starts no pool
-        assert len(set(outputs)) == 1
-        code, out, _ = run(capsys, ["experiment", "--help"])
-        assert code == EXIT_OK
-        assert "capped at --trials and the CPU count" in " ".join(out.split())
 
     def test_budget_exhaustion_exits_3(self, capsys, monkeypatch, tmp_path, bestshot_file):
         # under a budget of 1 the two-atom agents' score cells fall back to
@@ -516,6 +490,64 @@ class TestExperiment:
         assert err.startswith("error: brute_force_single subset enumeration budget exceeded: ")
         assert err.rstrip().endswith("> 1 (n=4, k=2, largest support 2)")
         assert not out.exists()
+
+    @staticmethod
+    def stub_ratio(t):
+        return ((t * 2654435761) % 1000003) / 1000003 + 0.5
+
+    def stub_trial(self, packed):
+        _scn, _seed, t, _n, ks = packed
+        return [(t, ks[0], 1.0, 2.0, self.stub_ratio(t))]
+
+    def test_memory_stays_flat(self, capsys, monkeypatch, tmp_path):
+        # with the trial stubbed out, what is left is the driver: it writes
+        # each row as its trial returns it and keeps two float ratios per row
+        monkeypatch.setattr(cli, "_experiment_trial", self.stub_trial)
+        peaks = {}
+        for trials in (10**3, 10**5):
+            out = tmp_path / f"{trials}.csv"
+            argv = ["experiment", "--sample", "--k", "2", "--trials", str(trials), "--out", str(out)]
+            tracemalloc.start()
+            try:
+                assert run(capsys, argv)[0] == EXIT_OK
+                peaks[trials] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            ratios = [self.stub_ratio(t) for t in range(trials)]
+            summary = [
+                [label, key, "", "", repr(float(reduce(ratios)))]
+                for key in ("2", "all")
+                for label, reduce in (("mean", np.mean), ("min", np.min))
+            ]
+            rows = self.rows_of(out.read_text())
+            assert len(rows) == 1 + trials + 4
+            assert rows[-4:] == summary
+        # rows are not held: a kept row tuple would take about 300 bytes
+        assert peaks[10**5] <= 2 * peaks[10**3], peaks
+        assert peaks[10**5] - peaks[10**3] <= 24 * (10**5 - 10**3), peaks
+
+    def test_failed_run_leaves_no_file(self, capsys, monkeypatch, tmp_path, bestshot_file):
+        def trial(packed):
+            if packed[2] == 1:
+                raise BudgetExceededError(2, 1, "stub trial")
+            return self.stub_trial(packed)
+
+        monkeypatch.setattr(cli, "_experiment_trial", trial)
+        out = tmp_path / "experiment.csv"
+        argv = ["experiment", bestshot_file, "--n", "3", "--k", "2", "--trials", "3",
+                "--out", str(out)]
+        assert run(capsys, argv)[::2] == (EXIT_BUDGET, "error: stub trial budget exceeded: 2 > 1\n")
+        assert list(tmp_path.iterdir()) == [tmp_path / "bestshot.json"]
+        out.write_bytes(b"an older run\n")
+        assert run(capsys, argv)[0] == EXIT_BUDGET
+        assert out.read_bytes() == b"an older run\n"
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "bestshot.json", out]
+        # on stdout the rows of the trials that ran are already out
+        code, printed, _ = run(capsys, argv[:-2])
+        assert code == EXIT_BUDGET
+        assert self.rows_of(printed) == [
+            ["trial", "k", "greedy", "opt", "ratio"], ["0", "2", "1.0", "2.0", repr(self.stub_ratio(0))]
+        ]
 
     def test_source_exclusive(self, capsys, bestshot_file):
         assert run(capsys, ["experiment", bestshot_file, "--sample"])[0] == EXIT_USAGE
@@ -737,6 +769,26 @@ class TestLoadedFilesBuildNoDistribution:
         assert "monte_carlo" in {est["method"] for est in json.loads(out)["result"]["per_project"]}
         assert built == []
 
+    def test_experiment_trials(self, monkeypatch, tmp_path, built):
+        # a trial's team pool is a slice of the scenario's store: no trial
+        # builds a Distribution or packs a store
+        packed, pack = [], ProjectStore.pack.__func__
+
+        def counting_pack(cls, dists):
+            packed.append(dists)
+            return pack(cls, dists)
+
+        monkeypatch.setattr(ProjectStore, "pack", classmethod(counting_pack))
+        loaded = load_scenario(self.saved(tmp_path, [ValueFunction.best_shot()], (3,))).scenario
+        sample = ingest_ratings(read_ratings(data.sample_ratings_path())).scenario
+        sample.store(0)  # built from Distribution objects, it packs its store on first use
+        built.clear()
+        packed.clear()
+        for scn, n, ks in ((loaded, 4, [2, 3]), (sample, 10, [2, 3, 4])):
+            for t in range(5):
+                assert len(cli._experiment_trial((scn, 0, t, n, ks))) == len(ks)
+        assert (built, packed) == ([], [])
+
 
 class TestMainPlumbing:
     def test_successive_calls_share_no_options(self, capsys, bestshot_file, welfare_file):
@@ -777,3 +829,14 @@ class TestMainPlumbing:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["name"] == "quantile_linear"
+
+    def test_import_loads_no_process_pool(self):
+        # every command runs in one process: importing the CLI brings in
+        # neither concurrent.futures nor multiprocessing
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, testscore.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

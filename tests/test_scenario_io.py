@@ -11,6 +11,7 @@ from testscore import (
     CATALOGUE_POOL,
     ConcaveFn,
     Distribution,
+    ProjectStore,
     Scenario,
     UnitFn,
     ValidationError,
@@ -310,6 +311,22 @@ class TestProjectStores:
             assert store_hexes(sorted_on_load.store(j)) == want
             for store in (in_order.store(j), sorted_on_load.store(j)):
                 assert store.values.flags.c_contiguous and store.probs.flags.c_contiguous
+
+    @pytest.mark.parametrize("loaded", [False, True], ids=["dists", "loaded"])
+    @pytest.mark.parametrize(
+        "agents", [[1, 3, 4, 7], [6, 0, 3, 2, 5], [5]], ids=["sorted", "unsorted", "one"]
+    )
+    def test_take_equals_the_packed_agents(self, loaded, agents):
+        scn = self.mixed(np.random.default_rng(11), [ValueFunction.best_shot()], (1, 2, 3, 9, 1, 5, 2, 3), (2,))
+        store = (reloaded(scn) if loaded else scn).store(0)
+        got = store.take(agents)
+        want = ProjectStore.pack([store.dist(a) for a in agents])
+        for name in ("values", "probs", "lengths"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert len(got.groups) == len(want.groups)
+        for got_group, want_group in zip(got.groups, want.groups):
+            assert all(map(np.array_equal, got_group, want_group))
+        assert all(map(np.array_equal, got.padded, want.padded))
 
     def test_dist_is_built_once(self):
         scn = roster(np.random.default_rng(8), n=20, m=12)
