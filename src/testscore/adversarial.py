@@ -18,14 +18,7 @@ import numpy as np
 
 from .core import BudgetExceededError, Distribution, Scenario, ValidationError, enumeration_budget
 from .production import ConcaveFn, UnitFn, ValueFunction
-from .optimize import (
-    baseline_max_sketch_welfare,
-    baseline_min_sketch_welfare,
-    brute_force_single,
-    brute_force_welfare,
-    greedy_topk,
-    greedy_welfare,
-)
+from .optimize import _assignment_oracles, brute_force_single, greedy_topk, greedy_welfare
 from .scores import build_score_table, quantile_score, replication_score
 from .utility import project_utility
 
@@ -341,19 +334,25 @@ def _measure_quantile_ces(inst: AdversarialInstance) -> dict[str, float]:
     }
 
 
+# the assignment oracle behind each welfare quantity an instance may
+# expect, the exact optimum first
+_WELFARE_ORACLES = {
+    "opt_welfare": "brute_force_welfare",
+    "min_sketch_welfare": "baseline_min_sketch_welfare",
+    "max_sketch_welfare": "baseline_max_sketch_welfare",
+}
+
+
 def _measure_welfare(inst: AdversarialInstance) -> dict[str, float]:
     scn = inst.scenario
     table = build_score_table(
         scn, "replication", max_r=max(scn.cardinalities), mc_fallback=False
     )
-    out = {
-        "greedy_welfare": greedy_welfare(scn, table).total,
-        "opt_welfare": brute_force_welfare(scn).total,
-    }
-    if "min_sketch_welfare" in inst.expected:
-        out["min_sketch_welfare"] = baseline_min_sketch_welfare(scn, table).total
-    if "max_sketch_welfare" in inst.expected:
-        out["max_sketch_welfare"] = baseline_max_sketch_welfare(scn, table).total
+    out = {"greedy_welfare": greedy_welfare(scn, table).total}
+    # every expected oracle quantity from one DP pass
+    keys = [key for key in _WELFARE_ORACLES if key in inst.expected]
+    results = _assignment_oracles(scn, table, [_WELFARE_ORACLES[key] for key in keys])
+    out.update((key, res.total) for key, res in zip(keys, results))
     return out
 
 

@@ -28,7 +28,7 @@ from .adversarial import (
     random_single_scenario,
     validate_instance,
 )
-from .core import BudgetExceededError, RngSpec, Scenario, ValidationError
+from .core import BudgetExceededError, RngSpec, Scenario, ValidationError, enumeration_budget
 from .optimize import (
     approximation_report,
     brute_force_single,
@@ -242,20 +242,35 @@ def _suite_adversarial(seed: int, trials: int) -> dict:
     }
 
 
+# suite: (runner, default trial count, a bound on one trial's work, which
+# check prices times the trial count against the budget before any trial)
 _SUITES = {
-    "submodularity": (_suite_submodularity, 50),
-    "bsp": (_suite_bsp, 10_000),
-    "sketch": (partial(_suite_bounds, "sketch", verify_strong_sketch_bounds), 200),
-    "goodness": (partial(_suite_bounds, "goodness", verify_goodness_sandwich), 200),
-    "adversarial": (_suite_adversarial, 1),
+    # 5 agents with at most 3 atoms each: the 2^5 teams' utilities hold at
+    # most sum_S 3^|S| = 4^5 outcomes, and the 3^5 pairs S <= T each
+    # compare 6 marginals
+    "submodularity": (_suite_submodularity, 50, 4**5 + 6 * 3**5),
+    # 4 value functions, each evaluated 3 times on at most 6 coordinates
+    "bsp": (_suite_bsp, 10_000, 4 * 3 * 6),
+    # at most 7 agents with at most 3 atoms each: the teams' utilities
+    # hold at most sum_S 3^|S| = 4^7 outcomes, which also covers the 7 x 4
+    # replication cells' at most 15 multisets each
+    "sketch": (partial(_suite_bounds, "sketch", verify_strong_sketch_bounds), 200, 4**7),
+    "goodness": (partial(_suite_bounds, "goodness", verify_goodness_sandwich), 200, 4**7),
+    # the bundled instances are fixed and price their own oracles; the
+    # trial count is not read
+    "adversarial": (_suite_adversarial, 1, 0),
 }
 
 
 def cmd_check(args) -> int:
-    runner, default_trials = _SUITES[args.suite]
+    runner, default_trials, per_trial = _SUITES[args.suite]
     trials = args.trials if args.trials is not None else default_trials
     if trials < 1:
         raise ValidationError(f"--trials must be >= 1, got {trials}")
+    work, budget = trials * per_trial, enumeration_budget()
+    if work > budget:
+        shape = f"{trials} trials x {per_trial} per trial"
+        raise BudgetExceededError(work, budget, what=f"check --suite {args.suite}", shape=shape)
     report = runner(args.seed, trials)
     _emit(json.dumps(report, indent=2), args.out)
     return EXIT_OK if report["ok"] else EXIT_PROPERTY

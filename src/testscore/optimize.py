@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -356,30 +356,82 @@ def _union_terms(binom: np.ndarray, U: np.ndarray, F: np.ndarray, k: int) -> np.
     return terms.reshape(rows, f * k)
 
 
+def _best_teams(
+    binom: np.ndarray, free_sets: np.ndarray, used_sets: Optional[np.ndarray],
+    cells: np.ndarray, vals: list, after: Optional[list],
+) -> tuple[list, list]:
+    """One stage of ``_maximize_assignment``: per objective, each used
+    set's best team value (``vals``) plus next-stage value at the union
+    (``after``; None past the last stage), and the position of the first
+    team that attains it. A used set is a row of its free agents
+    (``free_sets``) and of its used agents (``used_sets``; None where the
+    union is the team itself).
+
+    The block buffers are made once per stage, so no block allocates its
+    own (the larger ones would come and go through mmap). The takes into
+    them clip: every index is in range, and "raise" would copy through a
+    buffer."""
+    k, n_teams = cells.shape
+    rows = min(len(free_sets), max(1, utility._BLOCK // (n_teams * k)))
+    terms = np.empty((rows, k, n_teams), dtype=np.int64)
+    rank, union = np.empty((2, rows, n_teams), dtype=np.int64)
+    total, gathered = np.empty((2, rows, n_teams))
+    best = [np.empty(len(free_sets)) for _ in vals]
+    picks = [np.empty(len(free_sets), dtype=np.intp) for _ in vals]
+    for lo in range(0, len(free_sets), rows):
+        # stored small, gathered with as index-sized integers
+        F = free_sets[lo : lo + rows].astype(np.intp)
+        b = len(F)
+        block, team, t, g = terms[:b], rank[:b], total[:b], gathered[:b]
+        # a team t_1 < ... < t_k has colex rank sum_d C(t_d, d)
+        binom[F, 1 : k + 1].reshape(b, -1).take(cells, 1, block, "clip")
+        to = block.sum(axis=1, out=team)  # the rank each pair's union has
+        if used_sets is not None:
+            U = used_sets[lo : lo + rows].astype(np.intp)
+            _union_terms(binom, U, F, k).take(cells, 1, block, "clip")
+            to = block.sum(axis=1, out=union[:b])
+        at = np.arange(b)
+        for o, v in enumerate(vals):
+            v.take(team, out=t, mode="clip")
+            if after is None:
+                t += 0.0  # as v + 0.0 in the recurrence: -0.0 becomes 0.0
+            else:
+                t += after[o].take(to, out=g, mode="clip")
+            # argmax takes the first largest: the smallest team in lex order
+            p = t.argmax(axis=1)
+            picks[o][lo : lo + b] = p
+            best[o][lo : lo + b] = t[at, p]
+    return best, picks
+
+
 def _maximize_assignment(
-    scn: Scenario, values_of: Callable[[int, np.ndarray], np.ndarray], oracle: str
-) -> tuple[list[tuple[int, ...]], float]:
-    """Exact argmax of sum_j value_j(S_j) over disjoint assignments.
+    scn: Scenario,
+    objectives: Sequence[Callable[[int, np.ndarray], np.ndarray]],
+    oracle: str,
+) -> list[tuple[list[tuple[int, ...]], float]]:
+    """Exact argmax of sum_j value_j(S_j) over disjoint assignments, for
+    each of several objectives in one pass: one (sets, total) per entry
+    of ``objectives``, in their order.
 
     Dynamic program over the sets of already-used agents, one stage per
     project from the last back; equivalent to full enumeration but shares
-    suffixes, so the budget is checked against the transition count
-    rather than the raw assignment count. Each stage asks
-    ``values_of(j, teams)`` once for the values of all size-k_j teams, a
-    (C(n, k_j), k_j) array of ascending rows in descending colex order
-    (the order in which ``combinations`` lists the teams of the
-    descending range), and takes one value per row back.
+    suffixes, so the budget is checked, once for the whole pass, against
+    the transition count rather than the raw assignment count. Each stage
+    asks each objective's ``values_of(j, teams)``, in order, once for the
+    values of all size-k_j teams, a (C(n, k_j), k_j) array of ascending
+    rows in descending colex order (the order in which ``combinations``
+    lists the teams of the descending range), and takes one value per row
+    back.
 
-    A stage holds one value per used set, indexed by the set's colex
-    rank (its bitmask's place among the masks of its size). A used set's
-    teams sit at fixed positions among its free agents (a lexicographic
-    position table), and both a team's rank and the rank of the used set
-    it leads to are sums of one precomputed term per team member, so the
-    stage scores blocks of used sets (about _BLOCK team-member cells
-    each) as the team's value plus the next stage's value at the union,
-    maximized per set. Only disjoint (set, team) pairs are formed. Ties
-    resolve to the lexicographically smallest (S_0, S_1, ...).
-    ``oracle`` names the caller in budget errors.
+    A stage holds one value per used set and objective, indexed by the
+    set's colex rank (its bitmask's place among the masks of its size). A
+    used set's teams sit at fixed positions among its free agents (a
+    lexicographic position table), and both a team's rank and the rank of
+    the used set it leads to are sums of one precomputed term per team
+    member. ``_best_teams`` forms these ranks once per block of used sets
+    (about _BLOCK team-member cells) and scores the disjoint (set, team)
+    pairs for every objective. Ties resolve to the lexicographically
+    smallest (S_0, S_1, ...). ``oracle`` names the pass in budget errors.
     """
     n = scn.n_agents
     ks = scn.cardinalities
@@ -395,54 +447,76 @@ def _maximize_assignment(
         used.append(used[-1] + k)
     binom = _binomials(n, max(max(ks), used[-2]))
     agent = np.min_scalar_type(-n)  # the smallest integer type holding an agent id
-    # stages[j] = (free_sets, places, pick): the free agents of each used
+    # stages[j] = (free_sets, places, picks): the free agents of each used
     # set project j may see, in the sets' colex order, the team positions
-    # among them, and the position of each set's best team
+    # among them, and per objective the position of each set's best team
     stages = []
-    after = None  # the next stage's values by colex rank; 0 past the last
+    after = None  # per objective, the next stage's values by colex rank; 0 past the last
     for j in range(len(ks) - 1, -1, -1):
         k, u = ks[j], used[j]
         f = n - u
         # team values by colex rank, asked for in descending colex order
-        vals = np.asarray(values_of(j, _subsets(n, k, True)[::-1]), dtype=float)[::-1]
+        teams = _subsets(n, k, True)[::-1]
+        vals = [np.asarray(values_of(j, teams), dtype=float)[::-1] for values_of in objectives]
         # complements reverse the colex order
         free_sets = _subsets(n, f, True, agent)[::-1]
         # with no agent used (stage 0) the union is the team itself
         used_sets = _subsets(n, u, True, agent) if after is not None and u else None
         places, cells = _team_cells(f, k)
-        best = np.empty(len(free_sets))
-        pick = np.empty(len(free_sets), dtype=np.intp)
-        rows = max(1, utility._BLOCK // (len(places) * k))
-        for lo in range(0, len(free_sets), rows):
-            # stored small, gathered with as index-sized integers
-            F = free_sets[lo : lo + rows].astype(np.intp)
-            b = len(F)
-            # a team t_1 < ... < t_k has colex rank sum_d C(t_d, d)
-            rank = binom[F, 1 : k + 1].reshape(b, -1)[:, cells].sum(axis=1)
-            total = vals[rank]
-            if after is None:
-                total += 0.0  # as v + 0.0 in the recurrence: -0.0 becomes 0.0
-            else:
-                if used_sets is not None:
-                    U = used_sets[lo : lo + rows].astype(np.intp)
-                    rank = _union_terms(binom, U, F, k)[:, cells].sum(axis=1)
-                total += after[rank]
-            # argmax takes the first largest: the smallest team in lex order
-            pick[lo : lo + b] = total.argmax(axis=1)
-            best[lo : lo + b] = total[np.arange(b), pick[lo : lo + b]]
-        stages.append((free_sets, places, pick))
+        best, picks = _best_teams(binom, free_sets, used_sets, cells, vals, after)
+        stages.append((free_sets, places, picks))
         after = best
     # walk forward from no agent used (rank 0), taking each stage's
     # recorded team and moving to the rank of the union
-    sets: list[tuple[int, ...]] = []
-    taken: list[int] = []
-    row = 0
-    for free_sets, places, pick in reversed(stages):
-        S = free_sets[row, places[pick[row]]].tolist()
-        sets.append(tuple(S))
-        taken = sorted(taken + S)
-        row = sum(math.comb(a, i + 1) for i, a in enumerate(taken))
-    return sets, float(after[0])
+    found = []
+    for o in range(len(objectives)):
+        sets: list[tuple[int, ...]] = []
+        taken: list[int] = []
+        row = 0
+        for free_sets, places, picks in reversed(stages):
+            S = free_sets[row, places[picks[o][row]]].tolist()
+            sets.append(tuple(S))
+            taken = sorted(taken + S)
+            row = sum(math.comb(a, i + 1) for i, a in enumerate(taken))
+        found.append((sets, float(after[o][0])))
+    return found
+
+
+# the sketch each sketch-maximizing assignment oracle sums
+_SKETCHES = {
+    "baseline_min_sketch_welfare": "min",
+    "baseline_max_sketch_welfare": "max",
+    "best_strong_sketch_assignment": "strong",
+}
+
+
+def _assignment_oracles(
+    scn: Scenario, table: Optional[ScoreTable], oracles: Sequence[str]
+) -> list[SelectionResult]:
+    """The named assignment oracles' results, in order, from one DP pass:
+    ``brute_force_welfare`` and the sketch maximizers of ``_SKETCHES``,
+    which read ``table``. A budget error names the oracles joined by +."""
+
+    def objective(oracle: str) -> Callable[[int, np.ndarray], np.ndarray]:
+        if oracle == "brute_force_welfare":
+            return partial(team_values, scn)
+        sketch_of = _SKETCHES[oracle]
+
+        def values(j: int, teams: np.ndarray) -> np.ndarray:
+            if sketch_of == "strong":
+                return _strong_sketch_values(table, j, teams)
+            k = teams.shape[1]
+            table.require(scn.n_agents - 1, j, k)  # the table covers every agent at size k
+            scores = table.scores[teams, j, k - 1]
+            return scores.min(axis=1) if sketch_of == "min" else scores.max(axis=1)
+
+        return values
+
+    found = _maximize_assignment(scn, [objective(o) for o in oracles], "+".join(oracles))
+    return [
+        _result(scn, sets, sketch_objective=None if o == "brute_force_welfare" else total)
+        for o, (sets, total) in zip(oracles, found)
+    ]
 
 
 def brute_force_welfare(scn: Scenario) -> SelectionResult:
@@ -454,42 +528,24 @@ def brute_force_welfare(scn: Scenario) -> SelectionResult:
     ``project_utility`` values bit for bit and priced one team at a time,
     so the first team past the enumeration budget, in the DP's descending
     colex order, raises the error its own call would."""
-    sets, _total = _maximize_assignment(
-        scn, lambda j, teams: team_values(scn, j, teams), "brute_force_welfare"
-    )
-    return _result(scn, sets)
-
-
-def _best_assignment_by_sketch(
-    scn: Scenario, table: ScoreTable, sketch_of: str, oracle: str
-) -> SelectionResult:
-    def values(j: int, teams: np.ndarray) -> np.ndarray:
-        if sketch_of == "strong":
-            return _strong_sketch_values(table, j, teams)
-        k = teams.shape[1]
-        table.require(scn.n_agents - 1, j, k)  # the table covers every agent at size k
-        scores = table.scores[teams, j, k - 1]
-        return scores.min(axis=1) if sketch_of == "min" else scores.max(axis=1)
-
-    sets, best_v = _maximize_assignment(scn, values, oracle)
-    return _result(scn, sets, sketch_objective=float(best_v))
+    return _assignment_oracles(scn, None, ("brute_force_welfare",))[0]
 
 
 def baseline_min_sketch_welfare(scn: Scenario, table: ScoreTable) -> SelectionResult:
     """Assignment maximizing the summed min-score sketch; its true welfare
     can be badly off, which is the point of keeping it around."""
-    return _best_assignment_by_sketch(scn, table, "min", "baseline_min_sketch_welfare")
+    return _assignment_oracles(scn, table, ("baseline_min_sketch_welfare",))[0]
 
 
 def baseline_max_sketch_welfare(scn: Scenario, table: ScoreTable) -> SelectionResult:
     """Assignment maximizing the summed max-score sketch."""
-    return _best_assignment_by_sketch(scn, table, "max", "baseline_max_sketch_welfare")
+    return _assignment_oracles(scn, table, ("baseline_max_sketch_welfare",))[0]
 
 
 def best_strong_sketch_assignment(scn: Scenario, table: ScoreTable) -> SelectionResult:
     """Assignment maximizing the summed harmonic sketch, for comparing the
     welfare greedy's accumulated sketch value against the sketch optimum."""
-    return _best_assignment_by_sketch(scn, table, "strong", "best_strong_sketch_assignment")
+    return _assignment_oracles(scn, table, ("best_strong_sketch_assignment",))[0]
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,8 @@ from testscore import (
     scenario_from_dict,
     validate_instance,
 )
-from testscore import cli, data, sketch, utility
+from testscore import cli, data, optimize, sketch, utility
+from testscore.core import DEFAULT_BUDGET
 from testscore.adversarial import CATALOGUE_POOL, GENERATORS, InstanceReport
 from testscore.scenario_io import value_fn_tag
 from testscore.cli import (
@@ -227,6 +228,18 @@ class TestAssign:
             "(n=3, cardinalities (1, 2), largest support 2)\n"
         )
 
+    def test_oracle_takes_one_dp_pass(self, capsys, monkeypatch, welfare_file):
+        calls = []
+        real = optimize._maximize_assignment
+
+        def spy(scn, objectives, oracle):
+            calls.append((len(objectives), oracle))
+            return real(scn, objectives, oracle)
+
+        monkeypatch.setattr(optimize, "_maximize_assignment", spy)
+        assert run(capsys, ["assign", welfare_file, "--oracle"])[0] == EXIT_OK
+        assert calls == [(1, "brute_force_welfare")]
+
     def test_happy_path(self, capsys, welfare_file):
         code, out, _ = run(capsys, ["assign", welfare_file])
         assert code == EXIT_OK
@@ -279,7 +292,7 @@ class TestCheck:
 
     def test_property_failure_exits_4(self, capsys, monkeypatch):
         monkeypatch.setitem(
-            cli._SUITES, "bsp", (lambda seed, trials: {"suite": "bsp", "ok": False}, 1)
+            cli._SUITES, "bsp", (lambda seed, trials: {"suite": "bsp", "ok": False}, 1, 1)
         )
         assert run(capsys, ["check", "--suite", "bsp"])[0] == EXIT_PROPERTY
 
@@ -337,6 +350,48 @@ class TestCheck:
 
     def test_bad_trials(self, capsys):
         assert run(capsys, ["check", "--suite", "bsp", "--trials", "0"])[0] == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("suite", ["submodularity", "bsp", "sketch", "goodness"])
+    def test_huge_trial_count_exits_3_before_any_trial(self, capsys, monkeypatch, suite):
+        monkeypatch.delenv("TESTSCORE_BUDGET", raising=False)
+        work = cli._SUITES[suite][2]
+        monkeypatch.setitem(
+            cli._SUITES, suite, (lambda seed, trials: pytest.fail("a trial ran"), 1, work)
+        )
+        trials = 99999999999999999999
+        code, out, err = run(capsys, ["check", "--suite", suite, "--trials", str(trials)])
+        assert (code, out) == (EXIT_BUDGET, "")
+        assert err == (
+            f"error: check --suite {suite} budget exceeded: {trials * work} > {DEFAULT_BUDGET} "
+            f"({trials} trials x {work} per trial)\n"
+        )
+
+    @pytest.mark.parametrize("suite", sorted(cli._SUITES))
+    def test_default_trial_counts_fit_the_default_budget(self, capsys, monkeypatch, suite):
+        monkeypatch.delenv("TESTSCORE_BUDGET", raising=False)
+        _, default, work = cli._SUITES[suite]
+        seen = []
+        monkeypatch.setitem(
+            cli._SUITES, suite, (lambda seed, trials: seen.append(trials) or {"ok": True}, default, work)
+        )
+        assert run(capsys, ["check", "--suite", suite])[0] == EXIT_OK
+        assert seen == [default]
+
+    def test_trial_price_boundary(self, capsys, monkeypatch):
+        # 10^4 bsp trials fit a budget of exactly 10^4 times their bound
+        work = cli._SUITES["bsp"][2]
+        monkeypatch.setenv("TESTSCORE_BUDGET", str(10_000 * work))
+        monkeypatch.setitem(cli._SUITES, "bsp", (lambda seed, trials: {"ok": True}, 1, work))
+        assert run(capsys, ["check", "--suite", "bsp", "--trials", "10000"])[0] == EXIT_OK
+        assert run(capsys, ["check", "--suite", "bsp", "--trials", "10001"])[0] == EXIT_BUDGET
+
+    def test_adversarial_ignores_the_trial_count(self, capsys, monkeypatch):
+        monkeypatch.setitem(
+            cli._SUITES, "adversarial", (lambda seed, trials: {"ok": True}, 1, 0)
+        )
+        argv = ["check", "--suite", "adversarial", "--trials", "99999999999999999999"]
+        assert run(capsys, argv)[0] == EXIT_OK
+
 
     def test_unknown_suite(self, capsys):
         assert run(capsys, ["check", "--suite", "nope"])[0] == EXIT_USAGE
@@ -575,6 +630,17 @@ class TestWorstcase:
         doc = json.loads(out)
         assert doc["params"] == {"r": 2}
         assert doc["validation"]["ok"] is True
+
+    def test_welfare_budget_error_names_the_joint_pass(self, capsys, monkeypatch):
+        # the exact optimum and the min-sketch baseline share one DP pass,
+        # priced once under both names
+        monkeypatch.setenv("TESTSCORE_BUDGET", "100")
+        code, out, err = run(capsys, ["worstcase", "welfare_ex1", "--run"])
+        assert (code, out) == (EXIT_BUDGET, "")
+        assert err == (
+            "error: brute_force_welfare+baseline_min_sketch_welfare assignment DP budget "
+            "exceeded: 1805440 > 100 (n=16, cardinalities (4, 4, 4, 4), largest support 1)\n"
+        )
 
     def test_unknown_name(self, capsys):
         code, _, err = run(capsys, ["worstcase", "nope"])

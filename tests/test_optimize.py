@@ -721,7 +721,7 @@ class TestAssignmentDP:
             if res.sketch_objective is None:
                 welfare = float(sum(project_utility(scn, j, S).value for j, S in enumerate(sets)))
                 assert res.total.hex() == welfare.hex()
-                got = _maximize_assignment(scn, per_row(value_of), "test")
+                got = _maximize_assignment(scn, (per_row(value_of),), "test")[0]
                 assert (got[0], got[1].hex()) == (sets, total.hex())
             else:
                 assert res.sketch_objective.hex() == float(total).hex()
@@ -758,14 +758,14 @@ class TestAssignmentDP:
                 values[j, S] = float(gen.integers(0, 4))
             return values[j, S]
 
-        got = _maximize_assignment(point_scenario(n, ks), per_row(value_of), "test")
+        got = _maximize_assignment(point_scenario(n, ks), (per_row(value_of),), "test")[0]
         assert got == tuple(ref_maximize_assignment(n, ks, value_of))
 
     def test_signed_zero_values(self):
         # v + 0.0 turns -0.0 into 0.0, in the reference as here
         for n, ks in ((3, (1,)), (4, (1, 2)), (5, (2, 1, 1))):
-            sets, total = _maximize_assignment(
-                point_scenario(n, ks), per_row(lambda j, S: -0.0), "test"
+            [(sets, total)] = _maximize_assignment(
+                point_scenario(n, ks), (per_row(lambda j, S: -0.0),), "test"
             )
             assert (sets, total.hex()) == (
                 ref_maximize_assignment(n, ks, lambda j, S: -0.0)[0],
@@ -792,7 +792,7 @@ class TestAssignmentDP:
                     values[j, S] = data.draw(st.sampled_from(pool))
                 return values[j, S]
 
-            sets, total = _maximize_assignment(point_scenario(n, ks), per_row(value_of), "test")
+            [(sets, total)] = _maximize_assignment(point_scenario(n, ks), (per_row(value_of),), "test")
             want_sets, want_total = ref_maximize_assignment(n, ks, value_of)
             assert (sets, total.hex()) == (want_sets, float(want_total).hex())
 
@@ -812,10 +812,67 @@ class TestAssignmentDP:
                 scn.n_agents, scn.cardinalities, lambda j, S: project_utility(scn, j, S).value
             )
             assert brute_force_welfare(scn).assignment.sets == tuple(sets)
-            got = _maximize_assignment(scn, partial(team_values, scn), "test")
+            got = _maximize_assignment(scn, (partial(team_values, scn),), "test")[0]
             assert (got[0], got[1].hex()) == (sets, total.hex())
 
         check()
+
+    def test_several_objectives_in_one_pass(self):
+        # each objective of a joint pass keeps the reference's sets and
+        # total bits, and those of its own pass: tied objectives, signed
+        # zeros and a constant objective share the pass
+        gen = np.random.default_rng(78)
+        pool = [0.0, -0.0, 0.5, 1.0]
+        for t in range(60):
+            if t % 2:
+                scn = random_welfare_scenario(gen)
+            else:
+                n = int(gen.integers(1, 8))
+                ks = []
+                while sum(ks) < n and len(ks) < 3:
+                    ks.append(int(gen.integers(1, n - sum(ks) + 1)))
+                scn = point_scenario(n, ks)
+            drawn = [{}, {}]
+
+            def tied(o, j, S):
+                if (j, S) not in drawn[o]:
+                    drawn[o][j, S] = pool[int(gen.integers(len(pool)))]
+                return drawn[o][j, S]
+
+            objectives = [
+                partial(tied, 0),
+                lambda j, S: -0.0,
+                partial(tied, 1) if t % 3 else lambda j, S: project_utility(scn, j, S).value,
+            ][: 2 + t % 2]
+            joint = _maximize_assignment(scn, [per_row(v) for v in objectives], "test")
+            assert len(joint) == len(objectives)
+            for value_of, (sets, total) in zip(objectives, joint):
+                [alone] = _maximize_assignment(scn, (per_row(value_of),), "test")
+                want_sets, want_total = ref_maximize_assignment(
+                    scn.n_agents, scn.cardinalities, value_of
+                )
+                assert (sets, total.hex()) == (want_sets, float(want_total).hex())
+                assert (sets, total.hex()) == (alone[0], alone[1].hex())
+
+    @pytest.mark.parametrize(
+        "name, oracle",
+        [
+            ("welfare_ex1", "brute_force_welfare+baseline_min_sketch_welfare"),
+            ("welfare_ex2", "brute_force_welfare+baseline_max_sketch_welfare"),
+        ],
+    )
+    def test_welfare_instance_takes_one_pass(self, monkeypatch, name, oracle):
+        # the exact optimum and the sketch baseline share one DP pass
+        calls = []
+        real = optimize._maximize_assignment
+
+        def spy(scn, objectives, oracle):
+            calls.append((len(objectives), oracle))
+            return real(scn, objectives, oracle)
+
+        monkeypatch.setattr(optimize, "_maximize_assignment", spy)
+        assert adversarial.validate_instance(adversarial.GENERATORS[name]()).ok
+        assert calls == [(2, oracle)]
 
     def test_budget_errors_name_oracle_and_shape(self, monkeypatch):
         monkeypatch.setenv("TESTSCORE_BUDGET", "10")
@@ -836,6 +893,14 @@ class TestAssignmentDP:
             with pytest.raises(BudgetExceededError) as exc:
                 run()
             assert str(exc.value) == f"{oracle} assignment DP budget exceeded: 140 > 10 {shape}"
+        # one pass, one check: its error names every oracle in it
+        names = ("brute_force_welfare", "baseline_min_sketch_welfare", "best_strong_sketch_assignment")
+        with pytest.raises(BudgetExceededError) as exc:
+            optimize._assignment_oracles(scn, table, names)
+        assert str(exc.value) == (
+            "brute_force_welfare+baseline_min_sketch_welfare+best_strong_sketch_assignment "
+            f"assignment DP budget exceeded: 140 > 10 {shape}"
+        )
 
 
 class TestApproximationReport:
