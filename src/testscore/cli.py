@@ -233,7 +233,7 @@ def _suite_bounds(name: str, verify, seed: int, trials: int) -> dict:
 
 
 def _suite_adversarial(seed: int, trials: int) -> dict:
-    del seed, trials  # the bundled instances are fixed
+    del seed, trials  # the bundled instances are fixed; cmd_check rejects both flags
     reports = [validate_instance(gen()) for gen in GENERATORS.values()]
     return {
         "suite": "adversarial",
@@ -256,14 +256,18 @@ _SUITES = {
     # replication cells' at most 15 multisets each
     "sketch": (partial(_suite_bounds, "sketch", verify_strong_sketch_bounds), 200, 4**7),
     "goodness": (partial(_suite_bounds, "goodness", verify_goodness_sandwich), 200, 4**7),
-    # the bundled instances are fixed and price their own oracles; the
-    # trial count is not read
+    # the bundled instances are fixed and price their own oracles; they
+    # take no seed and no trial count
     "adversarial": (_suite_adversarial, 1, 0),
 }
 
 
 def cmd_check(args) -> int:
     runner, default_trials, per_trial = _SUITES[args.suite]
+    if args.suite == "adversarial":
+        for flag, value in (("--seed", args.seed), ("--trials", args.trials)):
+            if value is not None:
+                raise ValidationError(f"check --suite adversarial runs fixed instances and takes no {flag}")
     trials = args.trials if args.trials is not None else default_trials
     if trials < 1:
         raise ValidationError(f"--trials must be >= 1, got {trials}")
@@ -271,7 +275,7 @@ def cmd_check(args) -> int:
     if work > budget:
         shape = f"{trials} trials x {per_trial} per trial"
         raise BudgetExceededError(work, budget, what=f"check --suite {args.suite}", shape=shape)
-    report = runner(args.seed, trials)
+    report = runner(7 if args.seed is None else args.seed, trials)
     _emit(json.dumps(report, indent=2), args.out)
     return EXIT_OK if report["ok"] else EXIT_PROPERTY
 
@@ -430,7 +434,7 @@ def build_parser() -> _Parser:
 
     p_check = sub.add_parser("check", help="run a property suite")
     p_check.add_argument("--suite", required=True, choices=sorted(_SUITES))
-    p_check.add_argument("--seed", type=int, default=7)
+    p_check.add_argument("--seed", type=int, default=None, help="default 7")
     p_check.add_argument("--trials", type=int, default=None,
                          help="override the suite's default trial count")
     p_check.add_argument("--out", default=None)

@@ -30,7 +30,10 @@ from .utility import (
     UtilityEstimate,
     _grid,
     _linear,
+    _h,
     _order_route,
+    _phi,
+    _row_sums,
     _row_work,
     _subsets,
     _team_blocks,
@@ -235,15 +238,20 @@ def _subset_enum_cost(scn: Scenario, j: int, k: int, grid=None) -> int:
     return work[k] + teams
 
 
-def _near_best(scored) -> np.ndarray:
-    """The teams, in their given order, whose value is within SCREEN_TOL
-    of the largest, from an iterable of (values, teams) blocks. Only the
-    teams near the running maximum are kept from block to block."""
+def _cut(top: float) -> float:
+    # the least value within SCREEN_TOL of top; an infinite top keeps its ties
+    return top - SCREEN_TOL * abs(top) if top < math.inf else top
+
+
+def _near_best(scored) -> tuple[np.ndarray, np.ndarray]:
+    """The values and teams, in their given order, whose value is within
+    SCREEN_TOL of the largest, from an iterable of (values, teams) blocks.
+    Only the teams near the running maximum are kept from block to block."""
     top = -math.inf
     values = teams = None
     for block_values, block in scored:
         top = max(top, float(block_values.max()))
-        cut = top - SCREEN_TOL * abs(top)
+        cut = _cut(top)
         keep = block_values >= cut
         if teams is None:
             values, teams = block_values[keep], block[keep]
@@ -251,7 +259,39 @@ def _near_best(scored) -> np.ndarray:
             old = values >= cut
             values = np.concatenate((values[old], block_values[keep]))
             teams = np.concatenate((teams[old], block[keep]))
-    return teams
+    return values, teams
+
+
+def _bound_screen(scn: Scenario, j: int, k: int):
+    """The size-k teams, in lexicographic blocks, that can reach the best
+    on a non-linear ``total`` or ``ces`` project. Its value E[h(sum phi(x_i))]
+    has h concave (f for total, y^(1/r) with r > 1 for ces), so by Jensen's
+    inequality each team's value is at most h(sum E[phi(x_i)]), a sum of
+    per-agent means. The team with the largest bound is scored exactly;
+    a team whose bound falls SCREEN_TOL short of that value is worth less,
+    so it can neither beat nor tie it. Every team is kept when a team's
+    sum of phi(x) can pass the float range, where exact values overflow
+    and no bound holds."""
+    g, store = scn.value_fns[j], scn.store(j)
+    if not math.isfinite(k * _phi(g, store.values.max())):
+        yield from _team_blocks(scn.n_agents, k)
+        return
+    means = np.array([np.dot(_phi(g, values), probs) for values, probs, _ in map(store.atoms, scn.agents)])
+
+    def bounded():
+        for block in _team_blocks(scn.n_agents, k):
+            yield _h(g, _row_sums(means, block)), block
+
+    top = -math.inf
+    for bounds, block in bounded():
+        i = int(bounds.argmax())
+        if bounds[i] > top:
+            top, lead = bounds[i], block[i : i + 1]
+    cut = _cut(float(team_values(scn, j, lead)[0]))
+    for bounds, block in bounded():
+        keep = bounds >= cut
+        if keep.any():
+            yield block[keep]
 
 
 def _shape(scn: Scenario, projects, sizes: str) -> str:
@@ -266,10 +306,15 @@ def brute_force_single(scn: Scenario, j: int, k: int) -> SelectionResult:
     total enumeration work would exceed the budget. The teams are streamed
     in lexicographic order, in blocks, and each block is screened in one
     array pass: best-shot and top-r teams of several members on the
-    project's merged grid, every other team by ``team_values``. The teams
-    within SCREEN_TOL of the best are then rescored on their own bits:
-    several in one ``team_values`` block, a lone one by its reported
-    ``project_utility``, which the up-front price keeps exact.
+    project's merged grid, every other team by ``team_values``, which
+    scores each team on its own bits. Non-linear ``total`` and ``ces``
+    teams first pass ``_bound_screen``: only the teams whose Jensen bound
+    reaches the exact value of the team with the largest bound are scored,
+    and every other team is worth less than that value, so the screen is
+    exact. The up-front price still covers scoring every team. The teams
+    within SCREEN_TOL of the best are kept; merged-grid values among them
+    are rescored on their own bits, in one ``team_values`` block, and the
+    first best wins.
     """
     if k < 1 or k > scn.n_agents:
         raise ValidationError(f"k must be in 1..{scn.n_agents}, got {k}")
@@ -289,11 +334,16 @@ def brute_force_single(scn: Scenario, j: int, k: int) -> SelectionResult:
         screen = partial(_order_route, g, store, scn.agents, copies=1, budget=budget, grid=grid)
     else:
         screen = partial(team_values, scn, j)
-    teams = _near_best((screen(teams=block), block) for block in _team_blocks(scn.n_agents, k))
-    # batched values can round differently from a team's own; on the own
-    # bits the first argmax keeps the lexicographically smallest tied team
-    best = 0 if len(teams) == 1 else int(team_values(scn, j, teams).argmax())
-    best_S = tuple(teams[best].tolist())
+    if g.kind in ("total", "ces") and not _linear(g):
+        blocks = _bound_screen(scn, j, k)
+    else:
+        blocks = _team_blocks(scn.n_agents, k)
+    values, teams = _near_best((screen(teams=block), block) for block in blocks)
+    # merged-grid values can round differently from a team's own; on the
+    # own bits the first argmax keeps the lexicographically smallest tied team
+    if merged and len(teams) > 1:
+        values = team_values(scn, j, teams)
+    best_S = tuple(teams[int(values.argmax())].tolist())
     sets = [() if jj != j else best_S for jj in scn.projects]
     return _result(scn, sets)
 

@@ -385,12 +385,24 @@ class TestCheck:
         assert run(capsys, ["check", "--suite", "bsp", "--trials", "10000"])[0] == EXIT_OK
         assert run(capsys, ["check", "--suite", "bsp", "--trials", "10001"])[0] == EXIT_BUDGET
 
-    def test_adversarial_ignores_the_trial_count(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("flag", ["--seed", "--trials"])
+    def test_adversarial_rejects_seed_and_trials(self, capsys, monkeypatch, flag):
+        # the bundled instances are fixed, so either flag would go unread
         monkeypatch.setitem(
-            cli._SUITES, "adversarial", (lambda seed, trials: {"ok": True}, 1, 0)
+            cli._SUITES, "adversarial", (lambda seed, trials: pytest.fail("a suite ran"), 1, 0)
         )
-        argv = ["check", "--suite", "adversarial", "--trials", "99999999999999999999"]
-        assert run(capsys, argv)[0] == EXIT_OK
+        code, out, err = run(capsys, ["check", "--suite", "adversarial", flag, "3"])
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err == f"error: check --suite adversarial runs fixed instances and takes no {flag}\n"
+        assert "Traceback" not in err
+
+    def test_seed_defaults_to_7(self, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setitem(
+            cli._SUITES, "bsp", (lambda seed, trials: seen.append(seed) or {"ok": True}, 1, 1)
+        )
+        assert run(capsys, ["check", "--suite", "bsp"])[0] == EXIT_OK
+        assert seen == [7]
 
 
     def test_unknown_suite(self, capsys):

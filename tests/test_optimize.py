@@ -53,6 +53,10 @@ from oracle_tools import (
 TWO_POINT = Distribution.from_pairs(((0.0, 0.5), (2.0, 0.5)))
 CATALOGUE = [factory() for factory in CATALOGUE_POOL]
 CATALOGUE_TAGS = [value_fn_tag(g) for g in CATALOGUE]
+# the sum-route variants E[h(sum phi(x_i))] with h concave and not linear,
+# whose oracle screens teams by their Jensen bound
+BOUNDED = [g for g in CATALOGUE if g.kind in ("total", "ces") and not utility._linear(g)]
+BOUNDED_TAGS = [value_fn_tag(g) for g in BOUNDED]
 
 
 def tied_table(gen, n, m, max_r):
@@ -411,6 +415,93 @@ class TestBruteForceSingle:
             assert {b.dtype for b in blocks} == {np.min_scalar_type(-n)}
             got = [tuple(t) for t in np.concatenate(blocks).tolist()]
             assert got == list(combinations(range(n), k)), (n, k)
+
+    @staticmethod
+    def scored_rows(monkeypatch, scn, k):
+        # the result, and the number of rows _sum_route scores to find it
+        rows = []
+        real = utility._sum_route
+
+        def counting(g, store, agents, *rest):
+            rows.append(agents)
+            return real(g, store, agents, *rest)
+
+        monkeypatch.setattr(utility, "_sum_route", counting)
+        res = brute_force_single(scn, 0, k)
+        monkeypatch.setattr(utility, "_sum_route", real)
+        return res, len(rows)
+
+    @pytest.mark.parametrize("g", BOUNDED, ids=BOUNDED_TAGS)
+    def test_bound_screen_point_masses(self, g):
+        # a team of point masses, or of agents whose two atoms are a few
+        # ulps apart, is worth its bound up to rounding, so only the
+        # SCREEN_TOL margin keeps the best and its ties; teams of zeros are
+        # worth exactly 0, their bound and the cut alike
+        gen = np.random.default_rng(75)
+        pools = [[0.0] * 5, [0.0, 1.0, 0.0, 2.0, 1.0, 2.0], [1.5, 0.5, 1.5, 0.5, 1.5]]
+        pools += [gen.uniform(0.0, 3.0, 6).tolist() for _ in range(4)]
+        pools += [gen.integers(0, 4, 7).astype(float).tolist() for _ in range(4)]
+        for values in pools:
+            points = [Distribution.point(v) for v in values]
+            near = [
+                Distribution.from_pairs(((v, 0.2), (v * (1.0 + 4e-16) + 5e-324, 0.8))) for v in values
+            ]
+            for dists in (points, near):
+                for k in range(1, 5):
+                    self.check_against_per_team(Scenario.single_project(dists, g, k), k)
+
+    @pytest.mark.parametrize("g", BOUNDED, ids=BOUNDED_TAGS)
+    def test_bound_screen_identical_agents(self, g, monkeypatch):
+        # every team has the same bound and value, so every team is a
+        # candidate: scored once more than the leading team, and once for
+        # the reported objective; the smallest team wins
+        coin = Distribution.from_pairs(((0.5, 0.4), (2.0, 0.6)))
+        for k in range(1, 5):
+            scn = Scenario.single_project([coin] * 6, g, k)
+            res, rows = self.scored_rows(monkeypatch, scn, k)
+            assert rows == math.comb(6, k) + 2
+            assert res.assignment.sets[0] == tuple(range(k))
+            self.check_against_per_team(scn, k)
+
+    @pytest.mark.parametrize("g", BOUNDED, ids=BOUNDED_TAGS)
+    def test_bound_screen_small_blocks(self, g, monkeypatch):
+        # two teams per block: the largest bound, and then the candidates,
+        # are found across many blocks
+        monkeypatch.setattr(utility, "_BLOCK", 7)
+        gen = np.random.default_rng(76)
+        for _ in range(4):
+            scn = random_single_scenario(gen, g, n=8, k=3)
+            self.check_against_per_team(scn, 3)
+
+    @pytest.mark.parametrize("g", BOUNDED, ids=BOUNDED_TAGS)
+    def test_bound_screen_overflow_scores_every_team(self, g):
+        # past the float range exact values overflow to inf and no bound
+        # holds: A's rare top atom overflows the A-A team, whose bound stays
+        # below the teams holding B, so every team is scored, as the
+        # per-team loop does
+        top = 0.9 * np.finfo(float).max
+        r = g.r if g.kind == "ces" else 1.0
+        A = Distribution.from_pairs(((1.0, 1.0 - 1e-6), (top ** (1.0 / r), 1e-6)))
+        B = Distribution.point((1e-3 * top) ** (1.0 / r))
+        C = Distribution.point(2.0)
+        with np.errstate(over="ignore"):
+            for dists in ([C, B, A, A], [A, A, B, C], [A] * 4):
+                scn = Scenario.single_project(dists, g, 1)
+                self.check_against_per_team(scn, 2)
+                assert brute_force_single(scn, 0, 2).total == math.inf
+
+    def test_bound_screen_scores_few_teams(self, monkeypatch):
+        # 8 agents with distinct support lengths, as a benchmark cohort: of
+        # the 56 teams, the leading team, its candidates and the reported
+        # objective take at most 5 exact rows
+        gen = np.random.default_rng(77)
+        dists = []
+        for size in range(1, 9):
+            values = np.sort(gen.choice(101, size, replace=False)).astype(float)
+            dists.append(Distribution.from_pairs(zip(values.tolist(), gen.dirichlet(np.ones(size)).tolist())))
+        scn = Scenario.single_project(dists, ValueFunction.total(ConcaveFn("sqrt")), 3)
+        assert self.scored_rows(monkeypatch, scn, 3)[1] <= 5
+        self.check_against_per_team(scn, 3)
 
     def test_budget_error_names_oracle_and_shape(self, monkeypatch):
         monkeypatch.setenv("TESTSCORE_BUDGET", "10")
