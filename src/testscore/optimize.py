@@ -33,6 +33,7 @@ from .utility import (
     _h,
     _order_route,
     _phi,
+    _phi_means,
     _row_sums,
     _row_work,
     _subsets,
@@ -269,14 +270,21 @@ def _bound_screen(scn: Scenario, j: int, k: int):
     inequality each team's value is at most h(sum E[phi(x_i)]), a sum of
     per-agent means. The team with the largest bound is scored exactly;
     a team whose bound falls SCREEN_TOL short of that value is worth less,
-    so it can neither beat nor tie it. Every team is kept when a team's
-    sum of phi(x) can pass the float range, where exact values overflow
-    and no bound holds."""
+    so it can neither beat nor tie it.
+
+    The bound holds in floats only while every mean rounds far inside
+    SCREEN_TOL, so every team is kept when a team's sum of phi(x) can pass
+    the float range, where exact values overflow, or when phi(x) * p of
+    an atom x > 0 falls short of the normal range: a subnormal product
+    keeps few or none of its bits, and h, a root say, lifts the sum it
+    leaves out to a value that counts."""
     g, store = scn.value_fns[j], scn.store(j)
-    if not math.isfinite(k * _phi(g, store.values.max())):
+    phi = _phi(g, store.values)
+    small = (phi * store.probs < np.finfo(float).tiny) & (store.values > 0)
+    if not math.isfinite(k * phi.max()) or small.any():
         yield from _team_blocks(scn.n_agents, k)
         return
-    means = np.array([np.dot(_phi(g, values), probs) for values, probs, _ in map(store.atoms, scn.agents)])
+    means = _phi_means(g, store, scn.agents)
 
     def bounded():
         for block in _team_blocks(scn.n_agents, k):

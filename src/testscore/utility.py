@@ -103,6 +103,12 @@ def _h(g: ValueFunction, sums: np.ndarray) -> np.ndarray:
     return g.f.apply(sums) if g.kind == "total" else sums ** (1.0 / g.r)
 
 
+def _phi_means(g: ValueFunction, store: ProjectStore, agents) -> np.ndarray:
+    # each agent's E[phi(x)], np.dot over its own atoms: its mean on linear
+    # total/ces, where phi(x) is x or x**1.0, the same bits
+    return np.array([np.dot(_phi(g, values), probs) for values, probs, _ in map(store.atoms, agents)])
+
+
 def _batchable(g: ValueFunction, size: int, copies: int, budget: int) -> bool:
     """Whether ``copies`` copies of one member with ``size`` atoms can be
     scored as a row of a one-member batch: its own work fits the budget
@@ -446,8 +452,7 @@ def team_values(scn: Scenario, j: int, teams) -> np.ndarray:
         _charge(next(w for w in work.tolist() if w > budget), budget)
     # every row fits the budget, so the routes below run unmetered
     if _linear(g):
-        means = np.array([np.dot(values, probs) for values, probs, _ in map(store.atoms, scn.agents)])
-        return _row_sums(means, teams) + 0.0  # as sum() from 0: -0.0 becomes 0.0
+        return _row_sums(_phi_means(g, store, scn.agents), teams) + 0.0  # as sum() from 0: -0.0 becomes 0.0
     if g.kind == "success_prob":
         return _product_route(g, store, scn.agents, teams, 1, math.inf)
     return _own_grid_rows(g, store, teams)

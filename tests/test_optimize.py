@@ -436,7 +436,9 @@ class TestBruteForceSingle:
         # a team of point masses, or of agents whose two atoms are a few
         # ulps apart, is worth its bound up to rounding, so only the
         # SCREEN_TOL margin keeps the best and its ties; teams of zeros are
-        # worth exactly 0, their bound and the cut alike
+        # worth exactly 0, their bound and the cut alike. With 0.2 on the
+        # upper atom, 0.2 * 5e-324 rounds to 0 in the mean of a zero agent
+        # but not in its value under a root, so every team is scored
         gen = np.random.default_rng(75)
         pools = [[0.0] * 5, [0.0, 1.0, 0.0, 2.0, 1.0, 2.0], [1.5, 0.5, 1.5, 0.5, 1.5]]
         pools += [gen.uniform(0.0, 3.0, 6).tolist() for _ in range(4)]
@@ -444,9 +446,10 @@ class TestBruteForceSingle:
         for values in pools:
             points = [Distribution.point(v) for v in values]
             near = [
-                Distribution.from_pairs(((v, 0.2), (v * (1.0 + 4e-16) + 5e-324, 0.8))) for v in values
+                [Distribution.from_pairs(((v, 1.0 - w), (v * (1.0 + 4e-16) + 5e-324, w))) for v in values]
+                for w in (0.8, 0.2)
             ]
-            for dists in (points, near):
+            for dists in (points, *near):
                 for k in range(1, 5):
                     self.check_against_per_team(Scenario.single_project(dists, g, k), k)
 
@@ -489,6 +492,21 @@ class TestBruteForceSingle:
                 scn = Scenario.single_project(dists, g, 1)
                 self.check_against_per_team(scn, 2)
                 assert brute_force_single(scn, 0, 2).total == math.inf
+
+    @pytest.mark.parametrize("g", BOUNDED, ids=BOUNDED_TAGS)
+    def test_bound_screen_underflow_scores_every_team(self, g):
+        # below the normal range phi(x) * p loses its bits to the mean while
+        # h, a root say, lifts the value it leaves out: A's rare atom, whose
+        # phi(x) is subnormal, rounds out of A's mean but not out of its
+        # value, which beats B's, whose bound is positive; so every team is
+        # scored, as the per-team loop does
+        r = g.r if g.kind == "ces" else 1.0
+        low = 1e-318 ** (1.0 / r)
+        A = Distribution.from_pairs(((0.0, 1.0 - 1e-6), (low, 1e-6)))
+        B = Distribution.from_pairs(((0.0, 1.0 - 1e-300), (1.0, 1e-300)))
+        for dists in ([B, A, B, A], [Distribution.point(low), B, A], [A] * 5):
+            for k in range(1, len(dists)):
+                self.check_against_per_team(Scenario.single_project(dists, g, k), k)
 
     def test_bound_screen_scores_few_teams(self, monkeypatch):
         # 8 agents with distinct support lengths, as a benchmark cohort: of
