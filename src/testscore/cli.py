@@ -245,15 +245,16 @@ def _suite_adversarial(seed: int, trials: int) -> dict:
 # suite: (runner, default trial count, a bound on one trial's work, which
 # check prices times the trial count against the budget before any trial)
 _SUITES = {
-    # 5 agents with at most 3 atoms each: the 2^5 teams' utilities hold at
-    # most sum_S 3^|S| = 4^5 outcomes, and the 3^5 pairs S <= T each
-    # compare 6 marginals
+    # 5 agents with at most 3 atoms each: 4^5 = sum_S 3^|S| prices the 2^5
+    # teams at the size of each one's joint support, and 6 * 3^5 the 3^5
+    # pairs S <= T at 6 marginals each
     "submodularity": (_suite_submodularity, 50, 4**5 + 6 * 3**5),
     # 4 value functions, each evaluated 3 times on at most 6 coordinates
     "bsp": (_suite_bsp, 10_000, 4 * 3 * 6),
-    # at most 7 agents with at most 3 atoms each: the teams' utilities
-    # hold at most sum_S 3^|S| = 4^7 outcomes, which also covers the 7 x 4
-    # replication cells' at most 15 multisets each
+    # at most 7 agents with at most 3 atoms each: 4^7 = sum_S 3^|S| prices
+    # every team at the size of its joint support; the teams checked have
+    # at most 4 members and take 3,991 of it, leaving room for the 7 x 4
+    # replication scores priced the same way, 7 * (3 + 9 + 27 + 81) = 840
     "sketch": (partial(_suite_bounds, "sketch", verify_strong_sketch_bounds), 200, 4**7),
     "goodness": (partial(_suite_bounds, "goodness", verify_goodness_sandwich), 200, 4**7),
     # the bundled instances are fixed and price their own oracles; they

@@ -339,24 +339,32 @@ class Scenario:
         for j, (g, k) in enumerate(zip(self.value_fns, self.cardinalities)):
             if k < 1:
                 raise ValidationError(f"cardinality k_{j} must be >= 1, got {k}")
-            if g.kind in ("total", "ces", "top_r"):
-                # a team's largest sum of phi(x), x^r for ces and x otherwise
-                if self.stores:
-                    top = float(self.stores[j].values.max())
-                else:
-                    top = max(row[j].values[-1] for row in self.dists)
-                try:
-                    largest = k * (top**g.r if g.kind == "ces" else top)
-                except OverflowError:
-                    largest = math.inf
-                if not math.isfinite(largest):
-                    raise ValidationError(
-                        f"project {j}: a team of {k} at support value {top} sums past the float range"
-                    )
+            self._check_team_size(j, k)
         if sum(self.cardinalities) > n:
             raise ValidationError(
                 f"infeasible: sum of cardinalities {sum(self.cardinalities)} "
                 f"exceeds agent count {n}"
+            )
+
+    def _check_team_size(self, j: int, k: int) -> None:
+        """Raise unless a team of k on project j sums phi(x), x^r for ces
+        and x otherwise, inside the float range, where its exact value is
+        finite. Construction checks every size up to k_j; callers taking
+        larger teams check theirs."""
+        g = self.value_fns[j]
+        if g.kind not in ("total", "ces", "top_r"):
+            return
+        if self.stores:
+            top = float(self.stores[j].values.max())
+        else:
+            top = max(row[j].values[-1] for row in self.dists)
+        try:
+            largest = k * (top**g.r if g.kind == "ces" else top)
+        except OverflowError:
+            largest = math.inf
+        if not math.isfinite(largest):
+            raise ValidationError(
+                f"project {j}: a team of {k} at support value {top} sums past the float range"
             )
 
     @property

@@ -273,15 +273,14 @@ def _bound_screen(scn: Scenario, j: int, k: int):
     so it can neither beat nor tie it.
 
     The bound holds in floats only while every mean rounds far inside
-    SCREEN_TOL, so every team is kept when a team's sum of phi(x) can pass
-    the float range, where exact values overflow, or when phi(x) * p of
-    an atom x > 0 falls short of the normal range: a subnormal product
-    keeps few or none of its bits, and h, a root say, lifts the sum it
-    leaves out to a value that counts."""
+    SCREEN_TOL, so every team is kept when phi(x) * p of an atom x > 0
+    falls short of the normal range: a subnormal product keeps few or none
+    of its bits, and h, a root say, lifts the sum it leaves out to a value
+    that counts. A team's sum of phi(x) is checked to fit the float range."""
     g, store = scn.value_fns[j], scn.store(j)
     phi = _phi(g, store.values)
     small = (phi * store.probs < np.finfo(float).tiny) & (store.values > 0)
-    if not math.isfinite(k * phi.max()) or small.any():
+    if small.any():
         yield from _team_blocks(scn.n_agents, k)
         return
     means = _phi_means(g, store, scn.agents)
@@ -326,6 +325,8 @@ def brute_force_single(scn: Scenario, j: int, k: int) -> SelectionResult:
     """
     if k < 1 or k > scn.n_agents:
         raise ValidationError(f"k must be in 1..{scn.n_agents}, got {k}")
+    if k > scn.cardinalities[j]:
+        scn._check_team_size(j, k)
     budget = enumeration_budget()
     g, store = scn.value_fns[j], scn.store(j)
     # one merged grid, built once, prices the screen and is screened on
@@ -356,21 +357,13 @@ def brute_force_single(scn: Scenario, j: int, k: int) -> SelectionResult:
     return _result(scn, sets)
 
 
-def _dp_transition_count(n: int, ks) -> int:
-    total = 0
-    used = 0
-    for k in ks:
-        total += math.comb(n, used) * math.comb(n - used, k)
-        used += k
-    return total
-
-
 @lru_cache(maxsize=64)
 def _binomials(n: int, c: int) -> np.ndarray:
-    """binom[x, d] = C(x, d) for x < n and d <= c, by Pascal's rule. Past
-    int64 the entries wrap modulo 2^64; colex ranks only add and subtract
-    them, and every rank is below its stage's size (at most the
-    transition count), so the ranks come out exact."""
+    """binom[x, d] = C(x, d) for x < n and d <= c, the widest team or
+    leftover ranked, by Pascal's rule. Past int64 the entries wrap modulo
+    2^64; colex ranks only add and subtract them, and every rank is below
+    its stage's size (at most the transition count), so the ranks come
+    out exact."""
     binom = np.zeros((n, c + 1), dtype=np.int64)
     binom[:, 0] = 1
     for x in range(1, n):
@@ -390,64 +383,54 @@ def _team_cells(f: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return places, cells
 
 
-def _union_terms(binom: np.ndarray, U: np.ndarray, F: np.ndarray, k: int) -> np.ndarray:
-    """For a block of used sets U (rows, u) with free agents F (rows, f):
-    per-position terms, (rows, f * k), whose sum over a team's members
-    (the member at free position p_d counting cell p_d * k + d - 1) is the
-    colex rank of the union of U with the team.
-
-    A member t_d sits above b_d = t_d - p_d used agents, so it takes
-    place b_d + d in the union, and the used agents between b_d and
-    b_{d+1} move up d places. With R_e[x] = sum_{i < x} C(U_i, i + 1 + e)
-    the rank telescopes to R_k[u] + sum_d (C(t_d, b_d + d) + R_{d-1}[b_d]
-    - R_d[b_d]): one term per member, with R_k[u] folded into d = 1."""
-    rows, u = U.shape
-    f = F.shape[1]
-    R = np.zeros((rows, u + 1, k + 1), dtype=np.int64)
-    place = np.arange(1, u + 1)[:, None] + np.arange(k + 1)
-    np.cumsum(binom[U[:, :, None], place], axis=1, out=R[:, 1:])
-    below = F - np.arange(f)
-    Rb = R[np.arange(rows)[:, None], below]
-    terms = binom[F[:, :, None], below[:, :, None] + np.arange(1, k + 1)]
-    terms += Rb[:, :, :-1] - Rb[:, :, 1:]
-    terms[:, :, 0] += R[:, u, k][:, None]
-    return terms.reshape(rows, f * k)
-
-
 def _best_teams(
-    binom: np.ndarray, free_sets: np.ndarray, used_sets: Optional[np.ndarray],
-    cells: np.ndarray, vals: list, after: Optional[list],
+    binom: np.ndarray, free_sets: np.ndarray, k: int, vals: list, after: Optional[list],
 ) -> tuple[list, list]:
     """One stage of ``_maximize_assignment``: per objective, each used
-    set's best team value (``vals``) plus next-stage value at the union
-    (``after``; None past the last stage), and the position of the first
-    team that attains it. A used set is a row of its free agents
-    (``free_sets``) and of its used agents (``used_sets``; None where the
-    union is the team itself).
+    set's best size-k team value (``vals``) plus next-stage value at the
+    union (``after``; None past the last stage), and the position of the
+    first team that attains it. A used set is the row of its free agents
+    in ``free_sets``.
+
+    A team's union with the used set is the complement of the f - k free
+    agents it leaves, so its colex rank is C(n, f - k) - 1 less theirs
+    (complements reverse the colex order); the t-th lexicographic team
+    leaves the (C(f, k) - 1 - t)-th (f - k)-subset of positions. With no
+    agent used the union is the team itself.
 
     The block buffers are made once per stage, so no block allocates its
     own (the larger ones would come and go through mmap). The takes into
     them clip: every index is in range, and "raise" would copy through a
     buffer."""
-    k, n_teams = cells.shape
-    rows = min(len(free_sets), max(1, utility._BLOCK // (n_teams * k)))
-    terms = np.empty((rows, k, n_teams), dtype=np.int64)
+    n, f = len(binom), free_sets.shape[1]
+    cells = _team_cells(f, k)[1]
+    n_teams = cells.shape[1]
+    left = f - k if after is not None and f < n else 0  # 0: no leftover ranked
+    if left:
+        left_cells = np.ascontiguousarray(_team_cells(f, left)[1][:, ::-1])
+        last = math.comb(n, left) - 1
+    rows = min(len(free_sets), max(1, utility._BLOCK // (n_teams * max(k, left))))
+    terms = np.empty(rows * max(k, left) * n_teams, dtype=np.int64)
     rank, union = np.empty((2, rows, n_teams), dtype=np.int64)
     total, gathered = np.empty((2, rows, n_teams))
     best = [np.empty(len(free_sets)) for _ in vals]
     picks = [np.empty(len(free_sets), dtype=np.intp) for _ in vals]
+
+    def colex(F, width, cells, out):
+        # per team, its colex rank: C(F[p], d) summed over its cells p * width + d - 1
+        block = terms[: len(F) * width * n_teams].reshape(len(F), width, n_teams)
+        binom[F, 1 : width + 1].reshape(len(F), -1).take(cells, 1, block, "clip")
+        return block.sum(axis=1, out=out)
+
     for lo in range(0, len(free_sets), rows):
         # stored small, gathered with as index-sized integers
         F = free_sets[lo : lo + rows].astype(np.intp)
         b = len(F)
-        block, team, t, g = terms[:b], rank[:b], total[:b], gathered[:b]
+        t, g = total[:b], gathered[:b]
         # a team t_1 < ... < t_k has colex rank sum_d C(t_d, d)
-        binom[F, 1 : k + 1].reshape(b, -1).take(cells, 1, block, "clip")
-        to = block.sum(axis=1, out=team)  # the rank each pair's union has
-        if used_sets is not None:
-            U = used_sets[lo : lo + rows].astype(np.intp)
-            _union_terms(binom, U, F, k).take(cells, 1, block, "clip")
-            to = block.sum(axis=1, out=union[:b])
+        team = to = colex(F, k, cells, rank[:b])
+        if left:
+            to = np.subtract(last, colex(F, left, left_cells, union[:b]), out=union[:b])
         at = np.arange(b)
         for o, v in enumerate(vals):
             v.take(team, out=t, mode="clip")
@@ -484,26 +467,28 @@ def _maximize_assignment(
     A stage holds one value per used set and objective, indexed by the
     set's colex rank (its bitmask's place among the masks of its size). A
     used set's teams sit at fixed positions among its free agents (a
-    lexicographic position table), and both a team's rank and the rank of
-    the used set it leads to are sums of one precomputed term per team
-    member. ``_best_teams`` forms these ranks once per block of used sets
-    (about _BLOCK team-member cells) and scores the disjoint (set, team)
-    pairs for every objective. Ties resolve to the lexicographically
-    smallest (S_0, S_1, ...). ``oracle`` names the pass in budget errors.
+    lexicographic position table); a team's rank sums one term per member
+    and its union's one per free agent it leaves. ``_best_teams`` forms
+    these ranks once per block of used sets (about _BLOCK team-member
+    cells) and scores the disjoint (set, team) pairs for every objective.
+    Ties resolve to the lexicographically smallest (S_0, S_1, ...).
+    ``oracle`` names the pass in budget errors.
     """
     n = scn.n_agents
     ks = scn.cardinalities
     budget = enumeration_budget()
-    trans = _dp_transition_count(n, ks)
+    used = [0]
+    for k in ks:
+        used.append(used[-1] + k)
+    # the (used set, disjoint team) pairs summed over the stages
+    trans = sum(math.comb(n, u) * math.comb(n - u, k) for u, k in zip(used, ks))
     if trans > budget:
         raise BudgetExceededError(
             trans, budget, what=f"{oracle} assignment DP",
             shape=_shape(scn, scn.projects, f"cardinalities {tuple(ks)}"),
         )
-    used = [0]
-    for k in ks:
-        used.append(used[-1] + k)
-    binom = _binomials(n, max(max(ks), used[-2]))
+    # the widest ranked set: a team, or a leftover of stage 1, the first to rank unions
+    binom = _binomials(n, max(max(ks), n - used[2] if len(ks) > 2 else 0))
     agent = np.min_scalar_type(-n)  # the smallest integer type holding an agent id
     # stages[j] = (free_sets, places, picks): the free agents of each used
     # set project j may see, in the sets' colex order, the team positions
@@ -511,18 +496,14 @@ def _maximize_assignment(
     stages = []
     after = None  # per objective, the next stage's values by colex rank; 0 past the last
     for j in range(len(ks) - 1, -1, -1):
-        k, u = ks[j], used[j]
-        f = n - u
+        k, f = ks[j], n - used[j]
         # team values by colex rank, asked for in descending colex order
         teams = _subsets(n, k, True)[::-1]
         vals = [np.asarray(values_of(j, teams), dtype=float)[::-1] for values_of in objectives]
         # complements reverse the colex order
         free_sets = _subsets(n, f, True, agent)[::-1]
-        # with no agent used (stage 0) the union is the team itself
-        used_sets = _subsets(n, u, True, agent) if after is not None and u else None
-        places, cells = _team_cells(f, k)
-        best, picks = _best_teams(binom, free_sets, used_sets, cells, vals, after)
-        stages.append((free_sets, places, picks))
+        best, picks = _best_teams(binom, free_sets, k, vals, after)
+        stages.append((free_sets, _team_cells(f, k)[0], picks))
         after = best
     # walk forward from no agent used (rank 0), taking each stage's
     # recorded team and moving to the rank of the union

@@ -386,11 +386,13 @@ def _expectation(g: ValueFunction, store: ProjectStore, agents, copies: int, bud
     return float(route(g, store, agents, team, copies, budget)[0])
 
 
-def _members(scn: Scenario, S: Iterable[int]) -> tuple[int, ...]:
+def _members(scn: Scenario, j: int, S: Iterable[int]) -> tuple[int, ...]:
     members = tuple(sorted(set(int(i) for i in S)))
     for i in members:
         if not (0 <= i < scn.n_agents):
             raise ValidationError(f"unknown agent {i}")
+    if len(members) > scn.cardinalities[j]:
+        scn._check_team_size(j, len(members))
     return members
 
 
@@ -400,7 +402,7 @@ def exact_utility(scn: Scenario, j: int, S: Iterable[int]) -> UtilityEstimate:
     Raises BudgetExceededError past the enumeration budget. The empty team
     is worth g(0, ..., 0) = 0.
     """
-    value = _expectation(scn.value_fns[j], scn.store(j), _members(scn, S), 1, enumeration_budget())
+    value = _expectation(scn.value_fns[j], scn.store(j), _members(scn, j, S), 1, enumeration_budget())
     return UtilityEstimate(value=value, method="exact")
 
 
@@ -412,7 +414,7 @@ def exact_utility_best_shot(scn: Scenario, j: int, S: Iterable[int]) -> UtilityE
         raise ValidationError(
             f"project {j} has value function {g.kind!r}, expected best_shot"
         )
-    value = _expectation(g, scn.store(j), _members(scn, S), 1, enumeration_budget())
+    value = _expectation(g, scn.store(j), _members(scn, j, S), 1, enumeration_budget())
     return UtilityEstimate(value=value, method="exact_best_shot")
 
 
@@ -441,10 +443,12 @@ def team_values(scn: Scenario, j: int, teams) -> np.ndarray:
     teams = np.asarray(teams, dtype=np.intp)
     if teams.size == 0:
         return np.zeros(len(teams))  # g(0, ..., 0) = 0 across the catalogue
+    k = teams.shape[1]
+    if k > scn.cardinalities[j]:
+        scn._check_team_size(j, k)
     g, store, budget = scn.value_fns[j], scn.store(j), enumeration_budget()
     if g.kind in ("total", "ces") and not _linear(g):
         return np.array([_sum_route(g, store, S, 1, budget) for S in teams.tolist()])
-    k = teams.shape[1]
     work = _row_work(g, _row_sums(store.lengths, teams), k, 1)
     # the first row past the budget, found in Python when there is one:
     # comparing the array with the int would page in kernels used nowhere else
@@ -492,7 +496,7 @@ def mc_utility(
     deterministic for a fixed RngSpec and stream."""
     if samples < 2:
         raise ValidationError(f"samples must be >= 2, got {samples}")
-    members = _members(scn, S)
+    members = _members(scn, j, S)
     g = scn.value_fns[j]
     if not members:
         return UtilityEstimate(value=evaluate(g, []), method="exact")

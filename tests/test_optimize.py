@@ -1,6 +1,7 @@
 """Greedy selection, welfare assignment, exact oracles, baselines."""
 
 import math
+import tracemalloc
 from functools import partial
 from itertools import combinations
 
@@ -26,6 +27,7 @@ from testscore import (
     build_score_table,
     greedy_topk,
     greedy_welfare,
+    mc_utility,
     minmax_sketch,
     project_utility,
     random_bsp_scenario,
@@ -35,7 +37,7 @@ from testscore import (
 )
 from testscore import adversarial, optimize, utility
 from testscore.adversarial import CATALOGUE_POOL, random_single_scenario
-from testscore.optimize import _maximize_assignment, _subset_enum_cost, _team_blocks
+from testscore.optimize import _maximize_assignment, _subset_enum_cost, _team_blocks, _team_cells
 from testscore.scenario_io import value_fn_tag
 from testscore.utility import exact_utility, team_values
 
@@ -477,21 +479,26 @@ class TestBruteForceSingle:
             self.check_against_per_team(scn, 3)
 
     @pytest.mark.parametrize("g", BOUNDED, ids=BOUNDED_TAGS)
-    def test_bound_screen_overflow_scores_every_team(self, g):
-        # past the float range exact values overflow to inf and no bound
-        # holds: A's rare top atom overflows the A-A team, whose bound stays
-        # below the teams holding B, so every team is scored, as the
-        # per-team loop does
+    def test_team_past_float_range_raises(self, g):
+        # A's rare top atom fits a team of 1 but two of them sum past the
+        # float range: teams of 2 on a cardinality-1 scenario raise the
+        # error a scenario of cardinality 2 raises, instead of valuing inf
         top = 0.9 * np.finfo(float).max
         r = g.r if g.kind == "ces" else 1.0
         A = Distribution.from_pairs(((1.0, 1.0 - 1e-6), (top ** (1.0 / r), 1e-6)))
-        B = Distribution.point((1e-3 * top) ** (1.0 / r))
-        C = Distribution.point(2.0)
-        with np.errstate(over="ignore"):
-            for dists in ([C, B, A, A], [A, A, B, C], [A] * 4):
-                scn = Scenario.single_project(dists, g, 1)
-                self.check_against_per_team(scn, 2)
-                assert brute_force_single(scn, 0, 2).total == math.inf
+        dists = [Distribution.point(2.0), A, A]
+        with pytest.raises(ValidationError, match="sums past the float range") as built:
+            Scenario.single_project(dists, g, 2)
+        scn = Scenario.single_project(dists, g, 1)
+        for call in (
+            partial(brute_force_single, scn, 0, 2),
+            partial(project_utility, scn, 0, (1, 2)),
+            partial(team_values, scn, 0, np.array([[0, 1]])),
+            partial(mc_utility, scn, 0, (0, 1), RngSpec(seed=0), samples=100),
+        ):
+            with pytest.raises(ValidationError) as err:
+                call()
+            assert str(err.value) == str(built.value)
 
     @pytest.mark.parametrize("g", BOUNDED, ids=BOUNDED_TAGS)
     def test_bound_screen_underflow_scores_every_team(self, g):
@@ -869,6 +876,31 @@ class TestAssignmentDP:
 
         got = _maximize_assignment(point_scenario(n, ks), (per_row(value_of),), "test")[0]
         assert got == tuple(ref_maximize_assignment(n, ks, value_of))
+
+    def test_leftover_cells_are_complements(self):
+        # the leftover cells of the t-th lexicographic team, those of the
+        # (f - k)-subsets reversed, sit at the positions the team leaves
+        for f in range(2, 10):
+            for k in range(1, f):
+                places = _team_cells(f, k)[0].tolist()
+                left = (_team_cells(f, f - k)[1][:, ::-1].T // (f - k)).tolist()
+                assert left == [sorted(set(range(f)) - set(team)) for team in places]
+
+    def test_first_stage_ranks_no_leftovers(self):
+        # with no agent used the union is the team: the pass peaks at about
+        # 3.90 MB, and ranking stage 0's 300 leftovers of 299 agents instead
+        # would take it to about 4.61 MB
+        scn = point_scenario(300, (1, 1))
+        for cache in (optimize._binomials, optimize._team_cells, utility._lex_table):
+            cache.cache_clear()  # built under the trace, whatever ran before
+        tracemalloc.start()
+        try:
+            [found] = _maximize_assignment(scn, (per_row(lambda j, S: 1.0),), "test")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found == ([(0,), (1,)], 2.0)
+        assert peak < 4_200_000, peak
 
     def test_signed_zero_values(self):
         # v + 0.0 turns -0.0 into 0.0, in the reference as here

@@ -1,7 +1,9 @@
-"""Source hygiene: every name a module imports is used in that module, and
-the package exports exactly its public names."""
+"""Source hygiene: every name a module imports is used in that module,
+every private module-level name is used somewhere in the package, and the
+package exports exactly its public names."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -37,6 +39,51 @@ def test_no_unused_imports(path):
 def test_finds_an_unused_import():
     source = "import math\nfrom os import path, sep\nprint(path)\n"
     assert unused_imports(source) == ["math (line 1)", "sep (line 2)"]
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """The module-level _private functions, classes and constants of
+    ``sources`` (module name -> source) that no line names as a word
+    outside their own definition."""
+    defined = []  # (name, module, first line, last line)
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [
+                (name, module, node.lineno, node.end_lineno)
+                for name in names
+                if name.startswith("_") and not name.startswith("__")
+            ]
+    lines = {module: source.splitlines() for module, source in sources.items()}
+    return [
+        f"{name} ({module} line {first})"
+        for name, module, first, last in defined
+        if not any(
+            re.search(rf"\b{name}\b", line)
+            for other, text in lines.items()
+            for number, line in enumerate(text, 1)
+            if other != module or not first <= number <= last
+        )
+    ]
+
+
+def test_private_names_are_used():
+    sources = {path.stem: path.read_text() for path in Path(testscore.__file__).parent.glob("*.py")}
+    assert unreferenced_private_names(sources) == []
+
+
+def test_finds_an_unreferenced_private_name():
+    sources = {
+        "a": "def _self(n):\n    return _self(n - 1)\n\n\nclass _Kept:\n    pass\n_LIMIT: int = 1\n",
+        "b": "from .a import _Kept\n_TABLE = {}\nprint(_TABLE, __name__)\n",
+    }
+    assert unreferenced_private_names(sources) == ["_self (a line 1)", "_LIMIT (a line 7)"]
 
 
 # the package's public names, in the order testscore/__init__.py imports them
