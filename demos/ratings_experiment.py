@@ -34,8 +34,9 @@ for t in range(TRIALS):
     chosen = sorted(int(i) for i in gen.choice(scn.n_agents, POOL, replace=False))
     # the sampled coders' slice of the ingested store, as `testscore experiment` takes it
     sub = Scenario(None, scn.value_fns, (max(ratios),), stores=(scn.store(0).take(chosen),))
-    # one table up to the largest k: each k reads its own column
-    table = build_score_table(sub, "replication", max_r=max(ratios))
+    # one table of the columns min(k)..max(k): each k reads its own
+    columns = [(min(ratios), max(ratios))]
+    table = build_score_table(sub, "replication", max_r=max(ratios), columns=columns)
     for k in ratios:
         greedy = greedy_topk(sub, 0, k, table)
         opt = brute_force_single(sub, 0, k)

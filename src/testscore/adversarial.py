@@ -306,7 +306,8 @@ def _measure_selection(
     named)."""
     scn = inst.scenario
     k = int(inst.params["k"])
-    table = build_score_table(scn, scores, max_r=k, theta=inst.params.get("theta_cut"))
+    theta = inst.params.get("theta_cut")
+    table = build_score_table(scn, scores, max_r=k, theta=theta, columns=[(k, k)])
     greedy = greedy_topk(scn, 0, k, table).total
     opt = brute_force_single(scn, 0, k).total
     quantities = {"greedy": greedy, "opt": opt, "ratio": greedy / opt}
@@ -320,7 +321,7 @@ def _measure_quantile_ces(inst: AdversarialInstance) -> dict[str, float]:
     k = int(inst.params["k"])
     cut = inst.params["theta_cut"]
     g = scn.value_fns[0]
-    table = build_score_table(scn, "quantile", max_r=k, theta=cut)
+    table = build_score_table(scn, "quantile", max_r=k, theta=cut, columns=[(k, k)])
     greedy = greedy_topk(scn, 0, k, table)
     family1 = tuple(range(k))
     u1 = project_utility(scn, 0, family1).value
@@ -345,8 +346,10 @@ _WELFARE_ORACLES = {
 
 def _measure_welfare(inst: AdversarialInstance) -> dict[str, float]:
     scn = inst.scenario
+    # the greedy and the sketch oracles read columns 1..k_j of project j
     table = build_score_table(
-        scn, "replication", max_r=max(scn.cardinalities), mc_fallback=False
+        scn, "replication", max_r=max(scn.cardinalities), mc_fallback=False,
+        columns=[(1, k) for k in scn.cardinalities],
     )
     out = {"greedy_welfare": greedy_welfare(scn, table).total}
     # every expected oracle quantity from one DP pass

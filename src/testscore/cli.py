@@ -111,7 +111,8 @@ def cmd_select(args) -> int:
     # single-project view of project j's store with cardinality k, so score
     # tables and the oracle measure exactly the requested selection problem
     view = Scenario(None, (scn.value_fns[j],), (k,), stores=(scn.store(j),))
-    table = build_score_table(view, kind, max_r=k, theta=theta)
+    # greedy_topk reads column k alone
+    table = build_score_table(view, kind, max_r=k, theta=theta, columns=[(k, k)])
     result = greedy_topk(view, 0, k, table)
     report = {
         "project": loaded.project_names[j],
@@ -135,7 +136,9 @@ def cmd_select(args) -> int:
 def cmd_assign(args) -> int:
     loaded = load_scenario(args.scenario)
     scn = loaded.scenario
-    table = build_score_table(scn, "replication", max_r=max(scn.cardinalities))
+    # greedy_welfare reads columns 1..k_j of project j
+    columns = [(1, k) for k in scn.cardinalities]
+    table = build_score_table(scn, "replication", max_r=max(scn.cardinalities), columns=columns)
     tie_rng = RngSpec(seed=args.seed) if args.tie == "random" else None
     result = greedy_welfare(scn, table, tie_rng=tie_rng)
     report = {
@@ -254,7 +257,9 @@ _SUITES = {
     # at most 7 agents with at most 3 atoms each: 4^7 = sum_S 3^|S| prices
     # every team at the size of its joint support; the teams checked have
     # at most 4 members and take 3,991 of it, leaving room for the 7 x 4
-    # replication scores priced the same way, 7 * (3 + 9 + 27 + 81) = 840
+    # replication scores priced the same way, 7 * (3 + 9 + 27 + 81) = 840.
+    # Goodness builds only the column k of those scores; its bound is kept
+    # at the sketch suite's, which still covers them
     "sketch": (partial(_suite_bounds, "sketch", verify_strong_sketch_bounds), 200, 4**7),
     "goodness": (partial(_suite_bounds, "goodness", verify_goodness_sandwich), 200, 4**7),
     # the bundled instances are fixed and price their own oracles; they
@@ -302,12 +307,13 @@ def _experiment_trial(packed) -> list[tuple]:
     gen = RngSpec(seed=seed).generator(trial)
     chosen = sorted(int(i) for i in gen.choice(scn.n_agents, size=n, replace=False))
     sub = Scenario(None, scn.value_fns, (max(ks),), stores=(scn.store(0).take(chosen),))
-    # one table serves every k. Its exact cells equal replication_score
-    # bit for bit whatever max_r is. A Monte Carlo cell's stream does
-    # depend on max_r, but a best-shot cell's work is its support size at
-    # every r, so a cell past the budget puts every k's oracle past it too:
-    # the trial raises before any such cell reaches a row
-    table = build_score_table(sub, "replication", max_r=max(ks))
+    # one table serves every k, built only for columns min(ks)..max(ks).
+    # Its exact cells equal replication_score bit for bit whatever max_r
+    # and the columns are. A Monte Carlo cell's stream depends on max_r,
+    # not on the columns, but a best-shot cell's work is its support size
+    # at every r, so a cell past the budget puts every k's oracle past it
+    # too: the trial raises before any such cell reaches a row
+    table = build_score_table(sub, "replication", max_r=max(ks), columns=[(min(ks), max(ks))])
     rows = []
     for k in ks:
         greedy = greedy_topk(sub, 0, k, table)

@@ -112,11 +112,15 @@ def _result(
     sets: list[tuple[int, ...]],
     trace: tuple[TraceStep, ...] = (),
     sketch_objective: Optional[float] = None,
+    known: Optional[dict[int, UtilityEstimate]] = None,
 ) -> SelectionResult:
-    # insertion order is part of the contract; callers sort where they mean to
+    # insertion order is part of the contract; callers sort where they mean to.
+    # known holds the objectives a caller has already scored, by project
     assignment = Assignment(sets=tuple(tuple(S) for S in sets))
+    known = known or {}
     per_project = tuple(
-        _objective(scn, j, assignment.sets[j]) for j in scn.projects
+        known[j] if j in known else _objective(scn, j, assignment.sets[j])
+        for j in scn.projects
     )
     return SelectionResult(
         assignment=assignment,
@@ -171,7 +175,9 @@ def greedy_welfare(
     if max(scn.cardinalities) > table.max_r:
         raise ValidationError("table max_r does not cover the largest project")
     n, m, ks = scn.n_agents, scn.n_projects, scn.cardinalities
-    table.require(n - 1, m - 1, 1)  # the table covers every agent and project
+    for j in scn.projects:  # the table covers every agent at sizes 1..k_j
+        table.require(n - 1, j, 1)
+        table.require(n - 1, j, ks[j])
     a = table.scores[:n, :m]
     gen = tie_rng.generator(0) if tie_rng is not None else None
     # nxt[i, j] = a[i, j, r_j - 1] / r_j for the slot r_j project j fills
@@ -264,13 +270,15 @@ def _near_best(scored) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _bound_screen(scn: Scenario, j: int, k: int):
-    """The size-k teams, in lexicographic blocks, that can reach the best
-    on a non-linear ``total`` or ``ces`` project. Its value E[h(sum phi(x_i))]
-    has h concave (f for total, y^(1/r) with r > 1 for ces), so by Jensen's
+    """The size-k teams that can reach the best on a non-linear ``total``
+    or ``ces`` project, as (values, teams) lexicographic blocks, each value
+    the team's own ``team_values`` bits. Its value E[h(sum phi(x_i))] has
+    h concave (f for total, y^(1/r) with r > 1 for ces), so by Jensen's
     inequality each team's value is at most h(sum E[phi(x_i)]), a sum of
-    per-agent means. The team with the largest bound is scored exactly;
-    a team whose bound falls SCREEN_TOL short of that value is worth less,
-    so it can neither beat nor tie it.
+    per-agent means. The team with the largest bound, the lead, is scored
+    exactly; a team whose bound falls SCREEN_TOL short of that value is
+    worth less, so it can neither beat nor tie it. The lead is a candidate
+    too, and keeps the value it was scored at.
 
     The bound holds in floats only while every mean rounds far inside
     SCREEN_TOL, so every team is kept when phi(x) * p of an atom x > 0
@@ -281,7 +289,8 @@ def _bound_screen(scn: Scenario, j: int, k: int):
     phi = _phi(g, store.values)
     small = (phi * store.probs < np.finfo(float).tiny) & (store.values > 0)
     if small.any():
-        yield from _team_blocks(scn.n_agents, k)
+        for block in _team_blocks(scn.n_agents, k):
+            yield team_values(scn, j, block), block
         return
     means = _phi_means(g, store, scn.agents)
 
@@ -290,15 +299,23 @@ def _bound_screen(scn: Scenario, j: int, k: int):
             yield _h(g, _row_sums(means, block)), block
 
     top = -math.inf
-    for bounds, block in bounded():
+    for b, (bounds, block) in enumerate(bounded()):
         i = int(bounds.argmax())
         if bounds[i] > top:
-            top, lead = bounds[i], block[i : i + 1]
-    cut = _cut(float(team_values(scn, j, lead)[0]))
-    for bounds, block in bounded():
+            top, lead_block, lead_row, lead = bounds[i], b, i, block[i : i + 1]
+    lead_value = team_values(scn, j, lead)[0]
+    cut = _cut(float(lead_value))
+    for b, (bounds, block) in enumerate(bounded()):
         keep = bounds >= cut
-        if keep.any():
-            yield block[keep]
+        if b == lead_block:
+            # the lead keeps the value scored above
+            keep[lead_row] = True
+            teams = block[keep]
+            at = int(np.count_nonzero(keep[:lead_row]))
+            values = team_values(scn, j, np.concatenate((teams[:at], teams[at + 1 :])))
+            yield np.concatenate((values[:at], [lead_value], values[at:])), teams
+        elif keep.any():
+            yield team_values(scn, j, block[keep]), block[keep]
 
 
 def _shape(scn: Scenario, projects, sizes: str) -> str:
@@ -321,7 +338,9 @@ def brute_force_single(scn: Scenario, j: int, k: int) -> SelectionResult:
     exact. The up-front price still covers scoring every team. The teams
     within SCREEN_TOL of the best are kept; merged-grid values among them
     are rescored on their own bits, in one ``team_values`` block, and the
-    first best wins.
+    first best wins. The winner's value on its own bits, when the screen
+    or the rescoring has it, is its reported objective; a lone merged-grid
+    survivor is scored once more, alone.
     """
     if k < 1 or k > scn.n_agents:
         raise ValidationError(f"k must be in 1..{scn.n_agents}, got {k}")
@@ -341,20 +360,25 @@ def brute_force_single(scn: Scenario, j: int, k: int) -> SelectionResult:
     # the up-front price covers every block's own charge, so no screen raises
     if merged:
         screen = partial(_order_route, g, store, scn.agents, copies=1, budget=budget, grid=grid)
+        scored = ((screen(teams=block), block) for block in _team_blocks(scn.n_agents, k))
+    elif g.kind in ("total", "ces") and not _linear(g):
+        scored = _bound_screen(scn, j, k)
     else:
-        screen = partial(team_values, scn, j)
-    if g.kind in ("total", "ces") and not _linear(g):
-        blocks = _bound_screen(scn, j, k)
-    else:
-        blocks = _team_blocks(scn.n_agents, k)
-    values, teams = _near_best((screen(teams=block), block) for block in blocks)
+        scored = ((team_values(scn, j, block), block) for block in _team_blocks(scn.n_agents, k))
+    values, teams = _near_best(scored)
     # merged-grid values can round differently from a team's own; on the
     # own bits the first argmax keeps the lexicographically smallest tied team
+    own = not merged
     if merged and len(teams) > 1:
-        values = team_values(scn, j, teams)
-    best_S = tuple(teams[int(values.argmax())].tolist())
+        values, own = team_values(scn, j, teams), True
+    best = int(values.argmax())
+    best_S = tuple(teams[best].tolist())
     sets = [() if jj != j else best_S for jj in scn.projects]
-    return _result(scn, sets)
+    if not own:
+        return _result(scn, sets)
+    # team_values equals project_utility bit for bit: the winner is not scored again
+    method = "exact_best_shot" if g.kind == "best_shot" else "exact"
+    return _result(scn, sets, known={j: UtilityEstimate(float(values[best]), method)})
 
 
 @lru_cache(maxsize=64)

@@ -106,7 +106,9 @@ def _strong_sketch_values(table: ScoreTable, j: int, teams: np.ndarray) -> np.nd
     if table.kind != "replication":
         raise ValidationError(f"strong sketch needs a replication table, got {table.kind!r}")
     B, t = teams.shape
-    table.require(int(teams.max()), j, t)  # the table covers every member at size t
+    # the table covers every member at sizes 1..t
+    table.require(int(teams.max()), j, 1)
+    table.require(int(teams.max()), j, t)
     rows, ranked, total = np.arange(B), np.zeros((B, t), dtype=bool), np.zeros(B)
     for r in range(1, t + 1):
         scores = np.where(ranked, -np.inf, table.scores[teams, j, r - 1])
@@ -180,12 +182,14 @@ def _verify_bracket(scn: Scenario, j: int, k: int, sizes, sides) -> SketchBoundR
     """The worst slack of a bracket's lower and upper side over every team
     whose size is in ``sizes``: ``sides(table, teams, u)`` returns both as
     (bound, slacks, v) for one block of teams of a size, from the exact
-    replication table up to size k and the teams' exact utilities u. A
-    side's witness is its first smallest slack in lexicographic order, a
-    later size replacing it only with a strictly smaller one."""
+    replication table of columns sizes[0]..k, the columns either side
+    reads, and the teams' exact utilities u. A side's witness is its first
+    smallest slack in lexicographic order, a later size replacing it only
+    with a strictly smaller one."""
     if k < 1 or k > scn.n_agents:
         raise ValidationError(f"k must be in 1..{scn.n_agents}, got {k}")
-    table = build_score_table(scn, "replication", max_r=k, mc_fallback=False)
+    columns = [(sizes[0], k)] * scn.n_projects
+    table = build_score_table(scn, "replication", max_r=k, mc_fallback=False, columns=columns)
     worst: list[Optional[BoundWitness]] = [None, None]  # lower side, upper side
     for t in sizes:
         teams = _subsets(scn.n_agents, t)

@@ -4,7 +4,8 @@ Each case runs one CLI command in process and compares its output file
 with ``tests/golden/<case>`` byte for byte, so a change that must leave
 every output unchanged is checked on every report the CLI writes:
 ``check`` for every suite at small trial counts, ``select`` and
-``assign --oracle`` on the demo scenario, ``experiment --sample`` and
+``assign --oracle`` on the demo scenario, ``select --oracle`` on each
+project of ``tests/fixtures/oracle_mix.json``, ``experiment --sample`` and
 ``worstcase <name> --run`` for every bundled generator.
 
 Rewrite the goldens only for an intended numeric change, and record that
@@ -24,6 +25,11 @@ from testscore.cli import EXIT_OK, main
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DEMO = str(ROOT / "demos" / "scenarios" / "ces_tightness.json")
+# 7 agents; each project takes a different path through the single-project
+# oracle: total:sqrt at k = 3 the Jensen-bound screen, top_r:2 best teams
+# that tie on the merged grid and are rescored as a block, best shot one
+# merged-grid survivor
+MIX = str(ROOT / "tests" / "fixtures" / "oracle_mix.json")
 
 CASES = {
     "check_sketch.json": ["check", "--suite", "sketch", "--trials", "20"],
@@ -33,6 +39,8 @@ CASES = {
     "check_bsp.json": ["check", "--suite", "bsp", "--trials", "200"],
     "select_oracle.json": ["select", DEMO, "--oracle"],
     "assign_oracle.json": ["assign", DEMO, "--oracle"],
+    **{f"select_mix_{p}.json": ["select", MIX, "--project", p, "--oracle"] for p in ("sqrt", "top2", "best")},
+    "select_mix_sqrt_quantile.json": ["select", MIX, "--project", "sqrt", "--scores", "quantile:0.5", "--oracle"],
     "experiment_sample.csv": ["experiment", "--sample", "--trials", "3"],
     **{f"worstcase_{name}.json": ["worstcase", name, "--run"] for name in sorted(GENERATORS)},
 }

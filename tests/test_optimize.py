@@ -458,13 +458,13 @@ class TestBruteForceSingle:
     @pytest.mark.parametrize("g", BOUNDED, ids=BOUNDED_TAGS)
     def test_bound_screen_identical_agents(self, g, monkeypatch):
         # every team has the same bound and value, so every team is a
-        # candidate: scored once more than the leading team, and once for
-        # the reported objective; the smallest team wins
+        # candidate, each scored once: the leading team among them, and the
+        # winner's value is its reported objective; the smallest team wins
         coin = Distribution.from_pairs(((0.5, 0.4), (2.0, 0.6)))
         for k in range(1, 5):
             scn = Scenario.single_project([coin] * 6, g, k)
             res, rows = self.scored_rows(monkeypatch, scn, k)
-            assert rows == math.comb(6, k) + 2
+            assert rows == math.comb(6, k)
             assert res.assignment.sets[0] == tuple(range(k))
             self.check_against_per_team(scn, k)
 
@@ -517,16 +517,60 @@ class TestBruteForceSingle:
 
     def test_bound_screen_scores_few_teams(self, monkeypatch):
         # 8 agents with distinct support lengths, as a benchmark cohort: of
-        # the 56 teams, the leading team, its candidates and the reported
-        # objective take at most 5 exact rows
+        # the 56 teams only the leading team is scored exactly; it is the
+        # only candidate, and its value is the reported objective
         gen = np.random.default_rng(77)
         dists = []
         for size in range(1, 9):
             values = np.sort(gen.choice(101, size, replace=False)).astype(float)
             dists.append(Distribution.from_pairs(zip(values.tolist(), gen.dirichlet(np.ones(size)).tolist())))
         scn = Scenario.single_project(dists, ValueFunction.total(ConcaveFn("sqrt")), 3)
-        assert self.scored_rows(monkeypatch, scn, 3)[1] <= 5
+        assert self.scored_rows(monkeypatch, scn, 3)[1] == 1
         self.check_against_per_team(scn, 3)
+
+    @pytest.mark.parametrize("g", CATALOGUE, ids=CATALOGUE_TAGS)
+    def test_objective_is_the_winners_project_utility(self, g, monkeypatch):
+        # the reported objective is project_utility of the winner, bits and
+        # label, whether the screen's own-bits value is reused or, for a
+        # lone merged-grid survivor, the winner is scored once more alone
+        merged = g.kind in ("best_shot", "top_r")
+        calls = []
+        real = optimize.project_utility
+
+        def counting(scn, j, S):
+            calls.append(S)
+            return real(scn, j, S)
+
+        monkeypatch.setattr(optimize, "project_utility", counting)
+        gen = np.random.default_rng(78)
+        coin = Distribution.from_pairs(((0.5, 0.4), (2.0, 0.6)))
+        cases = [(random_single_scenario(gen, g, n=n, k=k), "one") for n, k in ((6, 1), (6, 2), (7, 3))]
+        cases.append((Scenario.single_project([coin] * 5, g, 2), "tied"))  # every team ties
+        # agents 0 and 1, and 2 and 4, are copies, so the best teams tie; on
+        # the merged grid of all five supports their values round apart from
+        # their own bits
+        gen = np.random.default_rng(0)
+        dists = []
+        for _ in range(3):
+            values = np.unique(np.round(gen.uniform(0.0, 3.0, int(gen.integers(2, 5))), 3))
+            w = gen.uniform(0.2, 1.0, len(values))
+            dists.append(Distribution(tuple(values.tolist()), tuple((w / w.sum()).tolist())))
+        copies = Scenario.single_project([dists[i] for i in (0, 0, 1, 2, 1)], g, 2)
+        if merged:
+            store, teams = copies.store(0), utility._subsets(5, 2)
+            grid = utility._grid(store.values, len(teams))
+            on_grid = utility._order_route(g, store, copies.agents, teams, 1, math.inf, grid)
+            assert on_grid.max() != team_values(copies, 0, teams)[on_grid.argmax()]
+        cases.append((copies, "tied"))
+        for scn, survivors in cases:
+            k = scn.cardinalities[0]
+            calls.clear()
+            res = brute_force_single(scn, 0, k)
+            (got,) = res.per_project
+            want = real(scn, 0, res.assignment.sets[0])
+            assert (got.value.hex(), got.method) == (want.value.hex(), want.method), (k, survivors)
+            # only a lone merged-grid survivor is scored again
+            assert len(calls) == (merged and k > 1 and survivors == "one"), (k, survivors)
 
     def test_budget_error_names_oracle_and_shape(self, monkeypatch):
         monkeypatch.setenv("TESTSCORE_BUDGET", "10")

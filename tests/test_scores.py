@@ -16,7 +16,10 @@ from testscore import (
     Scenario,
     ValidationError,
     ValueFunction,
+    best_strong_sketch_assignment,
     build_score_table,
+    greedy_topk,
+    greedy_welfare,
     mean_score,
     quantile_level,
     quantile_score,
@@ -841,3 +844,171 @@ class TestClassPass:
             build_score_table(scn, "replication", max_r=2, mc_fallback=False)
         assert str(got.value) == str(want.value)
         assert len(scored) == 1
+
+
+def _first_over_budget(scn, columns):
+    # the budget error of the first built cell, in (agent, project, r)
+    # order, whose own exact work passes the budget; None when none does
+    for i in scn.agents:
+        for j in scn.projects:
+            lo, hi = columns[j]
+            for r in range(lo, hi + 1):
+                try:
+                    replication_score(scn.value_fns[j], scn.dist(i, j), r)
+                except BudgetExceededError as exc:
+                    return str(exc)
+    return None
+
+
+class TestColumnRanges:
+    """A table built for one range of r per project: each built cell is
+    the full table's cell, Monte Carlo stream included; the others are
+    unbuilt and every reader refuses them."""
+
+    def same_cells(self, scn, max_r, columns, rng=None):
+        full = build_score_table(scn, "replication", max_r=max_r, rng=rng)
+        part = build_score_table(scn, "replication", max_r=max_r, rng=rng, columns=columns)
+        assert part.columns == tuple(columns)
+        for j, (lo, hi) in enumerate(columns):
+            for r in range(1, max_r + 1):
+                cells = (slice(None), j, r - 1)
+                if lo <= r <= hi:
+                    assert [x.hex() for x in part.scores[cells].tolist()] == [
+                        x.hex() for x in full.scores[cells].tolist()
+                    ]
+                    assert part.methods[cells].tolist() == full.methods[cells].tolist()
+                    assert part.std_errors[cells].tobytes() == full.std_errors[cells].tobytes()
+                else:
+                    assert np.isnan(part.scores[cells]).all()
+                    assert np.isnan(part.std_errors[cells]).all()
+                    assert part.methods[cells].tolist() == [None] * scn.n_agents
+        return full, part
+
+    @staticmethod
+    def ranges(gen, m, max_r):
+        out = []
+        for _ in range(m):
+            lo = int(gen.integers(1, max_r + 1))
+            out.append((lo, int(gen.integers(lo, max_r + 1))))
+        return out
+
+    def test_every_catalogue_variant(self):
+        # two projects per variant, each with its own range; a 9-atom agent
+        # steps its sum-route cells past the merge of equal sums
+        gen = np.random.default_rng(46)
+        fns = [g for _ in range(2) for g, _ in PAIRED]
+        scn = _class_scenario(gen, fns, (1, 2, 3, 9, 1, 5, 2, 4) * 4, (4,) + (1,) * 23)
+        for _ in range(3):
+            self.same_cells(scn, 4, self.ranges(gen, scn.n_projects, 4))
+
+    def test_monte_carlo_cells_keep_their_stream(self, monkeypatch):
+        # at budget 20 the 6-atom agent's r = 2 cells fall back to Monte
+        # Carlo (see TestClassPass.test_monte_carlo_cells), and so do more
+        # cells at r = 3; ranges that stop short of max_r = 3 score them on
+        # the streams of the full table
+        monkeypatch.setenv("TESTSCORE_BUDGET", "20")
+        fns = [g for _ in range(2) for g, _ in PAIRED]
+        scn = _class_scenario(np.random.default_rng(44), fns, (6,) + (1, 2, 3) * 9, (3,) + (1,) * 23)
+        columns = [(2, 2), (1, 2)] * len(PAIRED)
+        part = self.same_cells(scn, 3, columns, RngSpec(seed=3))[1]
+        assert (part.methods == "monte_carlo").sum() == 14
+
+    def test_no_fallback_raises_on_the_first_built_cell(self, monkeypatch):
+        # at budget 6 the full table raises at (1, 2, 1), priced 7; with
+        # r = 1 of project 2 unbuilt the first built cell past the budget
+        # is another, and with every over-budget cell unbuilt none raises
+        monkeypatch.setenv("TESTSCORE_BUDGET", "6")
+        scn = mixed_scenario()
+        for columns in ([(1, 2)] * 4, [(1, 2), (1, 2), (2, 2), (1, 2)], [(1, 2), (1, 1), (2, 2), (2, 2)]):
+            want = _first_over_budget(scn, columns)
+            assert want is not None
+            with pytest.raises(BudgetExceededError) as got:
+                build_score_table(scn, "replication", max_r=2, mc_fallback=False, columns=columns)
+            assert str(got.value) == want
+        monkeypatch.setenv("TESTSCORE_BUDGET", "10")
+        columns = [(1, 1)] * 4
+        assert _first_over_budget(scn, columns) is None
+        assert _first_over_budget(scn, [(1, 2)] * 4) is not None
+        table = build_score_table(scn, "replication", max_r=2, mc_fallback=False, columns=columns)
+        assert (table.methods[:, :, 0] != "monte_carlo").all()
+
+    def test_unbuilt_cells_raise(self):
+        scn = mixed_scenario()
+        table = build_score_table(scn, "replication", max_r=2, columns=[(2, 2), (1, 1), (1, 2), (2, 2)])
+        for j, r in ((0, 1), (1, 2), (3, 1)):
+            with pytest.raises(ValidationError, match=f"project {j}, r={r} was not built"):
+                table.get(0, j, r)
+            with pytest.raises(ValidationError, match="was not built"):
+                table.diag(4, j, r)
+            with pytest.raises(ValidationError, match="was not built"):
+                table.require(4, j, r)
+        for j, r in ((0, 2), (1, 1), (2, 1), (2, 2), (3, 2)):
+            table.require(4, j, r)
+            assert table.get(4, j, r) == table.scores[4, j, r - 1]
+        # outside the table the error is the one every table raises
+        with pytest.raises(ValidationError, match="missing table entry"):
+            table.get(0, 0, 3)
+
+    def test_readers_refuse_unbuilt_columns(self):
+        scn = mixed_scenario()  # cardinalities (2, 1, 1, 1)
+        for columns in ([(2, 2)] + [(1, 2)] * 3, [(1, 1)] * 4):
+            table = build_score_table(scn, "replication", max_r=2, columns=columns)
+            with pytest.raises(ValidationError, match="was not built"):
+                greedy_welfare(scn, table)
+        table = build_score_table(scn, "replication", max_r=2, columns=[(1, 2)] + [(1, 1)] * 3)
+        assert greedy_welfare(scn, table).total > 0
+        single = Scenario.single_project([scn.dist(i, 0) for i in scn.agents], scn.value_fns[0], 2)
+        table = build_score_table(single, "replication", max_r=2, columns=[(1, 1)])
+        with pytest.raises(ValidationError, match="was not built"):
+            greedy_topk(single, 0, 2, table)
+        table = build_score_table(single, "replication", max_r=2, columns=[(2, 2)])
+        assert greedy_topk(single, 0, 2, table).total > 0
+        with pytest.raises(ValidationError, match="was not built"):
+            best_strong_sketch_assignment(single, table)
+
+    @pytest.mark.parametrize("kind,theta", [("mean", None), ("quantile", 0.5)])
+    def test_mean_and_quantile_tables(self, kind, theta):
+        scn = mixed_scenario()
+        full = build_score_table(scn, kind, max_r=2, theta=theta)
+        part = build_score_table(scn, kind, max_r=2, theta=theta, columns=[(2, 2)] * 4)
+        assert part.scores[:, :, 1].tobytes() == full.scores[:, :, 1].tobytes()
+        assert np.isnan(part.scores[:, :, 0]).all()
+        with pytest.raises(ValidationError, match="was not built"):
+            part.get(0, 0, 1)
+
+    def test_full_range_is_the_full_table(self, monkeypatch):
+        monkeypatch.setenv("TESTSCORE_BUDGET", "6")
+        table = build_score_table(
+            mixed_scenario(), "replication", max_r=2, rng=RngSpec(seed=11), columns=[(1, 2)] * 4
+        )
+        assert table.columns is None
+        buf = io.StringIO()
+        table.to_csv(buf)
+        assert buf.getvalue().replace("\r\n", "\n") == MIXED_CSV
+
+    def test_csv_lists_the_built_cells(self, monkeypatch):
+        monkeypatch.setenv("TESTSCORE_BUDGET", "6")
+        columns = [(2, 2), (1, 1), (1, 2), (2, 2)]
+        table = build_score_table(
+            mixed_scenario(), "replication", max_r=2, rng=RngSpec(seed=11), columns=columns
+        )
+        buf = io.StringIO()
+        table.to_csv(buf)
+        header, *rows = MIXED_CSV.splitlines()
+        built = []
+        for row in rows:
+            j, r = map(int, row.split(",")[1:3])
+            if columns[j][0] <= r <= columns[j][1]:
+                built.append(row)
+        assert buf.getvalue().replace("\r\n", "\n") == "\n".join([header] + built) + "\n"
+
+    @pytest.mark.parametrize(
+        "columns",
+        [[(1, 2)] * 3, [(1, 2)] * 5, [(0, 2)] + [(1, 2)] * 3, [(2, 1)] + [(1, 2)] * 3, [(1, 3)] + [(1, 2)] * 3],
+        ids=["too-few", "too-many", "r-zero", "empty", "past-max-r"],
+    )
+    def test_bad_ranges_rejected(self, columns):
+        with pytest.raises(ValidationError, match="columns must give one range"):
+            build_score_table(mixed_scenario(), "replication", max_r=2, columns=columns)
+        with pytest.raises(ValidationError, match="columns must give one range"):
+            ScoreTable(kind="mean", scores=np.zeros((5, 4, 2)), columns=columns)
