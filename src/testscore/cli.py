@@ -43,6 +43,7 @@ from .scenario_io import (
     ingest_ratings,
     load_scenario,
     read_ratings,
+    save_scenario,
     scenario_to_dict,
 )
 from .sketch import verify_goodness_sandwich, verify_strong_sketch_bounds
@@ -61,6 +62,25 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+class _FlagError(Exception):
+    """A flag value that parses but is rejected: exit 2, where argparse's
+    own errors exit 1. Not a ValueError, which argparse would catch."""
+
+
+def _finite_float(flag: str):
+    """The argparse type of float flag ``--flag``: not a number is a usage
+    error, as for ``float``; NaN and the infinities exit 2, naming the flag."""
+
+    def parse(raw: str) -> float:
+        value = float(raw)
+        if not math.isfinite(value):
+            raise _FlagError(f"--{flag} must be finite, got {raw}")
+        return value
+
+    parse.__name__ = "float"  # the type argparse names in its usage errors
+    return parse
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -290,10 +310,8 @@ def cmd_ingest(args) -> int:
     src = data.sample_ratings_path() if args.sample else args.ratings
     rows = read_ratings(src)
     loaded = ingest_ratings(rows, min_solutions=args.min_solutions)
-    doc = scenario_to_dict(
-        loaded.scenario, loaded.agent_names, loaded.project_names
-    )
-    _emit(json.dumps(doc, indent=2), args.out)
+    out = sys.stdout if args.out is None else args.out
+    save_scenario(out, loaded.scenario, loaded.agent_names, loaded.project_names)
     print(
         f"kept {loaded.scenario.n_agents} coders with >= {args.min_solutions} "
         f"rated solutions (from {len(set(r[0] for r in rows))} total)",
@@ -349,6 +367,14 @@ def cmd_experiment(args) -> int:
         raise ValidationError(f"--k {max(ks)} exceeds --n {args.n}")
     if args.trials < 1:
         raise ValidationError(f"--trials must be >= 1, got {args.trials}")
+    # priced before the first trial, as check prices its suites: each trial
+    # runs the oracle once per k, on at most max C(n, k) teams, and the
+    # oracle charges at least one unit per team
+    per_trial = max(math.comb(args.n, k) for k in ks)
+    work, budget = args.trials * len(ks) * per_trial, enumeration_budget()
+    if work > budget:
+        shape = f"{args.trials} trials x {len(ks)} team sizes x {per_trial} teams per oracle"
+        raise BudgetExceededError(work, budget, what="experiment", shape=shape)
 
     def write(fh) -> None:
         # rows stream out; only the ratios are kept, for the summary rows
@@ -474,7 +500,7 @@ def build_parser() -> _Parser:
     for flag in ("k", "n"):
         p_worst.add_argument(f"--{flag}", type=int, default=None)
     for flag in ("r", "a", "b", "c", "p", "eps", "theta"):
-        p_worst.add_argument(f"--{flag}", type=float, default=None)
+        p_worst.add_argument(f"--{flag}", type=_finite_float(flag), default=None)
     p_worst.add_argument("--run", action="store_true",
                          help="validate the expected quantities and exit 4 on mismatch")
     p_worst.add_argument("--out", default=None)
@@ -498,7 +524,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse help/usage paths; normalize to an int return
         return int(exc.code) if exc.code is not None else EXIT_OK
-    except ValidationError as exc:
+    except (ValidationError, _FlagError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except BudgetExceededError as exc:

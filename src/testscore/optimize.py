@@ -9,7 +9,7 @@ objective actually achieved.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, Optional, Sequence
 
@@ -88,11 +88,13 @@ class SelectionResult:
             raise ValidationError("trace length must match number of placements")
 
     def to_json(self) -> dict:
+        # neither UtilityEstimate nor TraceStep holds a nested dataclass, so
+        # a copy of each one's fields is what asdict would give
         out = {
             "assignment": [list(S) for S in self.assignment.sets],
-            "per_project": [asdict(est) for est in self.per_project],
+            "per_project": [dict(vars(est)) for est in self.per_project],
             "total": self.total,
-            "trace": [asdict(step) for step in self.score_trace],
+            "trace": [dict(vars(step)) for step in self.score_trace],
         }
         if self.sketch_objective is not None:
             out["sketch_objective"] = self.sketch_objective

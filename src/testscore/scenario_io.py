@@ -1,15 +1,23 @@
 """Scenario files, value-function tags, and ratings ingestion.
 
-A scenario file is a JSON document:
+A scenario file is a JSON document. Each project lists one support per
+agent, in ``agents`` order, as a ``[values, probs]`` pair of equal-length
+number lists:
 
     {"agents": ["ann", "bob"],
-     "projects": [{"name": "api", "value_fn": "best_shot", "k": 2}],
-     "distributions": [
-        {"agent": "ann", "project": "api", "support": [[0.0, 0.5], [2.0, 0.5]]},
-        ...]}
+     "projects": [
+      {"name": "api", "value_fn": "best_shot", "k": 2, "supports": [
+       [[0.0, 2.0], [0.5, 0.5]],
+       [[1.0], [1.0]]]}]}
 
-Every (agent, project) pair must appear exactly once and unknown fields
-are rejected, so a typo fails loudly instead of silently defaulting.
+``save_scenario`` writes this layout, one agent's pair per line. The
+entry-list layout is still read: projects without ``supports``, and a
+top-level ``distributions`` list with one entry per (agent, project) pair,
+
+    {"agent": "ann", "project": "api", "support": [[0.0, 0.5], [2.0, 0.5]]}
+
+Either way every pair has exactly one support and unknown fields are
+rejected, so a typo fails loudly instead of silently defaulting.
 """
 
 from __future__ import annotations
@@ -100,29 +108,25 @@ def scenario_to_dict(
     agent_names: Optional[Iterable[str]] = None,
     project_names: Optional[Iterable[str]] = None,
 ) -> dict:
+    """The scenario as a columnar document, read from its project stores."""
     agents = list(agent_names) if agent_names is not None else [f"a{i}" for i in scn.agents]
     projects = list(project_names) if project_names is not None else [f"p{j}" for j in scn.projects]
     if len(agents) != scn.n_agents or len(projects) != scn.n_projects:
         raise ValidationError("name lists must match the scenario shape")
-    doc = {
-        "agents": agents,
-        "projects": [
-            {"name": projects[j], "value_fn": value_fn_tag(scn.value_fns[j]), "k": scn.cardinalities[j]}
-            for j in scn.projects
-        ],
-        "distributions": [],
-    }
-    for i in scn.agents:
-        for j in scn.projects:
-            d = scn.dist(i, j)
-            doc["distributions"].append(
-                {
-                    "agent": agents[i],
-                    "project": projects[j],
-                    "support": [[v, p] for v, p in zip(d.values, d.probs)],
-                }
-            )
-    return doc
+    entries = []
+    for j in scn.projects:
+        store = scn.store(j)
+        values, probs = store.values.tolist(), store.probs.tolist()
+        spans = zip(store.offsets.tolist(), (store.offsets + store.lengths).tolist())
+        entries.append(
+            {
+                "name": projects[j],
+                "value_fn": value_fn_tag(scn.value_fns[j]),
+                "k": scn.cardinalities[j],
+                "supports": [[values[a:b], probs[a:b]] for a, b in spans],
+            }
+        )
+    return {"agents": agents, "projects": entries}
 
 
 # exact types of decoded JSON numbers; true and false decode to bool
@@ -152,93 +156,34 @@ def _number_pairs(support: list) -> bool:
     )
 
 
-def _raise_first_invalid(entries: list, supports: list, candidates) -> None:
-    """Raise the error of the first candidate entry, in file order, that
-    ``Distribution`` rejects, naming its agent and project."""
-    for e in candidates:
-        try:
-            Distribution.from_pairs((float(v), float(p)) for v, p in supports[e])
-        except (ValidationError, OverflowError) as exc:
-            raise ValidationError(f"distribution for {_pair(entries[e])}: {exc}") from None
-    raise AssertionError("the file-wide checks rejected a distribution Distribution accepts")
-
-
-def _stores(entries: list, supports: list, order: list[int], n: int) -> tuple[ProjectStore, ...]:
-    """Every entry's support validated and normalized in one pass over the
-    file's atoms, with the rules and results of ``Distribution``, and
-    packed into one store per project. ``order`` lists the entries project
-    after project, each project's agent after agent, which is the order
-    the atoms are packed in (one flat array plus per-entry lengths). The
-    first invalid entry in file order raises, naming its pair."""
-    cells = [supports[e] for e in order]
-    lengths = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
-    stops = np.cumsum(lengths)
-    bounds = list(zip((stops - lengths).tolist(), stops.tolist()))
-    flat = chain.from_iterable(chain.from_iterable(cells))
-    try:
-        atoms = np.fromiter(flat, dtype=float, count=2 * int(stops[-1])).reshape(-1, 2)
-    except OverflowError:  # an integer past the float range
-        _raise_first_invalid(entries, supports, range(len(entries)))
-    owner = np.repeat(np.arange(len(cells)), lengths)
-    values, probs = atoms[:, 0].copy(), atoms[:, 1]  # the stores keep values contiguous
-    # sorted by value within each entry, as construction sorts the pairs,
-    # unless already strictly rising, as ``save_scenario`` writes them
-    if not ((owner[1:] != owner[:-1]) | (values[1:] > values[:-1])).all():
-        perm = np.lexsort((probs, values, owner))
-        values, probs = values[perm], probs[perm]
-    bad_atom = ~(np.isfinite(values) & (values >= 0) & (probs > 0))
-    bad = np.zeros(len(cells), dtype=bool)
-    bad[owner[bad_atom]] = True
-    bad[owner[1:][(owner[1:] == owner[:-1]) & ~(values[1:] > values[:-1])]] = True
-    bad |= lengths == 0
-    # exact sums over the atoms that passed; a probability past 2 fails the
-    # sum anyway, and capping it keeps fsum within range
-    kept = np.where(bad_atom, 0.0, np.minimum(probs, 2.0)).tolist()
-    totals = np.array([math.fsum(kept[a:b]) for a, b in bounds])
-    bad |= np.abs(totals - 1.0) > PROB_SUM_SLACK
-    if bad.any():
-        _raise_first_invalid(entries, supports, sorted(order[c] for c in np.flatnonzero(bad)))
-    probs = probs / np.repeat(normalizing_divisor(totals), lengths)
-    edges = [0] + stops[n - 1 :: n].tolist()  # where each project's atoms start
-    return tuple(
-        ProjectStore(values[a:b], probs[a:b], lengths[j * n : (j + 1) * n])
-        for j, (a, b) in enumerate(zip(edges, edges[1:]))
+def _number_lists(cell: list) -> bool:
+    return (
+        type(cell) is list and len(cell) == 2 and set(map(type, cell)) <= {list}
+        and len(cell[0]) == len(cell[1]) and set(map(type, chain(*cell))) <= _JSON_NUMBERS
     )
 
 
-def scenario_from_dict(doc: dict) -> LoadedScenario:
-    """Validate a scenario document. The entries are walked once for their
-    structure (fields, names, duplicate and missing pairs, list shapes);
-    then all support numbers are type-checked at once and validated and
-    normalized in one array pass and packed into per-project stores
-    (``_stores``), building no per-entry Distribution."""
-    _require_keys(doc, {"agents", "projects", "distributions"}, "scenario document")
-    agents = doc["agents"]
-    if not isinstance(agents, list) or not agents or not all(isinstance(a, str) for a in agents):
-        raise ValidationError("agents must be a non-empty list of names")
-    if len(set(agents)) != len(agents):
-        raise ValidationError("duplicate agent names")
-    projects = doc["projects"]
-    if not isinstance(projects, list) or not projects:
-        raise ValidationError("projects must be a non-empty list")
-    names, fns, ks = [], [], []
-    for entry in projects:
-        _require_keys(entry, {"name", "value_fn", "k"}, "project entry")
-        if not isinstance(entry["name"], str):
-            raise ValidationError("project name must be a string")
-        if not isinstance(entry["k"], int) or isinstance(entry["k"], bool):
-            raise ValidationError(f"project {entry['name']!r}: k must be an integer")
-        names.append(entry["name"])
-        fns.append(parse_value_fn(entry["value_fn"]))
-        ks.append(entry["k"])
-    if len(set(names)) != len(names):
-        raise ValidationError("duplicate project names")
+def _raise_first_invalid(cells: Iterable[tuple[str, Iterable]]) -> None:
+    """Raise the error of the first (agent and project, [value, prob]
+    pairs) cell that ``Distribution`` rejects, naming its agent and
+    project."""
+    for where, pairs in cells:
+        try:
+            Distribution.from_pairs((float(v), float(p)) for v, p in pairs)
+        except (ValidationError, OverflowError) as exc:
+            raise ValidationError(f"distribution for {where}: {exc}") from None
+    raise AssertionError("the file-wide checks rejected a distribution Distribution accepts")
+
+
+def _entry_list_atoms(entries, agents: list, names: list) -> tuple:
+    """The entry-list layout's atoms as ``_stores`` takes them, after its
+    structure checks: fields, names, duplicate and missing pairs, and
+    supports that are lists of [value, prob] number pairs."""
+    if not isinstance(entries, list):
+        raise ValidationError("distributions must be a list")
     a_idx = {a: i for i, a in enumerate(agents)}
     p_idx = {p: j for j, p in enumerate(names)}
     m = len(names)
-    entries = doc["distributions"]
-    if not isinstance(entries, list):
-        raise ValidationError("distributions must be a list")
     slot = [-1] * (len(agents) * m)  # entry index of each (agent, project) cell
     supports = []
     for e, entry in enumerate(entries):
@@ -270,12 +215,158 @@ def scenario_from_dict(doc: dict) -> LoadedScenario:
         raise ValidationError(
             f"support for {_pair(entries[e])} must be a list of [value, prob] number pairs"
         )
-    order = [e for j in range(m) for e in slot[j::m]]
+    order = [e for j in range(m) for e in slot[j::m]]  # the entries in store order
+
+    def first_invalid(cells) -> None:
+        _raise_first_invalid((_pair(entries[e]), supports[e]) for e in sorted(order[c] for c in cells))
+
+    cells = [supports[e] for e in order]
+    lengths = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
+    flat = chain.from_iterable(chain.from_iterable(cells))
+    try:
+        atoms = np.fromiter(flat, dtype=float, count=2 * int(lengths.sum())).reshape(-1, 2)
+    except OverflowError:  # an integer past the float range
+        first_invalid(range(len(cells)))
+    # the stores keep values contiguous
+    return atoms[:, 0].copy(), atoms[:, 1], lengths, first_invalid
+
+
+def _columnar_atoms(projects: list, agents: list, names: list) -> tuple:
+    """The columnar layout's atoms as ``_stores`` takes them, after its
+    structure checks: one support per agent in each project, each a
+    [values, probs] pair of equal-length number lists."""
+    n = len(agents)
+    cells = []
+    for entry in projects:
+        supports = entry["supports"]
+        if type(supports) is not list:
+            raise ValidationError(f"supports of project {entry['name']!r} must be a list")
+        if len(supports) < n:
+            raise ValidationError(
+                f"missing distribution for agent {agents[len(supports)]!r}, project {entry['name']!r}"
+            )
+        if len(supports) > n:
+            raise ValidationError(
+                f"project {entry['name']!r} has {len(supports)} supports for {n} agents"
+            )
+        cells += supports
+
+    def where(c: int) -> str:
+        return f"agent {agents[c % n]!r}, project {names[c // n]!r}"
+
+    shaped = set(map(type, cells)) <= {list} and set(map(len, cells)) <= {2}
+    if shaped:
+        value_lists, prob_lists = [cell[0] for cell in cells], [cell[1] for cell in cells]
+        shaped = set(map(type, value_lists)) | set(map(type, prob_lists)) <= {list}
+    if shaped:
+        lengths = list(map(len, value_lists))
+        shaped = (
+            lengths == list(map(len, prob_lists))
+            and set(map(type, chain.from_iterable(value_lists))) <= _JSON_NUMBERS
+            and set(map(type, chain.from_iterable(prob_lists))) <= _JSON_NUMBERS
+        )
+    if not shaped:
+        c = next(c for c, cell in enumerate(cells) if not _number_lists(cell))
+        raise ValidationError(
+            f"support for {where(c)} must be a [values, probs] pair of equal-length number lists"
+        )
+
+    def first_invalid(bad) -> None:
+        _raise_first_invalid((where(c), zip(*cells[c])) for c in bad)
+
+    total = sum(lengths)
+    try:
+        values = np.fromiter(chain.from_iterable(value_lists), dtype=float, count=total)
+        probs = np.fromiter(chain.from_iterable(prob_lists), dtype=float, count=total)
+    except OverflowError:  # an integer past the float range
+        first_invalid(range(len(cells)))
+    return values, probs, np.array(lengths, dtype=np.intp), first_invalid
+
+
+def _stores(n: int, values, probs, lengths, first_invalid) -> tuple[ProjectStore, ...]:
+    """Every cell's support validated and normalized in one pass over the
+    file's atoms, with the rules and results of ``Distribution``, and
+    packed into one store per project. The cells come project after
+    project, each project's agent after agent: ``values`` and ``probs``
+    hold their atoms flat and ``lengths`` their support sizes. If any cell
+    is invalid, ``first_invalid`` raises, given the invalid cells, the
+    error of the first one in file order, naming its pair."""
+    stops = np.cumsum(lengths)
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    # sorted by value within each cell, as construction sorts the pairs,
+    # unless already strictly rising, as ``save_scenario`` writes them
+    if not ((owner[1:] != owner[:-1]) | (values[1:] > values[:-1])).all():
+        perm = np.lexsort((probs, values, owner))
+        values, probs = values[perm], probs[perm]
+    bad_atom = ~(np.isfinite(values) & (values >= 0) & (probs > 0))
+    bad = np.zeros(len(lengths), dtype=bool)
+    bad[owner[bad_atom]] = True
+    bad[owner[1:][(owner[1:] == owner[:-1]) & ~(values[1:] > values[:-1])]] = True
+    bad |= lengths == 0
+    # exact sums over the atoms that passed; a probability past 2 fails the
+    # sum anyway, and capping it keeps fsum within range. bincount adds in
+    # atom order, and a sum of one or two atoms rounds at most once, as
+    # fsum's does, so only longer cells need fsum
+    kept = np.where(bad_atom, 0.0, np.minimum(probs, 2.0))
+    totals = np.bincount(owner, weights=kept, minlength=len(lengths))
+    long = np.flatnonzero(lengths > 2)
+    if len(long):
+        flat = kept.tolist()
+        spans = zip((stops[long] - lengths[long]).tolist(), stops[long].tolist())
+        totals[long] = [math.fsum(flat[a:b]) for a, b in spans]
+    bad |= np.abs(totals - 1.0) > PROB_SUM_SLACK
+    if bad.any():
+        first_invalid(np.flatnonzero(bad).tolist())
+    probs = probs / np.repeat(normalizing_divisor(totals), lengths)
+    edges = [0] + stops[n - 1 :: n].tolist()  # where each project's atoms start
+    return tuple(
+        ProjectStore(values[a:b], probs[a:b], lengths[j * n : (j + 1) * n])
+        for j, (a, b) in enumerate(zip(edges, edges[1:]))
+    )
+
+
+def scenario_from_dict(doc: dict) -> LoadedScenario:
+    """Validate a scenario document in either layout: a document with
+    ``distributions`` is an entry list, any other is columnar. The layout's
+    structure is checked first (``_entry_list_atoms``, ``_columnar_atoms``);
+    then all support numbers are validated and normalized in one array
+    pass and packed into per-project stores (``_stores``), building no
+    per-cell Distribution."""
+    entry_list = isinstance(doc, dict) and "distributions" in doc
+    layout_keys = {"distributions"} if entry_list else set()
+    _require_keys(doc, {"agents", "projects"} | layout_keys, "scenario document")
+    agents = doc["agents"]
+    if not isinstance(agents, list) or not agents or not all(isinstance(a, str) for a in agents):
+        raise ValidationError("agents must be a non-empty list of names")
+    if len(set(agents)) != len(agents):
+        raise ValidationError("duplicate agent names")
+    projects = doc["projects"]
+    if not isinstance(projects, list) or not projects:
+        raise ValidationError("projects must be a non-empty list")
+    if entry_list and any(isinstance(entry, dict) and "supports" in entry for entry in projects):
+        raise ValidationError("a scenario lists either distributions or project supports, not both")
+    project_keys = {"name", "value_fn", "k"} | (set() if entry_list else {"supports"})
+    names, fns, ks = [], [], []
+    for entry in projects:
+        _require_keys(entry, project_keys, "project entry")
+        if not isinstance(entry["name"], str):
+            raise ValidationError("project name must be a string")
+        if not isinstance(entry["k"], int) or isinstance(entry["k"], bool):
+            raise ValidationError(f"project {entry['name']!r}: k must be an integer")
+        names.append(entry["name"])
+        fns.append(parse_value_fn(entry["value_fn"]))
+        ks.append(entry["k"])
+    if len(set(names)) != len(names):
+        raise ValidationError("duplicate project names")
+    if entry_list:
+        atoms = _entry_list_atoms(doc["distributions"], agents, names)
+    else:
+        atoms = _columnar_atoms(projects, agents, names)
     scn = Scenario(
         dists=None,
         value_fns=tuple(fns),
         cardinalities=tuple(ks),
-        stores=_stores(entries, supports, order, len(agents)),
+        stores=_stores(len(agents), *atoms),
     )
     return LoadedScenario(scn, tuple(agents), tuple(names))
 
@@ -286,14 +377,20 @@ def save_scenario(
     agent_names: Optional[Iterable[str]] = None,
     project_names: Optional[Iterable[str]] = None,
 ) -> None:
+    """Write the scenario's columnar document, one agent's [values, probs]
+    pair per line."""
     doc = scenario_to_dict(scn, agent_names, project_names)
+    parts = []
+    for entry in doc["projects"]:
+        # numbers hold no brackets, so "]], [[" only ever parts two agents
+        rows = json.dumps(entry.pop("supports")).replace("]], [[", "]],\n   [[")
+        parts.append(f'  {json.dumps(entry)[:-1]}, "supports": [\n   {rows[1:]}}}')
+    text = f'{{"agents": {json.dumps(doc["agents"])},\n "projects": [\n' + ",\n".join(parts) + "]}\n"
     if hasattr(out, "write"):
-        json.dump(doc, out, indent=2)
-        out.write("\n")
+        out.write(text)
     else:
         with open(out, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+            fh.write(text)
 
 
 def load_scenario(src: Union[str, Path, IO[str]]) -> LoadedScenario:

@@ -32,6 +32,7 @@ from testscore import cli, data, optimize, sketch, utility
 from testscore.core import DEFAULT_BUDGET
 from testscore.adversarial import CATALOGUE_POOL, GENERATORS, InstanceReport
 from testscore.scenario_io import value_fn_tag
+from test_scenario_io import entry_list
 from testscore.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -128,18 +129,30 @@ class TestSelect:
         code, _, err = run(capsys, ["select", bestshot_file, "--k", "5"])
         assert code == EXIT_VALIDATION
 
+    @staticmethod
+    def bad_number(tmp_path, doc, literal):
+        # bob's largest value becomes the literal, in either layout
+        if "distributions" in doc:
+            doc["distributions"][1]["support"][1][0] = "@"
+        else:
+            doc["projects"][0]["supports"][1][0][1] = "@"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc).replace('"@"', literal))
+        return str(path)
+
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "true"])
     def test_bad_support_numbers_exit_2(self, capsys, tmp_path, bestshot_file, literal):
-        text = open(bestshot_file).read()
-        doc = json.loads(text)
-        value = doc["distributions"][1]["support"][1][0]
-        bad = text.replace(f"{value!r},", f"{literal},", 1)
-        assert literal in bad
-        path = tmp_path / "bad.json"
-        path.write_text(bad)
-        code, _, err = run(capsys, ["select", str(path)])
+        path = self.bad_number(tmp_path, json.load(open(bestshot_file)), literal)
+        code, _, err = run(capsys, ["select", path])
         assert code == EXIT_VALIDATION
-        assert "error:" in err
+        assert err.startswith("error: ") and "agent 'bob', project 'p0'" in err
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "true"])
+    def test_bad_support_numbers_exit_2_entry_list(self, capsys, tmp_path, bestshot_file, literal):
+        path = self.bad_number(tmp_path, entry_list(json.load(open(bestshot_file))), literal)
+        code, _, err = run(capsys, ["select", path])
+        assert code == EXIT_VALIDATION
+        assert err.startswith("error: ") and "agent 'bob', project 'p0'" in err
 
     def test_multi_project_needs_project(self, capsys, welfare_file):
         code, _, err = run(capsys, ["select", welfare_file])
@@ -192,29 +205,43 @@ class TestSelect:
         assert err.rstrip().endswith("> 3 (n=4, k=2, largest support 2)")
 
 
+# bad supports for bob on ui in the welfare file, each with the rule it breaks
+BAD_SUPPORTS = pytest.mark.parametrize(
+    "support",
+    [
+        [[1.0, 0.5], [1.0, 0.5]],
+        [[-1.0, 1.0]],
+        [[math.nan, 1.0]],
+        [[0.0, 0.0], [1.0, 1.0]],
+        [[0.0, 0.5], [1.0, 0.4]],
+        [],
+    ],
+    ids=["duplicate", "negative", "non-finite", "non-positive-prob", "bad-sum", "empty"],
+)
+
+
 class TestAssign:
-    @pytest.mark.parametrize(
-        "support",
-        [
-            [[1.0, 0.5], [1.0, 0.5]],
-            [[-1.0, 1.0]],
-            [[math.nan, 1.0]],
-            [[0.0, 0.0], [1.0, 1.0]],
-            [[0.0, 0.5], [1.0, 0.4]],
-            [],
-        ],
-        ids=["duplicate", "negative", "non-finite", "non-positive-prob", "bad-sum", "empty"],
-    )
-    def test_bad_support_names_the_pair(self, capsys, tmp_path, welfare_file, support):
-        doc = json.load(open(welfare_file))
-        entry = doc["distributions"][3]
-        assert (entry["agent"], entry["project"]) == ("bob", "ui")
-        entry["support"] = support  # json.dumps writes NaN as the NaN literal
+    def assign_names_the_pair(self, capsys, tmp_path, doc):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc))  # json.dumps writes NaN as the NaN literal
         code, _, err = run(capsys, ["assign", str(path)])
         assert code == EXIT_VALIDATION
-        assert "'bob'" in err and "'ui'" in err
+        assert err.startswith("error: distribution for agent 'bob', project 'ui': ")
+
+    @BAD_SUPPORTS
+    def test_bad_support_names_the_pair(self, capsys, tmp_path, welfare_file, support):
+        doc = json.load(open(welfare_file))
+        assert doc["agents"][1] == "bob" and doc["projects"][1]["name"] == "ui"
+        doc["projects"][1]["supports"][1] = [[v for v, _ in support], [p for _, p in support]]
+        self.assign_names_the_pair(capsys, tmp_path, doc)
+
+    @BAD_SUPPORTS
+    def test_bad_support_names_the_pair_entry_list(self, capsys, tmp_path, welfare_file, support):
+        doc = entry_list(json.load(open(welfare_file)))
+        entry = doc["distributions"][3]
+        assert (entry["agent"], entry["project"]) == ("bob", "ui")
+        entry["support"] = support
+        self.assign_names_the_pair(capsys, tmp_path, doc)
 
     def test_oracle_budget_exhaustion_names_the_dp(self, capsys, monkeypatch, welfare_file):
         # the greedy's table and objectives fall back to Monte Carlo; the
@@ -543,10 +570,10 @@ class TestExperiment:
         assert err == "error: --n must be >= 1, got 0\n"
 
     def test_budget_exhaustion_exits_3(self, capsys, monkeypatch, tmp_path, bestshot_file):
-        # under a budget of 1 the two-atom agents' score cells fall back to
-        # Monte Carlo, and the oracle is priced past it at every k, so the
+        # a budget of 24 covers the run's price, 2 trials x 2 team sizes x
+        # C(4, 2) teams, and not the oracle's price at k = 2, so the first
         # trial stops before any row is written
-        monkeypatch.setenv("TESTSCORE_BUDGET", "1")
+        monkeypatch.setenv("TESTSCORE_BUDGET", "24")
         out = tmp_path / "experiment.csv"
         code, _, err = run(
             capsys,
@@ -555,7 +582,31 @@ class TestExperiment:
         )
         assert code == EXIT_BUDGET
         assert err.startswith("error: brute_force_single subset enumeration budget exceeded: ")
-        assert err.rstrip().endswith("> 1 (n=4, k=2, largest support 2)")
+        assert err.rstrip().endswith("> 24 (n=4, k=2, largest support 2)")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "budget, flags, message",
+        [
+            ("23", ["--n", "4", "--k", "2,3", "--trials", "2"],
+             "23 (2 trials x 2 team sizes x 6 teams per oracle)"),
+            (None, ["--trials", "99999999999999999999"],
+             "10000000 (99999999999999999999 trials x 3 team sizes x 210 teams per oracle)"),
+        ],
+        ids=["past-the-budget", "past-any-budget"],
+    )
+    def test_trials_are_priced_before_the_first(
+        self, capsys, monkeypatch, tmp_path, bestshot_file, budget, flags, message
+    ):
+        if budget is not None:
+            monkeypatch.setenv("TESTSCORE_BUDGET", budget)
+        monkeypatch.setattr(cli, "_experiment_trial", lambda packed: pytest.fail("a trial ran"))
+        out = tmp_path / "experiment.csv"
+        source = [bestshot_file] if budget is not None else ["--sample"]
+        code, printed, err = run(capsys, ["experiment"] + source + flags + ["--out", str(out)])
+        assert (code, printed) == (EXIT_BUDGET, "")
+        assert err.startswith("error: experiment budget exceeded: ")
+        assert err.endswith(f" > {message}\n") and err.count("\n") == 1
         assert not out.exists()
 
     @staticmethod
@@ -709,7 +760,7 @@ class TestWorstcase:
     def test_integer_params_enforced(self, capsys):
         assert run(capsys, ["worstcase", "welfare_ex1", "--r", "2.5"])[0] == EXIT_USAGE
         assert run(capsys, ["worstcase", "mean_bestshot", "--k", "2.5"])[0] == EXIT_USAGE
-        assert run(capsys, ["worstcase", "welfare_ex2", "--r", "nan"])[0] == EXIT_USAGE
+        assert run(capsys, ["worstcase", "welfare_ex2", "--r", "two"])[0] == EXIT_USAGE
 
     def test_validation_mismatch_exits_4(self, capsys, monkeypatch):
         fake = InstanceReport(name="welfare_ex1", ok=False, rows=())
@@ -743,6 +794,16 @@ class TestBadParametersExit2:
     )
     def test_generator_parameter(self, capsys, argv, named):
         self.check(capsys, argv, named)
+
+    @pytest.mark.parametrize("flag", ["r", "a", "b", "c", "p", "eps", "theta"])
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_float_flag(self, capsys, monkeypatch, flag, raw):
+        # rejected as argparse parses it, for any generator, before one runs
+        for name in GENERATORS:
+            monkeypatch.setitem(GENERATORS, name, lambda **_: pytest.fail("a generator ran"))
+        code, out, err = run(capsys, ["worstcase", "welfare_ex2", f"--{flag}={raw}"])
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err == f"error: --{flag} must be finite, got {raw}\n"
 
     @staticmethod
     def ces_file(tmp_path, r):

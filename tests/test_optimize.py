@@ -1,7 +1,9 @@
 """Greedy selection, welfare assignment, exact oracles, baselines."""
 
+import json
 import math
 import tracemalloc
+from dataclasses import asdict
 from functools import partial
 from itertools import combinations
 
@@ -584,6 +586,23 @@ class TestBruteForceSingle:
 
 
 class TestGreedyWelfare:
+    def test_to_json_is_the_asdict_of_each_field(self, monkeypatch):
+        # a trace, exact and Monte Carlo objectives and a sketch objective,
+        # written as dataclasses.asdict writes them, to the byte
+        monkeypatch.setenv("TESTSCORE_BUDGET", "10")
+        scn = random_welfare_scenario(np.random.default_rng(5))
+        res = greedy_welfare(scn, build_score_table(scn, "replication", max_r=max(scn.cardinalities)))
+        assert {est.method for est in res.per_project} == {"exact", "monte_carlo"}
+        assert res.score_trace and res.sketch_objective is not None
+        want = {
+            "assignment": [list(S) for S in res.assignment.sets],
+            "per_project": [asdict(est) for est in res.per_project],
+            "total": res.total,
+            "trace": [asdict(step) for step in res.score_trace],
+            "sketch_objective": res.sketch_objective,
+        }
+        assert json.dumps(res.to_json()) == json.dumps(want)
+
     def test_single_project_follows_rank_order(self):
         gen = np.random.default_rng(63)
         for _ in range(10):

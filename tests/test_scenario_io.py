@@ -3,6 +3,8 @@
 import io
 import json
 import math
+import re
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -28,9 +30,24 @@ from testscore import (
     scenario_to_dict,
     value_fn_tag,
 )
+from testscore.cli import main
 from testscore.core import PROB_SUM_SLACK
 from testscore.utility import _MERGE
 from testscore.data import sample_ratings_path
+
+
+def entry_list(doc: dict) -> dict:
+    """The entry-list layout of a columnar document, its entries agent
+    after agent, as the entry-list writer put them."""
+    return {
+        "agents": doc["agents"],
+        "projects": [{key: p[key] for key in ("name", "value_fn", "k")} for p in doc["projects"]],
+        "distributions": [
+            {"agent": a, "project": p["name"], "support": [list(pair) for pair in zip(*p["supports"][i])]}
+            for i, a in enumerate(doc["agents"])
+            for p in doc["projects"]
+        ],
+    }
 
 
 def two_by_two() -> Scenario:
@@ -211,7 +228,7 @@ class TestLoadedSupports:
             assert hexes(d.probs_array) == hexes(want.probs_array)
 
     def test_first_failing_entry_in_file_order(self):
-        doc = scenario_to_dict(two_by_two(), ["ann", "bob"], ["api", "ui"])
+        doc = entry_list(scenario_to_dict(two_by_two(), ["ann", "bob"], ["api", "ui"]))
         doc["distributions"][1]["support"] = [[1.0, 0.5], [1.0, 0.5]]
         doc["distributions"][3]["support"] = [[-1.0, 1.0]]
         with pytest.raises(ValidationError) as exc:
@@ -227,7 +244,7 @@ class TestLoadedSupports:
         )
 
     def test_integer_past_the_float_range(self):
-        doc = scenario_to_dict(two_by_two())
+        doc = entry_list(scenario_to_dict(two_by_two()))
         doc["distributions"][2]["support"] = [[10**400, 1]]
         with pytest.raises(ValidationError, match="agent 'a1', project 'p0'"):
             scenario_from_dict(doc)
@@ -296,7 +313,7 @@ class TestProjectStores:
         # rises, as save_scenario writes them, and sorts otherwise; both
         # give the same bits, and contiguous store arrays
         gen = np.random.default_rng(10)
-        doc = scenario_to_dict(roster(gen, n=20, m=12))
+        doc = entry_list(scenario_to_dict(roster(gen, n=20, m=12)))
         shuffled = json.loads(json.dumps(doc))
         moved = 0
         for entry in shuffled["distributions"]:
@@ -361,7 +378,7 @@ class TestProjectStores:
 
 class TestStrictParsing:
     def doc(self):
-        return scenario_to_dict(two_by_two())
+        return entry_list(scenario_to_dict(two_by_two()))
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -490,6 +507,266 @@ class TestStrictParsing:
         doc["agents"] = []
         with pytest.raises(ValidationError, match="agents"):
             scenario_from_dict(doc)
+
+
+def set_support(doc: dict, i: int, j: int, pairs: list) -> None:
+    """Give agent i's support on project j, as [value, prob] pairs, in
+    either layout."""
+    if "distributions" in doc:
+        agent, project = doc["agents"][i], doc["projects"][j]["name"]
+        entry = next(e for e in doc["distributions"] if (e["agent"], e["project"]) == (agent, project))
+        entry["support"] = [list(pair) for pair in pairs]
+    else:
+        doc["projects"][j]["supports"][i] = [[v for v, _ in pairs], [p for _, p in pairs]]
+
+
+def load_error(doc: dict) -> str:
+    with pytest.raises(ValidationError) as exc:
+        scenario_from_dict(json.loads(json.dumps(doc)))  # NaN and true as JSON literals
+    return str(exc.value)
+
+
+class TestLayouts:
+    """The columnar layout and the entry-list layout read through one
+    validation pass: the same scenario gives the same stores, and the same
+    bad cell the same error."""
+
+    def named(self) -> dict:
+        return scenario_to_dict(two_by_two(), ["ann", "bob"], ["api", "ui"])
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_rosters_load_to_the_same_stores(self, seed):
+        # unsorted supports, integer numbers, point masses and sums inside
+        # the slack, and now and then a cell with a duplicate value, a zero
+        # probability, a non-finite value, a sum outside the slack or a
+        # boolean; the entry-list file lists its entries in random order
+        gen = np.random.default_rng(seed)
+        n, m = 7, 5
+        names = [f"p{j}" for j in range(m)]
+        cells, defects = {}, []
+        for i in range(n):
+            for j in range(m):
+                s = int(gen.integers(1, 5))
+                values = (gen.permutation(12)[:s] * 0.25).tolist()
+                if gen.random() < 0.3:
+                    values = [int(4 * v) for v in values]
+                w = gen.uniform(0.1, 1.0, s)
+                probs = (w / w.sum()).tolist()
+                probs[-1] += float(gen.choice([0.0, 0.4, 0.999])) * PROB_SUM_SLACK
+                if s == 1 and gen.random() < 0.5:
+                    probs = [1]
+                pairs = [[v, p] for v, p in zip(values, probs)]
+                if gen.random() < 0.05:
+                    kind = gen.choice(["duplicate", "zero", "nan", "inf", "sum", "bool"])
+                    if kind == "duplicate":
+                        pairs.append([pairs[0][0], 0.5])
+                    elif kind == "zero":
+                        pairs[0][1] = 0.0
+                    elif kind in ("nan", "inf"):
+                        pairs[-1][0] = math.nan if kind == "nan" else -math.inf
+                    elif kind == "sum":
+                        pairs[0][1] += 3 * PROB_SUM_SLACK
+                    else:
+                        pairs[0][int(gen.integers(2))] = bool(gen.integers(2))
+                    defects.append((i, j))
+                cells[i, j] = pairs
+        columnar = {
+            "agents": [f"a{i}" for i in range(n)],
+            "projects": [
+                {"name": names[j], "value_fn": "best_shot", "k": 1,
+                 "supports": [[[v for v, _ in cells[i, j]], [p for _, p in cells[i, j]]] for i in range(n)]}
+                for j in range(m)
+            ],
+        }
+        listed = entry_list(columnar)
+        listed["distributions"] = [listed["distributions"][e] for e in gen.permutation(n * m)]
+        order = {
+            "columnar": [(i, j) for j in range(m) for i in range(n)],
+            "entry_list": [(int(e["agent"][1:]), int(e["project"][1:])) for e in listed["distributions"]],
+        }
+        for layout, doc in (("columnar", columnar), ("entry_list", listed)):
+            # every cell's shape is checked before any cell's distribution
+            shapes = [c for c in order[layout] if bool in map(type, chain(*cells[c]))]
+            invalid = []
+            for c in order[layout]:
+                try:
+                    Distribution.from_pairs((float(v), float(p)) for v, p in cells[c])
+                except ValidationError as exc:
+                    invalid.append((c, exc))
+            if shapes:
+                i, j = shapes[0]
+                assert load_error(doc).startswith(f"support for agent 'a{i}', project 'p{j}' must be ")
+            elif invalid:
+                (i, j), exc = invalid[0]
+                assert load_error(doc) == f"distribution for agent 'a{i}', project 'p{j}': {exc}"
+            else:
+                assert not defects
+        for i, j in defects:
+            set_support(columnar, i, j, [[0.0, 1.0]])
+            set_support(listed, i, j, [[0.0, 1.0]])
+        a = scenario_from_dict(json.loads(json.dumps(columnar))).scenario
+        b = scenario_from_dict(json.loads(json.dumps(listed))).scenario
+        for j in range(m):
+            assert store_hexes(a.store(j)) == store_hexes(b.store(j))
+            for i in range(n):
+                want = Distribution.from_pairs((float(v), float(p)) for v, p in
+                                               ([[0.0, 1.0]] if (i, j) in defects else cells[i, j]))
+                assert hexes(a.dist(i, j).values) == hexes(want.values)
+                assert hexes(a.dist(i, j).probs) == hexes(want.probs)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.update(projects={"p0": {}}),
+            lambda d: d.update(projects=[]),
+            lambda d: d["projects"][0].update(name=7),
+            lambda d: d.update(comment="hi"),
+            lambda d: d.pop("projects"),
+            lambda d: d.update(agents=["ann", "ann"]),
+            lambda d: d.update(agents=[]),
+            lambda d: [p.update(name="same") for p in d["projects"]],
+            lambda d: d["projects"][0].update(weight=2),
+            lambda d: d["projects"][0].update(k=True),
+            lambda d: d["projects"][0].update(k=1.0),
+            lambda d: d["projects"][0].update(value_fn=5),
+            lambda d: d["projects"][1].update(value_fn="ces:nan"),
+        ],
+        ids=["projects-object", "no-projects", "project-name", "top-field", "no-top-field",
+             "duplicate-agents", "no-agents", "duplicate-projects", "project-field", "bool-k",
+             "float-k", "tag-type", "tag-value"],
+    )
+    def test_document_errors_are_the_same(self, edit):
+        messages = []
+        for doc in (entry_list(self.named()), self.named()):
+            edit(doc)
+            messages.append(load_error(doc))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [[1.0, 0.5], [1.0, 0.5]],
+            [[-1.0, 1.0]],
+            [[math.nan, 1.0]],
+            [[math.inf, 1.0]],
+            [[1.0, math.nan]],
+            [[1.0, -math.inf]],
+            [[0.0, 0.0], [1.0, 1.0]],
+            [[0.0, 0.5], [1.0, 0.4]],
+            [[0.0, 2.0], [1.0, -1.0]],
+            [],
+            [[10**400, 1]],
+        ],
+        ids=["duplicate", "negative", "nan-value", "inf-value", "nan-prob", "inf-prob",
+             "zero-prob", "bad-sum", "prob-past-one", "empty", "integer-past-floats"],
+    )
+    def test_distribution_errors_are_the_same(self, pairs):
+        messages = []
+        for doc in (entry_list(self.named()), self.named()):
+            set_support(doc, 1, 1, pairs)
+            messages.append(load_error(doc))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("distribution for agent 'bob', project 'ui': ")
+
+    def test_missing_support_is_the_same(self):
+        listed, columnar = entry_list(self.named()), self.named()
+        listed["distributions"].pop()
+        columnar["projects"][1]["supports"].pop()
+        assert load_error(listed) == load_error(columnar) == (
+            "missing distribution for agent 'bob', project 'ui'"
+        )
+
+    def test_first_failing_cell_in_each_layouts_file_order(self):
+        # the entry list lists ann's cells first, the columnar file api's
+        for doc, first in ((entry_list(self.named()), ("ann", "ui")), (self.named(), ("bob", "api"))):
+            set_support(doc, 0, 1, [[-1.0, 1.0]])
+            set_support(doc, 1, 0, [[1.0, 0.5], [1.0, 0.5]])
+            assert load_error(doc).startswith("distribution for agent %r, project %r: " % first)
+
+    @pytest.mark.parametrize(
+        "support",
+        [
+            [[1.0], [0.5, 0.5]],
+            [[1.0, 2.0], [1.0]],
+            [[1.0], [1.0], [1.0]],
+            [[1.0]],
+            [1.0, 1.0],
+            "x",
+            None,
+            [[True], [1.0]],
+            [[1.0], [False]],
+            [["1.0"], [1.0]],
+            [[1.0], [None]],
+            [[[1.0]], [1.0]],
+        ],
+        ids=["short-values", "short-probs", "three-lists", "one-list", "numbers", "string", "null",
+             "bool-value", "bool-prob", "string-number", "null-number", "nested"],
+    )
+    def test_cell_shape_names_the_pair(self, support):
+        doc = self.named()
+        doc["projects"][1]["supports"][1] = support
+        assert load_error(doc) == (
+            "support for agent 'bob', project 'ui' must be a [values, probs] pair of "
+            "equal-length number lists"
+        )
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["projects"][0].update(supports={}), "supports of project 'api' must be a list"),
+            (lambda d: d["projects"][1]["supports"].append([[1.0], [1.0]]),
+             "project 'ui' has 3 supports for 2 agents"),
+            (lambda d: d["projects"][1].pop("supports"), "missing fields in project entry: ['supports']"),
+            (lambda d: d["projects"][0].update(support=[]), "unknown fields in project entry: ['support']"),
+            (lambda d: d.update(distributions=entry_list(d)["distributions"]),
+             "a scenario lists either distributions or project supports, not both"),
+        ],
+        ids=["supports-object", "extra-support", "no-supports", "entry-field", "both-layouts"],
+    )
+    def test_columnar_structure_errors(self, edit, message):
+        doc = self.named()
+        edit(doc)
+        assert load_error(doc) == message
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d["projects"][0]["supports"].pop(0),
+            lambda d: d["projects"][0]["supports"].append([[1.0], [1.0]]),
+            lambda d: d["projects"][1]["supports"][0][0].append(2.0),
+            lambda d: d.update(distributions=entry_list(d)["distributions"]),
+        ],
+        ids=["short-supports", "long-supports", "unequal-pair", "both-layouts"],
+    )
+    def test_columnar_failures_exit_2(self, capsys, tmp_path, edit):
+        doc = self.named()
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["assign", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_writer_puts_one_agent_per_line(self):
+        scn = roster(np.random.default_rng(12), n=9, m=4)
+        buf = io.StringIO()
+        save_scenario(buf, scn)
+        text = buf.getvalue()
+        doc = scenario_to_dict(scn)
+        assert json.loads(text) == doc
+        assert "distributions" not in doc
+        lines = text.splitlines()
+        # the agents, "projects", and per project its head and one line per agent
+        assert len(lines) == 2 + 4 * (1 + 9)
+        for j, project in enumerate(doc["projects"]):
+            for i, row in enumerate(lines[3 + 10 * j : 12 + 10 * j]):
+                pair = re.fullmatch(r"   (\[\[.*\]\])(,|\]\},|\]\}\]\})", row)
+                assert json.loads(pair.group(1)) == project["supports"][i]
+        # both layouts of the written document load to the same stores
+        columnar = load_scenario(io.StringIO(text)).scenario
+        listed = scenario_from_dict(entry_list(doc)).scenario
+        for j in scn.projects:
+            assert store_hexes(columnar.store(j)) == store_hexes(listed.store(j)) == store_hexes(scn.store(j))
 
 
 class TestReadRatings:
