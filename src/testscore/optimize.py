@@ -142,7 +142,7 @@ def greedy_topk(scn: Scenario, j: int, k: int, table: ScoreTable) -> SelectionRe
     """
     if k < 1 or k > scn.n_agents:
         raise ValidationError(f"k must be in 1..{scn.n_agents}, got {k}")
-    table.require(scn.n_agents - 1, j, k)  # the table covers every agent at size k
+    table.get(scn.n_agents - 1, j, k)  # the table covers every agent at size k
     scores = table.scores[: scn.n_agents, j, k - 1]
     # a stable sort keeps equal scores in id order
     ranked = np.argsort(-scores, kind="stable")[:k].tolist()
@@ -178,8 +178,8 @@ def greedy_welfare(
         raise ValidationError("table max_r does not cover the largest project")
     n, m, ks = scn.n_agents, scn.n_projects, scn.cardinalities
     for j in scn.projects:  # the table covers every agent at sizes 1..k_j
-        table.require(n - 1, j, 1)
-        table.require(n - 1, j, ks[j])
+        table.get(n - 1, j, 1)
+        table.get(n - 1, j, ks[j])
     a = table.scores[:n, :m]
     gen = tie_rng.generator(0) if tie_rng is not None else None
     # nxt[i, j] = a[i, j, r_j - 1] / r_j for the slot r_j project j fills
@@ -277,10 +277,14 @@ def _bound_screen(scn: Scenario, j: int, k: int):
     the team's own ``team_values`` bits. Its value E[h(sum phi(x_i))] has
     h concave (f for total, y^(1/r) with r > 1 for ces), so by Jensen's
     inequality each team's value is at most h(sum E[phi(x_i)]), a sum of
-    per-agent means. The team with the largest bound, the lead, is scored
-    exactly; a team whose bound falls SCREEN_TOL short of that value is
-    worth less, so it can neither beat nor tie it. The lead is a candidate
-    too, and keeps the value it was scored at.
+    per-agent means. A team whose bound falls SCREEN_TOL short of a value
+    already scored is worth less than that team, so it can neither beat
+    nor tie it. In one walk over the blocks, each block's team with the
+    largest bound, its lead, is scored exactly when that bound reaches the
+    cut of the best value so far, and only the block's teams whose bounds
+    reach the cut are kept. The kept teams are cut once more by the final
+    best, and those not yet scored are scored in one batch; a lead keeps
+    the value it was scored at.
 
     The bound holds in floats only while every mean rounds far inside
     SCREEN_TOL, so every team is kept when phi(x) * p of an atom x > 0
@@ -295,29 +299,22 @@ def _bound_screen(scn: Scenario, j: int, k: int):
             yield team_values(scn, j, block), block
         return
     means = _phi_means(g, store, scn.agents)
-
-    def bounded():
-        for block in _team_blocks(scn.n_agents, k):
-            yield _h(g, _row_sums(means, block)), block
-
-    top = -math.inf
-    for b, (bounds, block) in enumerate(bounded()):
-        i = int(bounds.argmax())
-        if bounds[i] > top:
-            top, lead_block, lead_row, lead = bounds[i], b, i, block[i : i + 1]
-    lead_value = team_values(scn, j, lead)[0]
-    cut = _cut(float(lead_value))
-    for b, (bounds, block) in enumerate(bounded()):
-        keep = bounds >= cut
-        if b == lead_block:
-            # the lead keeps the value scored above
-            keep[lead_row] = True
-            teams = block[keep]
-            at = int(np.count_nonzero(keep[:lead_row]))
-            values = team_values(scn, j, np.concatenate((teams[:at], teams[at + 1 :])))
-            yield np.concatenate((values[:at], [lead_value], values[at:])), teams
-        elif keep.any():
-            yield team_values(scn, j, block[keep]), block[keep]
+    best, kept = -math.inf, []  # kept: each block's bounds, teams and values (NaN: unscored)
+    for block in _team_blocks(scn.n_agents, k):
+        bounds = _h(g, _row_sums(means, block))
+        values = np.full(len(block), np.nan)
+        lead = int(bounds.argmax())
+        if bounds[lead] >= _cut(best):
+            values[lead] = team_values(scn, j, block[lead : lead + 1])[0]
+            best = max(best, float(values[lead]))
+        keep = bounds >= _cut(best)
+        kept.append((bounds[keep], block[keep], values[keep]))
+    bounds, teams, values = (np.concatenate(parts) for parts in zip(*kept))
+    keep = bounds >= _cut(best)
+    teams, values = teams[keep], values[keep]
+    unscored = np.isnan(values)
+    values[unscored] = team_values(scn, j, teams[unscored])
+    yield values, teams
 
 
 def _shape(scn: Scenario, projects, sizes: str) -> str:
@@ -335,10 +332,10 @@ def brute_force_single(scn: Scenario, j: int, k: int) -> SelectionResult:
     project's merged grid, every other team by ``team_values``, which
     scores each team on its own bits. Non-linear ``total`` and ``ces``
     teams first pass ``_bound_screen``: only the teams whose Jensen bound
-    reaches the exact value of the team with the largest bound are scored,
-    and every other team is worth less than that value, so the screen is
-    exact. The up-front price still covers scoring every team. The teams
-    within SCREEN_TOL of the best are kept; merged-grid values among them
+    reaches the exact value of a team already scored are scored, and every
+    other team is worth less than that value, so the screen is exact.
+    The up-front price still covers scoring every team. The teams within
+    SCREEN_TOL of the best are kept; merged-grid values among them
     are rescored on their own bits, in one ``team_values`` block, and the
     first best wins. The winner's value on its own bits, when the screen
     or the rescoring has it, is its reported objective; a lone merged-grid
@@ -571,7 +568,7 @@ def _assignment_oracles(
             if sketch_of == "strong":
                 return _strong_sketch_values(table, j, teams)
             k = teams.shape[1]
-            table.require(scn.n_agents - 1, j, k)  # the table covers every agent at size k
+            table.get(scn.n_agents - 1, j, k)  # the table covers every agent at size k
             scores = table.scores[teams, j, k - 1]
             return scores.min(axis=1) if sketch_of == "min" else scores.max(axis=1)
 

@@ -14,14 +14,15 @@ greedy routines read whole columns while the sketches read single cells
 through ``ScoreTable.get``. Only cells that can fall back to Monte Carlo,
 and sum-route cells large enough to merge equal partial sums, are scored
 one at a time. A caller that reads only some columns asks for a range of
-r per project; the cells outside it stay unbuilt.
+r per project; the cells outside it stay unbuilt. An unbuilt cell is a NaN
+score, with method None and standard error NaN, and ``get``, ``diag`` and
+the greedy routines, sketches and oracles that read the table refuse it.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
 from itertools import product
 from typing import IO, Optional
 
@@ -92,29 +93,22 @@ class ScoreDiag:
     std_error: float = 0.0
 
 
-def _check_columns(columns, m: int, max_r: int) -> Optional[tuple[tuple[int, int], ...]]:
-    # one (lo, hi) range of r per project, 1 <= lo <= hi <= max_r, as a
-    # tuple; None, or a range of every column for every project, is None
+def _check_columns(columns, m: int, max_r: int) -> list[tuple[int, int]]:
+    # one (lo, hi) range of int r per project, 1 <= lo <= hi <= max_r;
+    # None is every column of every project
     if columns is None:
-        return None
-    ranges = tuple((int(lo), int(hi)) for lo, hi in columns)
-    if len(ranges) != m or not all(1 <= lo <= hi <= max_r for lo, hi in ranges):
+        return [(1, max_r)] * m
+    ranges = [(lo, hi) for lo, hi in columns]
+    if (
+        len(ranges) != m
+        or not all(isinstance(x, int) and not isinstance(x, bool) for rng in ranges for x in rng)
+        or not all(1 <= lo <= hi <= max_r for lo, hi in ranges)
+    ):
         raise ValidationError(
             f"columns must give one range lo..hi within 1..{max_r} for each of "
             f"{m} projects, got {list(columns)}"
         )
-    return None if all(rng == (1, max_r) for rng in ranges) else ranges
-
-
-@lru_cache(maxsize=64)
-def _unbuilt(columns: tuple[tuple[int, int], ...], max_r: int) -> np.ndarray:
-    # read-only: the cells (j, r) of an agent's flat (m * max_r) row whose
-    # column r lies outside project j's range
-    lo, hi = np.array(columns).T
-    r = np.arange(1, max_r + 1)
-    unbuilt = np.flatnonzero((r < lo[:, None]) | (r > hi[:, None]))
-    unbuilt.flags.writeable = False
-    return unbuilt
+    return ranges
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,21 +119,16 @@ class ScoreTable:
     ``methods`` and ``std_errors`` have the same shape (given values are
     broadcast to it) and say how each cell was computed; a hand-built table
     may leave them out, and its cells then read as the table's kind with no
-    standard error. ``columns``, when given, holds one range (lo, hi) of r
-    per project, and only the cells of project j with lo <= r <= hi are
-    built: every other cell reads NaN, with method None and standard error
-    NaN. None (the default) builds every cell. The arrays are read-only
-    copies. ``get`` and ``diag`` read one cell and raise ValidationError
-    for a cell outside the table, negative indices included, or not built,
-    as ``require`` does from the shape and ranges alone.
+    standard error. A NaN score marks a cell that was not built: its method
+    reads None and its standard error NaN. The arrays are read-only copies.
+    ``get`` and ``diag`` read one cell and raise ValidationError for a cell
+    outside the table, negative indices included, or not built.
     """
 
     kind: str  # mean | quantile | replication
     scores: np.ndarray
-    theta: Optional[float] = None
     methods: Optional[np.ndarray] = None
     std_errors: Optional[np.ndarray] = None
-    columns: Optional[tuple[tuple[int, int], ...]] = None
     max_r: int = field(init=False)  # scores.shape[2], kept as a plain attribute
 
     def __post_init__(self):
@@ -152,54 +141,27 @@ class ScoreTable:
         methods, std_errors = np.empty(scores.shape, dtype=object), np.empty(scores.shape)
         methods[...] = self.kind if self.methods is None else self.methods
         std_errors[...] = 0.0 if self.std_errors is None else self.std_errors
-        n, m, max_r = scores.shape
-        columns = _check_columns(self.columns, m, max_r)
-        if columns is not None:
-            unbuilt = _unbuilt(columns, max_r)
-            for arr, blank in ((scores, np.nan), (methods, None), (std_errors, np.nan)):
-                arr.reshape(n, -1)[:, unbuilt] = blank
+        unbuilt = np.isnan(scores)
+        methods[unbuilt], std_errors[unbuilt] = None, np.nan
         for name, arr in (("scores", scores), ("methods", methods), ("std_errors", std_errors)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "max_r", max_r)
-
-    @cached_property
-    def _cells(self) -> list:
-        # nested lists: the sketches read single cells at Python speed; an
-        # unbuilt cell reads None
-        if self.columns is None:
-            return self.scores.tolist()
-        cells = self.scores.astype(object)
-        cells.reshape(len(cells), -1)[:, _unbuilt(self.columns, self.max_r)] = None
-        return cells.tolist()
+        object.__setattr__(self, "max_r", scores.shape[2])
 
     def get(self, agent: int, project: int, r: int) -> float:
         try:
             if agent >= 0 and project >= 0 and r >= 1:
-                score = self._cells[agent][project][r - 1]
-                if score is not None:
+                score = self.scores.item(agent, project, r - 1)
+                if score == score:  # not NaN
                     return score
-                lo, hi = self.columns[project]
                 raise ValidationError(
-                    f"table entry for agent {agent}, project {project}, r={r} "
-                    f"was not built (project {project} has r={lo}..{hi})"
+                    f"table entry for agent {agent}, project {project}, r={r} was not built"
                 )
         except (IndexError, TypeError):
             pass
         raise ValidationError(
             f"missing table entry for agent {agent}, project {project}, r={r}"
         )
-
-    def require(self, agent: int, project: int, r: int) -> None:
-        """Raise the error ``get`` raises unless the table holds cell
-        (agent, project, r), reading only the table's shape and ranges."""
-        n, m, max_r = self.scores.shape
-        if not (0 <= agent < n and 0 <= project < m and 1 <= r <= max_r) or (
-            self.columns is not None
-            and not self.columns[project][0] <= r <= self.columns[project][1]
-        ):
-            self.get(agent, project, r)  # raises
 
     def diag(self, agent: int, project: int, r: int) -> ScoreDiag:
         """How cell (agent, project, r) was computed."""
@@ -234,7 +196,7 @@ def build_score_table(
 ) -> ScoreTable:
     """Fill every (agent, project, r) cell, or with ``columns``, one range
     (lo, hi) of r per project, only the cells of project j with
-    lo <= r <= hi; the others stay unbuilt (see ``ScoreTable``). Each built
+    lo <= r <= hi; the others stay NaN, unbuilt (see ``ScoreTable``). Each built
     cell, its Monte Carlo stream included, is the same whatever the ranges.
 
     Mean and quantile scores do not depend on r: one (n, m) slice is
@@ -272,21 +234,17 @@ def build_score_table(
         raise ValidationError("theta only applies to quantile tables")
 
     n, m = scn.n_agents, scn.n_projects
-    columns = _check_columns(columns, m, max_r)
+    ranges = _check_columns(columns, m, max_r)
+    scores = np.full((n, m, max_r), np.nan)  # every cell left unset stays unbuilt
     if kind != "replication":
         score = mean_score if kind == "mean" else lambda d: quantile_score(d, theta)
         base = np.array([[score(scn.dist(i, j)) for j in scn.projects] for i in scn.agents])
-        return ScoreTable(
-            kind=kind,
-            scores=np.repeat(base[:, :, None], max_r, axis=2),
-            theta=theta,
-            methods=np.array("exact", dtype=object),
-            columns=columns,
-        )
+        for j, (lo, hi) in enumerate(ranges):
+            scores[:, j, lo - 1 : hi] = base[:, j, None]
+        return ScoreTable(kind=kind, scores=scores, methods=np.array("exact", dtype=object))
 
     budget = enumeration_budget()
     mc_rng = rng if rng is not None else RngSpec(seed=0)
-    scores = np.empty((n, m, max_r))
     methods = np.empty((n, m, max_r), dtype=object)
     std_errors = np.zeros((n, m, max_r))
     labels = ["exact_best_shot" if g.kind == "best_shot" else "exact" for g in scn.value_fns]
@@ -295,8 +253,7 @@ def build_score_table(
     # scored on one store: its projects' stores side by side, agent i of its
     # c-th project at row c * n + i
     classes: dict[tuple[ValueFunction, int, int], list[int]] = {}
-    for j in scn.projects:
-        lo, hi = (1, max_r) if columns is None else columns[j]
+    for j, (lo, hi) in enumerate(ranges):
         classes.setdefault((scn.value_fns[j], lo, hi), []).append(j)
     stores = [
         ProjectStore.concat(map(scn.store, js)) if js[1:] else scn.store(js[0])
@@ -339,7 +296,4 @@ def build_score_table(
             cells = scores[:, js, r - 1].T.copy()
             _member_rows(g, store, r, budget, cells.reshape(-1))
             scores[:, js, r - 1] = cells.T
-    return ScoreTable(
-        kind=kind, scores=scores, theta=theta, methods=methods, std_errors=std_errors,
-        columns=columns,
-    )
+    return ScoreTable(kind=kind, scores=scores, methods=methods, std_errors=std_errors)

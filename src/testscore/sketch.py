@@ -107,8 +107,8 @@ def _strong_sketch_values(table: ScoreTable, j: int, teams: np.ndarray) -> np.nd
         raise ValidationError(f"strong sketch needs a replication table, got {table.kind!r}")
     B, t = teams.shape
     # the table covers every member at sizes 1..t
-    table.require(int(teams.max()), j, 1)
-    table.require(int(teams.max()), j, t)
+    table.get(int(teams.max()), j, 1)
+    table.get(int(teams.max()), j, t)
     rows, ranked, total = np.arange(B), np.zeros((B, t), dtype=bool), np.zeros(B)
     for r in range(1, t + 1):
         scores = np.where(ranked, -np.inf, table.scores[teams, j, r - 1])

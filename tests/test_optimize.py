@@ -481,6 +481,22 @@ class TestBruteForceSingle:
             self.check_against_per_team(scn, 3)
 
     @pytest.mark.parametrize("g", BOUNDED, ids=BOUNDED_TAGS)
+    def test_bound_screen_walks_the_teams_once(self, g, monkeypatch):
+        # across many blocks the screen streams the teams one time only
+        monkeypatch.setattr(utility, "_BLOCK", 7)
+        walks = []
+        real = optimize._team_blocks
+
+        def counting(n, k, *rest):
+            walks.append((n, k))
+            return real(n, k, *rest)
+
+        monkeypatch.setattr(optimize, "_team_blocks", counting)
+        scn = random_single_scenario(np.random.default_rng(79), g, n=8, k=3)
+        brute_force_single(scn, 0, 3)
+        assert walks == [(8, 3)]
+
+    @pytest.mark.parametrize("g", BOUNDED, ids=BOUNDED_TAGS)
     def test_team_past_float_range_raises(self, g):
         # A's rare top atom fits a team of 1 but two of them sum past the
         # float range: teams of 2 on a cardinality-1 scenario raise the

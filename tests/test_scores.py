@@ -292,18 +292,23 @@ class TestScoreTable:
         return Scenario.single_project(dists, g, k)
 
     def test_mean_table_constant_in_r(self):
-        table = build_score_table(self.scn(), "mean", max_r=2)
+        scn = self.scn()
+        table = build_score_table(scn, "mean", max_r=2)
         for i in range(3):
             assert table.get(i, 0, 1) == table.get(i, 0, 2)
         assert table.kind == "mean"
-        assert table.theta is None
+        # the plain mean, no tail cut
+        assert table.scores[:, 0, 0].tolist() == [mean_score(scn.dist(i, 0)) for i in range(3)]
 
     def test_quantile_table_needs_theta(self):
         with pytest.raises(ValidationError):
             build_score_table(self.scn(), "quantile", max_r=2)
-        table = build_score_table(self.scn(), "quantile", max_r=2, theta=0.75)
+        scn = self.scn()
+        table = build_score_table(scn, "quantile", max_r=2, theta=0.75)
         assert table.get(0, 0, 1) == pytest.approx(2.0)
-        assert table.theta == 0.75
+        # every cell is the tail score at the theta given
+        want = [quantile_score(scn.dist(i, 0), 0.75) for i in range(3)]
+        assert table.scores[:, 0, 0].tolist() == table.scores[:, 0, 1].tolist() == want
 
     def test_theta_rejected_elsewhere(self):
         with pytest.raises(ValidationError):
@@ -402,6 +407,24 @@ class TestScoreTable:
         assert not table.scores.flags.writeable
         with pytest.raises(ValidationError):
             ScoreTable(kind="mean", scores=np.zeros((3, 2)))
+
+    def test_nan_score_is_an_unbuilt_cell(self):
+        # a NaN score is the one marker of an unbuilt cell, in a hand-built
+        # table as in a built one
+        scores = np.arange(6.0).reshape(3, 1, 2)
+        scores[1, 0, 1] = np.nan
+        table = ScoreTable(kind="replication", scores=scores, std_errors=0.5)
+        assert table.methods[1, 0, 1] is None and table.methods.ravel().tolist().count(None) == 1
+        assert np.isnan(table.std_errors[1, 0, 1]) and np.isnan(table.std_errors).sum() == 1
+        with pytest.raises(ValidationError, match="agent 1, project 0, r=2 was not built"):
+            table.get(1, 0, 2)
+        with pytest.raises(ValidationError, match="was not built"):
+            table.diag(1, 0, 2)
+        assert table.get(1, 0, 1) == 2.0 and table.diag(1, 0, 1) == ScoreDiag("replication", 0.5)
+        buf = io.StringIO()
+        table.to_csv(buf)
+        rows = [row.split(",")[:3] for row in buf.getvalue().splitlines()[1:]]
+        assert len(rows) == 5 and ["1", "0", "2"] not in rows
 
 
 def _spread(s, shift):
@@ -868,7 +891,10 @@ class TestColumnRanges:
     def same_cells(self, scn, max_r, columns, rng=None):
         full = build_score_table(scn, "replication", max_r=max_r, rng=rng)
         part = build_score_table(scn, "replication", max_r=max_r, rng=rng, columns=columns)
-        assert part.columns == tuple(columns)
+        # the unbuilt cells, and only they, are NaN
+        sizes = np.arange(1, max_r + 1)
+        outside = [(sizes < lo) | (sizes > hi) for lo, hi in columns]
+        assert (np.isnan(part.scores) == np.array(outside)).all()
         for j, (lo, hi) in enumerate(columns):
             for r in range(1, max_r + 1):
                 cells = (slice(None), j, r - 1)
@@ -940,10 +966,7 @@ class TestColumnRanges:
                 table.get(0, j, r)
             with pytest.raises(ValidationError, match="was not built"):
                 table.diag(4, j, r)
-            with pytest.raises(ValidationError, match="was not built"):
-                table.require(4, j, r)
         for j, r in ((0, 2), (1, 1), (2, 1), (2, 2), (3, 2)):
-            table.require(4, j, r)
             assert table.get(4, j, r) == table.scores[4, j, r - 1]
         # outside the table the error is the one every table raises
         with pytest.raises(ValidationError, match="missing table entry"):
@@ -981,7 +1004,7 @@ class TestColumnRanges:
         table = build_score_table(
             mixed_scenario(), "replication", max_r=2, rng=RngSpec(seed=11), columns=[(1, 2)] * 4
         )
-        assert table.columns is None
+        assert not np.isnan(table.scores).any()
         buf = io.StringIO()
         table.to_csv(buf)
         assert buf.getvalue().replace("\r\n", "\n") == MIXED_CSV
@@ -1004,11 +1027,14 @@ class TestColumnRanges:
 
     @pytest.mark.parametrize(
         "columns",
-        [[(1, 2)] * 3, [(1, 2)] * 5, [(0, 2)] + [(1, 2)] * 3, [(2, 1)] + [(1, 2)] * 3, [(1, 3)] + [(1, 2)] * 3],
-        ids=["too-few", "too-many", "r-zero", "empty", "past-max-r"],
+        [
+            [(1, 2)] * 3, [(1, 2)] * 5, [(0, 2)] + [(1, 2)] * 3, [(2, 1)] + [(1, 2)] * 3,
+            [(1, 3)] + [(1, 2)] * 3, [(1.5, 2.9)] + [(1, 2)] * 3, [(1, 2.0)] + [(1, 2)] * 3,
+            [(True, 2)] + [(1, 2)] * 3, [(1, True)] + [(1, 2)] * 3,
+        ],
+        ids=["too-few", "too-many", "r-zero", "empty", "past-max-r", "fractions", "float", "bool-lo", "bool-hi"],
     )
     def test_bad_ranges_rejected(self, columns):
+        # a float or bool bound is refused, not read as the int it rounds to
         with pytest.raises(ValidationError, match="columns must give one range"):
             build_score_table(mixed_scenario(), "replication", max_r=2, columns=columns)
-        with pytest.raises(ValidationError, match="columns must give one range"):
-            ScoreTable(kind="mean", scores=np.zeros((5, 4, 2)), columns=columns)
