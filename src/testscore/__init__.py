@@ -29,11 +29,9 @@ from .production import (
     UnitFn,
     ValueFunction,
     bsp_check,
-    diminishing_across_check,
     evaluate,
     evaluate_batch,
     single_inverse,
-    value_submodularity_check,
 )
 from .utility import (
     SubmodularityReport,
@@ -43,20 +41,16 @@ from .utility import (
     submodularity_check,
 )
 from .scores import (
-    ScoreDiag,
     ScoreTable,
     build_score_table,
     mean_score,
-    quantile_level,
     quantile_score,
     replication_score,
 )
 from .sketch import (
     BoundWitness,
-    MaxTermBound,
     SketchBoundReport,
     SketchEval,
-    max_term_bound,
     minmax_sketch,
     strong_sketch,
     verify_goodness_sandwich,

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import BudgetExceededError, Distribution, Scenario, ValidationError, enumeration_budget
+from .core import Distribution, Scenario, ValidationError, charge, enumeration_budget
 from .production import ConcaveFn, UnitFn, ValueFunction
 from .optimize import _assignment_oracles, brute_force_single, greedy_topk, greedy_welfare
 from .scores import build_score_table, quantile_score, replication_score
@@ -45,10 +45,8 @@ def _two_point(v: float, p: float) -> Distribution:
 
 def _price(name: str, agents: int, projects: int, atoms: int) -> None:
     # an instance's cells times atoms per cell against the budget, before it is built
-    size, budget = agents * projects * atoms, enumeration_budget()
-    if size > budget:
-        shape = f"{agents} agents x {projects} projects x {atoms} atoms"
-        raise BudgetExceededError(size, budget, what=f"{name} instance", shape=shape)
+    shape = f"{agents} agents x {projects} projects x {atoms} atoms"
+    charge(agents * projects * atoms, enumeration_budget(), f"{name} instance", shape)
 
 
 def gen_mean_fails_bestshot(k: int = 4, a: float = 10.0, p: float = 0.09) -> AdversarialInstance:

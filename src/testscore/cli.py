@@ -28,7 +28,7 @@ from .adversarial import (
     random_single_scenario,
     validate_instance,
 )
-from .core import BudgetExceededError, RngSpec, Scenario, ValidationError, enumeration_budget
+from .core import BudgetExceededError, RngSpec, Scenario, ValidationError, charge, enumeration_budget
 from .optimize import (
     approximation_report,
     brute_force_single,
@@ -297,10 +297,8 @@ def cmd_check(args) -> int:
     trials = args.trials if args.trials is not None else default_trials
     if trials < 1:
         raise ValidationError(f"--trials must be >= 1, got {trials}")
-    work, budget = trials * per_trial, enumeration_budget()
-    if work > budget:
-        shape = f"{trials} trials x {per_trial} per trial"
-        raise BudgetExceededError(work, budget, what=f"check --suite {args.suite}", shape=shape)
+    shape = f"{trials} trials x {per_trial} per trial"
+    charge(trials * per_trial, enumeration_budget(), f"check --suite {args.suite}", shape)
     report = runner(7 if args.seed is None else args.seed, trials)
     _emit(json.dumps(report, indent=2), args.out)
     return EXIT_OK if report["ok"] else EXIT_PROPERTY
@@ -371,10 +369,8 @@ def cmd_experiment(args) -> int:
     # runs the oracle once per k, on at most max C(n, k) teams, and the
     # oracle charges at least one unit per team
     per_trial = max(math.comb(args.n, k) for k in ks)
-    work, budget = args.trials * len(ks) * per_trial, enumeration_budget()
-    if work > budget:
-        shape = f"{args.trials} trials x {len(ks)} team sizes x {per_trial} teams per oracle"
-        raise BudgetExceededError(work, budget, what="experiment", shape=shape)
+    shape = f"{args.trials} trials x {len(ks)} team sizes x {per_trial} teams per oracle"
+    charge(args.trials * len(ks) * per_trial, enumeration_budget(), "experiment", shape)
 
     def write(fh) -> None:
         # rows stream out; only the ratios are kept, for the summary rows
@@ -406,7 +402,7 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
-def cmd_worstcase(args, parser: argparse.ArgumentParser) -> int:
+def cmd_worstcase(args) -> int:
     # a generator's keyword parameters are its flags; an int default makes an int flag
     accepted = inspect.signature(GENERATORS[args.name]).parameters
     kwargs = {}
@@ -415,13 +411,13 @@ def cmd_worstcase(args, parser: argparse.ArgumentParser) -> int:
         if value is None:
             continue
         if param not in accepted:
-            parser.error(
+            _parser().error(
                 f"--{param} does not apply to {args.name} "
                 f"(accepted: {', '.join('--' + q for q in accepted)})"
             )
         if isinstance(accepted[param].default, int):
             if isinstance(value, float) and not value.is_integer():
-                parser.error(f"--{param} must be an integer for {args.name}")
+                _parser().error(f"--{param} must be an integer for {args.name}")
             value = int(value)
         kwargs[param] = value
     inst = GENERATORS[args.name](**kwargs)
@@ -504,7 +500,7 @@ def build_parser() -> _Parser:
     p_worst.add_argument("--run", action="store_true",
                          help="validate the expected quantities and exit 4 on mismatch")
     p_worst.add_argument("--out", default=None)
-    p_worst.set_defaults(func=cmd_worstcase, needs_parser=True)
+    p_worst.set_defaults(func=cmd_worstcase)
     return parser
 
 
@@ -518,8 +514,6 @@ def main(argv=None) -> int:
     parser = _parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "needs_parser", False):
-            return args.func(args, parser)
         return args.func(args)
     except SystemExit as exc:
         # argparse help/usage paths; normalize to an int return

@@ -44,6 +44,13 @@ class BudgetExceededError(RuntimeError):
         super().__init__(f"{what} budget exceeded: {required} > {budget}{detail}")
 
 
+def charge(work: int, budget: int, what: str, shape: str = "") -> None:
+    """Refuse ``work`` past ``budget``: raise BudgetExceededError naming
+    ``what`` and the instance ``shape``."""
+    if work > budget:
+        raise BudgetExceededError(work, budget, what, shape)
+
+
 def enumeration_budget() -> int:
     """Current enumeration budget (TESTSCORE_BUDGET env var, default 10^7)."""
     raw = os.environ.get("TESTSCORE_BUDGET")
@@ -430,21 +437,6 @@ class Assignment:
                 if i in seen:
                     raise ValidationError(f"agent {i} assigned to multiple projects")
                 seen.add(i)
-
-    def validate(self, scn: Scenario) -> None:
-        if len(self.sets) != scn.n_projects:
-            raise ValidationError(
-                f"assignment has {len(self.sets)} sets for {scn.n_projects} projects"
-            )
-        for j, members in enumerate(self.sets):
-            if len(members) > scn.cardinalities[j]:
-                raise ValidationError(
-                    f"project {j} holds {len(members)} agents, cap is "
-                    f"{scn.cardinalities[j]}"
-                )
-            for i in members:
-                if not (0 <= i < scn.n_agents):
-                    raise ValidationError(f"unknown agent {i}")
 
     def total_assigned(self) -> int:
         return sum(len(s) for s in self.sets)

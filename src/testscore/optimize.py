@@ -21,6 +21,7 @@ from .core import (
     RngSpec,
     Scenario,
     ValidationError,
+    charge,
     enumeration_budget,
 )
 from . import utility
@@ -142,8 +143,7 @@ def greedy_topk(scn: Scenario, j: int, k: int, table: ScoreTable) -> SelectionRe
     """
     if k < 1 or k > scn.n_agents:
         raise ValidationError(f"k must be in 1..{scn.n_agents}, got {k}")
-    table.get(scn.n_agents - 1, j, k)  # the table covers every agent at size k
-    scores = table.scores[: scn.n_agents, j, k - 1]
+    scores = table.block(scn.n_agents, j, k, k)[:, 0]
     # a stable sort keeps equal scores in id order
     ranked = np.argsort(-scores, kind="stable")[:k].tolist()
     trace = tuple(
@@ -177,14 +177,13 @@ def greedy_welfare(
     if max(scn.cardinalities) > table.max_r:
         raise ValidationError("table max_r does not cover the largest project")
     n, m, ks = scn.n_agents, scn.n_projects, scn.cardinalities
-    for j in scn.projects:  # the table covers every agent at sizes 1..k_j
-        table.get(n - 1, j, 1)
-        table.get(n - 1, j, ks[j])
-    a = table.scores[:n, :m]
+    # the table covers every agent at sizes 1..k_j
+    blocks = [table.block(n, j, 1, k) for j, k in enumerate(ks)]
     gen = tie_rng.generator(0) if tie_rng is not None else None
     # nxt[i, j] = a[i, j, r_j - 1] / r_j for the slot r_j project j fills
-    # next; -inf once agent i is placed or project j is full
-    nxt = a[:, :, 0].copy()  # every project fills slot 1 first: a / 1 = a
+    # next, slot 1 first (a / 1 = a); -inf once agent i is placed or
+    # project j is full
+    nxt = np.stack([block[:, 0] for block in blocks], axis=1)
     placed = np.zeros(n, dtype=bool)
     sets: list[list[int]] = [[] for _ in scn.projects]
     trace: list[TraceStep] = []
@@ -205,7 +204,7 @@ def greedy_welfare(
         if r > ks[j]:
             nxt[:, j] = -np.inf
         else:
-            nxt[:, j] = np.where(placed, -np.inf, a[:, j, r - 1] / r)
+            nxt[:, j] = np.where(placed, -np.inf, blocks[j][:, r - 1] / r)
     return _result(
         scn,
         [tuple(S) for S in sets],
@@ -318,7 +317,7 @@ def _bound_screen(scn: Scenario, j: int, k: int):
 
 
 def _shape(scn: Scenario, projects, sizes: str) -> str:
-    support = max(int(scn.store(j).lengths.max()) for j in projects)
+    support = max(max(scn.store(j).lengths.tolist()) for j in projects)
     return f"n={scn.n_agents}, {sizes}, largest support {support}"
 
 
@@ -351,11 +350,7 @@ def brute_force_single(scn: Scenario, j: int, k: int) -> SelectionResult:
     merged = g.kind in ("best_shot", "top_r") and k > 1
     grid = _grid(store.values, math.comb(scn.n_agents, k)) if merged else None
     cost = _subset_enum_cost(scn, j, k, grid)
-    if cost > budget:
-        raise BudgetExceededError(
-            cost, budget, what="brute_force_single subset enumeration",
-            shape=_shape(scn, [j], f"k={k}"),
-        )
+    charge(cost, budget, "brute_force_single subset enumeration", _shape(scn, [j], f"k={k}"))
     # the up-front price covers every block's own charge, so no screen raises
     if merged:
         screen = partial(_order_route, g, store, scn.agents, copies=1, budget=budget, grid=grid)
@@ -505,11 +500,8 @@ def _maximize_assignment(
         used.append(used[-1] + k)
     # the (used set, disjoint team) pairs summed over the stages
     trans = sum(math.comb(n, u) * math.comb(n - u, k) for u, k in zip(used, ks))
-    if trans > budget:
-        raise BudgetExceededError(
-            trans, budget, what=f"{oracle} assignment DP",
-            shape=_shape(scn, scn.projects, f"cardinalities {tuple(ks)}"),
-        )
+    shape = _shape(scn, scn.projects, f"cardinalities {tuple(ks)}")
+    charge(trans, budget, f"{oracle} assignment DP", shape)
     # the widest ranked set: a team, or a leftover of stage 1, the first to rank unions
     binom = _binomials(n, max(max(ks), n - used[2] if len(ks) > 2 else 0))
     agent = np.min_scalar_type(-n)  # the smallest integer type holding an agent id
@@ -568,8 +560,7 @@ def _assignment_oracles(
             if sketch_of == "strong":
                 return _strong_sketch_values(table, j, teams)
             k = teams.shape[1]
-            table.get(scn.n_agents - 1, j, k)  # the table covers every agent at size k
-            scores = table.scores[teams, j, k - 1]
+            scores = table.block(scn.n_agents, j, k, k)[teams, 0]
             return scores.min(axis=1) if sketch_of == "min" else scores.max(axis=1)
 
         return values

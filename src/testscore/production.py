@@ -223,31 +223,3 @@ def bsp_check(g: ValueFunction, x: Sequence[float]) -> BspResult:
     rhs = evaluate(g, vec)
     return BspResult(holds=lhs <= rhs + PROP_TOL, lhs=lhs, rhs=rhs)
 
-
-def diminishing_across_check(
-    g: ValueFunction, y: float, xgrid: Sequence[float]
-) -> bool:
-    """True iff the marginal g(x, y, 0...) - g(x, 0...) is non-increasing
-    along the ascending grid (within tolerance)."""
-    grid = [float(v) for v in xgrid]
-    if len(grid) < 2:
-        raise ValidationError("grid needs at least two points")
-    if any(b < a for a, b in zip(grid, grid[1:])):
-        raise ValidationError("grid must be ascending")
-    marginals = [evaluate(g, [x, y]) - evaluate(g, [x]) for x in grid]
-    return all(b <= a + PROP_TOL for a, b in zip(marginals, marginals[1:]))
-
-
-def value_submodularity_check(
-    g: ValueFunction, x: Sequence[float], y: Sequence[float]
-) -> bool:
-    """Lattice submodularity: g(x v y) + g(x ^ y) <= g(x) + g(y)."""
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    if xa.shape != ya.shape:
-        raise ValidationError("vectors must have equal length")
-    join = np.maximum(xa, ya)
-    meet = np.minimum(xa, ya)
-    lhs = evaluate(g, join) + evaluate(g, meet)
-    rhs = evaluate(g, xa) + evaluate(g, ya)
-    return lhs <= rhs + PROP_TOL

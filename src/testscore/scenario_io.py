@@ -90,12 +90,6 @@ class LoadedScenario:
     agent_names: tuple[str, ...]
     project_names: tuple[str, ...]
 
-    def agent_index(self, name: str) -> int:
-        try:
-            return self.agent_names.index(name)
-        except ValueError:
-            raise ValidationError(f"unknown agent {name!r}") from None
-
     def project_index(self, name: str) -> int:
         try:
             return self.project_names.index(name)

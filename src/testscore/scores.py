@@ -15,16 +15,14 @@ through ``ScoreTable.get``. Only cells that can fall back to Monte Carlo,
 and sum-route cells large enough to merge equal partial sums, are scored
 one at a time. A caller that reads only some columns asks for a range of
 r per project; the cells outside it stay unbuilt. An unbuilt cell is a NaN
-score, with method None and standard error NaN, and ``get``, ``diag`` and
+score, with method None and standard error NaN, and ``get``, ``block`` and
 the greedy routines, sketches and oracles that read the table refuse it.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from itertools import product
-from typing import IO, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -68,14 +66,6 @@ def quantile_score(d: Distribution, theta: float) -> float:
     return float(np.dot(d.values_array, overlap) / (1.0 - theta))
 
 
-def quantile_level(theta: float, k: int) -> float:
-    """Convenience conversion level = 1 - theta/k used by the worst-case
-    quantile constructions (theta in (0, k])."""
-    if not (0 < theta <= k):
-        raise ValidationError(f"theta must be in (0, k], got {theta} with k={k}")
-    return 1.0 - theta / k
-
-
 def replication_score(g: ValueFunction, d: Distribution, k: int) -> float:
     """Expected value of g on k i.i.d. copies of the agent's performance.
 
@@ -85,12 +75,6 @@ def replication_score(g: ValueFunction, d: Distribution, k: int) -> float:
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     return _expectation(g, ProjectStore.pack([d]), [0], k, enumeration_budget())
-
-
-@dataclass(frozen=True)
-class ScoreDiag:
-    method: str  # exact | exact_best_shot | monte_carlo
-    std_error: float = 0.0
 
 
 def _check_columns(columns, m: int, max_r: int) -> list[tuple[int, int]]:
@@ -121,7 +105,8 @@ class ScoreTable:
     may leave them out, and its cells then read as the table's kind with no
     standard error. A NaN score marks a cell that was not built: its method
     reads None and its standard error NaN. The arrays are read-only copies.
-    ``get`` and ``diag`` read one cell and raise ValidationError for a cell
+    ``get`` reads one cell and ``block`` one project's cells of the first
+    agents at a range of sizes; both raise ValidationError for a cell
     outside the table, negative indices included, or not built.
     """
 
@@ -163,25 +148,21 @@ class ScoreTable:
             f"missing table entry for agent {agent}, project {project}, r={r}"
         )
 
-    def diag(self, agent: int, project: int, r: int) -> ScoreDiag:
-        """How cell (agent, project, r) was computed."""
-        self.get(agent, project, r)
-        cell = (agent, project, r - 1)
-        return ScoreDiag(method=self.methods[cell], std_error=float(self.std_errors[cell]))
-
-    def to_csv(self, out: IO[str]) -> None:
-        writer = csv.writer(out)
-        writer.writerow(["agent", "project", "r", "score", "method", "std_error"])
+    def block(self, agents: int, project: int, lo: int, hi: int) -> np.ndarray:
+        """The scores of agents 0..agents-1 on ``project`` at sizes
+        lo..hi (1 <= lo <= hi), an (agents, hi - lo + 1) read-only view.
+        Raises ``get``'s error for the corner cell (agents - 1, project, hi)
+        when the block leaves the table, else for its first unbuilt cell
+        in (agent, r) order."""
         n, m, max_r = self.scores.shape
-        cells = zip(
-            product(range(n), range(m), range(1, max_r + 1)),
-            self.scores.ravel().tolist(),
-            self.methods.ravel().tolist(),
-            self.std_errors.ravel().tolist(),
-        )
-        for (i, j, r), score, method, se in cells:
-            if method is not None:  # built
-                writer.writerow([i, j, r, repr(score), method, repr(se)])
+        if not (1 <= agents <= n and 0 <= project < m and hi <= max_r):
+            self.get(agents - 1, project, hi)  # outside the table: raises
+        cells = self.scores[:agents, project, lo - 1 : hi]
+        least = cells.min()
+        if least != least:  # the min of cells holding a NaN is NaN
+            i, r = np.argwhere(np.isnan(cells))[0].tolist()
+            self.get(i, project, lo + r)  # not built: raises
+        return cells
 
 
 def build_score_table(

@@ -107,36 +107,14 @@ def _strong_sketch_values(table: ScoreTable, j: int, teams: np.ndarray) -> np.nd
         raise ValidationError(f"strong sketch needs a replication table, got {table.kind!r}")
     B, t = teams.shape
     # the table covers every member at sizes 1..t
-    table.get(int(teams.max()), j, 1)
-    table.get(int(teams.max()), j, t)
+    block = table.block(int(teams.max()) + 1, j, 1, t)
     rows, ranked, total = np.arange(B), np.zeros((B, t), dtype=bool), np.zeros(B)
     for r in range(1, t + 1):
-        scores = np.where(ranked, -np.inf, table.scores[teams, j, r - 1])
+        scores = np.where(ranked, -np.inf, block[teams, r - 1])
         pick = scores.argmax(axis=1)
         ranked[rows, pick] = True
         total += scores[rows, pick] / r
     return total
-
-
-@dataclass(frozen=True)
-class MaxTermBound:
-    holds: bool
-    lhs: float
-    rhs: float
-    ell: int
-
-
-def max_term_bound(ev: SketchEval) -> MaxTermBound:
-    """The largest ranked score is at most twice the running average.
-
-    With ell the rank holding the largest a^r, checks
-    a^ell <= (2/ell) * sum_{r<=ell} a^r.
-    """
-    raw = [contrib * r for (_i, r, contrib) in ev.per_term]
-    ell = 1 + max(range(len(raw)), key=lambda idx: raw[idx])
-    lhs = raw[ell - 1]
-    rhs = (2.0 / ell) * sum(raw[:ell])
-    return MaxTermBound(holds=lhs <= rhs + BOUND_TOL, lhs=lhs, rhs=rhs, ell=ell)
 
 
 @dataclass(frozen=True)

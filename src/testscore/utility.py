@@ -33,6 +33,7 @@ from .core import (
     RngSpec,
     Scenario,
     ValidationError,
+    charge,
     enumeration_budget,
 )
 from .production import ValueFunction, evaluate, evaluate_batch
@@ -56,11 +57,6 @@ class UtilityEstimate:
             raise ValidationError("std_error must be 0 exactly for exact methods")
 
 
-def _charge(work: int, budget: int) -> None:
-    if work > budget:
-        raise BudgetExceededError(work, budget, what="exact expectation")
-
-
 def _linear(g: ValueFunction) -> bool:
     # total:identity, total:power:1 and ces:1 are the sum itself
     if g.kind == "ces":
@@ -73,7 +69,7 @@ def _linear(g: ValueFunction) -> bool:
 def _sum_route(g: ValueFunction, store: ProjectStore, agents, copies: int, budget: int) -> float:
     members = [store.atoms(a) for a in agents]
     if _linear(g):  # linearity of expectation: the means suffice
-        _charge(sum(len(values) for values, _, _ in members), budget)
+        charge(sum(len(values) for values, _, _ in members), budget, "exact expectation")
         return copies * sum(float(np.dot(values, probs)) for values, probs, _ in members)
     # E[h(sum phi(x_i))] from the sum's distribution, one copy at a time
     shift, sums, probs, work = 0.0, np.zeros(1), np.ones(1), 0
@@ -84,7 +80,7 @@ def _sum_route(g: ValueFunction, store: ProjectStore, agents, copies: int, budge
         terms = _phi(g, values)
         for _ in range(copies):
             work += len(sums) * len(values)
-            _charge(work, budget)
+            charge(work, budget, "exact expectation")
             sums = np.add.outer(sums, terms).ravel()
             probs = np.multiply.outer(probs, weights).ravel()
             if len(sums) > _MERGE:
@@ -321,7 +317,7 @@ def _order_route(
         grid = _grid(np.concatenate([values for values, _, _ in members]), len(teams))
     F = np.array([cdf[values.searchsorted(grid, "right")] for values, _, cdf in members])
     k = teams.shape[1]
-    _charge(len(teams) * _row_work(g, len(grid), k, copies), budget)
+    charge(len(teams) * _row_work(g, len(grid), k, copies), budget, "exact expectation")
     rows = max(1, _BLOCK // len(grid))
     parts = [
         _top_w(g, grid, F.take(teams[lo : lo + rows].T, axis=0), copies)
@@ -364,7 +360,7 @@ def _product_route(
     # 1 - prod (1 - E f(X_i)), by independence, for each row of indices
     # into ``agents``
     members = [store.atoms(a) for a in agents]
-    _charge(sum(len(values) for values, _, _ in members) + teams.size, budget)
+    charge(sum(len(values) for values, _, _ in members) + teams.size, budget, "exact expectation")
     hit = np.array([np.dot(g.f.apply(values), probs) for values, probs, _ in members])
     return 1.0 - _product(1.0 - hit.take(teams.T), copies)
 
@@ -453,7 +449,7 @@ def team_values(scn: Scenario, j: int, teams) -> np.ndarray:
     # the first row past the budget, found in Python when there is one:
     # comparing the array with the int would page in kernels used nowhere else
     if work.max() > budget:
-        _charge(next(w for w in work.tolist() if w > budget), budget)
+        charge(next(w for w in work.tolist() if w > budget), budget, "exact expectation")
     # every row fits the budget, so the routes below run unmetered
     if _linear(g):
         return _row_sums(_phi_means(g, store, scn.agents), teams) + 0.0  # as sum() from 0: -0.0 becomes 0.0

@@ -14,10 +14,15 @@ checks their team blocks and witness choice and nothing else.
 lone-call form on lists of Distribution objects, on the engine's own
 kernels, so that comparing them with the engine checks how it reads the
 packed store and nothing else.
+
+It also holds the checkers that state paper properties no command
+reports: ``diminishing_across_check`` and ``value_submodularity_check``
+of value functions, and ``max_term_bound`` of harmonic sketches.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,13 +38,12 @@ from testscore import (
     project_utility,
     strong_sketch,
 )
-from testscore.core import enumeration_budget
+from testscore.core import charge, enumeration_budget
 from testscore.scores import MC_BASE_SAMPLES, MC_MAX_ROUNDS, MC_TARGET_REL_SE
 from testscore.production import evaluate_batch
 from testscore.utility import (
     _MERGE,
     _batchable,
-    _charge,
     _expectation,
     _h,
     _linear,
@@ -135,6 +139,46 @@ def single_inverse_bisect(g, x):
         else:
             hi = mid
     return lo
+
+
+def diminishing_across_check(g, y, xgrid):
+    """True iff the marginal g(x, y, 0...) - g(x, 0...) is non-increasing
+    along the ascending grid, within 1e-9."""
+    grid = [float(v) for v in xgrid]
+    if len(grid) < 2:
+        raise ValueError("grid needs at least two points")
+    if any(b < a for a, b in zip(grid, grid[1:])):
+        raise ValueError("grid must be ascending")
+    marginals = [evaluate(g, [x, y]) - evaluate(g, [x]) for x in grid]
+    return all(b <= a + 1e-9 for a, b in zip(marginals, marginals[1:]))
+
+
+def value_submodularity_check(g, x, y):
+    """Lattice submodularity, g(x v y) + g(x ^ y) <= g(x) + g(y), within 1e-9."""
+    xa, ya = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if xa.shape != ya.shape:
+        raise ValueError("vectors must have equal length")
+    lhs = evaluate(g, np.maximum(xa, ya)) + evaluate(g, np.minimum(xa, ya))
+    return lhs <= evaluate(g, xa) + evaluate(g, ya) + 1e-9
+
+
+@dataclass(frozen=True)
+class MaxTermBound:
+    holds: bool
+    lhs: float
+    rhs: float
+    ell: int
+
+
+def max_term_bound(ev):
+    """The largest ranked score of a ``strong_sketch`` evaluation is at
+    most twice the running average: with ell the rank holding the largest
+    a^r, a^ell <= (2/ell) * sum_{r<=ell} a^r, within 1e-9."""
+    raw = [contrib * r for (_i, r, contrib) in ev.per_term]
+    ell = 1 + max(range(len(raw)), key=lambda idx: raw[idx])
+    lhs = raw[ell - 1]
+    rhs = (2.0 / ell) * sum(raw[:ell])
+    return MaxTermBound(holds=lhs <= rhs + 1e-9, lhs=lhs, rhs=rhs, ell=ell)
 
 
 def ref_mean(pairs):
@@ -391,7 +435,7 @@ def ref_lone_expectation(g, pool, copies, budget):
         return 0.0
     if g.kind in ("total", "ces"):
         if _linear(g):
-            _charge(sum(len(d) for d in pool), budget)
+            charge(sum(len(d) for d in pool), budget, "exact expectation")
             return copies * sum(float(np.dot(d.values_array, d.probs_array)) for d in pool)
         shift, sums, probs, work = 0.0, np.zeros(1), np.ones(1), 0
         for d in pool:
@@ -401,7 +445,7 @@ def ref_lone_expectation(g, pool, copies, budget):
             terms = _phi(g, d.values_array)
             for _ in range(copies):
                 work += len(sums) * len(d)
-                _charge(work, budget)
+                charge(work, budget, "exact expectation")
                 sums = np.add.outer(sums, terms).ravel()
                 probs = np.multiply.outer(probs, d.probs_array).ravel()
                 if len(sums) > _MERGE:
@@ -409,7 +453,7 @@ def ref_lone_expectation(g, pool, copies, budget):
                     probs = np.bincount(inverse, weights=probs)
         return float(np.dot(_h(g, sums + shift), probs))
     if g.kind == "success_prob":
-        _charge(sum(len(d) for d in pool) + len(pool), budget)
+        charge(sum(len(d) for d in pool) + len(pool), budget, "exact expectation")
         hit = np.array([np.dot(g.f.apply(d.values_array), d.probs_array) for d in pool])
         return float(1.0 - _product((1.0 - hit)[:, None], copies)[0])
     grid = np.sort(np.concatenate([d.values_array for d in pool]))
@@ -417,7 +461,7 @@ def ref_lone_expectation(g, pool, copies, budget):
         np.concatenate(([0.0], d.cdf_array))[d.values_array.searchsorted(grid, "right")]
         for d in pool
     ])
-    _charge(_row_work(g, len(grid), len(pool), copies), budget)
+    charge(_row_work(g, len(grid), len(pool), copies), budget, "exact expectation")
     return float(_top_w(g, grid, F[:, None, :], copies)[0])
 
 

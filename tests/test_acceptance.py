@@ -29,7 +29,6 @@ from testscore import (
     brute_force_welfare,
     bsp_check,
     build_score_table,
-    diminishing_across_check,
     gen_ces_mean_tightness,
     gen_mean_fails_bestshot,
     gen_quantile_ces,
@@ -49,6 +48,8 @@ from testscore import (
     welfare_greedy_bound,
 )
 from testscore.cli import main as cli_main
+
+from oracle_tools import diminishing_across_check
 
 TOL = 1e-9
 SEED = 20260817

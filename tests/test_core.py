@@ -21,6 +21,7 @@ from testscore import (
     mc_utility,
 )
 from testscore import utility
+from testscore.core import charge
 
 TWO_POINT = Distribution.from_pairs(((0.0, 0.5), (2.0, 0.5)))
 
@@ -312,21 +313,6 @@ class TestAssignment:
         with pytest.raises(ValidationError, match="multiple projects"):
             Assignment(sets=((0, 1), (1,)))
 
-    def test_validate_against_scenario(self):
-        g = ValueFunction.best_shot()
-        scn = Scenario(
-            dists=((TWO_POINT, TWO_POINT),) * 3,
-            value_fns=(g, g),
-            cardinalities=(1, 1),
-        )
-        Assignment(sets=((0,), (2,))).validate(scn)
-        with pytest.raises(ValidationError):
-            Assignment(sets=((0, 1), (2,))).validate(scn)  # over capacity
-        with pytest.raises(ValidationError):
-            Assignment(sets=((5,), (2,))).validate(scn)  # unknown agent
-        with pytest.raises(ValidationError):
-            Assignment(sets=((0,),)).validate(scn)  # wrong project count
-
     def test_total_assigned(self):
         assert Assignment(sets=((0, 1), (), (4,))).total_assigned() == 3
 
@@ -347,6 +333,13 @@ class TestBudget:
         monkeypatch.setenv("TESTSCORE_BUDGET", "0")
         with pytest.raises(ValidationError):
             enumeration_budget()
+
+    def test_charge_refuses_work_past_the_budget(self):
+        charge(100, 100, "exact expectation")  # at the budget: no error
+        with pytest.raises(BudgetExceededError) as exc:
+            charge(101, 100, "experiment", "2 trials x 3 team sizes")
+        assert str(exc.value) == "experiment budget exceeded: 101 > 100 (2 trials x 3 team sizes)"
+        assert exc.value.shape == "2 trials x 3 team sizes"
 
     def test_error_carries_numbers(self):
         err = BudgetExceededError(500, 100, what="subset enumeration")

@@ -77,6 +77,13 @@ def point_scenario(n, ks):
     )
 
 
+def unbuilt_table(agent, r):
+    # a 3-agent, one-project table at sizes 1..2 whose cell (agent, 0, r) is unbuilt
+    scores = np.array([[[3.0, 2.0]], [[2.0, 1.5]], [[1.0, 1.0]]])
+    scores[agent, 0, r - 1] = np.nan
+    return ScoreTable(kind="replication", scores=scores)
+
+
 def pairs_of(scn, j):
     return [list(zip(scn.dist(i, j).values, scn.dist(i, j).probs)) for i in scn.agents]
 
@@ -107,6 +114,11 @@ class TestGreedyTopK:
         res = greedy_topk(scn, 0, 2, table)
         assert sorted(res.assignment.sets[0]) == [1, 2]
         assert res.total == pytest.approx(3.0)
+
+    def test_refuses_an_unbuilt_cell_of_its_column(self):
+        # agent 1's NaN would sort last and leave (0, 2) picked
+        with pytest.raises(ValidationError, match="agent 1, project 0, r=2 was not built"):
+            greedy_topk(point_scenario(3, [2]), 0, 2, unbuilt_table(1, 2))
 
     def test_k_equals_n_selects_everyone(self):
         scn = Scenario.single_project([TWO_POINT] * 3, ValueFunction.best_shot(), 3)
@@ -706,8 +718,9 @@ class TestGreedyWelfare:
         )
         table = build_score_table(scn, "replication", max_r=2)
         res = greedy_welfare(scn, table, tie_rng=RngSpec(seed=3))
-        res.assignment.validate(scn)
-        assert res.assignment.total_assigned() == 4
+        # every project filled to its cap, every agent known
+        assert [len(S) for S in res.assignment.sets] == [2, 2]
+        assert sorted(i for S in res.assignment.sets for i in S) == [0, 1, 2, 3]
 
     def test_deterministic_reruns_identical(self):
         gen = np.random.default_rng(68)
@@ -738,6 +751,11 @@ class TestGreedyWelfare:
             assert [(t.step, t.agent, t.project, t.score) for t in res.score_trace] == trace
             assert all(type(t.agent) is int and type(t.project) is int for t in res.score_trace)
             assert res.sketch_objective == float(sum(t[3] for t in trace))
+
+    def test_refuses_an_unbuilt_cell_of_its_block(self):
+        # argmax would take agent 0's NaN at r = 1 first, a NaN in the trace
+        with pytest.raises(ValidationError, match="agent 0, project 0, r=1 was not built"):
+            greedy_welfare(point_scenario(3, [2]), unbuilt_table(0, 1))
 
     def test_table_must_cover_the_scenario(self):
         table = tied_table(np.random.default_rng(92), 3, 2, 2)
@@ -845,6 +863,11 @@ class TestSketchBaselines:
                 scn, table, lambda j, S: strong_sketch(table, j, S).strong
             )
             assert best.sketch_objective == pytest.approx(want, abs=1e-12)
+
+    def test_min_sketch_refuses_an_unbuilt_cell(self):
+        # agent 1's NaN at r = 2 would make the min-sketch objective NaN
+        with pytest.raises(ValidationError, match="agent 1, project 0, r=2 was not built"):
+            baseline_min_sketch_welfare(point_scenario(3, [2]), unbuilt_table(1, 2))
 
     def test_single_agent_everything_agrees(self):
         scn = Scenario.single_project([TWO_POINT], ValueFunction.best_shot(), 1)

@@ -11,21 +11,21 @@ from testscore import (
     UnitFn,
     ValueFunction,
     bsp_check,
-    diminishing_across_check,
     evaluate,
     evaluate_batch,
     single_inverse,
-    value_submodularity_check,
 )
 from testscore import core
 from testscore.production import ValidationError
 from oracle_tools import (
+    diminishing_across_check,
     fn_best_shot,
     fn_ces,
     fn_success,
     fn_top_r,
     fn_total,
     single_inverse_bisect,
+    value_submodularity_check,
 )
 
 CATALOGUE = [

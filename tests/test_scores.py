@@ -1,8 +1,10 @@
 """Test scores: mean, quantile tail integral, replication, score tables."""
 
+import csv
 import io
 import json
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -21,7 +23,6 @@ from testscore import (
     greedy_topk,
     greedy_welfare,
     mean_score,
-    quantile_level,
     quantile_score,
     replication_score,
 )
@@ -32,7 +33,6 @@ from testscore.scores import (
     MC_BASE_SAMPLES,
     MC_MAX_ROUNDS,
     MC_TARGET_REL_SE,
-    ScoreDiag,
     ScoreTable,
 )
 from testscore.utility import _MERGE, _expectation, _mc, _member_rows
@@ -54,6 +54,26 @@ PAIRED = [
 TAGS = [value_fn_tag(g) for g, _ in PAIRED]
 
 TWO_POINT = Distribution.from_pairs(((0.0, 0.5), (2.0, 0.5)))
+
+
+def table_csv(table: ScoreTable) -> str:
+    """The table's built cells as CSV text, one row per cell in (agent,
+    project, r) order: agent, project, r, score, method and std_error, the
+    floats as their repr."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["agent", "project", "r", "score", "method", "std_error"])
+    n, m, max_r = table.scores.shape
+    cells = zip(
+        product(range(n), range(m), range(1, max_r + 1)),
+        table.scores.ravel().tolist(),
+        table.methods.ravel().tolist(),
+        table.std_errors.ravel().tolist(),
+    )
+    for (i, j, r), score, method, se in cells:
+        if method is not None:  # built
+            writer.writerow([i, j, r, repr(score), method, repr(se)])
+    return buf.getvalue()
 
 
 class TestMeanScore:
@@ -126,14 +146,6 @@ class TestQuantileScore:
             quantile_score(TWO_POINT, 1.0)
         with pytest.raises(ValidationError):
             quantile_score(TWO_POINT, -0.1)
-
-    def test_level_conversion(self):
-        assert quantile_level(1.0, 16) == pytest.approx(1.0 - 1.0 / 16)
-        assert quantile_level(4.0, 4) == 0.0
-        with pytest.raises(ValidationError):
-            quantile_level(0.0, 4)
-        with pytest.raises(ValidationError):
-            quantile_level(5.0, 4)
 
 
 class TestReplicationScore:
@@ -346,9 +358,7 @@ class TestScoreTable:
 
     def test_csv_round_trips_floats(self):
         table = build_score_table(self.scn(), "replication", max_r=2)
-        buf = io.StringIO()
-        table.to_csv(buf)
-        lines = buf.getvalue().strip().splitlines()
+        lines = table_csv(table).strip().splitlines()
         assert lines[0] == "agent,project,r,score,method,std_error"
         assert len(lines) == 1 + 3 * 2
         first = lines[1].split(",")
@@ -359,12 +369,12 @@ class TestScoreTable:
         d = Distribution.from_pairs(((0.0, 0.3), (1.0, 0.3), (2.0, 0.4)))
         scn = Scenario.single_project([d] * 2, ValueFunction.ces(2.0), 2)
         table = build_score_table(scn, "replication", max_r=2, rng=RngSpec(seed=5))
-        diag = table.diag(0, 0, 2)
-        assert diag.method == "monte_carlo"
-        assert diag.std_error > 0
+        se = table.std_errors[0, 0, 1]
+        assert table.methods[0, 0, 1] == "monte_carlo"
+        assert se > 0
         monkeypatch.setenv("TESTSCORE_BUDGET", str(10**6))
         exact = replication_score(ValueFunction.ces(2.0), d, 2)
-        assert abs(table.get(0, 0, 2) - exact) <= 6 * max(diag.std_error, 1e-9)
+        assert abs(table.get(0, 0, 2) - exact) <= 6 * max(se, 1e-9)
 
     def test_mc_fallback_disabled_raises(self, monkeypatch):
         monkeypatch.setenv("TESTSCORE_BUDGET", "3")
@@ -376,7 +386,7 @@ class TestScoreTable:
     def test_best_shot_closed_form_ignores_budget(self, monkeypatch):
         monkeypatch.setenv("TESTSCORE_BUDGET", "3")
         table = build_score_table(self.scn(), "replication", max_r=2)
-        assert table.diag(0, 0, 2).method == "exact_best_shot"
+        assert table.methods[0, 0, 1] == "exact_best_shot"
 
     def test_deterministic_mc_tables(self, monkeypatch):
         monkeypatch.setenv("TESTSCORE_BUDGET", "3")
@@ -396,14 +406,12 @@ class TestScoreTable:
         table = build_score_table(self.scn(), "replication", max_r=2)
         with pytest.raises(ValidationError, match="missing table entry"):
             table.get(*cell)
-        with pytest.raises(ValidationError, match="missing table entry"):
-            table.diag(*cell)
 
     def test_hand_built_table_reads_its_kind(self):
         table = ScoreTable(kind="mean", scores=np.arange(6.0).reshape(3, 1, 2))
         assert table.max_r == 2
         assert table.get(2, 0, 2) == 5.0
-        assert table.diag(2, 0, 2).method == "mean"
+        assert table.methods[2, 0, 1] == "mean"
         assert not table.scores.flags.writeable
         with pytest.raises(ValidationError):
             ScoreTable(kind="mean", scores=np.zeros((3, 2)))
@@ -418,13 +426,29 @@ class TestScoreTable:
         assert np.isnan(table.std_errors[1, 0, 1]) and np.isnan(table.std_errors).sum() == 1
         with pytest.raises(ValidationError, match="agent 1, project 0, r=2 was not built"):
             table.get(1, 0, 2)
-        with pytest.raises(ValidationError, match="was not built"):
-            table.diag(1, 0, 2)
-        assert table.get(1, 0, 1) == 2.0 and table.diag(1, 0, 1) == ScoreDiag("replication", 0.5)
-        buf = io.StringIO()
-        table.to_csv(buf)
-        rows = [row.split(",")[:3] for row in buf.getvalue().splitlines()[1:]]
+        assert table.get(1, 0, 1) == 2.0
+        assert table.methods[1, 0, 0] == "replication" and table.std_errors[1, 0, 0] == 0.5
+        rows = [row.split(",")[:3] for row in table_csv(table).splitlines()[1:]]
         assert len(rows) == 5 and ["1", "0", "2"] not in rows
+
+
+    def test_block_refuses_its_first_unbuilt_cell(self):
+        scores = np.arange(12.0).reshape(3, 2, 2)
+        table = ScoreTable(kind="replication", scores=scores)
+        block = table.block(2, 1, 1, 2)
+        assert block.tolist() == [[2.0, 3.0], [6.0, 7.0]] and not block.flags.writeable
+        assert table.block(3, 0, 2, 2).tolist() == [[1.0], [5.0], [9.0]]
+        for args in ((4, 0, 1, 2), (3, 2, 1, 1), (3, -1, 1, 1), (3, 0, 1, 3), (0, 0, 1, 1)):
+            with pytest.raises(ValidationError, match="missing table entry"):
+                table.block(*args)
+        scores[2, 0, 0] = scores[1, 0, 1] = np.nan
+        table = ScoreTable(kind="replication", scores=scores)
+        # (agent, r) order: agent 1 at r = 2 before agent 2 at r = 1
+        with pytest.raises(ValidationError, match="agent 1, project 0, r=2 was not built"):
+            table.block(3, 0, 1, 2)
+        with pytest.raises(ValidationError, match="agent 2, project 0, r=1 was not built"):
+            table.block(3, 0, 1, 1)
+        assert table.block(2, 0, 1, 1).tolist() == [[0.0], [4.0]]
 
 
 def _spread(s, shift):
@@ -457,7 +481,8 @@ class TestTableMatchesReplicationScore:
         for i, d in enumerate(dists):
             for r in range(1, k + 1):
                 assert table.get(i, 0, r) == replication_score(g, d, r), (i, r)
-                assert table.diag(i, 0, r) == ScoreDiag(method=method)
+                assert table.methods[i, 0, r - 1] == method
+                assert table.std_errors[i, 0, r - 1] == 0.0
 
     @pytest.mark.parametrize("g", [g for g, _ in PAIRED], ids=TAGS)
     def test_columns_do_not_depend_on_max_r_property(self, g):
@@ -519,7 +544,7 @@ def _mixed_dist(i, j, s):
     return Distribution(values, tuple((t + 1) / (s * (s + 1) / 2) for t in range(s)))
 
 
-# to_csv of the mixed table with RngSpec(seed=11), as the per-cell loop
+# table_csv of the mixed table with RngSpec(seed=11), as the per-cell loop
 # that preceded column batching wrote it
 MIXED_CSV = """\
 agent,project,r,score,method,std_error
@@ -576,7 +601,7 @@ def check_cells(scn, max_r, rng):
         for j in scn.projects:
             g, d = scn.value_fns[j], scn.dist(i, j)
             for r in range(1, max_r + 1):
-                diag = table.diag(i, j, r)
+                method, std_error = table.methods[i, j, r - 1], table.std_errors[i, j, r - 1]
                 try:
                     want = replication_score(g, d, r)
                 except BudgetExceededError:
@@ -589,11 +614,11 @@ def check_cells(scn, max_r, rng):
                         if se <= MC_TARGET_REL_SE * max(abs(want), 1e-12):
                             break
                         samples *= 2
-                    assert diag == ScoreDiag(method="monte_carlo", std_error=se)
+                    assert (method, std_error) == ("monte_carlo", se)
                     mc.add((i, j, r))
                 else:
-                    assert diag.method in ("exact", "exact_best_shot")
-                    assert diag.std_error == 0.0
+                    assert method in ("exact", "exact_best_shot")
+                    assert std_error == 0.0
                 assert table.get(i, j, r) == want, (i, j, r)
     assert {tuple(c) for c in np.argwhere(table.methods == "monte_carlo")} == {
         (i, j, r - 1) for i, j, r in mc
@@ -650,9 +675,7 @@ class TestMixedTable:
 
     def test_csv_is_byte_identical(self, tiny_budget):
         table = build_score_table(mixed_scenario(), "replication", max_r=2, rng=RngSpec(seed=11))
-        buf = io.StringIO()
-        table.to_csv(buf)
-        assert buf.getvalue().replace("\r\n", "\n") == MIXED_CSV
+        assert table_csv(table) == MIXED_CSV
 
     def test_no_fallback_raises_first_cell_in_agent_order(self, tiny_budget):
         scn = mixed_scenario()
@@ -698,7 +721,8 @@ class TestSumColumns:
                 for r in range(1, max_r + 1):
                     want = replication_score(scn.value_fns[j], scn.dist(i, j), r)
                     assert table.get(i, j, r).hex() == want.hex(), (i, j, r)
-                    assert table.diag(i, j, r) == ScoreDiag(method="exact")
+                    assert table.methods[i, j, r - 1] == "exact"
+                    assert table.std_errors[i, j, r - 1] == 0.0
 
     @pytest.mark.parametrize("g", SUM_VARIANTS, ids=[value_fn_tag(g) for g in SUM_VARIANTS])
     def test_many_rows_per_support_length(self, g, monkeypatch):
@@ -965,7 +989,7 @@ class TestColumnRanges:
             with pytest.raises(ValidationError, match=f"project {j}, r={r} was not built"):
                 table.get(0, j, r)
             with pytest.raises(ValidationError, match="was not built"):
-                table.diag(4, j, r)
+                table.get(4, j, r)
         for j, r in ((0, 2), (1, 1), (2, 1), (2, 2), (3, 2)):
             assert table.get(4, j, r) == table.scores[4, j, r - 1]
         # outside the table the error is the one every table raises
@@ -1005,9 +1029,7 @@ class TestColumnRanges:
             mixed_scenario(), "replication", max_r=2, rng=RngSpec(seed=11), columns=[(1, 2)] * 4
         )
         assert not np.isnan(table.scores).any()
-        buf = io.StringIO()
-        table.to_csv(buf)
-        assert buf.getvalue().replace("\r\n", "\n") == MIXED_CSV
+        assert table_csv(table) == MIXED_CSV
 
     def test_csv_lists_the_built_cells(self, monkeypatch):
         monkeypatch.setenv("TESTSCORE_BUDGET", "6")
@@ -1015,15 +1037,13 @@ class TestColumnRanges:
         table = build_score_table(
             mixed_scenario(), "replication", max_r=2, rng=RngSpec(seed=11), columns=columns
         )
-        buf = io.StringIO()
-        table.to_csv(buf)
         header, *rows = MIXED_CSV.splitlines()
         built = []
         for row in rows:
             j, r = map(int, row.split(",")[1:3])
             if columns[j][0] <= r <= columns[j][1]:
                 built.append(row)
-        assert buf.getvalue().replace("\r\n", "\n") == "\n".join([header] + built) + "\n"
+        assert table_csv(table) == "\n".join([header] + built) + "\n"
 
     @pytest.mark.parametrize(
         "columns",

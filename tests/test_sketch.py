@@ -15,7 +15,6 @@ from testscore import (
     ValidationError,
     ValueFunction,
     build_score_table,
-    max_term_bound,
     minmax_sketch,
     project_utility,
     random_bsp_scenario,
@@ -27,7 +26,7 @@ from testscore.core import RngSpec
 from testscore.sketch import _strong_sketch_values
 from testscore.utility import _subsets
 
-from oracle_tools import ref_verify_bracket
+from oracle_tools import max_term_bound, ref_verify_bracket
 
 
 def table_from(entries, max_r, kind="replication"):
@@ -149,6 +148,12 @@ class TestStrongSketchValues:
                     got = _strong_sketch_values(table, j, teams).tolist()
                     want = [strong_sketch(table, j, S).strong for S in teams.tolist()]
                     assert [x.hex() for x in got] == [x.hex() for x in want], (n, j, t)
+
+    def test_refuses_an_unbuilt_cell(self):
+        # agent 0 takes rank 2 of team (0, 1), so its NaN would make that value NaN
+        table = ScoreTable(kind="replication", scores=[[[1.0, np.nan]], [[2.0, 2.0]], [[3.0, 3.0]]])
+        with pytest.raises(ValidationError, match="agent 0, project 0, r=2 was not built"):
+            _strong_sketch_values(table, 0, np.array([[0, 1], [0, 2]]))
 
     def test_rejects_the_tables_strong_sketch_rejects(self):
         table = table_from({(i, r): 1.0 for i in range(3) for r in (1, 2)}, max_r=2)

@@ -1,6 +1,8 @@
 """Source hygiene: every name a module imports is used in that module,
-every private module-level name is used somewhere in the package, and the
-package exports exactly its public names."""
+every private module-level name is used somewhere in the package, every
+public function, class and method is named somewhere in the package
+outside its own definition, and the package exports exactly its public
+names."""
 
 import ast
 import re
@@ -41,11 +43,28 @@ def test_finds_an_unused_import():
     assert unused_imports(source) == ["math (line 1)", "sep (line 2)"]
 
 
+def unreferenced(sources: dict[str, str], defined) -> list[str]:
+    """The ``defined`` names, each given as (name, module, first line,
+    last line) of its definition, that no line of ``sources`` (module name
+    -> source) names as a word outside that definition."""
+    lines = {module: source.splitlines() for module, source in sources.items()}
+    return [
+        f"{name} ({module} line {first})"
+        for name, module, first, last in defined
+        if not any(
+            re.search(rf"\b{name}\b", line)
+            for other, text in lines.items()
+            for number, line in enumerate(text, 1)
+            if other != module or not first <= number <= last
+        )
+    ]
+
+
 def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
     """The module-level _private functions, classes and constants of
     ``sources`` (module name -> source) that no line names as a word
     outside their own definition."""
-    defined = []  # (name, module, first line, last line)
+    defined = []
     for module, source in sources.items():
         for node in ast.parse(source).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -60,17 +79,7 @@ def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
                 for name in names
                 if name.startswith("_") and not name.startswith("__")
             ]
-    lines = {module: source.splitlines() for module, source in sources.items()}
-    return [
-        f"{name} ({module} line {first})"
-        for name, module, first, last in defined
-        if not any(
-            re.search(rf"\b{name}\b", line)
-            for other, text in lines.items()
-            for number, line in enumerate(text, 1)
-            if other != module or not first <= number <= last
-        )
-    ]
+    return unreferenced(sources, defined)
 
 
 def test_private_names_are_used():
@@ -86,16 +95,61 @@ def test_finds_an_unreferenced_private_name():
     assert unreferenced_private_names(sources) == ["_self (a line 1)", "_LIMIT (a line 7)"]
 
 
+def unreferenced_public_names(sources: dict[str, str]) -> list[str]:
+    """The public module-level functions and classes of ``sources``, and
+    the public methods of those classes, that no line names as a word
+    outside their own definition."""
+    defined = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            body = node.body if isinstance(node, ast.ClassDef) else []
+            defined += [
+                (d.name, module, d.lineno, d.end_lineno)
+                for d in [node] + [m for m in body if isinstance(m, ast.FunctionDef)]
+                if not d.name.startswith("_")
+            ]
+    return unreferenced(sources, defined)
+
+
+# public names no other package code calls, each kept for a reason
+UNCALLED_PUBLIC = {
+    # the benchmark's check_suites workload draws its welfare scenarios with it
+    "random_welfare_scenario",
+    # the tests' reference for min/max sketch values; the benchmark traces it
+    "minmax_sketch",
+}
+
+
+def test_public_names_are_used():
+    # the package's __init__.py only re-exports, so it names every public name
+    sources = {path.stem: path.read_text() for path in MODULES}
+    found = unreferenced_public_names(sources)
+    assert sorted(entry.split()[0] for entry in found) == sorted(UNCALLED_PUBLIC), found
+
+
+def test_finds_an_unreferenced_public_name():
+    sources = {
+        "a": (
+            "class Kept:\n    def used(self):\n        return Kept()\n\n"
+            "    def dead(self):\n        return self.used()\n\n\n"
+            "def lonely(n):\n    return lonely(n - 1)\n\n\ndef _hidden():\n    pass\n"
+        ),
+        "b": "from .a import Kept\nKept().used()\n",
+    }
+    assert unreferenced_public_names(sources) == ["dead (a line 5)", "lonely (a line 9)"]
+
+
 # the package's public names, in the order testscore/__init__.py imports them
 PUBLIC_NAMES = """
 Assignment BudgetExceededError Distribution ProjectStore RngSpec Scenario
 ValidationError dist_mean empirical_distribution enumeration_budget
 BspResult ConcaveFn InverseUnboundedError UnitFn ValueFunction bsp_check
-diminishing_across_check evaluate evaluate_batch single_inverse
-value_submodularity_check SubmodularityReport UtilityEstimate mc_utility
-project_utility submodularity_check ScoreDiag ScoreTable build_score_table
-mean_score quantile_level quantile_score replication_score BoundWitness MaxTermBound
-SketchBoundReport SketchEval max_term_bound minmax_sketch strong_sketch
+evaluate evaluate_batch single_inverse SubmodularityReport UtilityEstimate
+mc_utility project_utility submodularity_check ScoreTable build_score_table
+mean_score quantile_score replication_score BoundWitness SketchBoundReport
+SketchEval minmax_sketch strong_sketch
 verify_goodness_sandwich verify_strong_sketch_bounds ApproxReport
 SINGLE_GREEDY_BOUND SelectionResult TraceStep approximation_report
 baseline_max_sketch_welfare baseline_min_sketch_welfare
