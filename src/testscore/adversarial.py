@@ -306,8 +306,8 @@ def _measure_selection(
     k = int(inst.params["k"])
     theta = inst.params.get("theta_cut")
     table = build_score_table(scn, scores, max_r=k, theta=theta, columns=[(k, k)])
-    greedy = greedy_topk(scn, 0, k, table).total
-    opt = brute_force_single(scn, 0, k).total
+    oracle = brute_force_single(scn, 0, k)
+    greedy, opt = greedy_topk(scn, 0, k, table, known=oracle).total, oracle.total
     quantities = {"greedy": greedy, "opt": opt, "ratio": greedy / opt}
     if "risky" in names.values():
         quantities["risky"] = project_utility(scn, 0, range(k, 2 * k)).value

@@ -133,7 +133,9 @@ def cmd_select(args) -> int:
     view = Scenario(None, (scn.value_fns[j],), (k,), stores=(scn.store(j),))
     # greedy_topk reads column k alone
     table = build_score_table(view, kind, max_r=k, theta=theta, columns=[(k, k)])
-    result = greedy_topk(view, 0, k, table)
+    # the oracle runs first: greedy reuses its objective when it picks the same team
+    oracle = brute_force_single(view, 0, k) if args.oracle else None
+    result = greedy_topk(view, 0, k, table, known=oracle)
     report = {
         "project": loaded.project_names[j],
         "scores": args.scores,
@@ -141,8 +143,7 @@ def cmd_select(args) -> int:
         "selected": [loaded.agent_names[i] for i in result.assignment.sets[0]],
         "result": result.to_json(),
     }
-    if args.oracle:
-        oracle = brute_force_single(view, 0, k)
+    if oracle is not None:
         approx = approximation_report(view, result, oracle)
         report["oracle"] = oracle.to_json()
         report["oracle_selected"] = [
@@ -332,8 +333,8 @@ def _experiment_trial(packed) -> list[tuple]:
     table = build_score_table(sub, "replication", max_r=max(ks), columns=[(min(ks), max(ks))])
     rows = []
     for k in ks:
-        greedy = greedy_topk(sub, 0, k, table)
         oracle = brute_force_single(sub, 0, k)
+        greedy = greedy_topk(sub, 0, k, table, known=oracle)
         ratio = 1.0 if oracle.total <= 0 else greedy.total / oracle.total
         rows.append((trial, k, greedy.total, oracle.total, ratio))
     return rows

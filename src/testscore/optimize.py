@@ -134,12 +134,16 @@ def _result(
     )
 
 
-def greedy_topk(scn: Scenario, j: int, k: int, table: ScoreTable) -> SelectionResult:
+def greedy_topk(
+    scn: Scenario, j: int, k: int, table: ScoreTable, known: Optional[SelectionResult] = None
+) -> SelectionResult:
     """Pick the k agents with the largest size-k score for project j.
 
     Ties go to the smaller agent id. The reported objective is exact when
     the joint outcome space fits the enumeration budget and Monte Carlo
-    (seed 0) past it.
+    (seed 0) past it. ``known``, another selection on the same scenario
+    (the oracle's, say), lends its objective for project j when it picked
+    the same team, which is then not scored again.
     """
     if k < 1 or k > scn.n_agents:
         raise ValidationError(f"k must be in 1..{scn.n_agents}, got {k}")
@@ -150,8 +154,10 @@ def greedy_topk(scn: Scenario, j: int, k: int, table: ScoreTable) -> SelectionRe
         TraceStep(step=t + 1, agent=i, project=j, score=s)
         for t, (i, s) in enumerate(zip(ranked, scores[ranked].tolist()))
     )
-    sets = [() if jj != j else tuple(sorted(ranked)) for jj in scn.projects]
-    return _result(scn, sets, trace=trace)
+    team = tuple(sorted(ranked))
+    sets = [() if jj != j else team for jj in scn.projects]
+    same = known is not None and known.assignment.sets[j] == team
+    return _result(scn, sets, trace=trace, known={j: known.per_project[j]} if same else None)
 
 
 def greedy_welfare(

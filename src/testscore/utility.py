@@ -5,7 +5,7 @@ of agents of one project's packed store (``core.ProjectStore``), each
 member's atoms read as views of the store's arrays: a team passes one copy
 per agent, a replication score a^r passes r copies of one agent. It never
 enumerates the outcome product: ``total`` and ``ces`` build the
-distribution of the sum of phi(x_i) copy by copy (``_sum_route``),
+distribution of the sum of phi(x_i) member by member (``_sum_rows``),
 ``best_shot`` and ``top_r`` count the members above each support point
 (``_order_route``), and ``success_prob`` factorizes (``_product_route``).
 Each route takes the form its input's shape runs fastest in: a lone team
@@ -13,9 +13,12 @@ on its own sorted atoms; one-member rows, such as a score table's columns,
 on the store's length groups (``_member_rows``); blocks of teams in
 ``team_values``, each row equal to its own ``project_utility`` call bit
 for bit (best-shot and top-r rows on their own supports, from the store's
-padded atoms; non-linear sum-route rows one at a time); and the
-single-project oracle's screen on the project's merged grid. Monte Carlo
-(``_mc``) covers work past the budget.
+padded atoms; non-linear sum-route rows in blocks padded to the longest
+support at each member position); and the single-project oracle's screen
+on the project's merged grid. Every non-linear sum-route value ends in a
+left-to-right sum over its cells (``_sum_cells``), to which a padded cell
+adds +0.0, so it keeps its bits in any block and under any BLAS kernel.
+Monte Carlo (``_mc``) covers work past the budget.
 """
 
 from __future__ import annotations
@@ -66,27 +69,106 @@ def _linear(g: ValueFunction) -> bool:
     )
 
 
-def _sum_route(g: ValueFunction, store: ProjectStore, agents, copies: int, budget: int) -> float:
-    members = [store.atoms(a) for a in agents]
-    if _linear(g):  # linearity of expectation: the means suffice
-        charge(sum(len(values) for values, _, _ in members), budget, "exact expectation")
-        return copies * sum(float(np.dot(values, probs)) for values, probs, _ in members)
-    # E[h(sum phi(x_i))] from the sum's distribution, one copy at a time
+def _sum_rows(g: ValueFunction, store: ProjectStore, rows: np.ndarray, budget: int) -> np.ndarray:
+    """E[h(sum phi(x))] on the non-linear ``total``/``ces`` route for each
+    row of ``rows``, a (B, K) array of the store's agent ids, K >= 1: a
+    team, or r copies of one agent for a replication score. Each row is
+    priced as its own call, each member of s > 1 atoms at the partial-sum
+    atoms it is added to times s, and the first row past the budget, in
+    the given order, raises its own BudgetExceededError.
+
+    A lone row, and a row whose partial sums pass _MERGE atoms, runs on
+    its own atoms (``_lone_row``); the others run in blocks of at most
+    _BLOCK padded cells (``_padded_rows``). Either way a row ends in the
+    left-to-right sum of h(sum + shift) * p over its cells in member
+    order (``_sum_cells``), to which a padded cell adds +0.0, so a row's
+    value depends neither on its block nor on the BLAS kernel."""
+    if len(rows) == 1:
+        return np.array([_lone_row(g, store, rows[0].tolist(), budget)])
+    lengths = store.lengths[rows]
+    out, batch = np.empty(len(rows)), np.arange(len(rows))
+    cap = math.prod(lengths.max(axis=0).tolist())  # bounds every row's partial-sum atoms
+    if cap > _MERGE or cap * rows.shape[1] > budget:  # some row may merge or pass the budget
+        # each row's partial-sum atoms after each member (in floats: only
+        # rows that stay under _MERGE need them exact), and its work so far
+        atoms = np.cumprod(lengths, axis=1, dtype=float)
+        work = np.cumsum(np.where(lengths > 1, atoms, 0.0), axis=1)
+        alone = atoms[:, -1] > _MERGE
+        over = np.flatnonzero(~alone & (work[:, -1] > budget))
+        first = int(over[0]) if len(over) else len(rows)
+        # the merging rows ahead of the first batch row past the budget
+        # charge as they go
+        for i in np.flatnonzero(alone[:first]).tolist():
+            out[i] = _lone_row(g, store, rows[i].tolist(), budget)
+        if first < len(rows):
+            steps = work[first]
+            charge(int(steps[steps > budget][0]), budget, "exact expectation")
+        batch = batch[~alone]
+        cap = math.prod(lengths[batch].max(axis=0, initial=1).tolist())
+    per = max(1, _BLOCK // cap)  # rows per block: no block pads past _BLOCK cells
+    for lo in range(0, len(batch), per):
+        block = batch[lo : lo + per]
+        out[block] = _padded_rows(g, store, rows[block], lengths[block])
+    return out
+
+
+def _padded_rows(g: ValueFunction, store: ProjectStore, rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    # one block of ``_sum_rows``: each member position padded to the
+    # longest support at it with atoms of term 0.0 and probability 0.0,
+    # and a point mass's term moved into its row's shift, leaving 0.0
+    # with probability 1.0; a position of point masses alone adds nothing
+    width = lengths.max(axis=0).tolist()
+    steps = np.arange(max(width))
+    cells = store.offsets[rows][:, :, None] + steps
+    pad = steps >= lengths[:, :, None]
+    terms = _phi(g, store.values.take(cells, mode="clip"))
+    probs = store.probs.take(cells, mode="clip")
+    terms[pad], probs[pad] = 0.0, 0.0
+    shift = None
+    if lengths.min() == 1:
+        point = lengths == 1
+        shift = np.add.accumulate(np.where(point, terms[:, :, 0], 0.0), axis=1)[:, -1:]
+        terms[:, :, 0][point], probs[:, :, 0][point] = 0.0, 1.0
+    members = [(terms[:, c, :w], probs[:, c, :w]) for c, w in enumerate(width) if w > 1]
+    return _sum_cells(g, members or [(terms[:, 0, :1], probs[:, 0, :1])], shift)
+
+
+def _lone_row(g: ValueFunction, store: ProjectStore, row, budget: int) -> float:
+    # one row of ``_sum_rows`` on its own atoms, a point mass's term moved
+    # into the shift, charged step by step, with equal partial sums merged
+    # once they pass _MERGE atoms
     shift, sums, probs, work = 0.0, np.zeros(1), np.ones(1), 0
-    for values, weights, _ in members:
-        if len(values) == 1:  # a point mass only moves the sum, by a Python scalar
-            shift += copies * _phi(g, float(values[0]))
-            continue
+    for a in row:
+        values, weights, _ = store.atoms(a)
         terms = _phi(g, values)
-        for _ in range(copies):
-            work += len(sums) * len(values)
-            charge(work, budget, "exact expectation")
-            sums = np.add.outer(sums, terms).ravel()
-            probs = np.multiply.outer(probs, weights).ravel()
-            if len(sums) > _MERGE:
-                sums, inverse = np.unique(sums, return_inverse=True)
-                probs = np.bincount(inverse, weights=probs)
-    return float(np.dot(_h(g, sums + shift), probs))
+        if len(values) == 1:
+            shift += float(terms[0])
+            continue
+        work += len(sums) * len(values)
+        charge(work, budget, "exact expectation")
+        sums = np.add.outer(sums, terms).ravel()
+        probs = np.multiply.outer(probs, weights).ravel()
+        if len(sums) > _MERGE:
+            sums, inverse = np.unique(sums, return_inverse=True)
+            probs = np.bincount(inverse, weights=probs)
+    return float(_sum_cells(g, [(sums[None], probs[None])], shift)[0])
+
+
+def _sum_cells(g: ValueFunction, members, shift=None) -> np.ndarray:
+    """Each row's sum of h(sum + shift) * p over the outer product of its
+    members' cells. ``members`` holds one or more (terms, probs) pairs of
+    (B, w) arrays, stepped in member by member onto a sum of 0.0 and a
+    probability of 1.0; ``shift``, if given, broadcasts to (B, 1). The sum
+    over a row's cells runs left to right, so a cell of probability 0.0
+    adds +0.0 (h is finite and non-negative) and changes no bit."""
+    (terms, weights), *rest = members
+    sums = terms + 0.0  # as 0.0 + terms: -0.0 becomes 0.0
+    for terms, probs in rest:
+        sums = (sums[:, :, None] + terms[:, None, :]).reshape(len(sums), -1)
+        weights = (weights[:, :, None] * probs[:, None, :]).reshape(len(sums), -1)
+    if shift is not None:
+        sums += shift
+    return np.add.accumulate(_h(g, sums) * weights, axis=1)[:, -1]
 
 
 def _phi(g: ValueFunction, x):
@@ -121,8 +203,10 @@ def _member_rows(
     alone, written to ``out`` (by default a new array of NaNs, one entry
     per agent) at the agent's index, and returned. The agents of one
     support length are scored together on the store's length group, each
-    row on its own support and with its own dot products, so every entry
-    equals ``_expectation`` on that agent alone bit for bit. Rows that
+    row on its own support and with its own dot products or, on the
+    non-linear sum route, its own left-to-right sum (``_sum_cells``), so
+    every entry equals ``_expectation`` on that agent alone bit for bit.
+    Rows that
     are not ``_batchable`` under the budget are skipped, their entries
     left as they are, so the block as a whole needs no metering."""
     out = np.full(len(store), np.nan) if out is None else out
@@ -135,20 +219,12 @@ def _member_rows(
             out[agents] = 1.0 - _product((1.0 - _row_dots(g.f.apply(values), probs))[None], copies)
         elif _linear(g):
             out[agents] = copies * _row_dots(values, probs)
-        elif s == 1:
-            # a point mass only shifts the sum, which starts at 0.0, by a
-            # Python scalar as the engine does (numpy's power can round
-            # differently)
-            out[agents] = _h(g, np.array([0.0 + copies * _phi(g, v) for v in values[:, 0].tolist()]))
         else:
-            # the copies are stepped in by broadcast outer sums and
-            # products, as ``_sum_route`` steps them into one row
-            terms = _phi(g, values)
-            sums, weights = np.zeros((len(agents), 1)), np.ones((len(agents), 1))
-            for _ in range(copies):
-                sums = (sums[:, :, None] + terms[:, None, :]).reshape(len(agents), -1)
-                weights = (weights[:, :, None] * probs[:, None, :]).reshape(len(agents), -1)
-            out[agents] = _row_dots(_h(g, sums), weights)
+            # the r copies of each agent as r members; a point mass's
+            # copies, its only terms, sum from 0.0 to the shift
+            # ``_padded_rows`` would move them into, bit for bit
+            member = (_phi(g, values), probs)
+            out[agents] = _sum_cells(g, [member] * copies)
     return out
 
 
@@ -375,8 +451,11 @@ def _expectation(g: ValueFunction, store: ProjectStore, agents, copies: int, bud
     per member), summed supports plus members on the product route."""
     if not len(agents):
         return 0.0  # g(0, ..., 0) = 0 across the catalogue
+    if g.kind in ("total", "ces") and _linear(g):  # linearity of expectation: the means suffice
+        charge(int(store.lengths[list(agents)].sum()), budget, "exact expectation")
+        return copies * sum(_phi_means(g, store, agents).tolist())
     if g.kind in ("total", "ces"):
-        return _sum_route(g, store, agents, copies, budget)
+        return float(_sum_rows(g, store, np.repeat(agents, copies)[None], budget)[0])
     team = np.arange(len(agents))[None]
     route = _product_route if g.kind == "success_prob" else _order_route
     return float(route(g, store, agents, team, copies, budget)[0])
@@ -432,9 +511,9 @@ def team_values(scn: Scenario, j: int, teams) -> np.ndarray:
     members' hit probabilities, best-shot and top-r teams on their own
     concatenated supports (``_own_grid_rows``), linear ``total``/``ces``
     teams as their members' means summed in member order, and other
-    ``total``/``ces`` teams by ``_sum_route``, one row at a time. Each row
-    is priced as its own call: the first row past the budget, in the
-    given order, raises the BudgetExceededError its own call raises.
+    ``total``/``ces`` teams in padded blocks (``_sum_rows``). Each row is
+    priced as its own call: the first row past the budget, in the given
+    order, raises the BudgetExceededError its own call raises.
     """
     teams = np.asarray(teams, dtype=np.intp)
     if teams.size == 0:
@@ -444,7 +523,7 @@ def team_values(scn: Scenario, j: int, teams) -> np.ndarray:
         scn._check_team_size(j, k)
     g, store, budget = scn.value_fns[j], scn.store(j), enumeration_budget()
     if g.kind in ("total", "ces") and not _linear(g):
-        return np.array([_sum_route(g, store, S, 1, budget) for S in teams.tolist()])
+        return _sum_rows(g, store, teams, budget)
     work = _row_work(g, _row_sums(store.lengths, teams), k, 1)
     # the first row past the budget, found in Python when there is one:
     # comparing the array with the int would page in kernels used nowhere else

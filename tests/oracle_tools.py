@@ -429,8 +429,10 @@ def ref_verify_bracket(scn, j, k, which):
 def ref_lone_expectation(g, pool, copies, budget):
     """Exact E[g] over ``copies`` copies of each Distribution of ``pool``,
     as the engine computed one team or replication score before it read
-    the packed store: the sum route on the distributions' arrays, and the
-    order and product routes on a block of one row."""
+    the packed store: the sum route on the distributions' arrays, one copy
+    at a time, with a point mass's terms added to a shift and a
+    left-to-right sum over the cells, and the order and product routes on
+    a block of one row."""
     if not pool:
         return 0.0
     if g.kind in ("total", "ces"):
@@ -439,10 +441,11 @@ def ref_lone_expectation(g, pool, copies, budget):
             return copies * sum(float(np.dot(d.values_array, d.probs_array)) for d in pool)
         shift, sums, probs, work = 0.0, np.zeros(1), np.ones(1), 0
         for d in pool:
-            if len(d) == 1:
-                shift += copies * _phi(g, d.values[0])
-                continue
             terms = _phi(g, d.values_array)
+            if len(d) == 1:
+                for _ in range(copies):
+                    shift += float(terms[0])
+                continue
             for _ in range(copies):
                 work += len(sums) * len(d)
                 charge(work, budget, "exact expectation")
@@ -451,7 +454,7 @@ def ref_lone_expectation(g, pool, copies, budget):
                 if len(sums) > _MERGE:
                     sums, inverse = np.unique(sums, return_inverse=True)
                     probs = np.bincount(inverse, weights=probs)
-        return float(np.dot(_h(g, sums + shift), probs))
+        return float(np.add.accumulate(_h(g, sums + shift) * probs)[-1])
     if g.kind == "success_prob":
         charge(sum(len(d) for d in pool) + len(pool), budget, "exact expectation")
         hit = np.array([np.dot(g.f.apply(d.values_array), d.probs_array) for d in pool])

@@ -166,6 +166,26 @@ class TestGreedyTopK:
         assert by_repl.total > by_mean.total
 
 
+    @pytest.mark.parametrize("g", CATALOGUE, ids=CATALOGUE_TAGS)
+    def test_known_team_is_not_scored_again(self, g, monkeypatch):
+        # the oracle's objective stands in for greedy's when both pick the
+        # same team; a selection of another team lends nothing
+        scn = random_single_scenario(np.random.default_rng(62), g, n=6, k=3)
+        table = build_score_table(scn, "replication", max_r=3, columns=[(3, 3)])
+        alone = greedy_topk(scn, 0, 3, table)
+        oracle = brute_force_single(scn, 0, 3)
+        assert oracle.assignment.sets[0] == alone.assignment.sets[0]
+        pair = Scenario.single_project([scn.dist(i, 0) for i in scn.agents], g, 2)
+        other = brute_force_single(pair, 0, 2)  # a team of two
+        scored = []
+        real = optimize.project_utility
+        monkeypatch.setattr(optimize, "project_utility", lambda *a: scored.append(a) or real(*a))
+        for known, calls in ((oracle, 0), (other, 1)):
+            scored.clear()
+            res = greedy_topk(scn, 0, 3, table, known=known)
+            assert len(scored) == calls
+            assert json.dumps(res.to_json()) == json.dumps(alone.to_json())
+
     def test_ties_match_sorted_ranking(self):
         gen = np.random.default_rng(91)
         for _ in range(20):
@@ -434,17 +454,17 @@ class TestBruteForceSingle:
 
     @staticmethod
     def scored_rows(monkeypatch, scn, k):
-        # the result, and the number of rows _sum_route scores to find it
+        # the result, and the number of rows _sum_rows scores to find it
         rows = []
-        real = utility._sum_route
+        real = utility._sum_rows
 
-        def counting(g, store, agents, *rest):
-            rows.append(agents)
-            return real(g, store, agents, *rest)
+        def counting(g, store, teams, *rest):
+            rows.extend(teams.tolist())
+            return real(g, store, teams, *rest)
 
-        monkeypatch.setattr(utility, "_sum_route", counting)
+        monkeypatch.setattr(utility, "_sum_rows", counting)
         res = brute_force_single(scn, 0, k)
-        monkeypatch.setattr(utility, "_sum_route", real)
+        monkeypatch.setattr(utility, "_sum_rows", real)
         return res, len(rows)
 
     @pytest.mark.parametrize("g", BOUNDED, ids=BOUNDED_TAGS)

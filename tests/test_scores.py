@@ -545,7 +545,8 @@ def _mixed_dist(i, j, s):
 
 
 # table_csv of the mixed table with RngSpec(seed=11), as the per-cell loop
-# that preceded column batching wrote it
+# that preceded column batching wrote it; the ces:2 cells as the sum route
+# reads since it ends in a left-to-right sum
 MIXED_CSV = """\
 agent,project,r,score,method,std_error
 0,0,1,0.35,exact_best_shot,0.0
@@ -554,7 +555,7 @@ agent,project,r,score,method,std_error
 0,1,2,0.9,exact,0.0
 0,2,1,0.47740534668759915,exact,0.0
 0,2,2,0.7268948283292915,exact,0.0
-0,3,1,1.05,exact,0.0
+0,3,1,1.0499999999999998,exact,0.0
 0,3,2,1.5139897498722372,exact,0.0
 1,0,1,1.5,exact_best_shot,0.0
 1,0,2,1.7333333333333332,exact_best_shot,0.0
@@ -570,7 +571,7 @@ agent,project,r,score,method,std_error
 2,1,2,3.9012140000000004,monte_carlo,0.002002000335188139
 2,2,1,0.5572252444436746,exact,0.0
 2,2,2,0.8039505158420364,exact,0.0
-2,3,1,2.5500000000000003,exact,0.0
+2,3,1,2.55,exact,0.0
 2,3,2,3.660077598351914,monte_carlo,0.0018277869537986068
 3,0,1,1.8,exact_best_shot,0.0
 3,0,2,1.9333333333333333,exact_best_shot,0.0
@@ -579,7 +580,7 @@ agent,project,r,score,method,std_error
 3,2,1,0.5506710358827784,exact,0.0
 3,2,2,0.7981034820053446,exact,0.0
 3,3,1,2.0999999999999996,exact,0.0
-3,3,2,2.983911949636312,exact,0.0
+3,3,2,2.9839119496363122,exact,0.0
 4,0,1,3.3500000000000005,exact_best_shot,0.0
 4,0,2,3.760666666666667,exact_best_shot,0.0
 4,1,1,2.25,exact,0.0

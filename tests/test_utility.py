@@ -18,9 +18,11 @@ from testscore import (
     ValueFunction,
     mc_utility,
     project_utility,
+    replication_score,
     submodularity_check,
 )
 from testscore.adversarial import CATALOGUE_POOL
+from testscore.core import enumeration_budget
 from testscore.production import evaluate
 from testscore.scenario_io import scenario_from_dict, scenario_to_dict, value_fn_tag
 from testscore import utility
@@ -390,6 +392,108 @@ class TestTeamValues:
         scn = Scenario.single_project([TWO_POINT] * 3, ValueFunction.ces(2.0), 1)
         assert team_values(scn, 0, np.zeros((0, 2), dtype=int)).shape == (0,)
         assert team_values(scn, 0, np.zeros((3, 0), dtype=int)).tolist() == [0.0] * 3
+
+
+# support lengths of the kernel's block: 1..6, a point mass at ids 0, 3
+# and 7 (so at every position of some size-3 team), and five long agents
+# whose teams of three pass _MERGE partial sums (13 * 15 * 16 > 4096)
+KERNEL_LENGTHS = (1, 20, 2, 1, 17, 3, 4, 1, 13, 5, 6, 16, 15)
+
+
+KERNEL = [g for g, _ in SUM_ROUTE if not utility._linear(g)]
+KERNEL_TAGS = [value_fn_tag(g) for g in KERNEL]
+
+
+def kernel_dists(gen, lengths=KERNEL_LENGTHS):
+    # lattice supports, so that equal partial sums, which a merge folds, occur
+    lattice = np.arange(2 * max(lengths)) * 0.25
+    out = []
+    for s in lengths:
+        values = np.sort(gen.choice(lattice, s, replace=False))
+        probs = gen.uniform(0.2, 1.0, s)
+        out.append(Distribution(tuple(values.tolist()), tuple((probs / probs.sum()).tolist())))
+    return out
+
+
+class TestSumKernel:
+    """The non-linear ``total``/``ces`` rows of a ``team_values`` block are
+    scored as padded blocks that end in a left-to-right sum, beside the
+    rows that merge equal partial sums: each row equals its own
+    ``project_utility`` call, and r copies of one agent its
+    ``replication_score``, bit for bit (``float.hex``)."""
+
+    @pytest.mark.parametrize("g", KERNEL, ids=KERNEL_TAGS)
+    def test_mixed_block_matches_lone_calls(self, g):
+        gen = np.random.default_rng(95)
+        dists = kernel_dists(gen)
+        scn = Scenario.single_project(dists, g, 3)
+        lengths = scn.store(0).lengths
+        teams = _subsets(len(dists), 3)
+        teams = np.concatenate([teams, teams[gen.permutation(len(teams))]])
+        sizes = lengths[teams]
+        # the block mixes every length, point masses at every position and
+        # rows on both sides of the merge
+        assert set(sizes.ravel().tolist()) >= set(range(1, 7))
+        assert (sizes == 1).any(axis=0).all()
+        assert (sizes.prod(axis=1) > _MERGE).any() and (sizes.prod(axis=1) <= _MERGE).any()
+        got = [v.hex() for v in team_values(scn, 0, teams).tolist()]
+        assert got == [project_utility(scn, 0, S).value.hex() for S in teams.tolist()]
+        # and the reference, which shares none of the kernel's code
+        budget = enumeration_budget()
+        assert got == [ref_lone_expectation(g, [dists[i] for i in S], 1, budget).hex() for S in teams.tolist()]
+
+    @pytest.mark.parametrize("g", KERNEL, ids=KERNEL_TAGS)
+    def test_copies_match_replication_score(self, g):
+        # one-member rows of 1..5 copies, through the kernel and through a
+        # score table's length groups
+        dists = kernel_dists(np.random.default_rng(96), (1, 2, 3, 1, 4, 5, 6, 9))
+        store = Scenario.single_project(dists, g, 1).store(0)
+        budget = enumeration_budget()
+        agents = np.arange(len(dists))
+        for r in range(1, 6):
+            want = [replication_score(g, d, r).hex() for d in dists]
+            assert want == [ref_lone_expectation(g, [d], r, budget).hex() for d in dists]
+            rows = np.repeat(agents[:, None], r, axis=1)
+            assert [v.hex() for v in utility._sum_rows(g, store, rows, budget).tolist()] == want
+            table = utility._member_rows(g, store, r, budget)
+            batched = ~np.isnan(table)
+            assert batched.any() and (r < 4 or not batched.all())
+            assert [v.hex() for v in table[batched].tolist()] == [w for w, b in zip(want, batched) if b]
+
+    @pytest.mark.parametrize("g", KERNEL, ids=KERNEL_TAGS)
+    def test_first_over_budget_row_among_merging_rows(self, g, monkeypatch):
+        # the block raises the error of its first row past the budget, in
+        # the given order, whether that row merges equal sums or follows
+        # one that did: (2, 3, 4), of lengths (70, 70, 1), merges at a
+        # charge of 70 + 4900, less than (0, 1, 5), of lengths (600, 2, 3),
+        # charges without a merge
+        gen = np.random.default_rng(97)
+        scn = Scenario.single_project(kernel_dists(gen, (600, 2, 70, 70, 1, 3, 1, 4)), g, 3)
+        lengths = scn.store(0).lengths
+        lead = [(1, 4, 5), (2, 3, 4), (0, 1, 5), (2, 3, 5)]
+        rest = [S for S in combinations(range(scn.n_agents), 3) if S not in lead]
+        teams = np.array(lead + [rest[i] for i in gen.permutation(len(rest))])
+        merging = lengths[teams].prod(axis=1) > _MERGE
+        first_kinds = set()
+        for budget in range(3000, 9000, 250):
+            monkeypatch.setenv("TESTSCORE_BUDGET", str(budget))
+            errors = []
+            for row, S in enumerate(teams.tolist()):
+                try:
+                    project_utility(scn, 0, S)
+                except BudgetExceededError as exc:
+                    errors.append((row, str(exc), exc.required))
+            if not errors:
+                got = [v.hex() for v in team_values(scn, 0, teams).tolist()]
+                assert got == [project_utility(scn, 0, S).value.hex() for S in teams.tolist()]
+                continue
+            with pytest.raises(BudgetExceededError) as exc:
+                team_values(scn, 0, teams)
+            row, message, required = errors[0]
+            assert (str(exc.value), exc.value.required) == (message, required)
+            if merging[: row + 1].any():  # a merging row ahead of it ran, or it merges itself
+                first_kinds.add(bool(merging[row]))
+        assert first_kinds == {True, False}
 
 
 def reloaded(scn):
