@@ -32,9 +32,9 @@ from .utility import (
     _grid,
     _linear,
     _h,
+    _means,
     _order_route,
     _phi,
-    _phi_means,
     _row_sums,
     _row_work,
     _subsets,
@@ -303,7 +303,7 @@ def _bound_screen(scn: Scenario, j: int, k: int):
         for block in _team_blocks(scn.n_agents, k):
             yield team_values(scn, j, block), block
         return
-    means = _phi_means(g, store, scn.agents)
+    means = _means(store, scn.agents, partial(_phi, g))
     best, kept = -math.inf, []  # kept: each block's bounds, teams and values (NaN: unscored)
     for block in _team_blocks(scn.n_agents, k):
         bounds = _h(g, _row_sums(means, block))
@@ -342,9 +342,8 @@ def brute_force_single(scn: Scenario, j: int, k: int) -> SelectionResult:
     The up-front price still covers scoring every team. The teams within
     SCREEN_TOL of the best are kept; merged-grid values among them
     are rescored on their own bits, in one ``team_values`` block, and the
-    first best wins. The winner's value on its own bits, when the screen
-    or the rescoring has it, is its reported objective; a lone merged-grid
-    survivor is scored once more, alone.
+    first best wins. The winner's value on its own bits is its reported
+    objective.
     """
     if k < 1 or k > scn.n_agents:
         raise ValidationError(f"k must be in 1..{scn.n_agents}, got {k}")
@@ -359,7 +358,7 @@ def brute_force_single(scn: Scenario, j: int, k: int) -> SelectionResult:
     charge(cost, budget, "brute_force_single subset enumeration", _shape(scn, [j], f"k={k}"))
     # the up-front price covers every block's own charge, so no screen raises
     if merged:
-        screen = partial(_order_route, g, store, scn.agents, copies=1, budget=budget, grid=grid)
+        screen = partial(_order_route, g, store, scn.agents, copies=1, grid=grid)
         scored = ((screen(teams=block), block) for block in _team_blocks(scn.n_agents, k))
     elif g.kind in ("total", "ces") and not _linear(g):
         scored = _bound_screen(scn, j, k)
@@ -368,14 +367,11 @@ def brute_force_single(scn: Scenario, j: int, k: int) -> SelectionResult:
     values, teams = _near_best(scored)
     # merged-grid values can round differently from a team's own; on the
     # own bits the first argmax keeps the lexicographically smallest tied team
-    own = not merged
-    if merged and len(teams) > 1:
-        values, own = team_values(scn, j, teams), True
+    if merged:
+        values = team_values(scn, j, teams)
     best = int(values.argmax())
     best_S = tuple(teams[best].tolist())
     sets = [() if jj != j else best_S for jj in scn.projects]
-    if not own:
-        return _result(scn, sets)
     # team_values equals project_utility bit for bit: the winner is not scored again
     method = "exact_best_shot" if g.kind == "best_shot" else "exact"
     return _result(scn, sets, known={j: UtilityEstimate(float(values[best]), method)})

@@ -37,7 +37,7 @@ from .core import (
     enumeration_budget,
 )
 from .production import ValueFunction
-from .utility import _batchable, _expectation, _mc, _member_rows
+from .utility import _batchable, _exact_rows, _mc, _member_rows
 
 MC_TARGET_REL_SE = 1e-3
 MC_BASE_SAMPLES = 100_000
@@ -69,12 +69,14 @@ def quantile_score(d: Distribution, theta: float) -> float:
 def replication_score(g: ValueFunction, d: Distribution, k: int) -> float:
     """Expected value of g on k i.i.d. copies of the agent's performance.
 
-    Exact: the team-utility engine run on k copies of d, which raises
-    BudgetExceededError when its work passes the enumeration budget.
+    Exact: the team-utility engine run on a block of one row, agent d with
+    k copies, which raises BudgetExceededError when its work passes the
+    enumeration budget.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    return _expectation(g, ProjectStore.pack([d]), [0], k, enumeration_budget())
+    row = np.zeros((1, 1), np.intp)
+    return float(_exact_rows(g, ProjectStore.pack([d]), row, k, enumeration_budget())[0])
 
 
 def _check_columns(columns, m: int, max_r: int) -> list[tuple[int, int]]:
@@ -254,7 +256,7 @@ def build_score_table(
     for i, j, r in sorted(single):
         g, store = scn.value_fns[j], scn.store(j)
         try:
-            scores[i, j, r - 1] = _expectation(g, store, [i], r, budget)
+            scores[i, j, r - 1] = _exact_rows(g, store, np.array([[i]]), r, budget)[0]
             continue
         except BudgetExceededError:
             if not mc_fallback:

@@ -1,21 +1,22 @@
 """Expected team utility u_j(S) = E[g_j(performances of S)].
 
-One exact engine, ``_expectation``, computes E[g] over independent copies
+One exact engine, ``_exact_rows``, computes E[g] over independent copies
 of agents of one project's packed store (``core.ProjectStore``), each
-member's atoms read as views of the store's arrays: a team passes one copy
-per agent, a replication score a^r passes r copies of one agent. It never
-enumerates the outcome product: ``total`` and ``ces`` build the
-distribution of the sum of phi(x_i) member by member (``_sum_rows``),
-``best_shot`` and ``top_r`` count the members above each support point
-(``_order_route``), and ``success_prob`` factorizes (``_product_route``).
-Each route takes the form its input's shape runs fastest in: a lone team
-on its own sorted atoms; one-member rows, such as a score table's columns,
-on the store's length groups (``_member_rows``); blocks of teams in
-``team_values``, each row equal to its own ``project_utility`` call bit
-for bit (best-shot and top-r rows on their own supports, from the store's
-padded atoms; non-linear sum-route rows in blocks padded to the longest
-support at each member position); and the single-project oracle's screen
-on the project's merged grid. Every non-linear sum-route value ends in a
+member's atoms read as views of the store's arrays, for a block of rows
+of agent ids: a team is a row with one copy per member, a replication
+score a^r a one-agent row with r copies. It never enumerates the outcome
+product: ``total`` and ``ces`` build the distribution of the sum of
+phi(x_i) member by member (``_sum_rows``), ``best_shot`` and ``top_r``
+count the members above each support point (``_top_w``), and linear
+``total``/``ces`` and ``success_prob`` read per-agent means and hit
+probabilities (``_means``). A block of one row runs on its own sorted
+atoms; larger blocks give each row its own support from the store's
+padded atoms (``_own_grid_rows``) or pad the non-linear sum-route rows to
+the longest support at each member position, each row equal to a block
+of one bit for bit. The one other entry, ``_member_rows``, scores a score
+table's one-member columns on the store's length groups; the
+single-project oracle screens on the project's merged grid
+(``_order_route``). Every non-linear sum-route value ends in a
 left-to-right sum over its cells (``_sum_cells``), to which a padded cell
 adds +0.0, so it keeps its bits in any block and under any BLAS kernel.
 Monte Carlo (``_mc``) covers work past the budget.
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Optional
 
 import numpy as np
@@ -181,10 +182,11 @@ def _h(g: ValueFunction, sums: np.ndarray) -> np.ndarray:
     return g.f.apply(sums) if g.kind == "total" else sums ** (1.0 / g.r)
 
 
-def _phi_means(g: ValueFunction, store: ProjectStore, agents) -> np.ndarray:
-    # each agent's E[phi(x)], np.dot over its own atoms: its mean on linear
-    # total/ces, where phi(x) is x or x**1.0, the same bits
-    return np.array([np.dot(_phi(g, values), probs) for values, probs, _ in map(store.atoms, agents)])
+def _means(store: ProjectStore, agents, f) -> np.ndarray:
+    # each agent's E[f(x)], np.dot over its own atoms: f is phi, whose mean
+    # on linear total/ces is the agent's mean (phi(x) is x or x**1.0, the
+    # same bits), or success_prob's unit function, for its hit probability
+    return np.array([np.dot(f(values), probs) for values, probs, _ in map(store.atoms, agents)])
 
 
 def _batchable(g: ValueFunction, size: int, copies: int, budget: int) -> bool:
@@ -205,10 +207,9 @@ def _member_rows(
     support length are scored together on the store's length group, each
     row on its own support and with its own dot products or, on the
     non-linear sum route, its own left-to-right sum (``_sum_cells``), so
-    every entry equals ``_expectation`` on that agent alone bit for bit.
-    Rows that
-    are not ``_batchable`` under the budget are skipped, their entries
-    left as they are, so the block as a whole needs no metering."""
+    every entry equals ``_exact_rows`` on that agent alone bit for bit.
+    Rows that are not ``_batchable`` under the budget are skipped, their
+    entries left as they are, so the block as a whole needs no metering."""
     out = np.full(len(store), np.nan) if out is None else out
     for s, agents, values, probs, cdf in store.groups:
         if not _batchable(g, s, copies, budget):
@@ -382,18 +383,15 @@ def _top_w(g: ValueFunction, grid: np.ndarray, cols: np.ndarray, copies: int) ->
 
 
 def _order_route(
-    g: ValueFunction, store: ProjectStore, agents, teams: np.ndarray, copies: int, budget: int,
-    grid=None,
+    g: ValueFunction, store: ProjectStore, agents, teams: np.ndarray, copies: int, grid=None
 ) -> np.ndarray:
     # each team, a row of indices into ``agents``, gathers its members'
     # rows of their CDF matrix F on the shared grid, by default their
-    # supports side by side (``_grid``)
+    # supports side by side (``_grid``); callers have priced the work
     members = [store.atoms(a) for a in agents]
     if grid is None:
         grid = _grid(np.concatenate([values for values, _, _ in members]), len(teams))
     F = np.array([cdf[values.searchsorted(grid, "right")] for values, _, cdf in members])
-    k = teams.shape[1]
-    charge(len(teams) * _row_work(g, len(grid), k, copies), budget, "exact expectation")
     rows = max(1, _BLOCK // len(grid))
     parts = [
         _top_w(g, grid, F.take(teams[lo : lo + rows].T, axis=0), copies)
@@ -402,7 +400,7 @@ def _order_route(
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _own_grid_rows(g: ValueFunction, store: ProjectStore, teams: np.ndarray) -> np.ndarray:
+def _own_grid_rows(g: ValueFunction, store: ProjectStore, teams: np.ndarray, copies: int) -> np.ndarray:
     # the order route with each team, a row of agents, on its own support:
     # its members' atoms sorted, as it is scored alone. Rows of one summed
     # support length L share arrays; a member's CDF at each grid point is
@@ -426,39 +424,45 @@ def _own_grid_rows(g: ValueFunction, store: ProjectStore, teams: np.ndarray) -> 
             for m in range(k):
                 below = (padded[:, m, None, :] <= grid[:, :, None]).sum(axis=2)
                 cols[m] = cdfs[members[:, m, None], below]
-            out[block] = _top_w(g, grid, cols, 1)
+            out[block] = _top_w(g, grid, cols, copies)
     return out
 
 
-def _product_route(
-    g: ValueFunction, store: ProjectStore, agents, teams: np.ndarray, copies: int, budget: int
+def _exact_rows(
+    g: ValueFunction, store: ProjectStore, rows: np.ndarray, copies: int, budget: int
 ) -> np.ndarray:
-    # 1 - prod (1 - E f(X_i)), by independence, for each row of indices
-    # into ``agents``
-    members = [store.atoms(a) for a in agents]
-    charge(sum(len(values) for values, _, _ in members) + teams.size, budget, "exact expectation")
-    hit = np.array([np.dot(g.f.apply(values), probs) for values, probs, _ in members])
-    return 1.0 - _product(1.0 - hit.take(teams.T), copies)
-
-
-def _expectation(g: ValueFunction, store: ProjectStore, agents, copies: int, budget: int) -> float:
-    """Exact E[g] over ``copies`` independent copies of each of the
-    store's ``agents``: one copy per agent for a team, r copies of one
-    agent for a replication score. Raises BudgetExceededError when the
-    route's work passes the budget: partial-sum atoms times support per
-    sum step on the sum route, grid points times members times tracked
-    counts per copy on the order route (best shot's power counting once
-    per member), summed supports plus members on the product route."""
-    if not len(agents):
-        return 0.0  # g(0, ..., 0) = 0 across the catalogue
-    if g.kind in ("total", "ces") and _linear(g):  # linearity of expectation: the means suffice
-        charge(int(store.lengths[list(agents)].sum()), budget, "exact expectation")
-        return copies * sum(_phi_means(g, store, agents).tolist())
-    if g.kind in ("total", "ces"):
-        return float(_sum_rows(g, store, np.repeat(agents, copies)[None], budget)[0])
-    team = np.arange(len(agents))[None]
-    route = _product_route if g.kind == "success_prob" else _order_route
-    return float(route(g, store, agents, team, copies, budget)[0])
+    """Exact E[g] over ``copies`` independent copies of each member of each
+    row of ``rows``, a (B, k) array of the store's agent ids: a team, one
+    copy per member, or one agent with r copies for a replication score.
+    Each row is priced as its own call (``_sum_rows``, ``_row_work``), and
+    the first row past the budget, in the given order, raises its own
+    BudgetExceededError. A block of one row runs on its own sorted atoms;
+    a larger block gives each row its own support (``_own_grid_rows``) or
+    pads its sum-route rows, each row equal to a block of one bit for bit."""
+    if rows.size == 0:
+        return np.zeros(len(rows))  # g(0, ..., 0) = 0 across the catalogue
+    if g.kind in ("total", "ces") and not _linear(g):
+        return _sum_rows(g, store, np.repeat(rows, copies, axis=1), budget)
+    k, lone = rows.shape[1], len(rows) == 1
+    if lone:  # row 0 of its own members' atoms alone, priced in Python ints
+        agents, teams = rows[0].tolist(), np.arange(k)[None]
+        work = _row_work(g, sum(len(store.atoms(a)[0]) for a in agents), k, copies)
+        charge(work, budget, "exact expectation")
+    else:
+        agents, teams = range(len(store)), rows
+        work = _row_work(g, _row_sums(store.lengths, rows), k, copies)
+        # the first row past the budget, found in Python when there is one:
+        # comparing the array with the int would page in kernels used nowhere else
+        if work.max() > budget:
+            charge(next(w for w in work.tolist() if w > budget), budget, "exact expectation")
+    # every row fits the budget, so the routes below run unmetered
+    if g.kind in ("best_shot", "top_r"):
+        return _order_route(g, store, agents, teams, copies) if lone else _own_grid_rows(g, store, rows, copies)
+    if _linear(g):  # linearity of expectation: the means suffice
+        # summed in member order, then + 0.0 as sum() from 0: -0.0 becomes 0.0
+        return copies * (_row_sums(_means(store, agents, partial(_phi, g)), teams) + 0.0)
+    # success_prob: 1 - prod (1 - E f(X_i)), by independence
+    return 1.0 - _product(1.0 - _means(store, agents, g.f.apply).take(teams.T), copies)
 
 
 def _members(scn: Scenario, j: int, S: Iterable[int]) -> tuple[int, ...]:
@@ -477,8 +481,7 @@ def exact_utility(scn: Scenario, j: int, S: Iterable[int]) -> UtilityEstimate:
     Raises BudgetExceededError past the enumeration budget. The empty team
     is worth g(0, ..., 0) = 0.
     """
-    value = _expectation(scn.value_fns[j], scn.store(j), _members(scn, j, S), 1, enumeration_budget())
-    return UtilityEstimate(value=value, method="exact")
+    return UtilityEstimate(value=float(team_values(scn, j, [_members(scn, j, S)])[0]), method="exact")
 
 
 def exact_utility_best_shot(scn: Scenario, j: int, S: Iterable[int]) -> UtilityEstimate:
@@ -489,7 +492,7 @@ def exact_utility_best_shot(scn: Scenario, j: int, S: Iterable[int]) -> UtilityE
         raise ValidationError(
             f"project {j} has value function {g.kind!r}, expected best_shot"
         )
-    value = _expectation(g, scn.store(j), _members(scn, j, S), 1, enumeration_budget())
+    value = float(team_values(scn, j, [_members(scn, j, S)])[0])
     return UtilityEstimate(value=value, method="exact_best_shot")
 
 
@@ -503,38 +506,15 @@ def project_utility(scn: Scenario, j: int, S: Iterable[int]) -> UtilityEstimate:
 
 def team_values(scn: Scenario, j: int, teams) -> np.ndarray:
     """``project_utility(scn, j, S).value`` for every row S of ``teams``,
-    bit for bit. ``teams`` is a (B, k) array of agent ids of the
+    bit for bit: ``_exact_rows`` on the block, which prices each row as
+    its own call. ``teams`` is a (B, k) array of agent ids of the
     scenario, each row strictly ascending, as ``_subsets`` lists them;
     the rows are not checked.
-
-    Each row runs on what its own call would: the product route on the
-    members' hit probabilities, best-shot and top-r teams on their own
-    concatenated supports (``_own_grid_rows``), linear ``total``/``ces``
-    teams as their members' means summed in member order, and other
-    ``total``/``ces`` teams in padded blocks (``_sum_rows``). Each row is
-    priced as its own call: the first row past the budget, in the given
-    order, raises the BudgetExceededError its own call raises.
     """
     teams = np.asarray(teams, dtype=np.intp)
-    if teams.size == 0:
-        return np.zeros(len(teams))  # g(0, ..., 0) = 0 across the catalogue
-    k = teams.shape[1]
-    if k > scn.cardinalities[j]:
-        scn._check_team_size(j, k)
-    g, store, budget = scn.value_fns[j], scn.store(j), enumeration_budget()
-    if g.kind in ("total", "ces") and not _linear(g):
-        return _sum_rows(g, store, teams, budget)
-    work = _row_work(g, _row_sums(store.lengths, teams), k, 1)
-    # the first row past the budget, found in Python when there is one:
-    # comparing the array with the int would page in kernels used nowhere else
-    if work.max() > budget:
-        charge(next(w for w in work.tolist() if w > budget), budget, "exact expectation")
-    # every row fits the budget, so the routes below run unmetered
-    if _linear(g):
-        return _row_sums(_phi_means(g, store, scn.agents), teams) + 0.0  # as sum() from 0: -0.0 becomes 0.0
-    if g.kind == "success_prob":
-        return _product_route(g, store, scn.agents, teams, 1, math.inf)
-    return _own_grid_rows(g, store, teams)
+    if teams.size and teams.shape[1] > scn.cardinalities[j]:
+        scn._check_team_size(j, teams.shape[1])
+    return _exact_rows(scn.value_fns[j], scn.store(j), teams, 1, enumeration_budget())
 
 
 def _mc(
@@ -591,10 +571,11 @@ def submodularity_check(scn: Scenario, j: int, max_agents: int = 8) -> Submodula
     over the whole agent ground set.
 
     Checks u(T + i) - u(T) <= u(S + i) - u(S) for all S subset T, i outside T,
-    and u(S) <= u(T) for S subset T, both up to SUBMODULARITY_TOL. Returns
-    the first violating witness. The utilities of each team size come from one ``team_values`` batch,
-    equal to ``project_utility`` bit for bit, so a team past the budget
-    raises for the smallest size that has one.
+    and u(S) <= u(T) for S subset T, both up to SUBMODULARITY_TOL, in one
+    array pass over the 4^n (S, T) cells. Returns the first violating
+    witness in the order given below. The utilities of each team size come
+    from one ``team_values`` batch, equal to ``project_utility`` bit for
+    bit, so a team past the budget raises for the smallest size that has one.
     """
     n = scn.n_agents
     if n > max_agents:
@@ -603,25 +584,20 @@ def submodularity_check(scn: Scenario, j: int, max_agents: int = 8) -> Submodula
     for t in range(1, n + 1):
         teams = _subsets(n, t)
         u[(1 << teams).sum(axis=1)] = team_values(scn, j, teams)
-    u = u.tolist()
-
-    def as_set(mask: int) -> tuple[int, ...]:
-        return tuple(i for i in range(n) if mask >> i & 1)
-
-    for T in range(1 << n):
-        S = T
-        while True:  # iterate submasks of T, including T and 0
-            if u[S] > u[T] + SUBMODULARITY_TOL:
-                return SubmodularityReport(ok=False, witness=(as_set(S), as_set(T), None))
-            for i in range(n):
-                if T >> i & 1:
-                    continue
-                bit = 1 << i
-                if u[T | bit] - u[T] > u[S | bit] - u[S] + SUBMODULARITY_TOL:
-                    return SubmodularityReport(
-                        ok=False, witness=(as_set(S), as_set(T), i)
-                    )
-            if S == 0:
-                break
-            S = (S - 1) & T
-    return SubmodularityReport(ok=True)
+    masks, bits = np.arange(1 << n), 1 << np.arange(n)
+    # every pair S subset T in the order of a walk over T ascending and its
+    # submasks S descending (column c holds S = 2^n - 1 - c)
+    T, S = np.nonzero((masks[::-1] & ~masks[:, None]) == 0)
+    S = masks[::-1][S]
+    gain = u[masks[:, None] | bits] - u[:, None]  # u(A + i) - u(A) for every A and agent i
+    # each pair's monotonicity check u(S) > u(T), then each i outside T ascending
+    bad = np.column_stack((
+        u[S] > u[T] + SUBMODULARITY_TOL,
+        ((T[:, None] & bits) == 0) & (gain[T] > gain[S] + SUBMODULARITY_TOL),
+    ))
+    first = int(bad.argmax())
+    if not bad.flat[first]:
+        return SubmodularityReport(ok=True)
+    pair, c = divmod(first, n + 1)
+    S, T = (tuple(np.flatnonzero(bits & int(A[pair])).tolist()) for A in (S, T))
+    return SubmodularityReport(ok=False, witness=(S, T, c - 1 if c else None))

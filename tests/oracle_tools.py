@@ -3,17 +3,22 @@
 Everything here is deliberately written the slow, obvious way: plain
 Python loops over itertools products, no shared helpers from the library
 beyond the dataclasses being checked (and ``evaluate``, the function the
-bisection inverts). Keep these dumb. There are two exceptions.
+bisection inverts). Keep these dumb. There are four exceptions.
 ``ref_replication_table`` keeps the score table's earlier per-project
-fill on the engine's own kernels, so that comparing it with
-``build_score_table`` checks how the cells are grouped and nothing else.
-``ref_verify_bracket`` keeps the sketch verifiers' earlier per-team loop
-on the library's per-team calls, so that comparing it with the verifiers
-checks their team blocks and witness choice and nothing else.
-``ref_lone_expectation`` and ``ref_lone_mc`` keep the engine's earlier
-lone-call form on lists of Distribution objects, on the engine's own
-kernels, so that comparing them with the engine checks how it reads the
-packed store and nothing else.
+fill on the engine's own kernels (``_member_rows`` for the columns, a
+one-row ``_exact_rows`` block for each cell scored alone), so that
+comparing it with ``build_score_table`` checks how the cells are grouped
+and nothing else. ``ref_verify_bracket`` keeps the sketch verifiers'
+earlier per-team loop on the library's per-team calls, so that comparing
+it with the verifiers checks their team blocks and witness choice and
+nothing else. ``ref_lone_expectation`` and ``ref_lone_mc`` keep the
+engine's earlier form for one team or replication score on lists of
+Distribution objects, on the engine's own kernels, so that comparing
+them with a one-row ``_exact_rows`` block and with ``_mc`` checks how
+the engine reads the packed store and nothing else.
+``ref_submodularity_check`` keeps ``submodularity_check``'s earlier walk
+over every (S, T, i) on the same utilities, so that comparing the two
+checks the array pass's order of witnesses and nothing else.
 
 It also holds the checkers that state paper properties no command
 reports: ``diminishing_across_check`` and ``value_submodularity_check``
@@ -32,6 +37,7 @@ from testscore import (
     InverseUnboundedError,
     RngSpec,
     SketchBoundReport,
+    SubmodularityReport,
     build_score_table,
     evaluate,
     minmax_sketch,
@@ -42,9 +48,10 @@ from testscore.core import charge, enumeration_budget
 from testscore.scores import MC_BASE_SAMPLES, MC_MAX_ROUNDS, MC_TARGET_REL_SE
 from testscore.production import evaluate_batch
 from testscore.utility import (
+    SUBMODULARITY_TOL,
     _MERGE,
     _batchable,
-    _expectation,
+    _exact_rows,
     _h,
     _linear,
     _mc,
@@ -376,7 +383,7 @@ def ref_replication_table(scn, max_r, rng=None, mc_fallback=True):
     for i, j, r in sorted(single):
         g, store = scn.value_fns[j], scn.store(j)
         try:
-            scores[i, j, r - 1] = _expectation(g, store, [i], r, budget)
+            scores[i, j, r - 1] = _exact_rows(g, store, np.array([[i]]), r, budget)[0]
             continue
         except BudgetExceededError:
             if not mc_fallback:
@@ -466,6 +473,33 @@ def ref_lone_expectation(g, pool, copies, budget):
     ])
     charge(_row_work(g, len(grid), len(pool), copies), budget, "exact expectation")
     return float(_top_w(g, grid, F[:, None, :], copies)[0])
+
+
+def ref_submodularity_check(u, n):
+    """``submodularity_check``'s report by its earlier per-pair loop over
+    ``u``, the utilities of the subsets of range(n) as a list indexed by
+    bitmask: T ascending, its submasks S descending, and at each pair the
+    monotonicity check, then each i outside T ascending; the first
+    violation is the witness."""
+
+    def as_set(mask):
+        return tuple(i for i in range(n) if mask >> i & 1)
+
+    for T in range(1 << n):
+        S = T
+        while True:  # iterate submasks of T, including T and 0
+            if u[S] > u[T] + SUBMODULARITY_TOL:
+                return SubmodularityReport(ok=False, witness=(as_set(S), as_set(T), None))
+            for i in range(n):
+                if T >> i & 1:
+                    continue
+                bit = 1 << i
+                if u[T | bit] - u[T] > u[S | bit] - u[S] + SUBMODULARITY_TOL:
+                    return SubmodularityReport(ok=False, witness=(as_set(S), as_set(T), i))
+            if S == 0:
+                break
+            S = (S - 1) & T
+    return SubmodularityReport(ok=True)
 
 
 def ref_lone_mc(g, pool, copies, rng, samples, stream):

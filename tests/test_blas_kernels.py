@@ -1,19 +1,25 @@
-"""The sum route's exact bits under other OpenBLAS kernels.
+"""The engine's exact bits under other OpenBLAS kernels.
 
 ``OPENBLAS_CORETYPE`` picks which kernels a process's own OpenBLAS runs
-(numpy's wheels ship it built for every x86-64 kernel family). The sum
-route, ``total`` and ``ces`` teams and replication scores, ends each row
-in numpy's left-to-right add, which no BLAS kernel computes, so its
-bit-for-bit contracts must hold under any kernel: a table cell equals
-``replication_score``, a ``team_values`` row its own ``project_utility``
-call, and the engine its reference form. Child processes rerun those
-tests with the variable set in their own environment only.
+(numpy's wheels ship it built for every x86-64 kernel family). The
+bit-for-bit contracts are that a table cell equals ``replication_score``,
+a ``team_values`` row its own ``project_utility`` call, and the engine its
+reference form. Child processes rerun those tests with the variable set
+in their own environment only, for every catalogue variant but
+``best_shot`` and ``top_r``:
 
-Only the sum route is covered. The order route (``best_shot``,
-``top_r``) and the product route (``success_prob``) still reduce through
-np.dot, gemv and matmul, whose rounding follows the kernel's unrolling,
-so their contracts hold for the kernels the host picks and fail under
-Prescott's.
+- the non-linear sum route (``total`` and ``ces`` teams and replication
+  scores) ends each row in numpy's left-to-right add, which no BLAS
+  kernel computes;
+- the linear sum route (``total:identity``, ``ces:1``) and the product
+  route (``success_prob``) reduce each agent's own atoms with np.dot, or
+  a per-row matmul of the same length, and hold under Haswell's and
+  Prescott's kernels alike.
+
+The order route (``best_shot``, ``top_r``) is not covered: it reduces
+through matmul over a grid, whose rounding follows the kernel's
+unrolling, so its contracts hold for the kernels the host picks and fail
+under Prescott's.
 """
 
 import os
@@ -24,7 +30,7 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parent
 SELECTION = (
     "(TestTableMatchesReplicationScore or TestTeamValues or TestLoneReference or TestSumKernel)"
-    " and (total or ces) and not monte_carlo and not property"
+    " and not best_shot and not top_r and not monte_carlo and not property"
 )
 
 

@@ -581,8 +581,8 @@ class TestBruteForceSingle:
     @pytest.mark.parametrize("g", CATALOGUE, ids=CATALOGUE_TAGS)
     def test_objective_is_the_winners_project_utility(self, g, monkeypatch):
         # the reported objective is project_utility of the winner, bits and
-        # label, whether the screen's own-bits value is reused or, for a
-        # lone merged-grid survivor, the winner is scored once more alone
+        # label, reused from the screen's or the rescoring's own-bits value:
+        # the winner is never scored again, not even a lone merged-grid survivor
         merged = g.kind in ("best_shot", "top_r")
         calls = []
         real = optimize.project_utility
@@ -609,7 +609,7 @@ class TestBruteForceSingle:
         if merged:
             store, teams = copies.store(0), utility._subsets(5, 2)
             grid = utility._grid(store.values, len(teams))
-            on_grid = utility._order_route(g, store, copies.agents, teams, 1, math.inf, grid)
+            on_grid = utility._order_route(g, store, copies.agents, teams, 1, grid)
             assert on_grid.max() != team_values(copies, 0, teams)[on_grid.argmax()]
         cases.append((copies, "tied"))
         for scn, survivors in cases:
@@ -619,8 +619,7 @@ class TestBruteForceSingle:
             (got,) = res.per_project
             want = real(scn, 0, res.assignment.sets[0])
             assert (got.value.hex(), got.method) == (want.value.hex(), want.method), (k, survivors)
-            # only a lone merged-grid survivor is scored again
-            assert len(calls) == (merged and k > 1 and survivors == "one"), (k, survivors)
+            assert calls == [], (k, survivors)
 
     def test_budget_error_names_oracle_and_shape(self, monkeypatch):
         monkeypatch.setenv("TESTSCORE_BUDGET", "10")

@@ -35,7 +35,7 @@ from testscore.scores import (
     MC_TARGET_REL_SE,
     ScoreTable,
 )
-from testscore.utility import _MERGE, _expectation, _mc, _member_rows
+from testscore.utility import _MERGE, _exact_rows, _mc, _member_rows
 
 from oracle_tools import (
     CATALOGUE_REFS,
@@ -632,14 +632,14 @@ def _spy_single(monkeypatch, scn):
     project = {id(scn.store(j)): j for j in scn.projects}
     scored = []
 
-    def spy(g, store, agents, copies, budget):
-        (i,) = agents
+    def spy(g, store, rows, copies, budget):
+        ((i,),) = rows.tolist()
         j = project[id(store)]
         assert g is scn.value_fns[j]
         scored.append((i, j, copies))
-        return _expectation(g, store, agents, copies, budget)
+        return _exact_rows(g, store, rows, copies, budget)
 
-    monkeypatch.setattr("testscore.scores._expectation", spy)
+    monkeypatch.setattr("testscore.scores._exact_rows", spy)
     return scored
 
 
@@ -733,7 +733,7 @@ class TestSumColumns:
         scored = _spy_single(monkeypatch, scn)
         table = build_score_table(scn, "replication", max_r=4)
         assert scored == []  # every cell came from a batch
-        monkeypatch.setattr("testscore.scores._expectation", _expectation)
+        monkeypatch.setattr("testscore.scores._exact_rows", _exact_rows)
         self.check(scn, 4, table)
 
     @pytest.mark.parametrize("r", [1.5, 4.0])
@@ -763,7 +763,7 @@ class TestSumColumns:
         # 5 atoms at r = 6 step through 5^6 > _MERGE partial sums; 4^6 do not
         assert 5**5 <= _MERGE < 5**6 and 4**6 <= _MERGE
         assert scored == [(0, 0, 6), (2, 0, 6)]
-        monkeypatch.setattr("testscore.scores._expectation", _expectation)
+        monkeypatch.setattr("testscore.scores._exact_rows", _exact_rows)
         self.check(scn, 6, table)
 
     def test_over_budget_row_raises_before_later_cells(self, monkeypatch):

@@ -40,6 +40,7 @@ from oracle_tools import (
     fn_top_r,
     ref_lone_expectation,
     ref_lone_mc,
+    ref_submodularity_check,
     ref_utility,
 )
 
@@ -529,7 +530,7 @@ class TestLoneReference:
                     pool = [scn.dist(i, 0) for i in S]
                     for copies in range(1, 6):
                         got = self.outcome(
-                            lambda: utility._expectation(g, store, S, copies, budget)
+                            lambda: utility._exact_rows(g, store, np.array([S], np.intp), copies, budget)[0]
                         )
                         want = self.outcome(lambda: ref_lone_expectation(g, pool, copies, budget))
                         assert got == want, (S, copies, budget)
@@ -669,3 +670,29 @@ class TestSubmodularity:
         gain_T = u(T + (i,)) - u(T)
         gain_S = u(S + (i,)) - u(S)
         assert gain_T > gain_S + SUBMODULARITY_TOL
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_the_per_pair_loop(self, n, monkeypatch):
+        # a monotone submodular sqrt of a weighted sum, with up to three
+        # cells, each a singleton half the time, moved up or down by
+        # 1e-12..3 (on both sides of SUBMODULARITY_TOL), and half the time a
+        # subset tying a superset on the tolerance: the array pass finds the
+        # loop's first witness
+        gen = np.random.default_rng(40 + n)
+        scn = Scenario.single_project([TWO_POINT] * n, ValueFunction.best_shot(), 1)
+        members = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+        kinds = set()
+        for _ in range(60):
+            u = np.sqrt(members @ gen.uniform(0.0, 2.0, n))
+            for _ in range(int(gen.integers(0, 4))):
+                mask = 1 << int(gen.integers(n)) if gen.random() < 0.5 else int(gen.integers(1, 1 << n))
+                u[mask] += gen.choice([-1.0, 1.0]) * 10.0 ** gen.uniform(-12.0, 0.5)
+            T = int(gen.integers(1 << n))
+            S = T & int(gen.integers(1 << n))
+            if S and gen.random() < 0.5:  # u(S) ties u(T) on the tolerance: no violation
+                u[S] = u[T] + SUBMODULARITY_TOL
+            monkeypatch.setattr(utility, "team_values", lambda scn, j, teams: u[(1 << teams).sum(axis=1)])
+            report = submodularity_check(scn, 0)
+            assert report == ref_submodularity_check(u.tolist(), n)
+            kinds.add("ok" if report.ok else "monotone" if report.witness[2] is None else "marginal")
+        assert kinds == ({"ok", "monotone", "marginal"} if n > 1 else {"ok", "monotone"})
