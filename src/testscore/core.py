@@ -11,6 +11,7 @@ safe to share across workers.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -49,6 +50,13 @@ def charge(work: int, budget: int, what: str, shape: str = "") -> None:
     ``what`` and the instance ``shape``."""
     if work > budget:
         raise BudgetExceededError(work, budget, what, shape)
+
+
+def check_index(value, n: int, what: str) -> int:
+    """``value``, an int or numpy integer but no bool, as an index in range(n)."""
+    if isinstance(value, bool) or not hasattr(value, "__index__") or not 0 <= operator.index(value) < n:
+        raise ValidationError(f"{what} must be an index in range({n}), got {value!r}")
+    return operator.index(value)
 
 
 def enumeration_budget() -> int:
@@ -212,13 +220,14 @@ class ProjectStore:
     flat ``values`` and ``probs`` arrays, sorted and normalized as
     ``Distribution`` leaves them. ``groups`` holds the agents grouped by
     support length: for each length s, in ascending order, (s, the agents,
-    and their values, probabilities and CDFs (``cdf_rows``) as (agents, s)
-    arrays), which the engine's one-member routes read; ``padded`` holds
-    the atoms padded with +inf to the longest support and the CDFs behind
-    a 0 (no atom below), as (agents, width) and (agents, width + 1) arrays,
-    which its team blocks read. ``take`` copies some agents into a store of
-    their own. The arrays are read-only; ``groups``, ``padded``, and each
-    agent's ``atoms`` and ``Distribution`` (``dist``) are cached.
+    and their values and probabilities as (agents, s) arrays), which the
+    engine's one-member sum, product and linear routes read; ``padded``, the
+    order route's, each support padded to the longest with its last atom
+    and its CDF (``cdf_rows``) behind a 0 padded with 1.0, as (agents, width)
+    and (agents, width + 1) arrays, so a pad adds a zero-width gap. ``take``
+    copies some agents into a store of their own. The arrays are read-only;
+    ``groups``, ``padded``, and each agent's ``atoms`` and ``Distribution``
+    (``dist``) are cached.
     """
 
     def __init__(self, values: np.ndarray, probs: np.ndarray, lengths: np.ndarray, dists=None):
@@ -256,25 +265,24 @@ class ProjectStore:
         return len(self.lengths)
 
     @cached_property
-    def groups(self) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    def groups(self) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
         out = []
         # sorted in Python: np.unique would page in integer sort kernels
         # that nothing else runs
         for s in sorted(set(self.lengths.tolist())):
             agents = np.flatnonzero(self.lengths == s)
             atoms = self.offsets[agents, None] + np.arange(s)
-            probs = self.probs[atoms]
-            out.append((s, agents, self.values[atoms], probs, cdf_rows(probs)))
+            out.append((s, agents, self.values[atoms], self.probs[atoms]))
         return out
 
     @cached_property
     def padded(self) -> tuple[np.ndarray, np.ndarray]:
-        atoms = np.full((len(self), int(self.lengths.max())), np.inf)
-        cdfs = np.zeros((len(self), atoms.shape[1] + 1))
-        for s, agents, values, _, cdf in self.groups:
-            atoms[agents, :s] = values
-            cdfs[agents, 1 : s + 1] = cdf
-        return atoms, cdfs
+        steps, last = np.arange(int(self.lengths.max())), self.lengths[:, None] - 1
+        cells = self.offsets[:, None] + np.minimum(steps, last)
+        cdfs = np.zeros((len(self), len(steps) + 1))
+        # each row's running sums as ``cdf_rows`` sums them, 1.0 from its last atom on
+        cdfs[:, 1:] = np.where(steps >= last, 1.0, np.add.accumulate(self.probs[cells], axis=1))
+        return self.values[cells], cdfs
 
     def atoms(self, agent: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Agent ``agent``'s values and probabilities, as views, and its

@@ -22,6 +22,7 @@ from .core import (
     Scenario,
     ValidationError,
     charge,
+    check_index,
     enumeration_budget,
 )
 from . import utility
@@ -145,6 +146,7 @@ def greedy_topk(
     (the oracle's, say), lends its objective for project j when it picked
     the same team, which is then not scored again.
     """
+    j = check_index(j, scn.n_projects, "project")
     if k < 1 or k > scn.n_agents:
         raise ValidationError(f"k must be in 1..{scn.n_agents}, got {k}")
     scores = table.block(scn.n_agents, j, k, k)[:, 0]
@@ -345,6 +347,7 @@ def brute_force_single(scn: Scenario, j: int, k: int) -> SelectionResult:
     first best wins. The winner's value on its own bits is its reported
     objective.
     """
+    j = check_index(j, scn.n_projects, "project")
     if k < 1 or k > scn.n_agents:
         raise ValidationError(f"k must be in 1..{scn.n_agents}, got {k}")
     if k > scn.cardinalities[j]:

@@ -244,13 +244,14 @@ def build_score_table(
     ]
     single = []  # (agent, project, r): cells scored one by one
     for ((g, lo, hi), js), store in zip(classes.items(), stores):
+        sizes = sorted(set(store.lengths.tolist()))
         for r in range(lo, hi + 1):
             # a cell fits its class's batch when ``_batchable`` (its own
             # one-row work within the budget, no merge of partial sums),
-            # which depends on its support length alone
-            for s, rows, *_ in store.groups:
-                if not _batchable(g, s, r, budget):
-                    single += [(row % n, js[row // n], r) for row in rows.tolist()]
+            # which depends on its support length alone, monotonely
+            least = next((s for s in sizes if not _batchable(g, s, r, budget)), None)
+            if least is not None:
+                single += [(row % n, js[row // n], r) for row in np.flatnonzero(store.lengths >= least).tolist()]
     # in (agent, project, r) order, so that without the fallback the first
     # over-budget cell raises before any later cell is scored
     for i, j, r in sorted(single):

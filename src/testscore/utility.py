@@ -10,15 +10,15 @@ phi(x_i) member by member (``_sum_rows``), ``best_shot`` and ``top_r``
 count the members above each support point (``_top_w``), and linear
 ``total``/``ces`` and ``success_prob`` read per-agent means and hit
 probabilities (``_means``). A block of one row runs on its own sorted
-atoms; larger blocks give each row its own support from the store's
-padded atoms (``_own_grid_rows``) or pad the non-linear sum-route rows to
-the longest support at each member position, each row equal to a block
-of one bit for bit. The one other entry, ``_member_rows``, scores a score
-table's one-member columns on the store's length groups; the
-single-project oracle screens on the project's merged grid
-(``_order_route``). Every non-linear sum-route value ends in a
-left-to-right sum over its cells (``_sum_cells``), to which a padded cell
-adds +0.0, so it keeps its bits in any block and under any BLAS kernel.
+atoms; larger blocks give each best-shot or top-r row its own grid of the
+store's padded atoms (``_own_grid_rows``), or pad the non-linear
+sum-route rows to the longest support at each member position. The one
+other entry, ``_member_rows``, scores a score table's one-member columns,
+best-shot and top-r ones on the padded atoms too. Each of these rows ends
+in a left-to-right sum, over its own grid's gaps (``_top_w``) or its cells
+(``_sum_cells``), to which a pad adds +-0.0, so it keeps its bits in any
+block and under any BLAS kernel. Only the single-project oracle's screen
+on the project's merged grid (``_order_route``) ends in a matrix product.
 Monte Carlo (``_mc``) covers work past the budget.
 """
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from typing import Iterable, Optional
 
 import numpy as np
@@ -38,6 +38,7 @@ from .core import (
     Scenario,
     ValidationError,
     charge,
+    check_index,
     enumeration_budget,
 )
 from .production import ValueFunction, evaluate, evaluate_batch
@@ -203,20 +204,24 @@ def _member_rows(
 ) -> np.ndarray:
     """E[g] over ``copies`` independent copies of each agent of ``store``
     alone, written to ``out`` (by default a new array of NaNs, one entry
-    per agent) at the agent's index, and returned. The agents of one
-    support length are scored together on the store's length group, each
-    row on its own support and with its own dot products or, on the
-    non-linear sum route, its own left-to-right sum (``_sum_cells``), so
-    every entry equals ``_exact_rows`` on that agent alone bit for bit.
-    Rows that are not ``_batchable`` under the budget are skipped, their
-    entries left as they are, so the block as a whole needs no metering."""
+    per agent) at the agent's index, and returned: best-shot and top-r
+    agents on their padded atoms in blocks of at most _BLOCK cells, the
+    others on the store's length groups, each row with its own dot products
+    or left-to-right sum, so each equals ``_exact_rows`` on the agent alone
+    bit for bit. Rows that are not ``_batchable`` under the budget are
+    skipped, left as they are, so the block as a whole needs no metering."""
     out = np.full(len(store), np.nan) if out is None else out
-    for s, agents, values, probs, cdf in store.groups:
+    if g.kind in ("best_shot", "top_r"):  # _batchable is the row's work within the budget
+        atoms, cdfs = store.padded
+        fits = _row_work(g, store.lengths, 1, copies) <= budget
+        per = max(1, _BLOCK // atoms.shape[1])
+        for rows in (slice(lo, lo + per) for lo in range(0, len(store), per)):  # views, not copies
+            out[rows] = np.where(fits[rows], _top_w(g, atoms[rows], cdfs[None, rows, 1:], copies), out[rows])
+        return out
+    for s, agents, values, probs in store.groups:
         if not _batchable(g, s, copies, budget):
             continue
-        if g.kind in ("best_shot", "top_r"):
-            out[agents] = _top_w(g, values, cdf[None], copies)
-        elif g.kind == "success_prob":
+        if g.kind == "success_prob":
             out[agents] = 1.0 - _product((1.0 - _row_dots(g.f.apply(values), probs))[None], copies)
         elif _linear(g):
             out[agents] = copies * _row_dots(values, probs)
@@ -355,10 +360,8 @@ def _product(cols: np.ndarray, copies: int) -> np.ndarray:
 def _top_w(g: ValueFunction, grid: np.ndarray, cols: np.ndarray, copies: int) -> np.ndarray:
     # E[sum of the w largest] = integral over t of E[min(w, N(t))], where
     # N(t) = #{copies > t} is constant between grid points. The grid is
-    # (L,), shared by every row, or (rows, L), one per row; cols (k, rows,
-    # L) holds the members' CDFs on it. With a grid per row every product
-    # runs row by row, so a row rounds exactly as a block of one would.
-    per_row = grid.ndim == 2
+    # (rows, L), one per row, or (L,), a merged grid shared by every row;
+    # cols (k, rows, L) holds the members' CDFs on it.
     w = 1 if g.kind == "best_shot" else min(int(g.r), len(cols) * copies)
     if g.kind == "best_shot":  # N(t) = 0 exactly when every copy is <= t
         above = 1.0 - _product(cols, copies)
@@ -370,29 +373,29 @@ def _top_w(g: ValueFunction, grid: np.ndarray, cols: np.ndarray, copies: int) ->
         for miss in 1.0 - cols:
             for _ in range(copies):
                 q += (pq[:-1] - q) * miss
-        counts = np.arange(w, 0, -1.0)
-        if per_row:
-            above = w - np.matmul(counts, q.transpose(1, 0, 2))
-        else:
-            above = w - (counts @ q.reshape(w, -1)).reshape(q.shape[1:])
-    # below the smallest grid point every copy counts
-    if per_row:
-        gaps = grid[:, 1:] - grid[:, :-1]
-        return w * grid[:, 0] + np.matmul(above[:, None, :-1], gaps[:, :, None])[:, 0, 0]
-    return w * grid[0] + above[:, :-1] @ (grid[1:] - grid[:-1])
+        # E[min(w, N)] = w - sum over c < w of (w - c) P(N = c), left to right
+        above = w - sum((w - c) * q[c] for c in range(w))
+    if grid.ndim == 1:  # a screen's merged grid: one matrix product
+        return w * grid[0] + above[:, :-1] @ (grid[1:] - grid[:-1])
+    # below the smallest grid point every copy counts; then each gap, left
+    # to right, so a zero-width gap adds +-0.0 and changes no bit of a row
+    gaps = above[:, :-1] * (grid[:, 1:] - grid[:, :-1])
+    if len(grid) <= grid.shape[1]:  # numpy's accumulate is the faster on few rows; both add alike
+        return np.add.accumulate(np.concatenate((w * grid[:, :1], gaps), axis=1), axis=1)[:, -1]
+    return reduce(np.add, gaps.T, w * grid[:, 0])
 
 
 def _order_route(
     g: ValueFunction, store: ProjectStore, agents, teams: np.ndarray, copies: int, grid=None
 ) -> np.ndarray:
-    # each team, a row of indices into ``agents``, gathers its members'
-    # rows of their CDF matrix F on the shared grid, by default their
-    # supports side by side (``_grid``); callers have priced the work
+    # each team, a row of indices into ``agents``, gathers its members' rows
+    # of their CDF matrix F on the project's merged ``grid``, in blocks, or the
+    # one team of all ``agents`` on its own sorted atoms; callers have priced the work
     members = [store.atoms(a) for a in agents]
     if grid is None:
-        grid = _grid(np.concatenate([values for values, _, _ in members]), len(teams))
-    F = np.array([cdf[values.searchsorted(grid, "right")] for values, _, cdf in members])
-    rows = max(1, _BLOCK // len(grid))
+        grid = _grid(np.concatenate([values for values, _, _ in members]), 1)[None]
+    F = np.array([cdf[values.searchsorted(grid.ravel(), "right")] for values, _, cdf in members])
+    rows = max(1, _BLOCK // grid.shape[-1])
     parts = [
         _top_w(g, grid, F.take(teams[lo : lo + rows].T, axis=0), copies)
         for lo in range(0, len(teams), rows)
@@ -401,30 +404,23 @@ def _order_route(
 
 
 def _own_grid_rows(g: ValueFunction, store: ProjectStore, teams: np.ndarray, copies: int) -> np.ndarray:
-    # the order route with each team, a row of agents, on its own support:
-    # its members' atoms sorted, as it is scored alone. Rows of one summed
-    # support length L share arrays; a member's CDF at each grid point is
-    # read at the count of its padded atoms at or below the point.
+    # the order route with each team, a row of agents, on its own grid: its
+    # members' padded atoms sorted, in blocks of at most _BLOCK grid cells.
+    # A member's CDF is read at its running count of atoms: only the last of
+    # equal points has counted them all, and the others, as pads, end zero-width gaps.
     atoms, cdfs = store.padded
-    width = atoms.shape[1]
-    k = teams.shape[1]
-    groups: dict[int, list[int]] = {}  # rows by summed support length
-    for row, L in enumerate(_row_sums(store.lengths, teams).tolist()):
-        groups.setdefault(L, []).append(row)
+    k, width = teams.shape[1], atoms.shape[1]
     out = np.empty(len(teams))
-    for L, group in groups.items():
-        rows = max(1, _BLOCK // (L * k * width))
-        for lo in range(0, len(group), rows):
-            block = group[lo : lo + rows]
-            members = teams[block]
-            padded = atoms[members]  # (rows, k, width)
-            # the real atoms sorted, as a lone team sorts them, ahead of the padding
-            grid = np.sort(padded.reshape(len(block), k * width), axis=1)[:, :L]
-            cols = np.empty((k, len(block), L))
-            for m in range(k):
-                below = (padded[:, m, None, :] <= grid[:, :, None]).sum(axis=2)
-                cols[m] = cdfs[members[:, m, None], below]
-            out[block] = _top_w(g, grid, cols, copies)
+    rows = max(1, _BLOCK // (k * width))
+    for lo in range(0, len(teams), rows):
+        members = teams[lo : lo + rows]
+        padded = atoms[members].reshape(len(members), k * width)
+        order = np.argsort(padded, axis=1, kind="stable")
+        owner = order // width  # the member each sorted atom belongs to
+        cols = np.empty((k,) + padded.shape)
+        for m in range(k):
+            cols[m] = cdfs[members[:, m, None], np.cumsum(owner == m, axis=1)]
+        out[lo : lo + rows] = _top_w(g, np.take_along_axis(padded, order, axis=1), cols, copies)
     return out
 
 
@@ -437,8 +433,8 @@ def _exact_rows(
     Each row is priced as its own call (``_sum_rows``, ``_row_work``), and
     the first row past the budget, in the given order, raises its own
     BudgetExceededError. A block of one row runs on its own sorted atoms;
-    a larger block gives each row its own support (``_own_grid_rows``) or
-    pads its sum-route rows, each row equal to a block of one bit for bit."""
+    a larger block gives each row its own padded grid (``_own_grid_rows``)
+    or pads its sum-route rows, and a row equals a block of one bit for bit."""
     if rows.size == 0:
         return np.zeros(len(rows))  # g(0, ..., 0) = 0 across the catalogue
     if g.kind in ("total", "ces") and not _linear(g):
@@ -459,8 +455,9 @@ def _exact_rows(
     if g.kind in ("best_shot", "top_r"):
         return _order_route(g, store, agents, teams, copies) if lone else _own_grid_rows(g, store, rows, copies)
     if _linear(g):  # linearity of expectation: the means suffice
-        # summed in member order, then + 0.0 as sum() from 0: -0.0 becomes 0.0
-        return copies * (_row_sums(_means(store, agents, partial(_phi, g)), teams) + 0.0)
+        means = _means(store, agents, partial(_phi, g))
+        # in member order from 0 (-0.0 becomes 0.0); one row in Python floats, at a tenth of the cost
+        return np.array([copies * sum(means.tolist())]) if lone else copies * (_row_sums(means, teams) + 0.0)
     # success_prob: 1 - prod (1 - E f(X_i)), by independence
     return 1.0 - _product(1.0 - _means(store, agents, g.f.apply).take(teams.T), copies)
 
@@ -509,8 +506,9 @@ def team_values(scn: Scenario, j: int, teams) -> np.ndarray:
     bit for bit: ``_exact_rows`` on the block, which prices each row as
     its own call. ``teams`` is a (B, k) array of agent ids of the
     scenario, each row strictly ascending, as ``_subsets`` lists them;
-    the rows are not checked.
+    the rows are not checked; ``j`` is, as an index in range(n_projects).
     """
+    j = check_index(j, scn.n_projects, "project")
     teams = np.asarray(teams, dtype=np.intp)
     if teams.size and teams.shape[1] > scn.cardinalities[j]:
         scn._check_team_size(j, teams.shape[1])

@@ -13,7 +13,8 @@ earlier per-team loop on the library's per-team calls, so that comparing
 it with the verifiers checks their team blocks and witness choice and
 nothing else. ``ref_lone_expectation`` and ``ref_lone_mc`` keep the
 engine's earlier form for one team or replication score on lists of
-Distribution objects, on the engine's own kernels, so that comparing
+Distribution objects, on the engine's own kernels (but for the order
+route's sum over the gaps, which the reference writes out), so that comparing
 them with a one-row ``_exact_rows`` block and with ``_mc`` checks how
 the engine reads the packed store and nothing else.
 ``ref_submodularity_check`` keeps ``submodularity_check``'s earlier walk
@@ -59,7 +60,6 @@ from testscore.utility import (
     _phi,
     _product,
     _row_work,
-    _top_w,
 )
 
 BISECT_TOL = 1e-10
@@ -438,8 +438,9 @@ def ref_lone_expectation(g, pool, copies, budget):
     as the engine computed one team or replication score before it read
     the packed store: the sum route on the distributions' arrays, one copy
     at a time, with a point mass's terms added to a shift and a
-    left-to-right sum over the cells, and the order and product routes on
-    a block of one row."""
+    left-to-right sum over the cells, the product route on a block of one
+    row, and the order route summing each gap times E[min(w, N(t))] left
+    to right itself."""
     if not pool:
         return 0.0
     if g.kind in ("total", "ces"):
@@ -472,7 +473,21 @@ def ref_lone_expectation(g, pool, copies, budget):
         for d in pool
     ])
     charge(_row_work(g, len(grid), len(pool), copies), budget, "exact expectation")
-    return float(_top_w(g, grid, F[:, None, :], copies)[0])
+    # E[sum of the w largest copies] = w * grid[0] + the sum over the gaps
+    # of E[min(w, N(t))], N(t) the copies above t, left to right
+    if g.kind == "best_shot":
+        w, above = 1, 1.0 - _product(F, copies)
+    else:
+        w = min(int(g.r), len(pool) * copies)
+        equal = [np.ones(len(grid))] + [np.zeros(len(grid))] * (w - 1)  # P(N(t) = c), c < w
+        for miss in 1.0 - F:
+            for _ in range(copies):
+                equal = [equal[c] + ((equal[c - 1] if c else 0.0) - equal[c]) * miss for c in range(w)]
+        above = w - sum((w - c) * equal[c] for c in range(w))
+    value = w * float(grid[0])
+    for i in range(len(grid) - 1):
+        value += float(above[i]) * (float(grid[i + 1]) - float(grid[i]))
+    return value
 
 
 def ref_submodularity_check(u, n):

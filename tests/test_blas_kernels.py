@@ -5,21 +5,22 @@
 bit-for-bit contracts are that a table cell equals ``replication_score``,
 a ``team_values`` row its own ``project_utility`` call, and the engine its
 reference form. Child processes rerun those tests with the variable set
-in their own environment only, for every catalogue variant but
-``best_shot`` and ``top_r``:
+in their own environment only, for every catalogue variant:
 
 - the non-linear sum route (``total`` and ``ces`` teams and replication
   scores) ends each row in numpy's left-to-right add, which no BLAS
   kernel computes;
+- the order route (``best_shot``, ``top_r``) ends each row in the same
+  left-to-right add over its own grid's gaps, whether the row is scored
+  alone or in a padded block (``TestOrderKernel``);
 - the linear sum route (``total:identity``, ``ces:1``) and the product
   route (``success_prob``) reduce each agent's own atoms with np.dot, or
   a per-row matmul of the same length, and hold under Haswell's and
   Prescott's kernels alike.
 
-The order route (``best_shot``, ``top_r``) is not covered: it reduces
-through matmul over a grid, whose rounding follows the kernel's
-unrolling, so its contracts hold for the kernels the host picks and fail
-under Prescott's.
+The single-project oracle's screen on a merged grid still ends in a
+matrix product, whose rounding follows the kernel; it only screens, and
+the teams it keeps are rescored on their own bits.
 """
 
 import os
@@ -29,8 +30,8 @@ from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 SELECTION = (
-    "(TestTableMatchesReplicationScore or TestTeamValues or TestLoneReference or TestSumKernel)"
-    " and not best_shot and not top_r and not monte_carlo and not property"
+    "(TestTableMatchesReplicationScore or TestTeamValues or TestLoneReference or TestSumKernel"
+    " or TestOrderKernel) and not monte_carlo and not property"
 )
 
 

@@ -255,11 +255,11 @@ def reloaded(scn: Scenario) -> Scenario:
 
 def store_hexes(store) -> list:
     groups = [
-        (s, agents.tolist(), hexes(v.ravel()), hexes(p.ravel()), hexes(c.ravel()))
-        for s, agents, v, p, c in store.groups
+        (s, agents.tolist(), hexes(v.ravel()), hexes(p.ravel()))
+        for s, agents, v, p in store.groups
     ]
     return [hexes(store.values), hexes(store.probs), store.lengths.tolist(),
-            store.offsets.tolist(), groups]
+            store.offsets.tolist(), groups] + [hexes(a.ravel()) for a in store.padded]
 
 
 class TestProjectStores:
@@ -359,13 +359,18 @@ class TestProjectStores:
             want = store_hexes(scn.store(j))
             assert store_hexes(loaded.store(j)) == want
             assert store_hexes(again.store(j)) == want
-            # each group row holds its agent's own atoms and CDF
-            for _s, agents, values, probs, cdf in loaded.store(j).groups:
+            # each group row holds its agent's own atoms, and each padded
+            # row its atoms and CDF, then its last atom and 1.0
+            for _s, agents, values, probs in loaded.store(j).groups:
                 for row, i in enumerate(agents.tolist()):
                     d = scn.dist(i, j)
                     assert hexes(values[row]) == hexes(d.values)
                     assert hexes(probs[row]) == hexes(d.probs)
-                    assert hexes(cdf[row]) == hexes(d.cdf_array)
+            atoms, cdfs = loaded.store(j).padded
+            for i in scn.agents:
+                d, pad = scn.dist(i, j), atoms.shape[1] - len(scn.dist(i, j))
+                assert hexes(atoms[i]) == hexes(d.values + d.values[-1:] * pad)
+                assert hexes(cdfs[i]) == hexes((0.0,) + tuple(d.cdf_array) + (1.0,) * pad)
             for i in scn.agents:
                 for d in (loaded.dist(i, j), again.dist(i, j)):
                     assert hexes(d.values) == hexes(scn.dist(i, j).values)

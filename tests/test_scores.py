@@ -546,7 +546,8 @@ def _mixed_dist(i, j, s):
 
 # table_csv of the mixed table with RngSpec(seed=11), as the per-cell loop
 # that preceded column batching wrote it; the ces:2 cells as the sum route
-# reads since it ends in a left-to-right sum
+# reads since it ends in a left-to-right sum, and the best-shot and top_r(2)
+# cells as the order route reads since it does too
 MIXED_CSV = """\
 agent,project,r,score,method,std_error
 0,0,1,0.35,exact_best_shot,0.0
@@ -567,7 +568,7 @@ agent,project,r,score,method,std_error
 1,3,2,1.4142135623730951,exact,0.0
 2,0,1,4.244676,monte_carlo,0.004200032018083853
 2,0,2,4.99731,monte_carlo,0.0028942186171770157
-2,1,1,1.9500000000000002,exact,0.0
+2,1,1,1.95,exact,0.0
 2,1,2,3.9012140000000004,monte_carlo,0.002002000335188139
 2,2,1,0.5572252444436746,exact,0.0
 2,2,2,0.8039505158420364,exact,0.0
@@ -581,8 +582,8 @@ agent,project,r,score,method,std_error
 3,2,2,0.7981034820053446,exact,0.0
 3,3,1,2.0999999999999996,exact,0.0
 3,3,2,2.9839119496363122,exact,0.0
-4,0,1,3.3500000000000005,exact_best_shot,0.0
-4,0,2,3.760666666666667,exact_best_shot,0.0
+4,0,1,3.35,exact_best_shot,0.0
+4,0,2,3.7606666666666664,exact_best_shot,0.0
 4,1,1,2.25,exact,0.0
 4,1,2,4.50094,monte_carlo,0.0012669898249915686
 4,2,1,0.7829503184570856,exact,0.0

@@ -497,6 +497,62 @@ class TestSumKernel:
         assert first_kinds == {True, False}
 
 
+ORDER = [ValueFunction.best_shot(), ValueFunction.top_r(2), ValueFunction.top_r(3)]
+ORDER_TAGS = [value_fn_tag(g) for g in ORDER]
+
+
+class TestOrderKernel:
+    """Best-shot and top-r rows in padded blocks (``ProjectStore.padded``,
+    where a pad adds a zero-width gap) against the same rows scored alone,
+    bit for bit (``float.hex``): a score column (``_member_rows``) against
+    ``replication_score``, each ``team_values`` row against its own
+    ``project_utility`` call, and each row of a block at 2..4 copies of
+    each member against a one-row block; a lone agent's value also against
+    the reference. The blocks hold the whole store, or split it, _BLOCK
+    made small."""
+
+    @staticmethod
+    def dists():
+        # support lengths 1..20 and two more point masses, on a lattice so
+        # that members share atoms, and agents 22 and 23 repeat 1 and 6
+        gen = np.random.default_rng(98)
+        dists = kernel_dists(gen, (1, 20, 2, 1, 17, 3, 4, 1, 13, 5, 6, 16, 15, 7, 8, 9, 10, 11, 12, 14, 18, 19))
+        return dists + [dists[1], dists[6]]
+
+    @pytest.mark.parametrize("block", [None, 200], ids=["whole", "split"])
+    @pytest.mark.parametrize("g", ORDER, ids=ORDER_TAGS)
+    def test_columns_match_replication_score(self, g, block, monkeypatch):
+        if block:  # 10 agents of the store's 24 per block
+            monkeypatch.setattr(utility, "_BLOCK", block)
+        dists = self.dists()
+        store, budget = Scenario.single_project(dists, g, 1).store(0), enumeration_budget()
+        for copies in range(1, 5):
+            want = [replication_score(g, d, copies).hex() for d in dists]
+            assert want == [ref_lone_expectation(g, [d], copies, budget).hex() for d in dists]
+            assert [v.hex() for v in utility._member_rows(g, store, copies, budget).tolist()] == want
+
+    @pytest.mark.parametrize("block", [None, 200], ids=["whole", "split"])
+    @pytest.mark.parametrize("g", ORDER, ids=ORDER_TAGS)
+    def test_team_blocks_match_lone_rows(self, g, block, monkeypatch):
+        if block:  # 1 to 5 teams per block
+            monkeypatch.setattr(utility, "_BLOCK", block)
+        dists = self.dists()
+        scn = Scenario.single_project(dists, g, 4)
+        store, budget = scn.store(0), enumeration_budget()
+        gen = np.random.default_rng(99)
+        # point masses alone, repeated supports, and random teams
+        lead = [(0, 3, 7, 21), (1, 22, 6, 23), (0, 1, 3, 22), (2, 6, 23, 7)]
+        for k in range(1, 5):
+            teams = _subsets(len(dists), k)
+            teams = np.concatenate([np.sort(lead, axis=1)[:, :k], teams[gen.permutation(len(teams))[:60]]])
+            got = [v.hex() for v in team_values(scn, 0, teams).tolist()]
+            assert got == [project_utility(scn, 0, S).value.hex() for S in teams.tolist()]
+            for copies in range(2, 5):
+                got = [v.hex() for v in utility._exact_rows(g, store, teams, copies, budget).tolist()]
+                alone = [utility._exact_rows(g, store, row[None], copies, budget)[0].hex() for row in teams]
+                assert got == alone, (k, copies)
+
+
 def reloaded(scn):
     # the scenario as the loader builds it: stores, no Distribution objects
     return scenario_from_dict(json.loads(json.dumps(scenario_to_dict(scn)))).scenario
