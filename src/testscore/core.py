@@ -59,6 +59,16 @@ def check_index(value, n: int, what: str) -> int:
     return operator.index(value)
 
 
+def widest_first(widths: np.ndarray, cells: int):
+    """Positions of ``widths``, widest first, in blocks whose rows times
+    widest, their first's width, is at most ``cells`` (a wider row alone)."""
+    order, lo = np.argsort(-widths, kind="stable"), 0
+    while lo < len(order):
+        block = order[lo : lo + max(1, cells // int(widths[order[lo]]))]
+        lo += len(block)
+        yield block
+
+
 def enumeration_budget() -> int:
     """Current enumeration budget (TESTSCORE_BUDGET env var, default 10^7)."""
     raw = os.environ.get("TESTSCORE_BUDGET")
@@ -221,12 +231,13 @@ class ProjectStore:
     ``Distribution`` leaves them. ``groups`` holds the agents grouped by
     support length: for each length s, in ascending order, (s, the agents,
     and their values and probabilities as (agents, s) arrays), which the
-    engine's one-member sum, product and linear routes read; ``padded``, the
-    order route's, each support padded to the longest with its last atom
-    and its CDF (``cdf_rows``) behind a 0 padded with 1.0, as (agents, width)
-    and (agents, width + 1) arrays, so a pad adds a zero-width gap. ``take``
+    engine's one-member sum, product and linear routes read. ``padded``
+    lays some agents out for the order route, each support padded with its
+    last atom and each CDF with 1.0, so a pad adds a zero-width gap, and
+    ``ranked`` keeps every agent so laid out, longest support first, in
+    blocks of a bounded number of cells. ``take``
     copies some agents into a store of their own. The arrays are read-only;
-    ``groups``, ``padded``, and each agent's ``atoms`` and ``Distribution``
+    ``groups``, ``ranked``, and each agent's ``atoms`` and ``Distribution``
     (``dist``) are cached.
     """
 
@@ -237,6 +248,7 @@ class ProjectStore:
             arr.flags.writeable = False
         self._dists = list(dists) if dists is not None else [None] * len(lengths)
         self._atoms: list = [None] * len(lengths)
+        self._ranked: tuple = (0, [])
 
     @classmethod
     def pack(cls, dists: Sequence[Distribution]) -> "ProjectStore":
@@ -275,14 +287,26 @@ class ProjectStore:
             out.append((s, agents, self.values[atoms], self.probs[atoms]))
         return out
 
-    @cached_property
-    def padded(self) -> tuple[np.ndarray, np.ndarray]:
-        steps, last = np.arange(int(self.lengths.max())), self.lengths[:, None] - 1
-        cells = self.offsets[:, None] + np.minimum(steps, last)
-        cdfs = np.zeros((len(self), len(steps) + 1))
+    def padded(self, agents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The given agents' supports, each padded to the longest of them with
+        its last atom, and their CDFs (``cdf_rows``) behind a 0, padded with
+        1.0, as (agents, width) and (agents, width + 1) arrays: a pad adds a
+        zero-width gap."""
+        lengths = self.lengths[agents]
+        steps, last = np.arange(int(lengths.max())), lengths[:, None] - 1
+        cells = self.offsets[agents, None] + np.minimum(steps, last)
+        cdfs = np.zeros((len(lengths), len(steps) + 1))
         # each row's running sums as ``cdf_rows`` sums them, 1.0 from its last atom on
         cdfs[:, 1:] = np.where(steps >= last, 1.0, np.add.accumulate(self.probs[cells], axis=1))
         return self.values[cells], cdfs
+
+    def ranked(self, cells: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Every agent, longest support first, in blocks of at most ``cells``
+        padded cells (a longer support alone), each as its agents and their
+        ``padded`` arrays; kept for the last ``cells`` asked for."""
+        if self._ranked[0] != cells:
+            self._ranked = (cells, [(a, *self.padded(a)) for a in widest_first(self.lengths, cells)])
+        return self._ranked[1]
 
     def atoms(self, agent: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Agent ``agent``'s values and probabilities, as views, and its

@@ -10,11 +10,12 @@ phi(x_i) member by member (``_sum_rows``), ``best_shot`` and ``top_r``
 count the members above each support point (``_top_w``), and linear
 ``total``/``ces`` and ``success_prob`` read per-agent means and hit
 probabilities (``_means``). A block of one row runs on its own sorted
-atoms; larger blocks give each best-shot or top-r row its own grid of the
-store's padded atoms (``_own_grid_rows``), or pad the non-linear
-sum-route rows to the longest support at each member position. The one
-other entry, ``_member_rows``, scores a score table's one-member columns,
-best-shot and top-r ones on the padded atoms too. Each of these rows ends
+atoms; larger blocks give each best-shot or top-r row its own grid of its
+members' padded atoms (``ProjectStore.padded``, ``_own_grid_rows``), or
+pad the non-linear sum-route rows to the longest support at each member
+position. The one other entry, ``_member_rows``, scores a score table's
+one-member columns, best-shot and top-r ones on the store's padded blocks,
+longest support first (``ProjectStore.ranked``). Each of these rows ends
 in a left-to-right sum, over its own grid's gaps (``_top_w``) or its cells
 (``_sum_cells``), to which a pad adds +-0.0, so it keeps its bits in any
 block and under any BLAS kernel. Only the single-project oracle's screen
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, partial
 from typing import Iterable, Optional
 
 import numpy as np
@@ -40,6 +41,7 @@ from .core import (
     charge,
     check_index,
     enumeration_budget,
+    widest_first,
 )
 from .production import ValueFunction, evaluate, evaluate_batch
 
@@ -205,18 +207,21 @@ def _member_rows(
     """E[g] over ``copies`` independent copies of each agent of ``store``
     alone, written to ``out`` (by default a new array of NaNs, one entry
     per agent) at the agent's index, and returned: best-shot and top-r
-    agents on their padded atoms in blocks of at most _BLOCK cells, the
-    others on the store's length groups, each row with its own dot products
-    or left-to-right sum, so each equals ``_exact_rows`` on the agent alone
-    bit for bit. Rows that are not ``_batchable`` under the budget are
-    skipped, left as they are, so the block as a whole needs no metering."""
+    agents on the store's padded blocks of at most _BLOCK cells, longest
+    support first (``ProjectStore.ranked``), the others on its length
+    groups, each row with its own dot products or left-to-right sum, so
+    each equals ``_exact_rows`` on the agent alone bit for bit. Rows that
+    are not ``_batchable`` under the budget are never scored, their
+    entries left as they are, so a block as a whole needs no metering."""
     out = np.full(len(store), np.nan) if out is None else out
     if g.kind in ("best_shot", "top_r"):  # _batchable is the row's work within the budget
-        atoms, cdfs = store.padded
-        fits = _row_work(g, store.lengths, 1, copies) <= budget
-        per = max(1, _BLOCK // atoms.shape[1])
-        for rows in (slice(lo, lo + per) for lo in range(0, len(store), per)):  # views, not copies
-            out[rows] = np.where(fits[rows], _top_w(g, atoms[rows], cdfs[None, rows, 1:], copies), out[rows])
+        for agents, atoms, cdfs in store.ranked(_BLOCK):
+            # longest first, so the rows past the budget lead, and the others
+            # need no more columns than the first of them has atoms
+            lo = int((_row_work(g, store.lengths[agents], 1, copies) > budget).sum())
+            if lo < len(agents):
+                width = store.lengths[agents[lo]]
+                out[agents[lo:]] = _top_w(g, atoms[lo:, :width], cdfs[None, lo:, 1 : width + 1], copies)
         return out
     for s, agents, values, probs in store.groups:
         if not _batchable(g, s, copies, budget):
@@ -378,11 +383,13 @@ def _top_w(g: ValueFunction, grid: np.ndarray, cols: np.ndarray, copies: int) ->
     if grid.ndim == 1:  # a screen's merged grid: one matrix product
         return w * grid[0] + above[:, :-1] @ (grid[1:] - grid[:-1])
     # below the smallest grid point every copy counts; then each gap, left
-    # to right, so a zero-width gap adds +-0.0 and changes no bit of a row
-    gaps = above[:, :-1] * (grid[:, 1:] - grid[:, :-1])
-    if len(grid) <= grid.shape[1]:  # numpy's accumulate is the faster on few rows; both add alike
-        return np.add.accumulate(np.concatenate((w * grid[:, :1], gaps), axis=1), axis=1)[:, -1]
-    return reduce(np.add, gaps.T, w * grid[:, 0])
+    # to right, so a zero-width gap adds +-0.0 and changes no bit of a row.
+    # The gaps are taken flat, across row ends too, whose terms the first
+    # column then overwrites: slices of narrow rows are slow
+    flat, terms = grid.ravel(), np.empty(grid.shape)
+    terms.ravel()[1:] = above.ravel()[:-1] * (flat[1:] - flat[:-1])
+    terms[:, 0] = w * grid[:, 0]
+    return np.add.accumulate(terms, axis=1)[:, -1]
 
 
 def _order_route(
@@ -405,22 +412,24 @@ def _order_route(
 
 def _own_grid_rows(g: ValueFunction, store: ProjectStore, teams: np.ndarray, copies: int) -> np.ndarray:
     # the order route with each team, a row of agents, on its own grid: its
-    # members' padded atoms sorted, in blocks of at most _BLOCK grid cells.
-    # A member's CDF is read at its running count of atoms: only the last of
-    # equal points has counted them all, and the others, as pads, end zero-width gaps.
-    atoms, cdfs = store.padded
-    k, width = teams.shape[1], atoms.shape[1]
+    # members' atoms padded to the block's longest support and sorted, in
+    # blocks of at most _BLOCK grid cells, the teams with the longest member
+    # support first (``widest_first``). A member's CDF is read at its
+    # running count of atoms: only the last of equal points has counted
+    # them all, and the others, as pads, end zero-width gaps.
+    k = teams.shape[1]
     out = np.empty(len(teams))
-    rows = max(1, _BLOCK // (k * width))
-    for lo in range(0, len(teams), rows):
-        members = teams[lo : lo + rows]
-        padded = atoms[members].reshape(len(members), k * width)
+    for block in widest_first(k * store.lengths[teams].max(axis=1), _BLOCK):
+        members = teams[block]
+        atoms, cdfs = store.padded(members.ravel())  # team i's member m at row i * k + m
+        width, rows = atoms.shape[1], np.arange(0, len(atoms), k)[:, None]
+        padded = atoms.reshape(len(members), k * width)
         order = np.argsort(padded, axis=1, kind="stable")
         owner = order // width  # the member each sorted atom belongs to
         cols = np.empty((k,) + padded.shape)
         for m in range(k):
-            cols[m] = cdfs[members[:, m, None], np.cumsum(owner == m, axis=1)]
-        out[lo : lo + rows] = _top_w(g, np.take_along_axis(padded, order, axis=1), cols, copies)
+            cols[m] = cdfs[rows + m, np.cumsum(owner == m, axis=1)]
+        out[block] = _top_w(g, np.take_along_axis(padded, order, axis=1), cols, copies)
     return out
 
 

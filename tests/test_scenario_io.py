@@ -259,7 +259,7 @@ def store_hexes(store) -> list:
         for s, agents, v, p in store.groups
     ]
     return [hexes(store.values), hexes(store.probs), store.lengths.tolist(),
-            store.offsets.tolist(), groups] + [hexes(a.ravel()) for a in store.padded]
+            store.offsets.tolist(), groups] + [hexes(a.ravel()) for a in store.padded(np.arange(len(store)))]
 
 
 class TestProjectStores:
@@ -340,7 +340,8 @@ class TestProjectStores:
         assert len(got.groups) == len(want.groups)
         for got_group, want_group in zip(got.groups, want.groups):
             assert all(map(np.array_equal, got_group, want_group))
-        assert all(map(np.array_equal, got.padded, want.padded))
+        every = np.arange(len(agents))
+        assert all(map(np.array_equal, got.padded(every), want.padded(every)))
 
     def test_dist_is_built_once(self):
         scn = roster(np.random.default_rng(8), n=20, m=12)
@@ -366,7 +367,7 @@ class TestProjectStores:
                     d = scn.dist(i, j)
                     assert hexes(values[row]) == hexes(d.values)
                     assert hexes(probs[row]) == hexes(d.probs)
-            atoms, cdfs = loaded.store(j).padded
+            atoms, cdfs = loaded.store(j).padded(np.arange(scn.n_agents))
             for i in scn.agents:
                 d, pad = scn.dist(i, j), atoms.shape[1] - len(scn.dist(i, j))
                 assert hexes(atoms[i]) == hexes(d.values + d.values[-1:] * pad)

@@ -11,6 +11,7 @@ from testscore import (
     BudgetExceededError,
     ConcaveFn,
     Distribution,
+    ProjectStore,
     RngSpec,
     Scenario,
     UnitFn,
@@ -509,7 +510,8 @@ class TestOrderKernel:
     ``project_utility`` call, and each row of a block at 2..4 copies of
     each member against a one-row block; a lone agent's value also against
     the reference. The blocks hold the whole store, or split it, _BLOCK
-    made small."""
+    made small. A store with one long support pads only that support's
+    block to it, and a row the budget refuses is never scored."""
 
     @staticmethod
     def dists():
@@ -551,6 +553,58 @@ class TestOrderKernel:
                 got = [v.hex() for v in utility._exact_rows(g, store, teams, copies, budget).tolist()]
                 alone = [utility._exact_rows(g, store, row[None], copies, budget)[0].hex() for row in teams]
                 assert got == alone, (k, copies)
+
+
+    @pytest.mark.parametrize("g", ORDER, ids=ORDER_TAGS)
+    def test_a_long_support_pads_its_own_block(self, g, monkeypatch):
+        # 63 agents of 3 atoms and one of 5,000: padded to the longest, the
+        # whole store would be 64 x 5,000 cells, past _BLOCK; then a _BLOCK
+        # below 5,000 on the same store, where the long support runs alone
+        dists = kernel_dists(np.random.default_rng(97), (3,) * 20 + (5000,) + (3,) * 43)
+        scn = Scenario.single_project(dists, g, 2)
+        store, long = scn.store(0), 20
+        assert len(store) * 5000 > utility._BLOCK
+        padded, grids = [], []  # (rows, width) of every padded block, and of every grid scored
+        pad, top_w = ProjectStore.padded, utility._top_w
+        monkeypatch.setattr(ProjectStore, "padded", lambda s, a: padded.append(pad(s, a)[0].shape) or pad(s, a))
+        monkeypatch.setattr(utility, "_top_w", lambda g, grid, *a: grids.append(grid.shape) or top_w(g, grid, *a))
+        teams = np.array([(0, long), (1, 2), (3, 4), (long, 63), (5, 6)])
+        for block in (utility._BLOCK, 4000):
+            monkeypatch.setattr(utility, "_BLOCK", block)
+            padded.clear()
+            for copies in (1, 2):
+                want = [replication_score(g, d, copies).hex() for d in dists]
+                assert [v.hex() for v in utility._member_rows(g, store, copies, enumeration_budget()).tolist()] == want
+                # a budget that refuses the long support alone leaves its
+                # entry, and scores the others on grids of their own 3 atoms
+                budget = utility._row_work(g, 5000, 1, copies) - 1
+                grids.clear()
+                table = utility._member_rows(g, store, copies, budget)
+                assert np.isnan(table[long])
+                assert [v.hex() for v in np.delete(table, long).tolist()] == want[:long] + want[long + 1 :]
+                assert {width for _, width in grids} == {3}
+            got = [v.hex() for v in team_values(scn, 0, teams).tolist()]
+            assert got == [project_utility(scn, 0, S).value.hex() for S in teams.tolist()]
+            # each block within _BLOCK cells, or a lone agent or team; the
+            # agents past the long support's block are padded to their own 3 atoms
+            assert all(rows * width <= block or rows in (1, 2) for rows, width in padded)
+            assert (len(store) - max(1, block // 5000), 3) in padded
+
+
+    @pytest.mark.parametrize("g", ORDER, ids=ORDER_TAGS)
+    def test_tall_blocks_match_lone_rows(self, g):
+        # 600 agents of 1 to 4 atoms: a score column and a block of 400
+        # teams of narrow grids, many rows of few cells
+        gen = np.random.default_rng(95)
+        dists = kernel_dists(gen, gen.integers(1, 5, 600).tolist())
+        scn = Scenario.single_project(dists, g, 2)
+        store, budget = scn.store(0), enumeration_budget()
+        for copies in (1, 3):
+            want = [replication_score(g, d, copies).hex() for d in dists]
+            assert [v.hex() for v in utility._member_rows(g, store, copies, budget).tolist()] == want
+        teams = np.sort(np.array([gen.choice(600, 2, replace=False) for _ in range(400)]), axis=1)
+        got = [v.hex() for v in team_values(scn, 0, teams).tolist()]
+        assert got == [project_utility(scn, 0, S).value.hex() for S in teams.tolist()]
 
 
 def reloaded(scn):
