@@ -150,7 +150,7 @@ def cmd_select(args) -> int:
             loaded.agent_names[i] for i in oracle.assignment.sets[0]
         ]
         report["approximation"] = asdict(approx)
-    _emit(json.dumps(report, indent=2), args.out)
+    _emit(json.dumps(report), args.out)
     return EXIT_OK
 
 
@@ -177,7 +177,7 @@ def cmd_assign(args) -> int:
         approx = approximation_report(scn, result, oracle)
         report["oracle"] = oracle.to_json()
         report["approximation"] = asdict(approx)
-    _emit(json.dumps(report, indent=2), args.out)
+    _emit(json.dumps(report), args.out)
     return EXIT_OK
 
 
@@ -301,7 +301,7 @@ def cmd_check(args) -> int:
     shape = f"{trials} trials x {per_trial} per trial"
     charge(trials * per_trial, enumeration_budget(), f"check --suite {args.suite}", shape)
     report = runner(7 if args.seed is None else args.seed, trials)
-    _emit(json.dumps(report, indent=2), args.out)
+    _emit(json.dumps(report), args.out)
     return EXIT_OK if report["ok"] else EXIT_PROPERTY
 
 
@@ -435,7 +435,7 @@ def cmd_worstcase(args) -> int:
         report["validation"] = asdict(validation)
         if not validation.ok:
             code = EXIT_PROPERTY
-    _emit(json.dumps(report, indent=2), args.out)
+    _emit(json.dumps(report), args.out)
     return code
 
 

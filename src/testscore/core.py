@@ -59,6 +59,16 @@ def check_index(value, n: int, what: str) -> int:
     return operator.index(value)
 
 
+def check_count(value, least: int, what: str, most: Optional[int] = None) -> int:
+    """``value``, an int or numpy integer but no bool, as a count of at
+    least ``least`` and, when given, at most ``most``."""
+    count = None if isinstance(value, bool) or not hasattr(value, "__index__") else operator.index(value)
+    if count is None or count < least or (most is not None and count > most):
+        bounds = f"an integer >= {least}" if most is None else f"in {least}..{most}"
+        raise ValidationError(f"{what} must be {bounds}, got {value!r}")
+    return count
+
+
 def widest_first(widths: np.ndarray, cells: int):
     """Positions of ``widths``, widest first, in blocks whose rows times
     widest, their first's width, is at most ``cells`` (a wider row alone)."""
@@ -375,9 +385,9 @@ class Scenario:
             for j, d in enumerate(row):
                 if not isinstance(d, Distribution):
                     raise ValidationError(f"missing distribution for pair ({i}, {j})")
-        for j, (g, k) in enumerate(zip(self.value_fns, self.cardinalities)):
-            if k < 1:
-                raise ValidationError(f"cardinality k_{j} must be >= 1, got {k}")
+        ks = tuple(check_count(k, 1, f"cardinality k_{j}") for j, k in enumerate(self.cardinalities))
+        object.__setattr__(self, "cardinalities", ks)
+        for j, k in enumerate(ks):
             self._check_team_size(j, k)
         if sum(self.cardinalities) > n:
             raise ValidationError(
@@ -437,6 +447,14 @@ class Scenario:
             self._stores[project] = ProjectStore.pack([row[project] for row in self.dists])
         return self._stores[project]
 
+    def class_store(self, projects: Sequence[int]) -> ProjectStore:
+        """One store of a class of projects the engine scores as one block:
+        their stores side by side, agent i of the c-th project at row
+        c * n_agents + i; a class of one reads its project's own store."""
+        if projects[1:]:
+            return ProjectStore.concat(map(self.store, projects))
+        return self.store(projects[0])
+
     @classmethod
     def single_project(
         cls,
@@ -448,7 +466,7 @@ class Scenario:
         return cls(
             dists=tuple((d,) for d in dists),
             value_fns=(value_fn,),
-            cardinalities=(int(k),),
+            cardinalities=(k,),
         )
 
 

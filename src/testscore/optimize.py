@@ -22,6 +22,7 @@ from .core import (
     Scenario,
     ValidationError,
     charge,
+    check_count,
     check_index,
     enumeration_budget,
 )
@@ -30,6 +31,7 @@ from .scores import ScoreTable
 from .sketch import BOUND_TOL, _strong_sketch_values
 from .utility import (
     UtilityEstimate,
+    _exact_rows,
     _grid,
     _linear,
     _h,
@@ -118,12 +120,34 @@ def _result(
     sketch_objective: Optional[float] = None,
     known: Optional[dict[int, UtilityEstimate]] = None,
 ) -> SelectionResult:
-    # insertion order is part of the contract; callers sort where they mean to.
-    # known holds the objectives a caller has already scored, by project
+    """The result of assignment ``sets``, each objective equal to its
+    project's ``_objective`` bit for bit. ``known`` holds the objectives a
+    caller has already scored, by project. The other non-empty teams are
+    scored per class of projects with equal value functions and team
+    sizes: a class of two or more in one ``_exact_rows`` block on its
+    ``Scenario.class_store``, whose rows each equal a lone call; a class
+    of one, or one whose block passes the budget, project by project."""
+    # insertion order is part of the contract; callers sort where they mean to
     assignment = Assignment(sets=tuple(tuple(S) for S in sets))
-    known = known or {}
+    scored = dict(known or {})
+    classes: dict[tuple, list[int]] = {}
+    # a single project forms no class of two, and its result pays for no grouping
+    for j, S in enumerate(assignment.sets if scn.n_projects > 1 else ()):
+        if S and j not in scored:
+            classes.setdefault((scn.value_fns[j], len(S)), []).append(j)
+    for (g, _), js in classes.items():
+        if not js[1:]:
+            continue
+        # each team's sorted members, offset to its project's place in the class store
+        rows = np.array([sorted(assignment.sets[j]) for j in js]) + scn.n_agents * np.arange(len(js))[:, None]
+        try:
+            values = _exact_rows(g, scn.class_store(js), rows, 1, enumeration_budget())
+        except BudgetExceededError:
+            continue  # each team is scored alone, so one past the budget keeps its own MC stream
+        method = "exact_best_shot" if g.kind == "best_shot" else "exact"
+        scored.update((j, UtilityEstimate(v, method)) for j, v in zip(js, values.tolist()))
     per_project = tuple(
-        known[j] if j in known else _objective(scn, j, assignment.sets[j])
+        scored[j] if j in scored else _objective(scn, j, assignment.sets[j])
         for j in scn.projects
     )
     return SelectionResult(
@@ -147,8 +171,7 @@ def greedy_topk(
     the same team, which is then not scored again.
     """
     j = check_index(j, scn.n_projects, "project")
-    if k < 1 or k > scn.n_agents:
-        raise ValidationError(f"k must be in 1..{scn.n_agents}, got {k}")
+    k = check_count(k, 1, "k", scn.n_agents)
     scores = table.block(scn.n_agents, j, k, k)[:, 0]
     # a stable sort keeps equal scores in id order
     ranked = np.argsort(-scores, kind="stable")[:k].tolist()
@@ -176,7 +199,10 @@ def greedy_welfare(
     Ties break deterministically toward the smaller agent id then the
     smaller project id, or uniformly at random when tie_rng is given.
     The accumulated per-pick scores equal the harmonic-sketch value of the
-    final assignment, exposed as sketch_objective.
+    final assignment, exposed as sketch_objective. The objectives are
+    scored per class block (``_result``): the teams of projects with equal
+    value functions and team sizes in one engine call, each equal to its
+    own ``project_utility`` bit for bit.
     """
     if table.kind != "replication":
         raise ValidationError(
@@ -348,8 +374,7 @@ def brute_force_single(scn: Scenario, j: int, k: int) -> SelectionResult:
     objective.
     """
     j = check_index(j, scn.n_projects, "project")
-    if k < 1 or k > scn.n_agents:
-        raise ValidationError(f"k must be in 1..{scn.n_agents}, got {k}")
+    k = check_count(k, 1, "k", scn.n_agents)
     if k > scn.cardinalities[j]:
         scn._check_team_size(j, k)
     budget = enumeration_budget()

@@ -133,7 +133,9 @@ class ValueFunction:
 
     @classmethod
     def top_r(cls, r: int) -> "ValueFunction":
-        return cls("top_r", r=int(r))
+        from .core import check_count  # core builds on this module
+
+        return cls("top_r", r=check_count(r, 1, "top_r r"))
 
     @classmethod
     def ces(cls, r: float) -> "ValueFunction":

@@ -33,6 +33,7 @@ from .core import (
     RngSpec,
     Scenario,
     ValidationError,
+    check_count,
     dist_mean,
     enumeration_budget,
 )
@@ -73,8 +74,7 @@ def replication_score(g: ValueFunction, d: Distribution, k: int) -> float:
     k copies, which raises BudgetExceededError when its work passes the
     enumeration budget.
     """
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
+    k = check_count(k, 1, "k")
     row = np.zeros((1, 1), np.intp)
     return float(_exact_rows(g, ProjectStore.pack([d]), row, k, enumeration_budget())[0])
 
@@ -204,10 +204,7 @@ def build_score_table(
     """
     if kind not in ("mean", "quantile", "replication"):
         raise ValidationError(f"unknown score kind {kind!r}")
-    if max_r < 1 or max_r > max(scn.cardinalities):
-        raise ValidationError(
-            f"max_r must be in 1..max cardinality ({max(scn.cardinalities)}), got {max_r}"
-        )
+    max_r = check_count(max_r, 1, "max_r", max(scn.cardinalities))
     if kind == "quantile":
         if theta is None:
             raise ValidationError("quantile tables need theta")
@@ -233,15 +230,11 @@ def build_score_table(
     labels = ["exact_best_shot" if g.kind == "best_shot" else "exact" for g in scn.value_fns]
     methods[...] = np.array(labels, dtype=object)[:, None]
     # projects with equal value functions and ranges of r form a class,
-    # scored on one store: its projects' stores side by side, agent i of its
-    # c-th project at row c * n + i
+    # scored on one store (``Scenario.class_store``)
     classes: dict[tuple[ValueFunction, int, int], list[int]] = {}
     for j, (lo, hi) in enumerate(ranges):
         classes.setdefault((scn.value_fns[j], lo, hi), []).append(j)
-    stores = [
-        ProjectStore.concat(map(scn.store, js)) if js[1:] else scn.store(js[0])
-        for js in classes.values()
-    ]
+    stores = [scn.class_store(js) for js in classes.values()]
     single = []  # (agent, project, r): cells scored one by one
     for ((g, lo, hi), js), store in zip(classes.items(), stores):
         sizes = sorted(set(store.lengths.tolist()))

@@ -463,6 +463,9 @@ def _exact_rows(
     # every row fits the budget, so the routes below run unmetered
     if g.kind in ("best_shot", "top_r"):
         return _order_route(g, store, agents, teams, copies) if lone else _own_grid_rows(g, store, rows, copies)
+    if not lone and rows.size < len(store):  # a class block: read the means of the agents it names only
+        agents, teams = np.unique(rows, return_inverse=True)
+        teams = teams.reshape(rows.shape)
     if _linear(g):  # linearity of expectation: the means suffice
         means = _means(store, agents, partial(_phi, g))
         # in member order from 0 (-0.0 becomes 0.0); one row in Python floats, at a tenth of the cost
@@ -472,10 +475,8 @@ def _exact_rows(
 
 
 def _members(scn: Scenario, j: int, S: Iterable[int]) -> tuple[int, ...]:
-    members = tuple(sorted(set(int(i) for i in S)))
-    for i in members:
-        if not (0 <= i < scn.n_agents):
-            raise ValidationError(f"unknown agent {i}")
+    # a set reading: a repeated member counts once
+    members = tuple(sorted({check_index(i, scn.n_agents, "agent") for i in S}))
     if len(members) > scn.cardinalities[j]:
         scn._check_team_size(j, len(members))
     return members
@@ -484,8 +485,10 @@ def _members(scn: Scenario, j: int, S: Iterable[int]) -> tuple[int, ...]:
 def exact_utility(scn: Scenario, j: int, S: Iterable[int]) -> UtilityEstimate:
     """Exact expected utility of team S on project j, from the engine.
 
-    Raises BudgetExceededError past the enumeration budget. The empty team
-    is worth g(0, ..., 0) = 0.
+    S is read as a set of agent ids, each an int or numpy integer in
+    range(n_agents) (ValidationError otherwise), so a repeated member
+    counts once. Raises BudgetExceededError past the enumeration budget.
+    The empty team is worth g(0, ..., 0) = 0.
     """
     return UtilityEstimate(value=float(team_values(scn, j, [_members(scn, j, S)])[0]), method="exact")
 
@@ -504,7 +507,8 @@ def exact_utility_best_shot(scn: Scenario, j: int, S: Iterable[int]) -> UtilityE
 
 def project_utility(scn: Scenario, j: int, S: Iterable[int]) -> UtilityEstimate:
     """Exact utility from the engine; best-shot projects carry the
-    ``exact_best_shot`` method label."""
+    ``exact_best_shot`` method label. S is read as a set of agent ids, as
+    ``exact_utility`` reads it: a repeated member counts once."""
     if scn.value_fns[j].kind == "best_shot":
         return exact_utility_best_shot(scn, j, S)
     return exact_utility(scn, j, S)
@@ -555,7 +559,8 @@ def mc_utility(
     stream: int = 0,
 ) -> UtilityEstimate:
     """Monte Carlo estimate of the expected utility, by ``_mc``;
-    deterministic for a fixed RngSpec and stream."""
+    deterministic for a fixed RngSpec and stream. S is read as a set of
+    agent ids, as ``exact_utility`` reads it: a repeated member counts once."""
     if samples < 2:
         raise ValidationError(f"samples must be >= 2, got {samples}")
     members = _members(scn, j, S)

@@ -15,13 +15,18 @@ from testscore import (
     Scenario,
     ValidationError,
     ValueFunction,
+    brute_force_single,
+    build_score_table,
     dist_mean,
     empirical_distribution,
     enumeration_budget,
+    greedy_topk,
     mc_utility,
+    project_utility,
+    replication_score,
 )
 from testscore import utility
-from testscore.core import charge
+from testscore.core import charge, check_count
 
 TWO_POINT = Distribution.from_pairs(((0.0, 0.5), (2.0, 0.5)))
 
@@ -306,6 +311,80 @@ class TestScenario:
     def test_rejects_no_agents(self):
         with pytest.raises(ValidationError):
             Scenario(dists=(), value_fns=(ValueFunction.best_shot(),), cardinalities=(1,))
+
+
+def _size_calls():
+    # each size argument the library takes, as a call of that argument alone
+    scn = Scenario.single_project([TWO_POINT, Distribution.point(1.0), Distribution.point(3.0)], ValueFunction.best_shot(), 2)
+    table = build_score_table(scn, "replication", max_r=2)
+    answer = lambda x: x.assignment.sets
+    return {
+        "greedy_topk k": (lambda k: greedy_topk(scn, 0, k, table), answer),
+        "brute_force_single k": (lambda k: brute_force_single(scn, 0, k), answer),
+        "replication_score k": (lambda k: replication_score(ValueFunction.top_r(2), TWO_POINT, k), float.hex),
+        "build_score_table max_r": (lambda r: build_score_table(scn, "replication", max_r=r), lambda t: t.scores.tobytes()),
+        "top_r r": (ValueFunction.top_r, lambda g: g),
+        "cardinality": (
+            lambda k: Scenario(dists=((TWO_POINT,),) * 3, value_fns=(ValueFunction.best_shot(),), cardinalities=(k,)),
+            lambda scn: scn.cardinalities,
+        ),
+        "single_project k": (
+            lambda k: Scenario.single_project([TWO_POINT] * 3, ValueFunction.best_shot(), k),
+            lambda scn: scn.cardinalities,
+        ),
+    }
+
+
+class TestCounts:
+    """Size arguments (team sizes, copies, table widths, top-r's r and
+    cardinalities) take an int or a numpy integer and refuse anything
+    else, as indices do."""
+
+    def test_check_count(self):
+        assert check_count(3, 1, "k") == 3 and type(check_count(np.int64(3), 1, "k")) is int
+        assert check_count(0, 0, "k") == 0 and check_count(5, 1, "k", 5) == 5
+        for value in (True, 2.0, 2.5, "2", None, np.float64(2.0)):
+            with pytest.raises(ValidationError, match=r"^k must be an integer >= 1, got "):
+                check_count(value, 1, "k")
+        with pytest.raises(ValidationError, match=r"^k must be an integer >= 1, got 0$"):
+            check_count(0, 1, "k")
+        with pytest.raises(ValidationError, match=r"^k must be in 1..5, got 6$"):
+            check_count(6, 1, "k", 5)
+
+    @pytest.mark.parametrize("name", list(_size_calls()))
+    @pytest.mark.parametrize("value", [True, 2.0, 2.5, np.float64(2.0)], ids=["bool", "float", "fraction", "np-float"])
+    def test_refuses_non_integers(self, name, value):
+        call, _ = _size_calls()[name]
+        with pytest.raises(ValidationError, match=" must be "):
+            call(value)
+
+    @pytest.mark.parametrize("name", list(_size_calls()))
+    def test_numpy_integer_is_the_int(self, name):
+        call, answer = _size_calls()[name]
+        assert answer(call(np.int64(2))) == answer(call(2))
+
+    def test_scenario_keeps_plain_ints(self):
+        scn = Scenario.single_project([TWO_POINT] * 3, ValueFunction.best_shot(), np.int64(2))
+        assert scn.cardinalities == (2,) and type(scn.cardinalities[0]) is int
+        assert ValueFunction.top_r(np.int64(2)) == ValueFunction.top_r(2)
+        assert type(ValueFunction.top_r(np.int64(2)).r) is int
+
+    def test_member_ids_are_indices(self):
+        # a float or bool id no longer reads as the agent it truncates to
+        scn = Scenario.single_project([TWO_POINT, Distribution.point(1.0), Distribution.point(3.0)], ValueFunction.best_shot(), 2)
+        for S in ([1.5], [True], [np.float64(1.0)], [-1], [3]):
+            with pytest.raises(ValidationError, match=r"^agent must be an index in range\(3\), got "):
+                project_utility(scn, 0, S)
+        assert project_utility(scn, 0, [np.int64(1)]) == project_utility(scn, 0, [1])
+
+    def test_repeated_member_is_a_set_reading(self):
+        scn = Scenario.single_project([TWO_POINT, Distribution.point(1.0), Distribution.point(3.0)], ValueFunction.ces(2.0), 2)
+        for S, once in (([2, 2], [2]), ([0, 1, 0, 1], [0, 1]), ([1, 0, 1], [0, 1])):
+            for score in (project_utility, utility.exact_utility):
+                twice, alone = score(scn, 0, S), score(scn, 0, once)
+                assert (twice.value.hex(), twice.method) == (alone.value.hex(), alone.method)
+            twice, alone = (mc_utility(scn, 0, T, RngSpec(seed=3), samples=64) for T in (S, once))
+            assert (twice.value.hex(), twice.std_error.hex()) == (alone.value.hex(), alone.std_error.hex())
 
 
 class TestAssignment:

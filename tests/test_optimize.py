@@ -37,7 +37,7 @@ from testscore import (
     strong_sketch,
     welfare_greedy_bound,
 )
-from testscore import adversarial, optimize, utility
+from testscore import adversarial, optimize, scenario_io, utility
 from testscore.adversarial import CATALOGUE_POOL, random_single_scenario
 from testscore.optimize import _maximize_assignment, _subset_enum_cost, _team_blocks, _team_cells
 from testscore.scenario_io import value_fn_tag
@@ -1283,3 +1283,86 @@ def test_rejects_out_of_range_inputs(call, message):
     scn, table = _two_projects()
     with pytest.raises(ValidationError, match=f"^{message}$"):
         call(scn, table)
+
+
+def _bits(est):
+    return (est.value.hex(), est.method, est.samples, est.std_error.hex())
+
+
+def _class_scenario(gen, g, ks):
+    # every (agent, project) support has 1 to 3 atoms, so point masses mix with wider supports
+    n = sum(ks)
+
+    def dist():
+        values = np.unique(np.round(gen.uniform(0.0, 3.0, int(gen.integers(1, 4))), 3))
+        w = gen.uniform(0.2, 1.0, len(values))
+        return Distribution(tuple(values.tolist()), tuple((w / w.sum()).tolist()))
+
+    dists = tuple(tuple(dist() for _ in ks) for _ in range(n))
+    return Scenario(dists=dists, value_fns=(g,) * len(ks), cardinalities=ks)
+
+
+class TestClassObjectives:
+    """``_result`` scores the teams of each class of projects with equal
+    value functions and team sizes in one engine block, and each objective
+    equals the project's own ``_objective`` bit for bit."""
+
+    def check(self, scn, res):
+        want = [optimize._objective(scn, j, S) for j, S in enumerate(res.assignment.sets)]
+        assert [_bits(est) for est in res.per_project] == [_bits(est) for est in want]
+        assert res.total.hex() == float(sum(est.value for est in want)).hex()
+
+    @pytest.mark.parametrize("g", CATALOGUE, ids=CATALOGUE_TAGS)
+    def test_sets_in_insertion_order(self, g, monkeypatch):
+        gen = np.random.default_rng(91)
+        # classes of sizes 3, 2 and 1 with two projects each, a class of
+        # two empty teams and, on project 6, a team below its cardinality
+        sizes, ks = (3, 3, 2, 0, 1, 1, 2, 0), (3, 3, 2, 1, 1, 1, 3, 2)
+        scn = _class_scenario(gen, g, ks)
+        for _ in range(3):
+            agents, sets = gen.permutation(scn.n_agents).tolist(), []
+            for size in sizes:
+                sets.append(tuple(agents[:size]))
+                del agents[:size]
+            self.check(scn, optimize._result(scn, sets))
+        # only the empty teams are scored one by one
+        lone = []
+        objective = optimize._objective
+        monkeypatch.setattr(optimize, "_objective", lambda scn, j, S: lone.append(j) or objective(scn, j, S))
+        optimize._result(scn, sets)
+        assert lone == [3, 7]
+
+    @pytest.mark.parametrize("g", CATALOGUE, ids=CATALOGUE_TAGS)
+    def test_assignment_algorithms(self, g):
+        gen = np.random.default_rng(92)
+        scn = _class_scenario(gen, g, (1, 2, 3, 1, 2))
+        table = build_score_table(scn, "replication", max_r=3)
+        results = [
+            greedy_welfare(scn, table),
+            greedy_welfare(scn, table, tie_rng=RngSpec(seed=4)),
+            brute_force_welfare(scn),
+            baseline_min_sketch_welfare(scn, table),
+            baseline_max_sketch_welfare(scn, table),
+            best_strong_sketch_assignment(scn, table),
+        ]
+        for res in results:
+            self.check(scn, res)
+
+    @pytest.mark.parametrize("kind", ["best_shot", "top_r:2", "total:sqrt"])
+    def test_over_budget_team_keeps_its_monte_carlo(self, kind, monkeypatch):
+        # at budget 8 the team of two 3-atom supports is over, and the
+        # teams of point masses fit (best shot 4, top_r 8, sum route 0)
+        monkeypatch.setenv("TESTSCORE_BUDGET", "8")
+        wide = Distribution.from_pairs(((0.0, 0.2), (1.0, 0.3), (2.5, 0.5)))
+        dists = [wide, wide] + [Distribution.point(float(v)) for v in (0.5, 2.0, 1.0, 3.0)]
+        scn = Scenario(
+            dists=tuple((d,) * 3 for d in dists),
+            value_fns=(scenario_io.parse_value_fn(kind),) * 3,
+            cardinalities=(2, 2, 2),
+        )
+        res = optimize._result(scn, [(3, 2), (1, 0), (5, 4)])
+        self.check(scn, res)
+        sampled = mc_utility(scn, 1, (0, 1), RngSpec(seed=0), samples=optimize.MC_OBJECTIVE_SAMPLES, stream=1)
+        assert _bits(res.per_project[1]) == _bits(sampled)
+        for j, S in ((0, (2, 3)), (2, (4, 5))):
+            assert _bits(res.per_project[j]) == _bits(project_utility(scn, j, S))

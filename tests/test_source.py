@@ -200,3 +200,28 @@ save_scenario scenario_from_dict scenario_to_dict value_fn_tag
 def test_public_names_are_pinned():
     assert testscore.__all__ == PUBLIC_NAMES
     assert all(hasattr(testscore, name) for name in PUBLIC_NAMES)
+
+
+def indented_dumps(source: str) -> list[int]:
+    """The lines of the ``json.dumps`` calls in ``source`` that pass
+    ``indent``, which sends ``json`` to its pure-Python encoder."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "dumps"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "json"
+        and any(kw.arg == "indent" for kw in node.keywords)
+    ]
+
+
+def test_cli_reports_use_the_c_encoder():
+    cli = Path(testscore.__file__).parent / "cli.py"
+    assert indented_dumps(cli.read_text()) == []
+
+
+def test_finds_an_indented_dumps():
+    source = "import json\njson.dumps(1)\nx = json.dumps(\n  {}, indent=2)\njson.loads('1')\n"
+    assert indented_dumps(source) == [3]
