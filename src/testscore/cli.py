@@ -45,6 +45,7 @@ from .scenario_io import (
     read_ratings,
     save_scenario,
     scenario_to_dict,
+    write_text,
 )
 from .sketch import verify_goodness_sandwich, verify_strong_sketch_bounds
 from .utility import submodularity_check
@@ -87,10 +88,7 @@ def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         print(text)
     else:
-        with open(out, "w") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+        write_text(out, text + "\n")
 
 
 def _resolve_project(loaded: LoadedScenario, raw: Optional[str]) -> int:

@@ -24,7 +24,10 @@ from __future__ import annotations
 
 import csv
 import json
+import locale
 import math
+import os
+import stat
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -383,8 +386,46 @@ def save_scenario(
     if hasattr(out, "write"):
         out.write(text)
     else:
-        with open(out, "w") as fh:
-            fh.write(text)
+        write_text(out, text)
+
+
+def write_text(out: Union[str, Path], text: str) -> None:
+    """Write ``text`` to the file ``out``, in the encoding ``open`` uses,
+    as ``open(out, "w").write(text)`` would leave it, rewriting it in place.
+
+    The file is opened without ``O_TRUNC``, written from its first byte,
+    and only then cut to the written length. Truncating a file to zero on
+    ext4 (``auto_da_alloc``, its default) makes the following ``close``
+    allocate the new blocks and start their writeback inside the call, so
+    every rewrite of a report would wait on the disk; cutting it to a
+    length that is not zero does not. A target that is not a regular
+    file, such as ``/dev/null`` or a FIFO, is written and never
+    truncated, as ``open`` treats it. The mode (0o666 under the umask),
+    symlink following and each ``OSError`` stay as ``open`` has them.
+
+    The text is encoded before the file is opened, so an encoding error
+    leaves the file as it was; a write that raises ``OSError`` cuts a
+    regular file to zero before the error propagates. Either way no mix of
+    old and new bytes is left. Neither this nor ``open`` fsyncs: after a
+    crash soon after a rewrite the old contents may remain, where with
+    ``open`` an empty file could.
+    """
+    data = memoryview(text.encode(locale.getpreferredencoding(False)))
+    fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        try:
+            written = 0
+            while written < len(data):
+                written += os.write(fd, data[written:])
+        except OSError:
+            if regular:
+                os.ftruncate(fd, 0)
+            raise
+        if regular:
+            os.ftruncate(fd, written)
+    finally:
+        os.close(fd)
 
 
 def load_scenario(src: Union[str, Path, IO[str]]) -> LoadedScenario:

@@ -14,15 +14,15 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Scenario, ValidationError
+from .core import Scenario, ValidationError, check_count, check_index
 from .scores import ScoreTable, build_score_table
 from .utility import _subsets, team_values
 
 BOUND_TOL = 1e-9
 
 
-def _check_members(S) -> tuple[int, ...]:
-    members = tuple(sorted(S))
+def _check_members(S, n: int) -> tuple[int, ...]:
+    members = tuple(sorted(check_index(i, n, "agent") for i in S))
     if len(members) != len(set(members)):
         raise ValidationError("duplicate agents in set")
     if not members:
@@ -49,7 +49,9 @@ def minmax_sketch(
     table: ScoreTable, j: int, S, k: int
 ) -> tuple[float, float]:
     """Min and max of the size-k replication scores over the set."""
-    members = _check_members(S)
+    n, m, _ = table.scores.shape
+    j, k = check_index(j, m, "project"), check_count(k, 1, "k")
+    members = _check_members(S, n)
     if len(members) != k:
         raise ValidationError(f"need |S| = k = {k}, got {len(members)}")
     vals = [table.get(i, j, k) for i in members]
@@ -68,7 +70,9 @@ def strong_sketch(table: ScoreTable, j: int, S) -> SketchEval:
         raise ValidationError(
             f"strong sketch needs a replication table, got {table.kind!r}"
         )
-    members = _check_members(S)
+    n, m, _ = table.scores.shape
+    j = check_index(j, m, "project")
+    members = _check_members(S, n)
     t = len(members)
     if t > table.max_r:
         raise ValidationError(f"|S| = {t} exceeds table max_r = {table.max_r}")
@@ -156,23 +160,25 @@ def _worse(cur: Optional[BoundWitness], cand: BoundWitness) -> BoundWitness:
     return cand if cur is None or cand.slack < cur.slack else cur
 
 
-def _verify_bracket(scn: Scenario, j: int, k: int, sizes, sides) -> SketchBoundReport:
+def _verify_bracket(scn: Scenario, j: int, k: int, every_size: bool, sides) -> SketchBoundReport:
     """The worst slack of a bracket's lower and upper side over every team
-    whose size is in ``sizes``: ``sides(table, teams, u)`` returns both as
-    (bound, slacks, v) for one block of teams of a size, from the exact
-    replication table of columns sizes[0]..k, the columns either side
-    reads, and the teams' exact utilities u. A side's witness is its first
-    smallest slack in lexicographic order, a later size replacing it only
-    with a strictly smaller one."""
-    if k < 1 or k > scn.n_agents:
-        raise ValidationError(f"k must be in 1..{scn.n_agents}, got {k}")
+    of size k, or of every size 1..k when ``every_size``: ``sides(table,
+    j, teams, u)`` returns both as (bound, slacks, v) for one block of
+    teams of a size, from the exact replication table of the sizes'
+    columns, the columns either side reads, and the teams' exact
+    utilities u. A side's witness is its first smallest slack in
+    lexicographic order, a later size replacing it only with a strictly
+    smaller one."""
+    j = check_index(j, scn.n_projects, "project")
+    k = check_count(k, 1, "k", scn.n_agents)
+    sizes = range(1 if every_size else k, k + 1)
     columns = [(sizes[0], k)] * scn.n_projects
     table = build_score_table(scn, "replication", max_r=k, mc_fallback=False, columns=columns)
     worst: list[Optional[BoundWitness]] = [None, None]  # lower side, upper side
     for t in sizes:
         teams = _subsets(scn.n_agents, t)
         u = team_values(scn, j, teams)
-        for side, (bound, slack, v) in enumerate(sides(table, teams, u)):
+        for side, (bound, slack, v) in enumerate(sides(table, j, teams, u)):
             i = int(slack.argmin())  # the first smallest
             S = tuple(teams[i].tolist())
             cand = BoundWitness(bound, float(slack[i]), S, u=float(u[i]), v=float(v[i]))
@@ -193,12 +199,12 @@ def verify_strong_sketch_bounds(scn: Scenario, j: int, k: int) -> SketchBoundRep
     equal to ``project_utility`` bit for bit.
     """
 
-    def sides(table, teams, u):
+    def sides(table, j, teams, u):
         v = _strong_sketch_values(table, j, teams)
         scale = 2.0 * (math.log(teams.shape[1]) + 1.0)
         return ("strong_lower", u - v / scale, v), ("strong_upper", 6.0 * v - u, v)
 
-    return _verify_bracket(scn, j, k, range(1, k + 1), sides)
+    return _verify_bracket(scn, j, k, True, sides)
 
 
 def verify_goodness_sandwich(scn: Scenario, j: int, k: int) -> SketchBoundReport:
@@ -211,12 +217,12 @@ def verify_goodness_sandwich(scn: Scenario, j: int, k: int) -> SketchBoundReport
     """
     lo_factor = 1.0 - 1.0 / math.e
 
-    def sides(table, teams, u):
-        scores = table.scores[teams, j, k - 1]
+    def sides(table, j, teams, u):
+        scores = table.scores[teams, j, teams.shape[1] - 1]
         lower, upper = scores.min(axis=1), scores.max(axis=1)
         return (
             ("goodness_lower", u - lo_factor * lower, lower),
             ("goodness_upper", 4.0 * upper - u, upper),
         )
 
-    return _verify_bracket(scn, j, k, (k,), sides)
+    return _verify_bracket(scn, j, k, False, sides)

@@ -39,6 +39,7 @@ from .core import (
     Scenario,
     ValidationError,
     charge,
+    check_count,
     check_index,
     enumeration_budget,
     widest_first,
@@ -476,6 +477,7 @@ def _exact_rows(
 
 def _members(scn: Scenario, j: int, S: Iterable[int]) -> tuple[int, ...]:
     # a set reading: a repeated member counts once
+    j = check_index(j, scn.n_projects, "project")
     members = tuple(sorted({check_index(i, scn.n_agents, "agent") for i in S}))
     if len(members) > scn.cardinalities[j]:
         scn._check_team_size(j, len(members))
@@ -509,6 +511,7 @@ def project_utility(scn: Scenario, j: int, S: Iterable[int]) -> UtilityEstimate:
     """Exact utility from the engine; best-shot projects carry the
     ``exact_best_shot`` method label. S is read as a set of agent ids, as
     ``exact_utility`` reads it: a repeated member counts once."""
+    j = check_index(j, scn.n_projects, "project")
     if scn.value_fns[j].kind == "best_shot":
         return exact_utility_best_shot(scn, j, S)
     return exact_utility(scn, j, S)
@@ -561,8 +564,7 @@ def mc_utility(
     """Monte Carlo estimate of the expected utility, by ``_mc``;
     deterministic for a fixed RngSpec and stream. S is read as a set of
     agent ids, as ``exact_utility`` reads it: a repeated member counts once."""
-    if samples < 2:
-        raise ValidationError(f"samples must be >= 2, got {samples}")
+    samples = check_count(samples, 2, "samples")
     members = _members(scn, j, S)
     g = scn.value_fns[j]
     if not members:

@@ -1,9 +1,11 @@
 """End-to-end CLI coverage: every subcommand, every exit code."""
 
 import csv
+import errno
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -927,6 +929,56 @@ class TestLoadedFilesBuildNoDistribution:
             for t in range(5):
                 assert len(cli._experiment_trial((scn, 0, t, n, ks))) == len(ks)
         assert (built, packed) == ([], [])
+
+
+class TestOutFiles:
+    """``--out`` rewrites its file in place: it ends up holding the bytes a
+    write to a fresh path holds, whatever it held before, and a failed
+    write leaves none of the old bytes behind."""
+
+    @pytest.mark.parametrize("command, scenario", [("select", "bestshot_file"), ("assign", "welfare_file")])
+    def test_rewrite_over_a_longer_file(self, capsys, tmp_path, request, command, scenario):
+        argv = [command, request.getfixturevalue(scenario), "--oracle"]
+        code, printed, _ = run(capsys, argv)
+        assert code == EXIT_OK
+        fresh, old = tmp_path / "fresh.json", tmp_path / "old.json"
+        old.write_text("x" * (3 * len(printed)))
+        for dest in (fresh, old):
+            assert run(capsys, argv + ["--out", str(dest)]) == (EXIT_OK, "", "")
+        assert old.read_bytes() == fresh.read_bytes() == printed.encode()
+        assert old.stat().st_mode == fresh.stat().st_mode
+
+    def test_dev_null(self, capsys, bestshot_file):
+        assert run(capsys, ["select", bestshot_file, "--out", os.devnull])[0] == EXIT_OK
+        assert run(capsys, ["ingest", "--sample", "--out", os.devnull])[0] == EXIT_OK
+
+    @pytest.mark.parametrize("command", [["select", "{scenario}"], ["ingest", "--sample"]])
+    def test_unwritable_path_exits_1(self, capsys, tmp_path, bestshot_file, command):
+        argv = [part.format(scenario=bestshot_file) for part in command]
+        missing = tmp_path / "nope" / "report.json"
+        assert run(capsys, argv + ["--out", str(missing)])[::2] == (
+            EXIT_USAGE, f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+        )
+        assert run(capsys, argv + ["--out", str(tmp_path)])[::2] == (
+            EXIT_USAGE, f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+        )
+
+    def test_failed_write_leaves_no_old_bytes(self, capsys, monkeypatch, tmp_path, welfare_file):
+        dest = tmp_path / "report.json"
+        dest.write_text("old " * 4096)
+        real, chunks = os.write, []
+
+        def first_chunk_then_full(fd, data):
+            if chunks:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            chunks.append(real(fd, data[:16]))
+            return chunks[-1]
+
+        monkeypatch.setattr(os, "write", first_chunk_then_full)
+        code, _, err = run(capsys, ["assign", welfare_file, "--out", str(dest)])
+        monkeypatch.undo()
+        assert (code, err) == (EXIT_USAGE, "error: [Errno 28] No space left on device\n")
+        assert chunks == [16] and dest.read_bytes() == b""
 
 
 class TestMainPlumbing:

@@ -22,8 +22,13 @@ from testscore import (
     enumeration_budget,
     greedy_topk,
     mc_utility,
+    minmax_sketch,
     project_utility,
     replication_score,
+    ScoreTable,
+    strong_sketch,
+    verify_goodness_sandwich,
+    verify_strong_sketch_bounds,
 )
 from testscore import utility
 from testscore.core import charge, check_count
@@ -385,6 +390,63 @@ class TestCounts:
                 assert (twice.value.hex(), twice.method) == (alone.value.hex(), alone.method)
             twice, alone = (mc_utility(scn, 0, T, RngSpec(seed=3), samples=64) for T in (S, once))
             assert (twice.value.hex(), twice.std_error.hex()) == (alone.value.hex(), alone.std_error.hex())
+
+
+class TestArgumentSweep:
+    """Every public call that takes a project, an agent or a size, with
+    each such argument drawn from -1, its range's length n, True, 1.5,
+    2.0, np.int64(1), "1" and None: the call raises ValidationError, or
+    answers as it does with the plain ints, and raises nothing else. A
+    non-integer or -1 is always refused."""
+
+    N = "the range's length"  # stands for the argument's n in a draw
+    DRAWS = (-1, N, True, 1.5, 2.0, np.int64(1), "1", None)
+
+    @staticmethod
+    def calls():
+        # each call with the length of the range each argument is an index
+        # or a count in; two projects, so that -1 must not read as the last
+        d = [TWO_POINT, Distribution.point(1.0), Distribution.from_pairs(((0.5, 0.3), (3.0, 0.7))), Distribution.point(2.0)]
+        scn = Scenario(tuple((x, x) for x in d), (ValueFunction.ces(2.0), ValueFunction.best_shot()), (1, 3))
+        table = build_score_table(scn, "replication", max_r=3)
+        projects, agents = scn.n_projects, scn.n_agents
+        return {
+            "brute_force_single": (lambda j, k: brute_force_single(scn, j, k), (projects, agents)),
+            "greedy_topk": (lambda j, k: greedy_topk(scn, j, k, table), (projects, agents)),
+            "project_utility": (lambda j, i: project_utility(scn, j, [i, 2]), (projects, agents)),
+            "mc_utility": (lambda j, i, s: mc_utility(scn, j, [i], RngSpec(seed=1), samples=s), (projects, agents, agents)),
+            "replication_score": (lambda k: replication_score(ValueFunction.top_r(2), TWO_POINT, k), (agents,)),
+            "build_score_table": (lambda r: build_score_table(scn, "replication", max_r=r), (agents,)),
+            "top_r": (ValueFunction.top_r, (agents,)),
+            "minmax_sketch": (lambda j, i, k: minmax_sketch(table, j, [i], k), (projects, agents, agents)),
+            "strong_sketch": (lambda j, i: strong_sketch(table, j, [i, 2]), (projects, agents)),
+            "verify_strong_sketch_bounds": (lambda j, k: verify_strong_sketch_bounds(scn, j, k), (projects, agents)),
+            "verify_goodness_sandwich": (lambda j, k: verify_goodness_sandwich(scn, j, k), (projects, agents)),
+        }
+
+    @staticmethod
+    def outcome(call, args):
+        try:
+            answer = call(*args)
+        except ValidationError:
+            return ValidationError
+        return answer.scores.tobytes() if isinstance(answer, ScoreTable) else repr(answer)
+
+    def test_sweep(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        calls = self.calls()
+
+        @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
+        @hypothesis.given(name=st.sampled_from(sorted(calls)), data=st.data())
+        def check(name, data):
+            call, ranges = calls[name]
+            args = [n if value is self.N else value for n, value in zip(ranges, data.draw(st.tuples(*[st.sampled_from(self.DRAWS)] * len(ranges))))]
+            plain = [int(a) if isinstance(a, (int, np.integer)) and not isinstance(a, bool) else None for a in args]
+            refused = None in plain or -1 in plain
+            assert self.outcome(call, args) == (ValidationError if refused else self.outcome(call, plain))
+
+        check()
 
 
 class TestAssignment:

@@ -634,8 +634,8 @@ class TestBruteForceSingle:
 
 
 class TestProjectIndex:
-    """``brute_force_single``, ``greedy_topk`` and ``team_values`` refuse a
-    project that is not an index in range(n_projects) with
+    """``brute_force_single``, ``greedy_topk``, ``team_values`` and the
+    team utilities refuse a project that is not an index in range(n_projects) with
     ValidationError: a negative or too large index, a bool, a float, a
     string or None. A numpy integer reads as its int."""
 
@@ -649,6 +649,9 @@ class TestProjectIndex:
             "brute_force_single": lambda j: brute_force_single(scn, j, 2).to_json(),
             "greedy_topk": lambda j: greedy_topk(scn, j, 2, table).to_json(),
             "team_values": lambda j: team_values(scn, j, [[0, 1], [1, 2]]).tolist(),
+            "project_utility": lambda j: repr(project_utility(scn, j, [0, 1])),
+            "exact_utility": lambda j: repr(exact_utility(scn, j, [0, 1])),
+            "mc_utility": lambda j: repr(mc_utility(scn, j, [0, 1], RngSpec(seed=1), samples=8)),
         }
 
     @pytest.mark.parametrize("j", [-1, 2, True, False, np.True_, 1.0, "0", None], ids=repr)

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import os
 import re
 from itertools import chain
 
@@ -32,6 +33,7 @@ from testscore import (
 )
 from testscore.cli import main
 from testscore.core import PROB_SUM_SLACK
+from testscore.scenario_io import write_text
 from testscore.utility import _MERGE
 from testscore.data import sample_ratings_path
 
@@ -125,6 +127,30 @@ class TestScenarioRoundTrip:
         for i in range(scn.n_agents):
             for j in range(scn.n_projects):
                 assert loaded.scenario.dist(i, j) == scn.dist(i, j)
+
+    def test_rewrite_over_a_longer_file_round_trips(self, tmp_path):
+        scn, path = two_by_two(), tmp_path / "scn.json"
+        save_scenario(path, roster(np.random.default_rng(3), n=8, m=4))
+        save_scenario(path, scn)
+        buf = io.StringIO()
+        save_scenario(buf, scn)
+        assert path.read_text() == buf.getvalue()
+        loaded = load_scenario(path).scenario
+        assert [[loaded.dist(i, j) for j in range(2)] for i in range(2)] == [[scn.dist(i, j) for j in range(2)] for i in range(2)]
+
+    def test_unencodable_text_leaves_the_file(self, tmp_path):
+        path = tmp_path / "kept.txt"
+        path.write_text("old")
+        with pytest.raises(UnicodeEncodeError):
+            write_text(path, "new \udcff")
+        assert path.read_text() == "old"
+
+    def test_rewrite_opens_without_truncating(self, monkeypatch, tmp_path):
+        # a file truncated to zero on ext4 has its new blocks flushed on close
+        real, flags = os.open, []
+        monkeypatch.setattr(os, "open", lambda path, flag, mode=0o777: flags.append(flag) or real(path, flag, mode))
+        write_text(tmp_path / "report.json", "{}\n")
+        assert len(flags) == 1 and not flags[0] & os.O_TRUNC
 
     def test_stream_round_trip_and_default_names(self):
         scn = two_by_two()

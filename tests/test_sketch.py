@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -192,6 +193,59 @@ class TestMinMaxSketch:
         S = list(range(k))
         ev = strong_sketch(table, 0, S)
         assert minmax_sketch(table, 0, S, k) == (ev.lower, ev.upper)
+
+
+class TestArguments:
+    """The sketches and the verifiers refuse a project, an agent or a size
+    that is not an index or a count with ValidationError naming that
+    argument; a numpy integer answers as its int."""
+
+    @staticmethod
+    def scenario():
+        d = [Distribution.from_pairs(((0.0, 0.5), (2.0, 0.5))), Distribution.point(1.0), Distribution.point(3.0)]
+        return Scenario.single_project(d, ValueFunction.best_shot(), 2)
+
+    @pytest.mark.parametrize("verify", [verify_strong_sketch_bounds, verify_goodness_sandwich])
+    @pytest.mark.parametrize("k", [2.0, True, np.float64(2.0), "2", None], ids=repr)
+    def test_verifier_refuses_a_non_integer_k(self, verify, k):
+        with pytest.raises(ValidationError, match=rf"^k must be in 1..3, got {re.escape(repr(k))}$"):
+            verify(self.scenario(), 0, k)
+
+    @pytest.mark.parametrize("verify", [verify_strong_sketch_bounds, verify_goodness_sandwich])
+    @pytest.mark.parametrize("j", [-1, 1, True, 0.0, "0", None], ids=repr)
+    def test_verifier_refuses_a_project_that_is_no_index(self, verify, j):
+        with pytest.raises(ValidationError, match=r"^project must be an index in range\(1\), got "):
+            verify(self.scenario(), j, 2)
+
+    @pytest.mark.parametrize("verify", [verify_strong_sketch_bounds, verify_goodness_sandwich])
+    def test_verifier_takes_numpy_integers(self, verify):
+        scn = self.scenario()
+        assert repr(verify(scn, np.int64(0), np.int64(2))) == repr(verify(scn, 0, 2))
+
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda t: minmax_sketch(t, 0, [0, 1], 2.0), r"^k must be an integer >= 1, got 2.0$"),
+            (lambda t: minmax_sketch(t, 0, [0, 1], True), r"^k must be an integer >= 1, got True$"),
+            (lambda t: minmax_sketch(t, 0, [0, 3], 2), r"^agent must be an index in range\(3\), got 3$"),
+            (lambda t: minmax_sketch(t, True, [0, 1], 2), r"^project must be an index in range\(1\), got True$"),
+            (lambda t: strong_sketch(t, 0, [True, 0]), r"^agent must be an index in range\(3\), got True$"),
+            (lambda t: strong_sketch(t, 0, [1.0, 0]), r"^agent must be an index in range\(3\), got 1.0$"),
+            (lambda t: strong_sketch(t, 0, [-1]), r"^agent must be an index in range\(3\), got -1$"),
+            (lambda t: strong_sketch(t, -1, [0]), r"^project must be an index in range\(1\), got -1$"),
+        ],
+    )
+    def test_sketch_refuses(self, call, match):
+        table = build_score_table(self.scenario(), "replication", max_r=2)
+        with pytest.raises(ValidationError, match=match):
+            call(table)
+
+    def test_sketch_takes_numpy_integers(self):
+        table = build_score_table(self.scenario(), "replication", max_r=2)
+        one, two = np.int64(1), np.int64(2)
+        assert minmax_sketch(table, np.int64(0), [one, two], two) == minmax_sketch(table, 0, [1, 2], 2)
+        assert strong_sketch(table, np.int64(0), [two, one]) == strong_sketch(table, 0, [2, 1])
+        assert type(strong_sketch(table, 0, [two, one]).pi_order[0]) is int
 
 
 class TestMaxTermBound:

@@ -225,3 +225,33 @@ def test_cli_reports_use_the_c_encoder():
 def test_finds_an_indented_dumps():
     source = "import json\njson.dumps(1)\nx = json.dumps(\n  {}, indent=2)\njson.loads('1')\n"
     assert indented_dumps(source) == [3]
+
+
+def path_writes(source: str) -> list[int]:
+    """The lines of the ``open`` calls in ``source`` that may write to a
+    file that exists: a mode holding "w", "a" or "+", or one that is not a
+    string constant. ``scenario_io.write_text`` rewrites a path in place;
+    mode "x" only creates a new file."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open":
+            modes = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "mode"]
+            if any(
+                not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) or set(mode.value) & set("wa+")
+                for mode in modes
+            ):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+def test_only_the_writer_writes_a_path(path):
+    assert path_writes(path.read_text()) == []
+
+
+def test_finds_a_writing_open():
+    source = (
+        'open(p)\nopen(p, "w")\nopen(p, mode="wb")\nopen(p, "x", newline="")\n'
+        'open(p, mode)\nwith open(\n  p, "r+") as fh:\n    fh.read()\nopen(p, "a")\nopen(p, "rb")\n'
+    )
+    assert path_writes(source) == [2, 3, 5, 6, 9]
