@@ -213,13 +213,12 @@ class RngSpec:
     seed: int
 
     def __post_init__(self):
-        if not (0 <= int(self.seed) < 2**64):
-            raise ValidationError("seed must be a 64-bit unsigned integer")
+        # kept as a plain int, so np.int64(3) answers as 3
+        object.__setattr__(self, "seed", check_count(self.seed, 0, "seed", 2**64 - 1))
 
     def generator(self, stream: int = 0) -> np.random.Generator:
-        if not (0 <= int(stream) < 2**64):
-            raise ValidationError("stream must be a 64-bit unsigned integer")
-        return np.random.Generator(np.random.Philox(key=[int(self.seed), int(stream)]))
+        stream = check_count(stream, 0, "stream", 2**64 - 1)
+        return np.random.Generator(np.random.Philox(key=[self.seed, stream]))
 
 
 def empirical_distribution(samples: Sequence[float]) -> Distribution:
@@ -245,10 +244,18 @@ class ProjectStore:
     lays some agents out for the order route, each support padded with its
     last atom and each CDF with 1.0, so a pad adds a zero-width gap, and
     ``ranked`` keeps every agent so laid out, longest support first, in
-    blocks of a bounded number of cells. ``take``
-    copies some agents into a store of their own. The arrays are read-only;
-    ``groups``, ``ranked``, and each agent's ``atoms`` and ``Distribution``
-    (``dist``) are cached.
+    blocks of a bounded number of cells. ``merged`` holds the store's
+    unique support points (``points``) and every agent's CDF on them.
+
+    ``take`` copies some agents into a store whose ``source`` is this one:
+    it reads this store's ``atoms``, and gathers its one-member rows that
+    end in a left-to-right sum (``utility._member_rows``) from this
+    store's ``member_rows``, one float per agent per (value function,
+    copies, budget), scored over all agents when first asked for and kept
+    as long as this store. A taken store, one experiment trial's, keeps
+    its source alive while it lives. The arrays are read-only; ``groups``,
+    ``ranked``, ``merged``, and each agent's ``atoms`` and
+    ``Distribution`` (``dist``) are cached.
     """
 
     def __init__(self, values: np.ndarray, probs: np.ndarray, lengths: np.ndarray, dists=None):
@@ -259,6 +266,8 @@ class ProjectStore:
         self._dists = list(dists) if dists is not None else [None] * len(lengths)
         self._atoms: list = [None] * len(lengths)
         self._ranked: tuple = (0, [])
+        self.source: Optional[tuple[ProjectStore, np.ndarray]] = None  # (store, its agent ids) for a taken store
+        self.member_rows: dict = {}
 
     @classmethod
     def pack(cls, dists: Sequence[Distribution]) -> "ProjectStore":
@@ -277,11 +286,23 @@ class ProjectStore:
         return cls(*map(np.concatenate, zip(*((s.values, s.probs, s.lengths) for s in stores))))
 
     def take(self, agents: Sequence[int]) -> "ProjectStore":
-        """The store of the given agents' atoms, in the given order."""
-        agents = np.asarray(agents, dtype=np.intp)
-        lengths = self.lengths[agents]
-        atoms = np.repeat(self.offsets[agents] - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
-        return ProjectStore(self.values[atoms], self.probs[atoms], lengths)
+        """The store of the given agents' atoms, in the given order, with
+        this store as its ``source``. Each agent is an int or numpy integer
+        in range(len(self)), no bool; an agent may come twice."""
+        ids = np.asarray(agents)
+        if ids.ndim != 1 or ids.size and (
+            ids.dtype.kind not in "iu"
+            or not 0 <= ids.min() <= ids.max() < len(self)
+            # np.asarray reads a bool among ints as 0 or 1
+            or not isinstance(agents, np.ndarray) and not {bool, np.bool_}.isdisjoint(map(type, agents))
+        ):
+            raise ValidationError(f"agents must be indices in range({len(self)}), got {agents!r}")
+        ids = ids.astype(np.intp)
+        lengths = self.lengths[ids]
+        atoms = np.repeat(self.offsets[ids] - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+        taken = ProjectStore(self.values[atoms], self.probs[atoms], lengths)
+        taken.source = (self, ids)
+        return taken
 
     def __len__(self) -> int:
         return len(self.lengths)
@@ -318,14 +339,31 @@ class ProjectStore:
             self._ranked = (cells, [(a, *self.padded(a)) for a in widest_first(self.lengths, cells)])
         return self._ranked[1]
 
+    @cached_property
+    def points(self) -> np.ndarray:
+        """Every support point of the store, unique and ascending."""
+        return np.unique(self.values)
+
+    @cached_property
+    def merged(self) -> tuple[np.ndarray, np.ndarray]:
+        """``points``, and every agent's CDF on them as an (agents, points)
+        array: row i at point t is P(X_i <= t)."""
+        grid, every = self.points, map(self.atoms, range(len(self)))
+        return grid, np.array([cdf[values.searchsorted(grid, "right")] for values, _, cdf in every])
+
     def atoms(self, agent: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Agent ``agent``'s values and probabilities, as views, and its
-        CDF (``cdf_rows``) behind a 0 for no atom below; cached."""
+        CDF (``cdf_rows``) behind a 0 for no atom below; cached, and for a
+        taken store its source's."""
         atoms = self._atoms[agent]
         if atoms is None:
-            span = slice(self.offsets[agent], self.offsets[agent] + self.lengths[agent])
-            probs = self.probs[span]
-            atoms = self.values[span], probs, np.concatenate(([0.0], cdf_rows(probs)))
+            if self.source is not None:
+                source, ids = self.source
+                atoms = source.atoms(ids[agent])
+            else:
+                span = slice(self.offsets[agent], self.offsets[agent] + self.lengths[agent])
+                probs = self.probs[span]
+                atoms = self.values[span], probs, np.concatenate(([0.0], cdf_rows(probs)))
             self._atoms[agent] = atoms
         return atoms
 
@@ -447,13 +485,21 @@ class Scenario:
             self._stores[project] = ProjectStore.pack([row[project] for row in self.dists])
         return self._stores[project]
 
+    @cached_property
+    def _class_stores(self) -> dict:
+        return {}
+
     def class_store(self, projects: Sequence[int]) -> ProjectStore:
         """One store of a class of projects the engine scores as one block:
         their stores side by side, agent i of the c-th project at row
-        c * n_agents + i; a class of one reads its project's own store."""
-        if projects[1:]:
-            return ProjectStore.concat(map(self.store, projects))
-        return self.store(projects[0])
+        c * n_agents + i, built once per tuple of projects; a class of one
+        reads its project's own store."""
+        if not projects[1:]:
+            return self.store(projects[0])
+        key = tuple(projects)
+        if key not in self._class_stores:
+            self._class_stores[key] = ProjectStore.concat(map(self.store, key))
+        return self._class_stores[key]
 
     @classmethod
     def single_project(

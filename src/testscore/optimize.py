@@ -32,11 +32,10 @@ from .sketch import BOUND_TOL, _strong_sketch_values
 from .utility import (
     UtilityEstimate,
     _exact_rows,
-    _grid,
     _linear,
     _h,
     _means,
-    _order_route,
+    _merged_rows,
     _phi,
     _row_sums,
     _row_work,
@@ -247,17 +246,15 @@ def greedy_welfare(
     )
 
 
-def _subset_enum_cost(scn: Scenario, j: int, k: int, grid=None) -> int:
-    # the work brute_force_single's routes charge over all C(n, k) teams;
-    # grid, when given, is the project's merged grid that teams of several
-    # members are screened on
+def _subset_enum_cost(scn: Scenario, j: int, k: int) -> int:
+    # the work brute_force_single's routes charge over all C(n, k) teams
     g, store = scn.value_fns[j], scn.store(j)
     teams = math.comb(scn.n_agents, k)
     sizes = store.lengths.tolist()
     if g.kind in ("best_shot", "top_r"):
-        # one-member teams each run on their own support
-        grid = _grid(store.values, teams) if grid is None and k > 1 else grid
-        return _row_work(g, sum(sizes) if k == 1 else teams * len(grid), k, 1)
+        # one-member teams, and a lone team, run on their own supports; teams
+        # of several members on the project's merged grid (``ProjectStore.points``)
+        return _row_work(g, sum(sizes) if k == 1 or teams == 1 else teams * len(store.points), k, 1)
     if g.kind == "success_prob":
         return sum(sizes) + teams * k
     if _linear(g):
@@ -361,9 +358,10 @@ def brute_force_single(scn: Scenario, j: int, k: int) -> SelectionResult:
     Ties resolve to the lexicographically smallest subset. Raises when the
     total enumeration work would exceed the budget. The teams are streamed
     in lexicographic order, in blocks, and each block is screened in one
-    array pass: best-shot and top-r teams of several members on the
-    project's merged grid, every other team by ``team_values``, which
-    scores each team on its own bits. Non-linear ``total`` and ``ces``
+    array pass: best-shot and top-r teams of several members, when there
+    is more than one team, on the store's merged grid
+    (``ProjectStore.merged``, built once for every k), every other team
+    by ``team_values``, which scores each team on its own bits. Non-linear ``total`` and ``ces``
     teams first pass ``_bound_screen``: only the teams whose Jensen bound
     reaches the exact value of a team already scored are scored, and every
     other team is worth less than that value, so the screen is exact.
@@ -379,15 +377,14 @@ def brute_force_single(scn: Scenario, j: int, k: int) -> SelectionResult:
         scn._check_team_size(j, k)
     budget = enumeration_budget()
     g, store = scn.value_fns[j], scn.store(j)
-    # one merged grid, built once, prices the screen and is screened on
-    merged = g.kind in ("best_shot", "top_r") and k > 1
-    grid = _grid(store.values, math.comb(scn.n_agents, k)) if merged else None
-    cost = _subset_enum_cost(scn, j, k, grid)
+    # teams of several members, but not a lone team, are screened on the
+    # store's merged grid, built once for every k
+    merged = g.kind in ("best_shot", "top_r") and 1 < k < scn.n_agents
+    cost = _subset_enum_cost(scn, j, k)
     charge(cost, budget, "brute_force_single subset enumeration", _shape(scn, [j], f"k={k}"))
     # the up-front price covers every block's own charge, so no screen raises
     if merged:
-        screen = partial(_order_route, g, store, scn.agents, copies=1, grid=grid)
-        scored = ((screen(teams=block), block) for block in _team_blocks(scn.n_agents, k))
+        scored = ((_merged_rows(g, store, block), block) for block in _team_blocks(scn.n_agents, k))
     elif g.kind in ("total", "ces") and not _linear(g):
         scored = _bound_screen(scn, j, k)
     else:

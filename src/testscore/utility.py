@@ -18,8 +18,12 @@ one-member columns, best-shot and top-r ones on the store's padded blocks,
 longest support first (``ProjectStore.ranked``). Each of these rows ends
 in a left-to-right sum, over its own grid's gaps (``_top_w``) or its cells
 (``_sum_cells``), to which a pad adds +-0.0, so it keeps its bits in any
-block and under any BLAS kernel. Only the single-project oracle's screen
-on the project's merged grid (``_order_route``) ends in a matrix product.
+block and under any BLAS kernel. So a store taken from a larger one
+(``ProjectStore.take``, an experiment trial's coders) gathers those rows
+from its source, which scores them over all of its agents once and keeps
+them, and reads its source's atoms. Only the single-project oracle's
+screen on the store's merged grid (``ProjectStore.merged``, built once
+for every team size; ``_merged_rows``) ends in a matrix product.
 Monte Carlo (``_mc``) covers work past the budget.
 """
 
@@ -213,8 +217,25 @@ def _member_rows(
     groups, each row with its own dot products or left-to-right sum, so
     each equals ``_exact_rows`` on the agent alone bit for bit. Rows that
     are not ``_batchable`` under the budget are never scored, their
-    entries left as they are, so a block as a whole needs no metering."""
+    entries left as they are, so a block as a whole needs no metering.
+
+    A taken store (``ProjectStore.take``) gathers the rows that end in a
+    left-to-right sum from its source's ``member_rows``: the first store
+    taken pays one row pass over all of the source's agents per column,
+    the table work ``select`` and ``assign`` do on the source's file.
+    Linear and success-probability rows end in ``_row_dots``, whose
+    rounding may follow the batch shape, and are scored on the store
+    itself."""
     out = np.full(len(store), np.nan) if out is None else out
+    if store.source is not None and not (_linear(g) or g.kind == "success_prob"):
+        source, ids = store.source
+        kept = source.member_rows
+        key = (g, copies, budget)
+        if key not in kept:
+            kept[key] = _member_rows(g, source, copies, budget)
+        rows = kept[key][ids]
+        np.copyto(out, rows, where=rows == rows)  # the source's unscored rows are NaN
+        return out
     if g.kind in ("best_shot", "top_r"):  # _batchable is the row's work within the budget
         for agents, atoms, cdfs in store.ranked(_BLOCK):
             # longest first, so the rows past the budget lead, and the others
@@ -328,13 +349,6 @@ def _subsets(n: int, k: int, colex: bool = False, dtype=np.intp) -> np.ndarray:
     return rows
 
 
-def _grid(values: np.ndarray, n_teams: int) -> np.ndarray:
-    """The support points teams integrate over: their members' supports side
-    by side (``values``), merged into unique points when more than one team
-    shares them (repeated points only add zero-width gaps)."""
-    return np.unique(values) if n_teams > 1 else np.sort(values)
-
-
 def _row_work(g: ValueFunction, grid, k: int, copies: int):
     """One team row's charge, on every route: grid points times members
     (best shot), times tracked counts and copies as well (top-r), support
@@ -393,21 +407,23 @@ def _top_w(g: ValueFunction, grid: np.ndarray, cols: np.ndarray, copies: int) ->
     return np.add.accumulate(terms, axis=1)[:, -1]
 
 
-def _order_route(
-    g: ValueFunction, store: ProjectStore, agents, teams: np.ndarray, copies: int, grid=None
-) -> np.ndarray:
-    # each team, a row of indices into ``agents``, gathers its members' rows
-    # of their CDF matrix F on the project's merged ``grid``, in blocks, or the
-    # one team of all ``agents`` on its own sorted atoms; callers have priced the work
+def _order_route(g: ValueFunction, store: ProjectStore, agents, copies: int) -> np.ndarray:
+    # the one team of all ``agents`` on its own sorted atoms (repeated
+    # points add zero-width gaps); callers have priced the work
     members = [store.atoms(a) for a in agents]
-    if grid is None:
-        grid = _grid(np.concatenate([values for values, _, _ in members]), 1)[None]
-    F = np.array([cdf[values.searchsorted(grid.ravel(), "right")] for values, _, cdf in members])
-    rows = max(1, _BLOCK // grid.shape[-1])
-    parts = [
-        _top_w(g, grid, F.take(teams[lo : lo + rows].T, axis=0), copies)
-        for lo in range(0, len(teams), rows)
-    ]
+    grid = np.sort(np.concatenate([values for values, _, _ in members]))
+    F = np.array([cdf[values.searchsorted(grid, "right")] for values, _, cdf in members])
+    return _top_w(g, grid[None], F[:, None], copies)
+
+
+def _merged_rows(g: ValueFunction, store: ProjectStore, teams: np.ndarray) -> np.ndarray:
+    # each team, a row of the store's agent ids, gathers its members' rows of
+    # the store's CDF matrix on its merged grid (``ProjectStore.merged``), in
+    # blocks of at most _BLOCK grid cells, each ending in one matrix product;
+    # the single-project oracle screens on these and rescores what it keeps
+    grid, F = store.merged
+    rows = max(1, _BLOCK // len(grid))
+    parts = [_top_w(g, grid, F.take(teams[lo : lo + rows].T, axis=0), 1) for lo in range(0, len(teams), rows)]
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
@@ -463,7 +479,7 @@ def _exact_rows(
             charge(next(w for w in work.tolist() if w > budget), budget, "exact expectation")
     # every row fits the budget, so the routes below run unmetered
     if g.kind in ("best_shot", "top_r"):
-        return _order_route(g, store, agents, teams, copies) if lone else _own_grid_rows(g, store, rows, copies)
+        return _order_route(g, store, agents, copies) if lone else _own_grid_rows(g, store, rows, copies)
     if not lone and rows.size < len(store):  # a class block: read the means of the agents it names only
         agents, teams = np.unique(rows, return_inverse=True)
         teams = teams.reshape(rows.shape)

@@ -16,10 +16,14 @@ in their own environment only, for every catalogue variant:
 - the linear sum route (``total:identity``, ``ces:1``) and the product
   route (``success_prob``) reduce each agent's own atoms with np.dot, or
   a per-row matmul of the same length, and hold under Haswell's and
-  Prescott's kernels alike.
+  Prescott's kernels alike;
+- a store taken from a larger one gathers its best-shot, top-r and
+  non-linear sum-route rows from rows its source scored over all of its
+  agents, and its table, team values and oracle results equal a fresh
+  store's (``TestTakenStore``).
 
-The single-project oracle's screen on a merged grid still ends in a
-matrix product, whose rounding follows the kernel; it only screens, and
+The single-project oracle's screen on a store's merged grid still ends in
+a matrix product, whose rounding follows the kernel; it only screens, and
 the teams it keeps are rescored on their own bits.
 """
 
@@ -31,7 +35,7 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parent
 SELECTION = (
     "(TestTableMatchesReplicationScore or TestTeamValues or TestLoneReference or TestSumKernel"
-    " or TestOrderKernel) and not monte_carlo and not property"
+    " or TestOrderKernel or TestTakenStore) and not monte_carlo and not property"
 )
 
 

@@ -393,11 +393,11 @@ class TestCounts:
 
 
 class TestArgumentSweep:
-    """Every public call that takes a project, an agent or a size, with
-    each such argument drawn from -1, its range's length n, True, 1.5,
-    2.0, np.int64(1), "1" and None: the call raises ValidationError, or
-    answers as it does with the plain ints, and raises nothing else. A
-    non-integer or -1 is always refused."""
+    """Every public call that takes a project, an agent, a size, a seed or
+    a stream, with each such argument drawn from -1, its range's length n,
+    True, 1.5, 2.0, np.int64(1), "1" and None: the call raises
+    ValidationError, or answers as it does with the plain ints, and raises
+    nothing else. A non-integer or -1 is always refused."""
 
     N = "the range's length"  # stands for the argument's n in a draw
     DRAWS = (-1, N, True, 1.5, 2.0, np.int64(1), "1", None)
@@ -410,7 +410,18 @@ class TestArgumentSweep:
         scn = Scenario(tuple((x, x) for x in d), (ValueFunction.ces(2.0), ValueFunction.best_shot()), (1, 3))
         table = build_score_table(scn, "replication", max_r=3)
         projects, agents = scn.n_projects, scn.n_agents
+
+        def take(i, j):  # a repeated agent is two copies of one distribution
+            taken = scn.store(0).take([i, 2, j, j])
+            return [a.tolist() for a in (taken.values, taken.probs, taken.lengths, taken.source[1])]
+
+        def rng(seed, stream):
+            spec = RngSpec(seed=seed)
+            return spec.seed, spec.generator(stream).random(2).tolist()
+
         return {
+            "take": (take, (agents, agents)),
+            "RngSpec": (rng, (2**64, 2**64)),
             "brute_force_single": (lambda j, k: brute_force_single(scn, j, k), (projects, agents)),
             "greedy_topk": (lambda j, k: greedy_topk(scn, j, k, table), (projects, agents)),
             "project_utility": (lambda j, i: project_utility(scn, j, [i, 2]), (projects, agents)),

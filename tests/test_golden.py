@@ -5,8 +5,9 @@ with ``tests/golden/<case>`` byte for byte, so a change that must leave
 every output unchanged is checked on every report the CLI writes:
 ``check`` for every suite at small trial counts, ``select`` and
 ``assign --oracle`` on the demo scenario, ``select --oracle`` on each
-project of ``tests/fixtures/oracle_mix.json``, ``experiment --sample`` and
-``worstcase <name> --run`` for every bundled generator.
+project of ``tests/fixtures/oracle_mix.json``, ``experiment --sample``
+(3 trials, and 300 at sizes 1..4 of 12 coders) and ``worstcase <name>
+--run`` for every bundled generator.
 
 Rewrite the goldens only for an intended numeric change, and record that
 change in CHANGES.md. The one call that rewrites them, from the repo root:
@@ -42,6 +43,8 @@ CASES = {
     **{f"select_mix_{p}.json": ["select", MIX, "--project", p, "--oracle"] for p in ("sqrt", "top2", "best")},
     "select_mix_sqrt_quantile.json": ["select", MIX, "--project", "sqrt", "--scores", "quantile:0.5", "--oracle"],
     "experiment_sample.csv": ["experiment", "--sample", "--trials", "3"],
+    # long enough that every trial after the first reads the sample's per-coder scores
+    "experiment_sample_long.csv": ["experiment", "--sample", "--trials", "300", "--k", "1,2,3,4", "--n", "12"],
     **{f"worstcase_{name}.json": ["worstcase", name, "--run"] for name in sorted(GENERATORS)},
 }
 

@@ -1,5 +1,6 @@
 """Greedy selection, welfare assignment, exact oracles, baselines."""
 
+import functools
 import json
 import math
 import tracemalloc
@@ -39,6 +40,7 @@ from testscore import (
 )
 from testscore import adversarial, optimize, scenario_io, utility
 from testscore.adversarial import CATALOGUE_POOL, random_single_scenario
+from testscore.core import ProjectStore
 from testscore.optimize import _maximize_assignment, _subset_enum_cost, _team_blocks, _team_cells
 from testscore.scenario_io import value_fn_tag
 from testscore.utility import exact_utility, team_values
@@ -228,25 +230,29 @@ class TestBruteForceSingle:
     @pytest.mark.parametrize("g", [ValueFunction.best_shot(), ValueFunction.top_r(2)], ids=value_fn_tag)
     @pytest.mark.parametrize("k", [2, 3, 6])
     def test_pool_grid_built_once(self, monkeypatch, g, k):
-        scn = random_single_scenario(np.random.default_rng(17), g, n=6, k=k)
-        want = brute_force_single(scn, 0, k)
-        grids = []  # the team count of each grid built on every agent's atoms
-        real = utility._grid
-        every_atom = int(scn.store(0).lengths.sum())
+        # the store's merged grid is built the first time teams of several
+        # members, but fewer than n, are screened, and serves every such k
+        def fresh():
+            return random_single_scenario(np.random.default_rng(17), g, n=6, k=6)
 
-        def counting(values, n_teams):
-            if len(values) == every_atom:
-                grids.append(n_teams)
-            return real(values, n_teams)
+        want = {size: brute_force_single(fresh(), 0, size).to_json() for size in (2, 3, 6)}
+        builds = []
+        real = ProjectStore.merged.func
 
-        monkeypatch.setattr(utility, "_grid", counting)
-        monkeypatch.setattr(optimize, "_grid", counting)
-        got = brute_force_single(scn, 0, k)
-        # one grid prices and screens the C(6, k) teams; at k = n it is the
-        # lone team's sorted grid, and the reported objective of that team
-        # builds it once more
-        assert grids == [math.comb(6, k)] + [1] * (k == 6)
-        assert got.to_json() == want.to_json()
+        def counting(store):
+            builds.append(store)
+            return real(store)
+
+        spy = functools.cached_property(counting)
+        spy.__set_name__(ProjectStore, "merged")
+        monkeypatch.setattr(ProjectStore, "merged", spy)
+        scn = fresh()
+        assert brute_force_single(scn, 0, k).to_json() == want[k]
+        # the lone team of k = n runs on its own sorted atoms
+        assert len(builds) == (k < 6)
+        for size in (2, 3, 6):
+            assert brute_force_single(scn, 0, size).to_json() == want[size]
+        assert builds == [scn.store(0)]
 
     def test_lexicographic_tie_break(self):
         scn = Scenario.single_project([TWO_POINT] * 5, ValueFunction.best_shot(), 2)
@@ -609,8 +615,7 @@ class TestBruteForceSingle:
         copies = Scenario.single_project([dists[i] for i in (0, 0, 1, 2, 1)], g, 2)
         if merged:
             store, teams = copies.store(0), utility._subsets(5, 2)
-            grid = utility._grid(store.values, len(teams))
-            on_grid = utility._order_route(g, store, copies.agents, teams, 1, grid)
+            on_grid = utility._merged_rows(g, store, teams)
             assert on_grid.max() != team_values(copies, 0, teams)[on_grid.argmax()]
         cases.append((copies, "tied"))
         for scn, survivors in cases:
@@ -1350,6 +1355,19 @@ class TestClassObjectives:
         ]
         for res in results:
             self.check(scn, res)
+
+    def test_class_stores_built_once(self, monkeypatch):
+        # assign's table (columns 1..k_j) and its objectives read the same
+        # classes, {0, 3} and {1, 4}, whose stores the scenario keeps
+        scn = _class_scenario(np.random.default_rng(93), ValueFunction.best_shot(), (1, 2, 3, 1, 2))
+        built = []
+        concat = ProjectStore.concat.__func__
+        monkeypatch.setattr(ProjectStore, "concat", classmethod(lambda cls, stores: built.append(1) or concat(cls, stores)))
+        columns = [(1, k) for k in scn.cardinalities]
+        table = build_score_table(scn, "replication", max_r=3, columns=columns)
+        self.check(scn, greedy_welfare(scn, table))
+        assert len(built) == 2
+        assert scn.class_store([0, 3]) is scn.class_store((0, 3))
 
     @pytest.mark.parametrize("kind", ["best_shot", "top_r:2", "total:sqrt"])
     def test_over_budget_team_keeps_its_monte_carlo(self, kind, monkeypatch):

@@ -19,6 +19,7 @@ from testscore import (
     ValidationError,
     ValueFunction,
     best_strong_sketch_assignment,
+    brute_force_single,
     build_score_table,
     greedy_topk,
     greedy_welfare,
@@ -28,6 +29,7 @@ from testscore import (
 )
 
 from testscore.adversarial import CATALOGUE_POOL
+from testscore.core import enumeration_budget
 from testscore.scenario_io import scenario_from_dict, scenario_to_dict, value_fn_tag
 from testscore.scores import (
     MC_BASE_SAMPLES,
@@ -35,7 +37,8 @@ from testscore.scores import (
     MC_TARGET_REL_SE,
     ScoreTable,
 )
-from testscore.utility import _MERGE, _exact_rows, _mc, _member_rows
+from testscore import utility
+from testscore.utility import _MERGE, _exact_rows, _mc, _member_rows, _subsets, team_values
 
 from oracle_tools import (
     CATALOGUE_REFS,
@@ -1060,3 +1063,77 @@ class TestColumnRanges:
         # a float or bool bound is refused, not read as the int it rounds to
         with pytest.raises(ValidationError, match="columns must give one range"):
             build_score_table(mixed_scenario(), "replication", max_r=2, columns=columns)
+
+
+class TestTakenStore:
+    """A store taken from a larger one (``ProjectStore.take``) reads its
+    source's atoms and one-member rows, yet every table cell, team value
+    and oracle result on it equals that of a fresh store of the same
+    atoms, bit for bit, on every catalogue variant."""
+
+    # 12 agents; a repeat in the taken ids, point masses, and a 9-atom
+    # agent whose r = 3 sum-route cells pass _MERGE and run alone
+    LENGTHS = (1, 3, 2, 9, 1, 5, 4, 2, 3, 1, 6, 2)
+    TAKEN = [9, 2, 5, 2, 3, 0, 7]
+    K = 3
+
+    def dists(self):
+        gen = np.random.default_rng(23)
+        out = []
+        for s in self.LENGTHS:
+            # values on a coarse lattice, so the agents share support points
+            values = np.sort(gen.choice(np.arange(0.0, 4.01, 0.25), s, replace=False))
+            w = gen.uniform(0.2, 1.0, s)
+            out.append(Distribution(tuple(values.tolist()), tuple((w / w.sum()).tolist())))
+        return out
+
+    def outcomes(self, scn):
+        # every table cell's bits, method and error; every team's value; each
+        # oracle's result, or its error text past the budget
+        table = build_score_table(scn, "replication", max_r=self.K)
+        got = [table.scores.tobytes(), table.methods.tolist(), table.std_errors.tobytes()]
+        for k in range(1, self.K + 1):
+            try:
+                got.append(team_values(scn, 0, _subsets(scn.n_agents, k)).tobytes())
+            except BudgetExceededError as exc:
+                got.append(str(exc))
+            try:
+                got.append(brute_force_single(scn, 0, k).to_json())
+            except BudgetExceededError as exc:
+                got.append(str(exc))
+        return got
+
+    @pytest.mark.parametrize("budget", [None, "8"], ids=["default", "monte_carlo"])
+    @pytest.mark.parametrize("g", [g for g, _ in PAIRED], ids=TAGS)
+    def test_equals_a_fresh_store(self, g, budget, monkeypatch):
+        if budget is not None:
+            monkeypatch.setenv("TESTSCORE_BUDGET", budget)
+        dists = self.dists()
+        source = ProjectStore.pack(dists)
+        taken = Scenario(None, (g,), (self.K,), stores=(source.take(self.TAKEN),))
+        fresh = Scenario(None, (g,), (self.K,), stores=(ProjectStore.pack([dists[i] for i in self.TAKEN]),))
+        got = self.outcomes(taken)
+        assert got == self.outcomes(fresh)
+        if budget is not None:  # some cells fall back to Monte Carlo
+            assert "monte_carlo" in str(got[1])
+
+    @pytest.mark.parametrize("g", [g for g, _ in PAIRED], ids=TAGS)
+    def test_source_rows_scored_once(self, g, monkeypatch):
+        source = ProjectStore.pack(self.dists())
+        scored = []  # (value function, copies, budget) of each row pass over the source
+        real = utility._member_rows
+
+        def spy(g, store, copies, budget, out=None):
+            if store is source:
+                scored.append((g, copies, budget))
+            return real(g, store, copies, budget, out)
+
+        monkeypatch.setattr(utility, "_member_rows", spy)
+        for trial in range(3):
+            chosen = np.random.default_rng(trial).choice(len(source), 6, replace=False)
+            scn = Scenario(None, (g,), (self.K,), stores=(source.take(chosen),))
+            build_score_table(scn, "replication", max_r=self.K)
+        borrowed = not (utility._linear(g) or g.kind == "success_prob")
+        keys = [(g, r, enumeration_budget()) for r in range(1, self.K + 1)]
+        assert scored == (keys if borrowed else [])
+        assert list(source.member_rows) == scored
