@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Distribution, Scenario, ValidationError, charge, enumeration_budget
+from .core import Distribution, Scenario, ValidationError, charge, check_count, enumeration_budget
 from .production import ConcaveFn, UnitFn, ValueFunction
 from .optimize import _assignment_oracles, brute_force_single, greedy_topk, greedy_welfare
 from .scores import build_score_table, quantile_score, replication_score
@@ -54,8 +54,7 @@ def gen_mean_fails_bestshot(k: int = 4, a: float = 10.0, p: float = 0.09) -> Adv
     project. Mean scores rank the steady agents first, yet one specialist
     hit dwarfs the steady ceiling, so the mean-score team is a vanishing
     fraction of optimal as k grows."""
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
+    k = check_count(k, 1, "k")
     _price("mean_bestshot", 2 * k, 1, 2)
     if a <= 1.0:
         raise ValidationError(f"need a > 1, got {a}")
@@ -83,8 +82,7 @@ def gen_quantile_fails_linear(k: int = 10, a: float = 1.5, p: float = 0.11) -> A
     """Tail scores versus additive output. At cut 1 - 1/k the specialists'
     tail value a outranks the steady 1, but their contribution to a sum is
     only a*p < 1 each, so the tail-score team underperforms by factor a*p."""
-    if k < 2:
-        raise ValidationError(f"k must be >= 2, got {k}")
+    k = check_count(k, 2, "k")
     _price("quantile_linear", 2 * k, 1, 2)
     if a <= 1.0:
         raise ValidationError(f"need a > 1, got {a}")
@@ -115,8 +113,7 @@ def gen_ces_mean_tightness(
     enhanced steady agents versus k specialists paying out a with chance
     1/a. Mean greedy keeps the steady block, worth k^(1/r)(1+eps), while
     the specialist block alone is worth at least a(1 - e^(-k/a))."""
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
+    k = check_count(k, 1, "k")
     _price("ces_mean", 2 * k, 1, 2)
     if a < 1.0:
         raise ValidationError(f"need a >= 1, got {a}")
@@ -152,12 +149,10 @@ def gen_quantile_ces(
     prefer a team worth a (theta/k)^(1/r) fraction of the best one on a
     CES project: constants at a, lottery tickets calibrated to tail score
     b, coin flips paying c with chance theta/k, and dead weight."""
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
+    k = check_count(k, 1, "k")
     if not (0.0 < theta <= k):
         raise ValidationError(f"need 0 < theta <= k, got {theta}")
-    if n < 3 * k:
-        raise ValidationError(f"need n >= 3k = {3 * k}, got {n}")
+    n = check_count(n, 3 * k, "n")
     _price("quantile_ces", n, 1, 2)
     if n * theta < k:
         raise ValidationError(f"need n*theta >= k for an exact tail score, got n={n}, theta={theta}")
@@ -206,8 +201,7 @@ def gen_welfare_example1(r: int = 4) -> AdversarialInstance:
     """r best-shot projects, r capable agents hidden among r^2. Welfare r
     needs one capable agent per project; maximizing the summed min-score
     sketch instead piles them into one project for welfare 1."""
-    if r < 2:
-        raise ValidationError(f"r must be >= 2, got {r}")
+    r = check_count(r, 2, "r")
     _price("welfare_ex1", r * r, r, 1)
     heavy = Distribution.point(1.0)
     dead = Distribution.point(0.0)
@@ -237,8 +231,7 @@ def gen_welfare_example2(r: int = 4) -> AdversarialInstance:
     max/sqrt(r). One agent worth sqrt(r), r-1 worth 1, r worth 0. Optimal
     puts all producers on the additive project (sqrt(r) + r - 1); maximizing
     the summed max-score sketch scatters them for about 2 sqrt(r)."""
-    if r < 2:
-        raise ValidationError(f"r must be >= 2, got {r}")
+    r = check_count(r, 2, "r")
     _price("welfare_ex2", 2 * r, r + 1, 1)
     root = math.sqrt(r)
     means = [root] + [1.0] * (r - 1) + [0.0] * r
@@ -448,6 +441,8 @@ def random_single_scenario(
     gen: np.random.Generator, g: ValueFunction, *, n: int = 5, k: int = 2
 ) -> Scenario:
     """Random one-project scenario with a caller-chosen value function."""
+    n = check_count(n, 1, "n")
+    k = check_count(k, 1, "k", n)
     return Scenario.single_project([_random_dist(gen) for _ in range(n)], g, k)
 
 
@@ -461,8 +456,9 @@ def random_bsp_scenario(
 ) -> Scenario:
     """A random single-project scenario whose value function satisfies the
     balanced substitution property. Supports have at most 3 atoms."""
-    if k_min < 1 or k_min > min(k_max, n_max):
-        raise ValidationError(f"bad k_min {k_min} for k_max={k_max}, n_max={n_max}")
+    n_max = check_count(n_max, 2, "n_max")
+    k_max = check_count(k_max, 1, "k_max")
+    k_min = check_count(k_min, 1, "k_min", min(k_max, n_max))
     candidates = pool if pool is not None else _BSP_POOL
     n = int(gen.integers(max(2, k_min), n_max + 1))
     k = int(gen.integers(k_min, min(k_max, n) + 1))
@@ -475,6 +471,8 @@ def random_welfare_scenario(
 ) -> Scenario:
     """A random multi-project scenario with BSP value functions and slot
     totals not exceeding the number of agents."""
+    m_max = check_count(m_max, 2, "m_max")
+    n_max = check_count(n_max, m_max + 1, "n_max")
     m = int(gen.integers(2, m_max + 1))
     n = int(gen.integers(m + 1, n_max + 1))
     ks = []

@@ -10,14 +10,11 @@ number lists:
        [[0.0, 2.0], [0.5, 0.5]],
        [[1.0], [1.0]]]}]}
 
-``save_scenario`` writes this layout, one agent's pair per line. The
-entry-list layout is still read: projects without ``supports``, and a
-top-level ``distributions`` list with one entry per (agent, project) pair,
-
-    {"agent": "ann", "project": "api", "support": [[0.0, 0.5], [2.0, 0.5]]}
-
-Either way every pair has exactly one support and unknown fields are
-rejected, so a typo fails loudly instead of silently defaulting.
+``save_scenario`` writes this layout, one agent's pair per line. Every
+(agent, project) pair has exactly one support and unknown fields are
+rejected, so a typo fails loudly instead of silently defaulting. Files
+in the older entry-list layout, with a top-level ``distributions`` list,
+are refused.
 """
 
 from __future__ import annotations
@@ -128,7 +125,6 @@ def scenario_to_dict(
 
 # exact types of decoded JSON numbers; true and false decode to bool
 _JSON_NUMBERS = {int, float}
-_ENTRY_KEYS = {"agent", "project", "support"}
 
 
 def _require_keys(obj: dict, keys: set, what: str) -> None:
@@ -142,17 +138,6 @@ def _require_keys(obj: dict, keys: set, what: str) -> None:
         raise ValidationError(f"missing fields in {what}: {sorted(missing)}")
 
 
-def _pair(entry: dict) -> str:
-    return f"agent {entry['agent']!r}, project {entry['project']!r}"
-
-
-def _number_pairs(support: list) -> bool:
-    return all(
-        type(pair) is list and len(pair) == 2 and set(map(type, pair)) <= _JSON_NUMBERS
-        for pair in support
-    )
-
-
 def _number_lists(cell: list) -> bool:
     return (
         type(cell) is list and len(cell) == 2 and set(map(type, cell)) <= {list}
@@ -160,78 +145,10 @@ def _number_lists(cell: list) -> bool:
     )
 
 
-def _raise_first_invalid(cells: Iterable[tuple[str, Iterable]]) -> None:
-    """Raise the error of the first (agent and project, [value, prob]
-    pairs) cell that ``Distribution`` rejects, naming its agent and
-    project."""
-    for where, pairs in cells:
-        try:
-            Distribution.from_pairs((float(v), float(p)) for v, p in pairs)
-        except (ValidationError, OverflowError) as exc:
-            raise ValidationError(f"distribution for {where}: {exc}") from None
-    raise AssertionError("the file-wide checks rejected a distribution Distribution accepts")
-
-
-def _entry_list_atoms(entries, agents: list, names: list) -> tuple:
-    """The entry-list layout's atoms as ``_stores`` takes them, after its
-    structure checks: fields, names, duplicate and missing pairs, and
-    supports that are lists of [value, prob] number pairs."""
-    if not isinstance(entries, list):
-        raise ValidationError("distributions must be a list")
-    a_idx = {a: i for i, a in enumerate(agents)}
-    p_idx = {p: j for j, p in enumerate(names)}
-    m = len(names)
-    slot = [-1] * (len(agents) * m)  # entry index of each (agent, project) cell
-    supports = []
-    for e, entry in enumerate(entries):
-        if type(entry) is not dict or entry.keys() != _ENTRY_KEYS:
-            _require_keys(entry, _ENTRY_KEYS, "distribution entry")
-        agent, project = entry["agent"], entry["project"]
-        if type(agent) is not str or agent not in a_idx:
-            raise ValidationError(f"unknown agent {agent!r} in distributions")
-        if type(project) is not str or project not in p_idx:
-            raise ValidationError(f"unknown project {project!r} in distributions")
-        cell = a_idx[agent] * m + p_idx[project]
-        if slot[cell] >= 0:
-            raise ValidationError(f"duplicate distribution for {_pair(entry)}")
-        slot[cell] = e
-        supports.append(entry["support"])
-    if -1 in slot:
-        i, j = divmod(slot.index(-1), m)
-        raise ValidationError(f"missing distribution for agent {agents[i]!r}, project {names[j]!r}")
-    shaped = set(map(type, supports)) <= {list}
-    if shaped:
-        pairs = list(chain.from_iterable(supports))
-        shaped = (
-            set(map(type, pairs)) <= {list}
-            and set(map(len, pairs)) <= {2}
-            and set(map(type, chain.from_iterable(pairs))) <= _JSON_NUMBERS
-        )
-    if not shaped:
-        e = next(e for e, s in enumerate(supports) if type(s) is not list or not _number_pairs(s))
-        raise ValidationError(
-            f"support for {_pair(entries[e])} must be a list of [value, prob] number pairs"
-        )
-    order = [e for j in range(m) for e in slot[j::m]]  # the entries in store order
-
-    def first_invalid(cells) -> None:
-        _raise_first_invalid((_pair(entries[e]), supports[e]) for e in sorted(order[c] for c in cells))
-
-    cells = [supports[e] for e in order]
-    lengths = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
-    flat = chain.from_iterable(chain.from_iterable(cells))
-    try:
-        atoms = np.fromiter(flat, dtype=float, count=2 * int(lengths.sum())).reshape(-1, 2)
-    except OverflowError:  # an integer past the float range
-        first_invalid(range(len(cells)))
-    # the stores keep values contiguous
-    return atoms[:, 0].copy(), atoms[:, 1], lengths, first_invalid
-
-
 def _columnar_atoms(projects: list, agents: list, names: list) -> tuple:
-    """The columnar layout's atoms as ``_stores`` takes them, after its
-    structure checks: one support per agent in each project, each a
-    [values, probs] pair of equal-length number lists."""
+    """The file's atoms as ``_stores`` takes them, after the structure
+    checks: one support per agent in each project, each a [values, probs]
+    pair of equal-length number lists."""
     n = len(agents)
     cells = []
     for entry in projects:
@@ -269,7 +186,12 @@ def _columnar_atoms(projects: list, agents: list, names: list) -> tuple:
         )
 
     def first_invalid(bad) -> None:
-        _raise_first_invalid((where(c), zip(*cells[c])) for c in bad)
+        for c in bad:
+            try:
+                Distribution.from_pairs((float(v), float(p)) for v, p in zip(*cells[c]))
+            except (ValidationError, OverflowError) as exc:
+                raise ValidationError(f"distribution for {where(c)}: {exc}") from None
+        raise AssertionError("the file-wide checks rejected a distribution Distribution accepts")
 
     total = sum(lengths)
     try:
@@ -323,15 +245,18 @@ def _stores(n: int, values, probs, lengths, first_invalid) -> tuple[ProjectStore
 
 
 def scenario_from_dict(doc: dict) -> LoadedScenario:
-    """Validate a scenario document in either layout: a document with
-    ``distributions`` is an entry list, any other is columnar. The layout's
-    structure is checked first (``_entry_list_atoms``, ``_columnar_atoms``);
-    then all support numbers are validated and normalized in one array
-    pass and packed into per-project stores (``_stores``), building no
-    per-cell Distribution."""
-    entry_list = isinstance(doc, dict) and "distributions" in doc
-    layout_keys = {"distributions"} if entry_list else set()
-    _require_keys(doc, {"agents", "projects"} | layout_keys, "scenario document")
+    """Validate a scenario document: its structure first (fields, names,
+    and ``_columnar_atoms``), then all support numbers in one array pass
+    that validates and normalizes them and packs them into per-project
+    stores (``_stores``), building no per-cell Distribution. A document
+    with a top-level ``distributions`` list is refused before any other
+    check."""
+    if isinstance(doc, dict) and "distributions" in doc:
+        raise ValidationError(
+            'the entry-list layout (a top-level "distributions" list) is no longer read; '
+            'give each project its "supports", as save_scenario writes them'
+        )
+    _require_keys(doc, {"agents", "projects"}, "scenario document")
     agents = doc["agents"]
     if not isinstance(agents, list) or not agents or not all(isinstance(a, str) for a in agents):
         raise ValidationError("agents must be a non-empty list of names")
@@ -340,12 +265,9 @@ def scenario_from_dict(doc: dict) -> LoadedScenario:
     projects = doc["projects"]
     if not isinstance(projects, list) or not projects:
         raise ValidationError("projects must be a non-empty list")
-    if entry_list and any(isinstance(entry, dict) and "supports" in entry for entry in projects):
-        raise ValidationError("a scenario lists either distributions or project supports, not both")
-    project_keys = {"name", "value_fn", "k"} | (set() if entry_list else {"supports"})
     names, fns, ks = [], [], []
     for entry in projects:
-        _require_keys(entry, project_keys, "project entry")
+        _require_keys(entry, {"name", "value_fn", "k", "supports"}, "project entry")
         if not isinstance(entry["name"], str):
             raise ValidationError("project name must be a string")
         if not isinstance(entry["k"], int) or isinstance(entry["k"], bool):
@@ -355,15 +277,11 @@ def scenario_from_dict(doc: dict) -> LoadedScenario:
         ks.append(entry["k"])
     if len(set(names)) != len(names):
         raise ValidationError("duplicate project names")
-    if entry_list:
-        atoms = _entry_list_atoms(doc["distributions"], agents, names)
-    else:
-        atoms = _columnar_atoms(projects, agents, names)
     scn = Scenario(
         dists=None,
         value_fns=tuple(fns),
         cardinalities=tuple(ks),
-        stores=_stores(len(agents), *atoms),
+        stores=_stores(len(agents), *_columnar_atoms(projects, agents, names)),
     )
     return LoadedScenario(scn, tuple(agents), tuple(names))
 

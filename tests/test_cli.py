@@ -34,7 +34,7 @@ from testscore import cli, data, optimize, sketch, utility
 from testscore.core import DEFAULT_BUDGET
 from testscore.adversarial import CATALOGUE_POOL, GENERATORS, InstanceReport
 from testscore.scenario_io import value_fn_tag
-from test_scenario_io import entry_list
+from test_scenario_io import ENTRY_LIST_REFUSED, entry_list
 from testscore.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -133,11 +133,8 @@ class TestSelect:
 
     @staticmethod
     def bad_number(tmp_path, doc, literal):
-        # bob's largest value becomes the literal, in either layout
-        if "distributions" in doc:
-            doc["distributions"][1]["support"][1][0] = "@"
-        else:
-            doc["projects"][0]["supports"][1][0][1] = "@"
+        # bob's largest value becomes the literal
+        doc["projects"][0]["supports"][1][0][1] = "@"
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc).replace('"@"', literal))
         return str(path)
@@ -151,10 +148,13 @@ class TestSelect:
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "true"])
     def test_bad_support_numbers_exit_2_entry_list(self, capsys, tmp_path, bestshot_file, literal):
-        path = self.bad_number(tmp_path, entry_list(json.load(open(bestshot_file))), literal)
-        code, _, err = run(capsys, ["select", path])
-        assert code == EXIT_VALIDATION
-        assert err.startswith("error: ") and "agent 'bob', project 'p0'" in err
+        # the same file in the entry-list layout is refused for its layout,
+        # before its numbers are read
+        doc = entry_list(json.load(open(bestshot_file)))
+        doc["distributions"][1]["support"][1][0] = "@"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc).replace('"@"', literal))
+        assert run(capsys, ["select", str(path)]) == (EXIT_VALIDATION, "", f"error: {ENTRY_LIST_REFUSED}\n")
 
     def test_multi_project_needs_project(self, capsys, welfare_file):
         code, _, err = run(capsys, ["select", welfare_file])
@@ -235,14 +235,6 @@ class TestAssign:
         doc = json.load(open(welfare_file))
         assert doc["agents"][1] == "bob" and doc["projects"][1]["name"] == "ui"
         doc["projects"][1]["supports"][1] = [[v for v, _ in support], [p for _, p in support]]
-        self.assign_names_the_pair(capsys, tmp_path, doc)
-
-    @BAD_SUPPORTS
-    def test_bad_support_names_the_pair_entry_list(self, capsys, tmp_path, welfare_file, support):
-        doc = entry_list(json.load(open(welfare_file)))
-        entry = doc["distributions"][3]
-        assert (entry["agent"], entry["project"]) == ("bob", "ui")
-        entry["support"] = support
         self.assign_names_the_pair(capsys, tmp_path, doc)
 
     def test_oracle_budget_exhaustion_names_the_dp(self, capsys, monkeypatch, welfare_file):
@@ -813,12 +805,11 @@ class TestBadParametersExit2:
         # team of two can sum 2 * 10^400, past the float range
         doc = {
             "agents": ["a", "b", "c"],
-            "projects": [{"name": "p0", "value_fn": f"ces:{r}", "k": 2}],
-            "distributions": [
-                {"agent": "a", "project": "p0", "support": [[4.5, 0.5], [10.0, 0.5]]},
-                {"agent": "b", "project": "p0", "support": [[1.0, 1.0]]},
-                {"agent": "c", "project": "p0", "support": [[1.0, 1.0]]},
-            ],
+            "projects": [{"name": "p0", "value_fn": f"ces:{r}", "k": 2, "supports": [
+                [[4.5, 10.0], [0.5, 0.5]],
+                [[1.0], [1.0]],
+                [[1.0], [1.0]],
+            ]}],
         }
         path = tmp_path / f"ces{r}.json"
         path.write_text(json.dumps(doc))
@@ -841,6 +832,23 @@ class TestBadParametersExit2:
         doc = json.loads(out)
         assert doc["oracle_selected"] == ["a", "b"]
         assert doc["oracle"]["total"] == pytest.approx(7.25, rel=1e-15)
+
+
+class TestEntryListRefused:
+    """A file in the entry-list layout, or with both "distributions" and
+    project "supports", exits 2 under every command that loads a scenario,
+    with one line naming the layout and nothing on stdout."""
+
+    @pytest.mark.parametrize("command", ["select", "assign", "experiment"])
+    @pytest.mark.parametrize("both", [False, True], ids=["entry-list", "both-layouts"])
+    def test_exits_2_with_the_layout_message(self, capsys, tmp_path, welfare_file, command, both):
+        doc = json.load(open(welfare_file))
+        listed = entry_list(doc)
+        if both:
+            doc["distributions"] = listed["distributions"]
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc if both else listed))
+        assert run(capsys, [command, str(path)]) == (EXIT_VALIDATION, "", f"error: {ENTRY_LIST_REFUSED}\n")
 
 
 class TestLoadedFilesBuildNoDistribution:

@@ -31,6 +31,17 @@ from testscore import (
     verify_strong_sketch_bounds,
 )
 from testscore import utility
+from testscore.adversarial import (
+    gen_ces_mean_tightness,
+    gen_mean_fails_bestshot,
+    gen_quantile_ces,
+    gen_quantile_fails_linear,
+    gen_welfare_example1,
+    gen_welfare_example2,
+    random_bsp_scenario,
+    random_single_scenario,
+    random_welfare_scenario,
+)
 from testscore.core import charge, check_count
 
 TWO_POINT = Distribution.from_pairs(((0.0, 0.5), (2.0, 0.5)))
@@ -394,7 +405,8 @@ class TestCounts:
 
 class TestArgumentSweep:
     """Every public call that takes a project, an agent, a size, a seed or
-    a stream, with each such argument drawn from -1, its range's length n,
+    a stream, the bundled generators' and random samplers' sizes among
+    them, with each such argument drawn from -1, its range's length n,
     True, 1.5, 2.0, np.int64(1), "1" and None: the call raises
     ValidationError, or answers as it does with the plain ints, and raises
     nothing else. A non-integer or -1 is always refused."""
@@ -405,7 +417,8 @@ class TestArgumentSweep:
     @staticmethod
     def calls():
         # each call with the length of the range each argument is an index
-        # or a count in; two projects, so that -1 must not read as the last
+        # or a count in, or for a generator a size it takes; two projects,
+        # so that -1 must not read as the last
         d = [TWO_POINT, Distribution.point(1.0), Distribution.from_pairs(((0.5, 0.3), (3.0, 0.7))), Distribution.point(2.0)]
         scn = Scenario(tuple((x, x) for x in d), (ValueFunction.ces(2.0), ValueFunction.best_shot()), (1, 3))
         table = build_score_table(scn, "replication", max_r=3)
@@ -418,6 +431,9 @@ class TestArgumentSweep:
         def rng(seed, stream):
             spec = RngSpec(seed=seed)
             return spec.seed, spec.generator(stream).random(2).tolist()
+
+        def sampled(sampler, *args, **sizes):  # one fresh stream per call
+            return sampler(np.random.default_rng(0), *args, **sizes)
 
         return {
             "take": (take, (agents, agents)),
@@ -433,6 +449,17 @@ class TestArgumentSweep:
             "strong_sketch": (lambda j, i: strong_sketch(table, j, [i, 2]), (projects, agents)),
             "verify_strong_sketch_bounds": (lambda j, k: verify_strong_sketch_bounds(scn, j, k), (projects, agents)),
             "verify_goodness_sandwich": (lambda j, k: verify_goodness_sandwich(scn, j, k), (projects, agents)),
+            "gen_mean_fails_bestshot": (gen_mean_fails_bestshot, (4,)),
+            "gen_quantile_fails_linear": (gen_quantile_fails_linear, (10,)),
+            "gen_ces_mean_tightness": (gen_ces_mean_tightness, (4,)),
+            "gen_quantile_ces": (lambda k, n: gen_quantile_ces(k=k, n=n), (2, 6)),
+            "gen_welfare_example1": (gen_welfare_example1, (3,)),
+            "gen_welfare_example2": (gen_welfare_example2, (3,)),
+            "random_single_scenario": (
+                lambda n, k: sampled(random_single_scenario, ValueFunction.best_shot(), n=n, k=k), (5, 5)),
+            "random_bsp_scenario": (
+                lambda n, k, low: sampled(random_bsp_scenario, n_max=n, k_max=k, k_min=low), (7, 4, 4)),
+            "random_welfare_scenario": (lambda n, m: sampled(random_welfare_scenario, n_max=n, m_max=m), (8, 3)),
         }
 
     @staticmethod
@@ -442,6 +469,30 @@ class TestArgumentSweep:
         except ValidationError:
             return ValidationError
         return answer.scores.tobytes() if isinstance(answer, ScoreTable) else repr(answer)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda gen: random_single_scenario(gen, ValueFunction.best_shot(), n=2.5), "n must be an integer >= 1, got 2.5"),
+            (lambda gen: random_single_scenario(gen, ValueFunction.best_shot(), k=6), "k must be in 1..5, got 6"),
+            (lambda gen: gen_mean_fails_bestshot(k=2.5), "k must be an integer >= 1, got 2.5"),
+            (lambda gen: gen_quantile_fails_linear(k=1), "k must be an integer >= 2, got 1"),
+            (lambda gen: gen_ces_mean_tightness(k=0), "k must be an integer >= 1, got 0"),
+            (lambda gen: gen_quantile_ces(n=64.5), "n must be an integer >= 48, got 64.5"),
+            (lambda gen: gen_quantile_ces(n=47), "n must be an integer >= 48, got 47"),
+            (lambda gen: gen_welfare_example1(r=2.5), "r must be an integer >= 2, got 2.5"),
+            (lambda gen: gen_welfare_example2(r=3.0), "r must be an integer >= 2, got 3.0"),
+            (lambda gen: random_welfare_scenario(gen, m_max=1), "m_max must be an integer >= 2, got 1"),
+            (lambda gen: random_welfare_scenario(gen, n_max=2), "n_max must be an integer >= 4, got 2"),
+            (lambda gen: random_bsp_scenario(gen, n_max=2.5), "n_max must be an integer >= 2, got 2.5"),
+            (lambda gen: random_bsp_scenario(gen, k_max=True), "k_max must be an integer >= 1, got True"),
+            (lambda gen: random_bsp_scenario(gen, k_min=5), "k_min must be in 1..4, got 5"),
+        ],
+    )
+    def test_generator_sizes_name_the_argument(self, call, message):
+        with pytest.raises(ValidationError) as exc:
+            call(np.random.default_rng(0))
+        assert str(exc.value) == message
 
     def test_sweep(self):
         hypothesis = pytest.importorskip("hypothesis")

@@ -6,6 +6,7 @@ import math
 import os
 import re
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,9 +39,15 @@ from testscore.utility import _MERGE
 from testscore.data import sample_ratings_path
 
 
+ENTRY_LIST_REFUSED = (
+    'the entry-list layout (a top-level "distributions" list) is no longer read; '
+    'give each project its "supports", as save_scenario writes them'
+)
+
+
 def entry_list(doc: dict) -> dict:
     """The entry-list layout of a columnar document, its entries agent
-    after agent, as the entry-list writer put them."""
+    after agent, as files written before the columnar layout hold them."""
     return {
         "agents": doc["agents"],
         "projects": [{key: p[key] for key in ("name", "value_fn", "k")} for p in doc["projects"]],
@@ -213,9 +220,9 @@ class TestLoadedSupports:
         # inside and just outside the slack
         gen = np.random.default_rng(seed)
         agents = [f"a{i}" for i in range(12)]
-        doc = {"agents": agents, "projects": [{"name": "p", "value_fn": "best_shot", "k": 1}]}
-        entries, expected = [], []
-        for a in agents:
+        supports, expected = [], []
+        doc = {"agents": agents, "projects": [{"name": "p", "value_fn": "best_shot", "k": 1, "supports": supports}]}
+        for _ in agents:
             s = int(gen.integers(1, 6))
             values = gen.permutation(s * 4)[:s] * 0.75 if gen.random() < 0.5 else gen.uniform(0, 9, s)
             if gen.random() < 0.3:
@@ -226,13 +233,11 @@ class TestLoadedSupports:
             probs[-1] += float(drift) * (1 if gen.random() < 0.5 else -1)
             if s == 1 and gen.random() < 0.5:
                 probs = [1]
-            support = [[v, p] for v, p in zip(values.tolist(), probs)]
-            entries.append({"agent": a, "project": "p", "support": support})
+            supports.append([values.tolist(), probs])
             try:
-                expected.append(Distribution.from_pairs((float(v), float(p)) for v, p in support))
+                expected.append(Distribution.from_pairs((float(v), float(p)) for v, p in zip(*supports[-1])))
             except ValidationError as exc:
                 expected.append(exc)
-        doc["distributions"] = entries
         failures = [(e, x) for e, x in enumerate(expected) if isinstance(x, ValidationError)]
         if failures:
             e, exc = failures[0]
@@ -240,7 +245,7 @@ class TestLoadedSupports:
                 scenario_from_dict(json.loads(json.dumps(doc)))
             assert str(got.value) == f"distribution for agent 'a{e}', project 'p': {exc}"
             for e, _ in failures:
-                entries[e]["support"] = [[0.0, 1.0]]
+                supports[e] = [[0.0], [1.0]]
                 expected[e] = Distribution.point(0.0)
         loaded = scenario_from_dict(json.loads(json.dumps(doc))).scenario
         for i, want in enumerate(expected):
@@ -251,15 +256,15 @@ class TestLoadedSupports:
             assert hexes(d.probs_array) == hexes(want.probs_array)
 
     def test_first_failing_entry_in_file_order(self):
-        doc = entry_list(scenario_to_dict(two_by_two(), ["ann", "bob"], ["api", "ui"]))
-        doc["distributions"][1]["support"] = [[1.0, 0.5], [1.0, 0.5]]
-        doc["distributions"][3]["support"] = [[-1.0, 1.0]]
+        doc = scenario_to_dict(two_by_two(), ["ann", "bob"], ["api", "ui"])
+        set_support(doc, 0, 1, [[1.0, 0.5], [1.0, 0.5]])
+        set_support(doc, 1, 1, [[-1.0, 1.0]])
         with pytest.raises(ValidationError) as exc:
             scenario_from_dict(doc)
         assert str(exc.value) == (
             "distribution for agent 'ann', project 'ui': duplicate support value 1.0"
         )
-        doc["distributions"][1]["support"] = [[1.0, 1.0]]
+        set_support(doc, 0, 1, [[1.0, 1.0]])
         with pytest.raises(ValidationError) as exc:
             scenario_from_dict(doc)
         assert str(exc.value) == (
@@ -267,8 +272,8 @@ class TestLoadedSupports:
         )
 
     def test_integer_past_the_float_range(self):
-        doc = entry_list(scenario_to_dict(two_by_two()))
-        doc["distributions"][2]["support"] = [[10**400, 1]]
+        doc = scenario_to_dict(two_by_two())
+        set_support(doc, 1, 0, [[10**400, 1]])
         with pytest.raises(ValidationError, match="agent 'a1', project 'p0'"):
             scenario_from_dict(doc)
 
@@ -332,17 +337,18 @@ class TestProjectStores:
         assert (table.methods == "monte_carlo").sum() == 7
 
     def test_shuffled_atoms_load_to_the_same_stores(self):
-        # the loader keeps a file's atom order when every entry already
+        # the loader keeps a file's atom order when every support already
         # rises, as save_scenario writes them, and sorts otherwise; both
         # give the same bits, and contiguous store arrays
         gen = np.random.default_rng(10)
-        doc = entry_list(scenario_to_dict(roster(gen, n=20, m=12)))
+        doc = scenario_to_dict(roster(gen, n=20, m=12))
         shuffled = json.loads(json.dumps(doc))
         moved = 0
-        for entry in shuffled["distributions"]:
-            support = entry["support"]
-            entry["support"] = [support[t] for t in gen.permutation(len(support))]
-            moved += entry["support"] != support
+        for project in shuffled["projects"]:
+            for values, probs in project["supports"]:
+                order = gen.permutation(len(values))
+                moved += order.tolist() != sorted(order.tolist())
+                values[:], probs[:] = [values[t] for t in order], [probs[t] for t in order]
         assert moved > 50
         in_order = scenario_from_dict(doc).scenario
         sorted_on_load = scenario_from_dict(shuffled).scenario
@@ -407,7 +413,7 @@ class TestProjectStores:
 
 class TestStrictParsing:
     def doc(self):
-        return entry_list(scenario_to_dict(two_by_two()))
+        return scenario_to_dict(two_by_two())
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -415,16 +421,12 @@ class TestStrictParsing:
             ("projects", {"p0": {}}, "projects must be a non-empty list"),
             ("projects", [], "projects must be a non-empty list"),
             ("project name", 7, "project name must be a string"),
-            ("distributions", {}, "distributions must be a list"),
-            ("entry", ["a0", "p0", [[1.0, 1.0]]], "distribution entry must be an object"),
         ],
     )
     def test_wrong_types(self, field, value, message):
         doc = self.doc()
         if field == "project name":
             doc["projects"][0]["name"] = value
-        elif field == "entry":
-            doc["distributions"][0] = value
         else:
             doc[field] = value
         with pytest.raises(ValidationError, match=f"^{message}$"):
@@ -474,28 +476,17 @@ class TestStrictParsing:
             scenario_from_dict(doc)
 
     def test_duplicate_distribution_entry(self):
+        # a repeated support is one more than the agents
         doc = self.doc()
-        doc["distributions"].append(dict(doc["distributions"][0]))
-        with pytest.raises(ValidationError, match="duplicate distribution"):
+        supports = doc["projects"][1]["supports"]
+        supports.append(supports[0])
+        with pytest.raises(ValidationError, match="^project 'p1' has 3 supports for 2 agents$"):
             scenario_from_dict(doc)
 
     def test_missing_distribution_entry(self):
         doc = self.doc()
-        doc["distributions"].pop()
-        with pytest.raises(ValidationError, match="missing distribution"):
-            scenario_from_dict(doc)
-
-    def test_unknown_agent_in_distributions(self):
-        doc = self.doc()
-        doc["distributions"][0]["agent"] = "ghost"
-        with pytest.raises(ValidationError, match="unknown agent"):
-            scenario_from_dict(doc)
-
-    @pytest.mark.parametrize("field", ["agent", "project"])
-    def test_unhashable_names_in_distributions(self, field):
-        doc = self.doc()
-        doc["distributions"][0][field] = ["a0"]
-        with pytest.raises(ValidationError, match=f"unknown {field}"):
+        doc["projects"][1]["supports"].pop()
+        with pytest.raises(ValidationError, match="^missing distribution for agent 'a1', project 'p1'$"):
             scenario_from_dict(doc)
 
     def test_value_fn_tag_must_be_a_string(self):
@@ -506,22 +497,22 @@ class TestStrictParsing:
 
     def test_malformed_support(self):
         doc = self.doc()
-        doc["distributions"][0]["support"] = [[1.0, 0.5, 9.9]]
-        with pytest.raises(ValidationError, match="value, prob"):
+        doc["projects"][0]["supports"][0] = [[1.0], [0.5], [9.9]]
+        with pytest.raises(ValidationError, match=r"\[values, probs\] pair"):
             scenario_from_dict(doc)
 
     @pytest.mark.parametrize("bad", [True, False, "0.5", None])
     def test_support_numbers_must_be_numbers(self, bad):
         doc = self.doc()
-        doc["distributions"][0]["support"] = [[bad, 1.0]]
-        with pytest.raises(ValidationError, match="number pairs"):
+        doc["projects"][0]["supports"][0] = [[bad], [1.0]]
+        with pytest.raises(ValidationError, match="number lists"):
             scenario_from_dict(doc)
 
     @pytest.mark.parametrize("slot", [0, 1], ids=["value", "prob"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_json_literals_rejected(self, bad, slot):
         doc = self.doc()
-        doc["distributions"][0]["support"][0][slot] = bad
+        doc["projects"][0]["supports"][0][slot][0] = bad
         text = json.dumps(doc)  # writes the NaN / Infinity literals
         assert "NaN" in text or "Infinity" in text
         with pytest.raises(ValidationError):
@@ -539,14 +530,8 @@ class TestStrictParsing:
 
 
 def set_support(doc: dict, i: int, j: int, pairs: list) -> None:
-    """Give agent i's support on project j, as [value, prob] pairs, in
-    either layout."""
-    if "distributions" in doc:
-        agent, project = doc["agents"][i], doc["projects"][j]["name"]
-        entry = next(e for e in doc["distributions"] if (e["agent"], e["project"]) == (agent, project))
-        entry["support"] = [list(pair) for pair in pairs]
-    else:
-        doc["projects"][j]["supports"][i] = [[v for v, _ in pairs], [p for _, p in pairs]]
+    """Give agent i's support on project j, given as [value, prob] pairs."""
+    doc["projects"][j]["supports"][i] = [[v for v, _ in pairs], [p for _, p in pairs]]
 
 
 def load_error(doc: dict) -> str:
@@ -556,9 +541,9 @@ def load_error(doc: dict) -> str:
 
 
 class TestLayouts:
-    """The columnar layout and the entry-list layout read through one
-    validation pass: the same scenario gives the same stores, and the same
-    bad cell the same error."""
+    """The one file layout, columnar, loads to the stores its supports
+    pack to as Distributions, and each bad document or cell gives its own
+    pinned error; the older entry-list layout is refused."""
 
     def named(self) -> dict:
         return scenario_to_dict(two_by_two(), ["ann", "bob"], ["api", "ui"])
@@ -568,7 +553,7 @@ class TestLayouts:
         # unsorted supports, integer numbers, point masses and sums inside
         # the slack, and now and then a cell with a duplicate value, a zero
         # probability, a non-finite value, a sum outside the slack or a
-        # boolean; the entry-list file lists its entries in random order
+        # boolean
         gen = np.random.default_rng(seed)
         n, m = 7, 5
         names = [f"p{j}" for j in range(m)]
@@ -607,110 +592,100 @@ class TestLayouts:
                 for j in range(m)
             ],
         }
-        listed = entry_list(columnar)
-        listed["distributions"] = [listed["distributions"][e] for e in gen.permutation(n * m)]
-        order = {
-            "columnar": [(i, j) for j in range(m) for i in range(n)],
-            "entry_list": [(int(e["agent"][1:]), int(e["project"][1:])) for e in listed["distributions"]],
-        }
-        for layout, doc in (("columnar", columnar), ("entry_list", listed)):
-            # every cell's shape is checked before any cell's distribution
-            shapes = [c for c in order[layout] if bool in map(type, chain(*cells[c]))]
-            invalid = []
-            for c in order[layout]:
-                try:
-                    Distribution.from_pairs((float(v), float(p)) for v, p in cells[c])
-                except ValidationError as exc:
-                    invalid.append((c, exc))
-            if shapes:
-                i, j = shapes[0]
-                assert load_error(doc).startswith(f"support for agent 'a{i}', project 'p{j}' must be ")
-            elif invalid:
-                (i, j), exc = invalid[0]
-                assert load_error(doc) == f"distribution for agent 'a{i}', project 'p{j}': {exc}"
-            else:
-                assert not defects
+        # every cell's shape is checked before any cell's distribution
+        order = [(i, j) for j in range(m) for i in range(n)]
+        shapes = [c for c in order if bool in map(type, chain(*cells[c]))]
+        invalid = []
+        for c in order:
+            try:
+                Distribution.from_pairs((float(v), float(p)) for v, p in cells[c])
+            except ValidationError as exc:
+                invalid.append((c, exc))
+        if shapes:
+            i, j = shapes[0]
+            assert load_error(columnar) == (
+                f"support for agent 'a{i}', project 'p{j}' must be a [values, probs] pair of "
+                "equal-length number lists"
+            )
+        elif invalid:
+            (i, j), exc = invalid[0]
+            assert load_error(columnar) == f"distribution for agent 'a{i}', project 'p{j}': {exc}"
+        else:
+            assert not defects
         for i, j in defects:
             set_support(columnar, i, j, [[0.0, 1.0]])
-            set_support(listed, i, j, [[0.0, 1.0]])
         a = scenario_from_dict(json.loads(json.dumps(columnar))).scenario
-        b = scenario_from_dict(json.loads(json.dumps(listed))).scenario
         for j in range(m):
-            assert store_hexes(a.store(j)) == store_hexes(b.store(j))
+            want = [Distribution.from_pairs((float(v), float(p)) for v, p in
+                                            ([[0.0, 1.0]] if (i, j) in defects else cells[i, j]))
+                    for i in range(n)]
+            assert store_hexes(a.store(j)) == store_hexes(ProjectStore.pack(want))
             for i in range(n):
-                want = Distribution.from_pairs((float(v), float(p)) for v, p in
-                                               ([[0.0, 1.0]] if (i, j) in defects else cells[i, j]))
-                assert hexes(a.dist(i, j).values) == hexes(want.values)
-                assert hexes(a.dist(i, j).probs) == hexes(want.probs)
+                assert hexes(a.dist(i, j).values) == hexes(want[i].values)
+                assert hexes(a.dist(i, j).probs) == hexes(want[i].probs)
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit, message",
         [
-            lambda d: d.update(projects={"p0": {}}),
-            lambda d: d.update(projects=[]),
-            lambda d: d["projects"][0].update(name=7),
-            lambda d: d.update(comment="hi"),
-            lambda d: d.pop("projects"),
-            lambda d: d.update(agents=["ann", "ann"]),
-            lambda d: d.update(agents=[]),
-            lambda d: [p.update(name="same") for p in d["projects"]],
-            lambda d: d["projects"][0].update(weight=2),
-            lambda d: d["projects"][0].update(k=True),
-            lambda d: d["projects"][0].update(k=1.0),
-            lambda d: d["projects"][0].update(value_fn=5),
-            lambda d: d["projects"][1].update(value_fn="ces:nan"),
+            (lambda d: d.update(projects={"p0": {}}), "projects must be a non-empty list"),
+            (lambda d: d.update(projects=[]), "projects must be a non-empty list"),
+            (lambda d: d["projects"][0].update(name=7), "project name must be a string"),
+            (lambda d: d.update(comment="hi"), "unknown fields in scenario document: ['comment']"),
+            (lambda d: d.pop("projects"), "missing fields in scenario document: ['projects']"),
+            (lambda d: d.update(agents=["ann", "ann"]), "duplicate agent names"),
+            (lambda d: d.update(agents=[]), "agents must be a non-empty list of names"),
+            (lambda d: [p.update(name="same") for p in d["projects"]], "duplicate project names"),
+            (lambda d: d["projects"][0].update(weight=2), "unknown fields in project entry: ['weight']"),
+            (lambda d: d["projects"][0].update(k=True), "project 'api': k must be an integer"),
+            (lambda d: d["projects"][0].update(k=1.0), "project 'api': k must be an integer"),
+            (lambda d: d["projects"][0].update(value_fn=5), "value function tag must be a string, got 5"),
+            (lambda d: d["projects"][1].update(value_fn="ces:nan"),
+             "bad value function tag 'ces:nan': ces parameter must be finite, got nan"),
         ],
         ids=["projects-object", "no-projects", "project-name", "top-field", "no-top-field",
              "duplicate-agents", "no-agents", "duplicate-projects", "project-field", "bool-k",
              "float-k", "tag-type", "tag-value"],
     )
-    def test_document_errors_are_the_same(self, edit):
-        messages = []
-        for doc in (entry_list(self.named()), self.named()):
-            edit(doc)
-            messages.append(load_error(doc))
-        assert messages[0] == messages[1]
+    def test_document_errors_are_the_same(self, edit, message):
+        doc = self.named()
+        edit(doc)
+        assert load_error(doc) == message
 
     @pytest.mark.parametrize(
-        "pairs",
+        "pairs, message",
         [
-            [[1.0, 0.5], [1.0, 0.5]],
-            [[-1.0, 1.0]],
-            [[math.nan, 1.0]],
-            [[math.inf, 1.0]],
-            [[1.0, math.nan]],
-            [[1.0, -math.inf]],
-            [[0.0, 0.0], [1.0, 1.0]],
-            [[0.0, 0.5], [1.0, 0.4]],
-            [[0.0, 2.0], [1.0, -1.0]],
-            [],
-            [[10**400, 1]],
+            ([[1.0, 0.5], [1.0, 0.5]], "duplicate support value 1.0"),
+            ([[-1.0, 1.0]], "negative support value -1.0"),
+            ([[math.nan, 1.0]], "support values must be finite, got (nan,)"),
+            ([[math.inf, 1.0]], "support values must be finite, got (inf,)"),
+            ([[1.0, math.nan]], "probability must be positive, got nan"),
+            ([[1.0, -math.inf]], "probability must be positive, got -inf"),
+            ([[0.0, 0.0], [1.0, 1.0]], "probability must be positive, got 0.0"),
+            ([[0.0, 0.5], [1.0, 0.4]], "probabilities sum to 0.9, outside 1 +/- 1e-09"),
+            ([[0.0, 2.0], [1.0, -1.0]], "probability must be positive, got -1.0"),
+            ([], "distribution needs at least one atom"),
+            ([[10**400, 1]], "int too large to convert to float"),
         ],
         ids=["duplicate", "negative", "nan-value", "inf-value", "nan-prob", "inf-prob",
              "zero-prob", "bad-sum", "prob-past-one", "empty", "integer-past-floats"],
     )
-    def test_distribution_errors_are_the_same(self, pairs):
-        messages = []
-        for doc in (entry_list(self.named()), self.named()):
-            set_support(doc, 1, 1, pairs)
-            messages.append(load_error(doc))
-        assert messages[0] == messages[1]
-        assert messages[0].startswith("distribution for agent 'bob', project 'ui': ")
+    def test_distribution_errors_are_the_same(self, pairs, message):
+        # the message Distribution gives, naming the pair
+        doc = self.named()
+        set_support(doc, 1, 1, pairs)
+        assert load_error(doc) == f"distribution for agent 'bob', project 'ui': {message}"
 
     def test_missing_support_is_the_same(self):
-        listed, columnar = entry_list(self.named()), self.named()
-        listed["distributions"].pop()
+        columnar = self.named()
         columnar["projects"][1]["supports"].pop()
-        assert load_error(listed) == load_error(columnar) == (
-            "missing distribution for agent 'bob', project 'ui'"
-        )
+        assert load_error(columnar) == "missing distribution for agent 'bob', project 'ui'"
 
     def test_first_failing_cell_in_each_layouts_file_order(self):
-        # the entry list lists ann's cells first, the columnar file api's
-        for doc, first in ((entry_list(self.named()), ("ann", "ui")), (self.named(), ("bob", "api"))):
-            set_support(doc, 0, 1, [[-1.0, 1.0]])
-            set_support(doc, 1, 0, [[1.0, 0.5], [1.0, 0.5]])
-            assert load_error(doc).startswith("distribution for agent %r, project %r: " % first)
+        # the file lists api's supports first
+        doc = self.named()
+        set_support(doc, 0, 1, [[-1.0, 1.0]])
+        set_support(doc, 1, 0, [[1.0, 0.5], [1.0, 0.5]])
+        assert load_error(doc) == "distribution for agent 'bob', project 'api': duplicate support value 1.0"
 
     @pytest.mark.parametrize(
         "support",
@@ -747,8 +722,7 @@ class TestLayouts:
              "project 'ui' has 3 supports for 2 agents"),
             (lambda d: d["projects"][1].pop("supports"), "missing fields in project entry: ['supports']"),
             (lambda d: d["projects"][0].update(support=[]), "unknown fields in project entry: ['support']"),
-            (lambda d: d.update(distributions=entry_list(d)["distributions"]),
-             "a scenario lists either distributions or project supports, not both"),
+            (lambda d: d.update(distributions=entry_list(d)["distributions"]), ENTRY_LIST_REFUSED),
         ],
         ids=["supports-object", "extra-support", "no-supports", "entry-field", "both-layouts"],
     )
@@ -791,11 +765,44 @@ class TestLayouts:
             for i, row in enumerate(lines[3 + 10 * j : 12 + 10 * j]):
                 pair = re.fullmatch(r"   (\[\[.*\]\])(,|\]\},|\]\}\]\})", row)
                 assert json.loads(pair.group(1)) == project["supports"][i]
-        # both layouts of the written document load to the same stores
+        # the written document loads to the scenario's own stores
         columnar = load_scenario(io.StringIO(text)).scenario
-        listed = scenario_from_dict(entry_list(doc)).scenario
         for j in scn.projects:
-            assert store_hexes(columnar.store(j)) == store_hexes(listed.store(j)) == store_hexes(scn.store(j))
+            assert store_hexes(columnar.store(j)) == store_hexes(scn.store(j))
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            lambda d: entry_list(d),
+            lambda d: {"distributions": []},
+            lambda d: {"distributions": None, "agents": [], "comment": "hi"},
+        ],
+        ids=["entry-list", "no-agents", "bad-fields"],
+    )
+    def test_entry_list_is_refused_first(self, doc):
+        # a top-level "distributions" key is refused before any other
+        # check; with project supports too, see test_columnar_structure_errors
+        assert load_error(doc(self.named())) == ENTRY_LIST_REFUSED
+
+
+ROOT = Path(__file__).resolve().parent.parent
+BUNDLED_DIRS = ("demos/scenarios", "tests/fixtures")
+BUNDLED = sorted(path for folder in BUNDLED_DIRS for path in (ROOT / folder).glob("*.json"))
+
+
+class TestBundledScenarioFiles:
+    """Each scenario file in the repo is byte for byte what save_scenario
+    writes for it, so no second layout or hand formatting creeps back."""
+
+    def test_each_folder_holds_scenarios(self):
+        assert {str(path.parent.relative_to(ROOT)) for path in BUNDLED} == set(BUNDLED_DIRS)
+
+    @pytest.mark.parametrize("path", BUNDLED, ids=lambda path: str(path.relative_to(ROOT)))
+    def test_in_the_written_layout(self, path):
+        loaded = load_scenario(path)
+        buf = io.StringIO()
+        save_scenario(buf, loaded.scenario, loaded.agent_names, loaded.project_names)
+        assert buf.getvalue().encode() == path.read_bytes()
 
 
 class TestReadRatings:
