@@ -237,6 +237,18 @@ class TestAssign:
         doc["projects"][1]["supports"][1] = [[v for v, _ in support], [p for _, p in support]]
         self.assign_names_the_pair(capsys, tmp_path, doc)
 
+    @BAD_SUPPORTS
+    def test_bad_support_names_the_pair_entry_list(self, capsys, tmp_path, welfare_file, support):
+        # the same bad support in the entry-list layout is refused for its
+        # layout, before the support is read
+        doc = entry_list(json.load(open(welfare_file)))
+        entry = doc["distributions"][3]
+        assert (entry["agent"], entry["project"]) == ("bob", "ui")
+        entry["support"] = support
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, ["assign", str(path)]) == (EXIT_VALIDATION, "", f"error: {ENTRY_LIST_REFUSED}\n")
+
     def test_oracle_budget_exhaustion_names_the_dp(self, capsys, monkeypatch, welfare_file):
         # the greedy's table and objectives fall back to Monte Carlo; the
         # oracle's 6 DP transitions do not fit
