@@ -19,7 +19,6 @@ from .core import (
     Scenario,
     ValidationError,
     dist_mean,
-    empirical_distribution,
     enumeration_budget,
 )
 from .production import (

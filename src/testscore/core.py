@@ -221,17 +221,6 @@ class RngSpec:
         return np.random.Generator(np.random.Philox(key=[self.seed, stream]))
 
 
-def empirical_distribution(samples: Sequence[float]) -> Distribution:
-    """Distribution whose atoms are the distinct sample values with
-    probabilities equal to relative frequencies."""
-    arr = np.asarray(list(samples), dtype=float)
-    if arr.size == 0:
-        raise ValidationError("empty sample set")
-    values, counts = np.unique(arr, return_counts=True)
-    probs = counts / arr.size
-    return Distribution(tuple(values.tolist()), tuple(probs.tolist()))
-
-
 class ProjectStore:
     """One project's supports, packed agent after agent.
 

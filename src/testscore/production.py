@@ -147,7 +147,8 @@ class ValueFunction:
 
 
 def evaluate(g: ValueFunction, x: Sequence[float]) -> float:
-    """Evaluate g on a performance vector.
+    """Evaluate g on a performance vector of finite, non-negative
+    coordinates; raises ValidationError naming ``x`` otherwise.
 
     Permutation invariant, and appending zeros never changes the value, so
     the empty vector evaluates to g(0,...,0) = 0 for every catalogue member.
@@ -155,14 +156,37 @@ def evaluate(g: ValueFunction, x: Sequence[float]) -> float:
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
         raise ValidationError("expected a flat vector")
-    return float(evaluate_batch(g, arr.reshape(1, -1))[0])
+    _check_coordinates(arr, "x")
+    return _evaluate(g, arr)
 
 
 def evaluate_batch(g: ValueFunction, X: np.ndarray) -> np.ndarray:
-    """Evaluate g on each row of a 2-D array (vectorized evaluate)."""
+    """Evaluate g on each row of a 2-D array (vectorized evaluate), whose
+    coordinates are finite and non-negative; raises ValidationError naming
+    ``X`` otherwise."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValidationError("expected a 2-D array of row vectors")
+    _check_coordinates(X, "X")
+    return _evaluate_rows(g, X)
+
+
+def _check_coordinates(arr: np.ndarray, name: str) -> None:
+    # NaN fails both comparisons
+    if arr.size and not (arr.min() >= 0 and arr.max() < math.inf):
+        bad = arr[~((arr >= 0) & (arr < math.inf))][0]
+        raise ValidationError(f"{name} must hold finite coordinates >= 0, got {bad}")
+
+
+def _evaluate(g: ValueFunction, x) -> float:
+    """``evaluate`` with no check of the coordinates, for callers that
+    checked them once for many calls, or drew them from valid supports."""
+    return float(_evaluate_rows(g, np.asarray(x, dtype=float).reshape(1, -1))[0])
+
+
+def _evaluate_rows(g: ValueFunction, X: np.ndarray) -> np.ndarray:
+    """``evaluate_batch`` on a 2-D float array, with no check of its
+    coordinates."""
     if X.shape[1] == 0:
         return np.zeros(X.shape[0])
     if g.kind == "total":
@@ -219,9 +243,13 @@ def bsp_check(g: ValueFunction, x: Sequence[float]) -> BspResult:
     vec = [float(v) for v in x]
     if len(vec) < 2:
         raise ValidationError("bsp check needs at least two coordinates")
-    prefix_value = evaluate(g, vec[:-1])
+    # checked once, in Python: the evaluations below take the vector's parts
+    bad = [v for v in vec if not 0.0 <= v < math.inf]
+    if bad:
+        raise ValidationError(f"x must hold finite coordinates >= 0, got {bad[0]}")
+    prefix_value = _evaluate(g, vec[:-1])
     collapsed = single_inverse(g, prefix_value)
-    lhs = evaluate(g, [collapsed, vec[-1]])
-    rhs = evaluate(g, vec)
+    lhs = _evaluate(g, [collapsed, vec[-1]])
+    rhs = _evaluate(g, vec)
     return BspResult(holds=lhs <= rhs + PROP_TOL, lhs=lhs, rhs=rhs)
 

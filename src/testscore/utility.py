@@ -48,7 +48,7 @@ from .core import (
     enumeration_budget,
     widest_first,
 )
-from .production import ValueFunction, evaluate, evaluate_batch
+from .production import ValueFunction, _evaluate, _evaluate_rows
 
 _MERGE = 1 << 12  # partial-sum atoms past which equal sums are merged
 _BLOCK = 1 << 16  # team-by-grid cells the order route scores per array pass
@@ -562,7 +562,7 @@ def _mc(
         values, _, cdf = store.atoms(a)
         cols = slice(c * copies, (c + 1) * copies)
         X[:, cols] = values[np.searchsorted(cdf[1:], U[:, cols], side="right")]
-    vals = evaluate_batch(g, X)
+    vals = _evaluate_rows(g, X)
     se = float(vals.std(ddof=1) / math.sqrt(samples))
     return UtilityEstimate(
         value=float(vals.mean()), method="monte_carlo", samples=samples, std_error=se
@@ -584,7 +584,7 @@ def mc_utility(
     members = _members(scn, j, S)
     g = scn.value_fns[j]
     if not members:
-        return UtilityEstimate(value=evaluate(g, []), method="exact")
+        return UtilityEstimate(value=_evaluate(g, []), method="exact")
     return _mc(g, scn.store(j), members, 1, rng, samples, stream)
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import errno
+import gc
 import io
 import json
 import math
@@ -33,7 +34,7 @@ from testscore import (
 from testscore import cli, data, optimize, sketch, utility
 from testscore.core import DEFAULT_BUDGET
 from testscore.adversarial import CATALOGUE_POOL, GENERATORS, InstanceReport
-from testscore.scenario_io import value_fn_tag
+from testscore.scenario_io import value_fn_tag, write_text
 from test_scenario_io import ENTRY_LIST_REFUSED, entry_list
 from testscore.cli import (
     EXIT_BUDGET,
@@ -846,6 +847,110 @@ class TestBadParametersExit2:
         assert doc["oracle"]["total"] == pytest.approx(7.25, rel=1e-15)
 
 
+class TestScenarioFileFuzz:
+    """Scenario files with bad numbers in every slot, through each command
+    that loads one: NaN, infinities, negatives, 1e300, integers past the
+    float range, booleans and strings as supports, value-function
+    parameters and k, ragged [values, probs] pairs and entry-list
+    documents. Every call exits 0-4 with no traceback and leaves the
+    garbage collector enabled. At most 4 agents and 3 atoms a support keep
+    every draw far inside the size guards."""
+
+    NUMBERS = (-1.0, -0.0, 0.0, 2, 1e300, 10**400, math.nan, math.inf, -math.inf, True, "1", None)
+    GOOD_TAGS = ("best_shot", "top_r:2", "total:sqrt", "ces:2.0", "success_prob:clamp_linear:0.25")
+    BAD_TAGS = (
+        "ces:nan", "ces:inf", "ces:-1", "ces:1e300", "top_r:0", "top_r:1e300", f"top_r:{10**30}",
+        "total:power:nan", "total:power:-1", "success_prob:one_minus_exp:inf",
+        "success_prob:clamp_linear:-0.5", 1.5, True, None,
+    )
+    KS = (2, 0, -1, True, 1.5, 10**30, "1", None, math.nan)
+    CELLS = ([], [[1.0]], 1.0, None, [[1.0], [1.0], [1.0]], [1.0, 1.0], [[1.0], None])
+    DEFECTS = ("number", "tag", "k", "ragged", "cell", "count", "entry-list", "both-layouts")
+
+    @classmethod
+    def documents(cls, st):
+        """A valid document, best shot more often than not, with 0-2 of
+        DEFECTS put in."""
+
+        @st.composite
+        def document(draw):
+            n = draw(st.integers(1, 4))
+            m = draw(st.integers(1, min(2, n)))
+            good = st.lists(st.sampled_from((0.0, 0.5, 1.0, 2.0, 3.0)), min_size=1, max_size=3, unique=True)
+            projects = [
+                {
+                    "name": f"p{j}",
+                    "value_fn": draw(st.sampled_from(("best_shot",) + cls.GOOD_TAGS)),
+                    "k": 1,
+                    "supports": [[values, [1.0 / len(values)] * len(values)] for values in draw(st.lists(good, min_size=n, max_size=n))],
+                }
+                for j in range(m)
+            ]
+            doc = {"agents": [f"a{i}" for i in range(n)], "projects": projects}
+            for defect in draw(st.lists(st.sampled_from(cls.DEFECTS), max_size=2)):
+                project = draw(st.sampled_from(projects))
+                supports = project.get("supports", [])
+                cell = draw(st.sampled_from(supports)) if supports else None
+                pair = type(cell) is list and len(cell) == 2 and all(type(part) is list for part in cell)
+                if defect == "number" and pair and cell[0]:
+                    side = draw(st.sampled_from(cell))
+                    side[draw(st.integers(0, len(side) - 1))] = draw(st.sampled_from(cls.NUMBERS))
+                elif defect == "tag":
+                    project["value_fn"] = draw(st.sampled_from(cls.BAD_TAGS))
+                elif defect == "k":
+                    project["k"] = draw(st.sampled_from(cls.KS))
+                elif defect == "ragged" and pair:
+                    draw(st.sampled_from(cell)).append(draw(st.sampled_from((0.5,) + cls.NUMBERS)))
+                elif defect == "cell" and supports:
+                    supports[supports.index(cell)] = draw(st.sampled_from(cls.CELLS))
+                elif defect == "count" and supports:
+                    supports.append(cell) if draw(st.booleans()) else supports.pop()
+                elif defect in ("entry-list", "both-layouts"):
+                    doc["distributions"] = [
+                        {"agent": a, "project": p["name"], "support": [[1.0, 1.0]]} for a in doc["agents"] for p in projects
+                    ]
+                    if defect == "entry-list":
+                        for p in projects:
+                            p.pop("supports", None)
+            return doc
+
+        return document()
+
+    def test_every_command_exits_cleanly(self, capsys, tmp_path):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        path = tmp_path / "fuzz.json"
+        small = st.sampled_from(("1", "2", "3", "0", "-1"))
+        commands = {
+            "select": st.tuples(
+                st.just(["--project", "0", "--k"]), small,
+                st.sampled_from(([], ["--oracle"], ["--scores", "mean"], ["--scores", "quantile:0.5"])),
+            ),
+            "assign": st.sampled_from(([], ["--oracle"])).map(lambda flags: (flags,)),
+            "experiment": st.tuples(
+                st.just(["--n"]), small, st.just(["--k"]), st.sampled_from(("1", "1,2", "2,3", "0")),
+                st.just(["--trials"]), small,
+            ),
+        }
+
+        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+        @hypothesis.given(doc=self.documents(st), data=st.data())
+        def check(doc, data):
+            # NaN, Infinity and true as JSON literals; rewritten in place, since
+            # truncating a file on ext4 waits on the disk
+            write_text(path, json.dumps(doc))
+            for command, flags in commands.items():
+                argv = [command, str(path)]
+                for part in data.draw(flags):
+                    argv += part if isinstance(part, list) else [part]
+                code, _, err = run(capsys, argv)
+                assert code in (EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_BUDGET, EXIT_PROPERTY), argv
+                assert "Traceback" not in err
+                assert gc.isenabled()
+
+        check()
+
+
 class TestEntryListRefused:
     """A file in the entry-list layout, or with both "distributions" and
     project "supports", exits 2 under every command that loads a scenario,
@@ -931,8 +1036,9 @@ class TestLoadedFilesBuildNoDistribution:
         assert built == []
 
     def test_experiment_trials(self, monkeypatch, tmp_path, built):
-        # a trial's team pool is a slice of the scenario's store: no trial
-        # builds a Distribution or packs a store
+        # loading and ingesting pack the stores in one pass, and a trial's
+        # team pool is a slice of the scenario's store: nothing from the load
+        # or the ingest on builds a Distribution or packs a store
         packed, pack = [], ProjectStore.pack.__func__
 
         def counting_pack(cls, dists):
@@ -940,11 +1046,11 @@ class TestLoadedFilesBuildNoDistribution:
             return pack(cls, dists)
 
         monkeypatch.setattr(ProjectStore, "pack", classmethod(counting_pack))
-        loaded = load_scenario(self.saved(tmp_path, [ValueFunction.best_shot()], (3,))).scenario
-        sample = ingest_ratings(read_ratings(data.sample_ratings_path())).scenario
-        sample.store(0)  # built from Distribution objects, it packs its store on first use
+        path = self.saved(tmp_path, [ValueFunction.best_shot()], (3,))
         built.clear()
         packed.clear()
+        loaded = load_scenario(path).scenario
+        sample = ingest_ratings(read_ratings(data.sample_ratings_path())).scenario
         for scn, n, ks in ((loaded, 4, [2, 3]), (sample, 10, [2, 3, 4])):
             for t in range(5):
                 assert len(cli._experiment_trial((scn, 0, t, n, ks))) == len(ks)

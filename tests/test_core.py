@@ -15,11 +15,14 @@ from testscore import (
     Scenario,
     ValidationError,
     ValueFunction,
+    InverseUnboundedError,
     brute_force_single,
+    bsp_check,
     build_score_table,
     dist_mean,
-    empirical_distribution,
     enumeration_budget,
+    evaluate,
+    evaluate_batch,
     greedy_topk,
     mc_utility,
     minmax_sketch,
@@ -32,6 +35,7 @@ from testscore import (
 )
 from testscore import utility
 from testscore.adversarial import (
+    CATALOGUE_POOL,
     gen_ces_mean_tightness,
     gen_mean_fails_bestshot,
     gen_quantile_ces,
@@ -196,8 +200,8 @@ class TestSampling:
             seen.append(X.copy())
             return real(g, X)
 
-        real = utility.evaluate_batch
-        monkeypatch.setattr(utility, "evaluate_batch", spy)
+        real = utility._evaluate_rows
+        monkeypatch.setattr(utility, "_evaluate_rows", spy)
         scn = Scenario.single_project([d], self.IDENTITY, 1)
         est = mc_utility(scn, 0, [0], RngSpec(seed=seed), samples=samples)
         (X,) = seen
@@ -218,27 +222,6 @@ class TestSampling:
         d = Distribution.from_pairs(((0.5, 0.3), (1.5, 0.3), (2.5, 0.4)))
         out, _ = self.draws(monkeypatch, d, 3, 1000)
         assert set(np.unique(out)) <= {0.5, 1.5, 2.5}
-
-
-class TestEmpiricalDistribution:
-    def test_frequencies(self):
-        d = empirical_distribution([1, 1, 3])
-        assert d.values == (1.0, 3.0)
-        assert d.probs == pytest.approx((2 / 3, 1 / 3))
-
-    def test_singleton(self):
-        d = empirical_distribution([5])
-        assert d.values == (5.0,)
-        assert d.probs == (1.0,)
-
-    def test_mostly_zeros(self):
-        d = empirical_distribution([0, 0, 0, 2])
-        assert d.values == (0.0, 2.0)
-        assert d.probs == (0.75, 0.25)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValidationError, match="empty sample set"):
-            empirical_distribution([])
 
 
 class TestScenario:
@@ -509,6 +492,58 @@ class TestArgumentSweep:
             assert self.outcome(call, args) == (ValidationError if refused else self.outcome(call, plain))
 
         check()
+
+    COORDINATES = (math.nan, math.inf, -math.inf, -1.0, -0.0, 0.0, 1.5, 1e300)
+
+    def test_coordinates(self):
+        # evaluate, evaluate_batch and bsp_check on vectors drawn from
+        # COORDINATES, under every catalogue variant: a NaN, infinite or
+        # negative coordinate raises ValidationError naming the argument;
+        # any other vector answers (bsp_check may find g^{-1} unbounded)
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        calls = {
+            "evaluate": ("x", lambda g, x: evaluate(g, x)),
+            "evaluate_batch": ("X", lambda g, x: evaluate_batch(g, [x, x[::-1]]).tolist()),
+            "bsp_check": ("x", bsp_check),
+        }
+
+        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+        @hypothesis.given(
+            name=st.sampled_from(sorted(calls)),
+            factory=st.sampled_from(CATALOGUE_POOL),
+            x=st.lists(st.sampled_from(self.COORDINATES), min_size=2, max_size=4),
+        )
+        def check(name, factory, x):
+            arg, call = calls[name]
+            bad = [v for v in x if not 0.0 <= v < math.inf]
+            with np.errstate(over="ignore", invalid="ignore"):
+                if bad:
+                    with pytest.raises(ValidationError) as exc:
+                        call(factory(), x)
+                    assert str(exc.value) == f"{arg} must hold finite coordinates >= 0, got {bad[0]}"
+                else:
+                    try:
+                        call(factory(), x)
+                    except InverseUnboundedError:
+                        assert name == "bsp_check"
+
+        check()
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: evaluate(ValueFunction.best_shot(), [-5.0]), "x must hold finite coordinates >= 0, got -5.0"),
+            (lambda: evaluate(ValueFunction.best_shot(), [math.nan, 1.0]), "x must hold finite coordinates >= 0, got nan"),
+            (lambda: evaluate_batch(ValueFunction.total(ConcaveFn("sqrt")), [[-4.0]]), "X must hold finite coordinates >= 0, got -4.0"),
+            (lambda: evaluate_batch(ValueFunction.ces(2.0), [[1.0, 2.0], [math.inf, 0.0]]), "X must hold finite coordinates >= 0, got inf"),
+            (lambda: bsp_check(ValueFunction.best_shot(), [1.0, -math.inf]), "x must hold finite coordinates >= 0, got -inf"),
+        ],
+    )
+    def test_coordinates_name_the_argument(self, call, message):
+        with pytest.raises(ValidationError) as exc:
+            call()
+        assert str(exc.value) == message
 
 
 class TestAssignment:

@@ -1,5 +1,6 @@
 """Scenario JSON round trips, value-function tags, ratings ingestion."""
 
+import gc
 import io
 import json
 import math
@@ -805,6 +806,67 @@ class TestBundledScenarioFiles:
         assert buf.getvalue().encode() == path.read_bytes()
 
 
+class TestCollectorPause:
+    """Loading and saving a scenario run with the cyclic garbage collector
+    paused, and leave it as they found it, enabled or disabled, on success
+    and on every failure."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    def test_success_leaves_the_collector(self, tmp_path, collector):
+        path = tmp_path / "scn.json"
+        save_scenario(path, two_by_two())
+        assert gc.isenabled() is collector
+        save_scenario(io.StringIO(), two_by_two())
+        assert gc.isenabled() is collector
+        load_scenario(path)
+        assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize("failure", ["invalid-json", "bad-support", "entry-list", "out-is-a-directory"])
+    def test_failure_leaves_the_collector(self, tmp_path, collector, failure):
+        doc = scenario_to_dict(two_by_two())
+        if failure == "bad-support":
+            set_support(doc, 0, 0, [[-1.0, 1.0]])
+        calls = {
+            "invalid-json": (lambda: load_scenario(io.StringIO("{not json")), ValidationError),
+            "bad-support": (lambda: load_scenario(io.StringIO(json.dumps(doc))), ValidationError),
+            "entry-list": (lambda: load_scenario(io.StringIO(json.dumps(entry_list(doc)))), ValidationError),
+            "out-is-a-directory": (lambda: save_scenario(tmp_path, two_by_two()), IsADirectoryError),
+        }
+        call, error = calls[failure]
+        with pytest.raises(error):
+            call()
+        assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize("collector", [True], indirect=True)
+    def test_no_collection_runs(self, tmp_path, collector):
+        # a 256 x 64 roster's document holds some 33,000 lists; with the
+        # collector running, saving or loading it set off some 70 collections
+        scn, path = roster(np.random.default_rng(0), n=256, m=64), tmp_path / "roster.json"
+        for j in scn.projects:
+            scn.store(j)  # packed beforehand: the stores outlive the save
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            save_scenario(path, scn)
+            loaded = load_scenario(path)
+        finally:
+            gc.callbacks.remove(count)
+        assert starts == []
+        assert loaded.scenario.n_agents == 256
+
+
 class TestReadRatings:
     def rows(self, body):
         return read_ratings(io.StringIO("coder_id,task_id,rating\n" + body))
@@ -867,6 +929,34 @@ class TestIngestRatings:
         d = ingest_ratings(rows, min_solutions=1).scenario.dist(0, 0)
         assert d.values == (60.0, 90.0)
         assert d.probs == pytest.approx((2 / 3, 1 / 3), abs=1e-12)
+
+    def test_mostly_zeros(self):
+        rows = [("c", f"t{i}", rating) for i, rating in enumerate((0.0, 0.0, 0.0, 2.0))]
+        d = ingest_ratings(rows, min_solutions=1).scenario.dist(0, 0)
+        assert d.values == (0.0, 2.0)
+        assert d.probs == (0.75, 0.25)
+
+    @pytest.mark.parametrize("rating, message", [(-1.0, "negative support value -1.0"), (math.nan, "support values must be finite")])
+    def test_bad_rating_names_the_coder(self, rating, message):
+        rows = [("ace", "t0", 50.0), ("bad", "t0", 50.0), ("bad", "t1", rating)]
+        with pytest.raises(ValidationError, match=f"^distribution for agent 'bad', project 'p0': {message}"):
+            ingest_ratings(rows, min_solutions=1)
+
+    def test_sample_stores_equal_the_packed_frequencies(self):
+        # each kept coder's distinct ratings and relative frequencies, built
+        # as Distributions and packed, give the ingested store bit for bit
+        rows = read_ratings(sample_ratings_path())
+        loaded = ingest_ratings(rows)
+        by_coder = {}
+        for coder, _, rating in rows:
+            by_coder.setdefault(coder, []).append(rating)
+        dists = []
+        for coder in loaded.agent_names:
+            values, counts = np.unique(by_coder[coder], return_counts=True)
+            dists.append(Distribution(tuple(values.tolist()), tuple((counts / len(by_coder[coder])).tolist())))
+        ingested, packed = loaded.scenario.store(0), ProjectStore.pack(dists)
+        for name in ("values", "probs", "lengths"):
+            assert getattr(ingested, name).tobytes() == getattr(packed, name).tobytes()
 
     def test_k_caps_at_four(self):
         rows = [(f"c{i}", f"t{j}", float(40 + i)) for i in range(6) for j in range(2)]
