@@ -24,6 +24,7 @@ from testscore import (
     evaluate,
     evaluate_batch,
     greedy_topk,
+    ingest_ratings,
     mc_utility,
     minmax_sketch,
     project_utility,
@@ -222,6 +223,34 @@ class TestSampling:
         d = Distribution.from_pairs(((0.5, 0.3), (1.5, 0.3), (2.5, 0.4)))
         out, _ = self.draws(monkeypatch, d, 3, 1000)
         assert set(np.unique(out)) <= {0.5, 1.5, 2.5}
+
+
+class TestEmpiricalDistribution:
+    # a coder's ratings become their distinct values, each with its relative
+    # frequency, in the store that ingest packs
+    @staticmethod
+    def empirical(ratings):
+        rows = [("c", f"t{i}", float(r)) for i, r in enumerate(ratings)]
+        return ingest_ratings(rows, min_solutions=1).scenario.dist(0, 0)
+
+    def test_frequencies(self):
+        d = self.empirical([1, 1, 3])
+        assert d.values == (1.0, 3.0)
+        assert d.probs == pytest.approx((2 / 3, 1 / 3))
+
+    def test_singleton(self):
+        d = self.empirical([5])
+        assert d.values == (5.0,)
+        assert d.probs == (1.0,)
+
+    def test_mostly_zeros(self):
+        d = self.empirical([0, 0, 0, 2])
+        assert d.values == (0.0, 2.0)
+        assert d.probs == (0.75, 0.25)
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValidationError, match="no coder has 1"):
+            self.empirical([])
 
 
 class TestScenario:

@@ -930,12 +930,6 @@ class TestIngestRatings:
         assert d.values == (60.0, 90.0)
         assert d.probs == pytest.approx((2 / 3, 1 / 3), abs=1e-12)
 
-    def test_mostly_zeros(self):
-        rows = [("c", f"t{i}", rating) for i, rating in enumerate((0.0, 0.0, 0.0, 2.0))]
-        d = ingest_ratings(rows, min_solutions=1).scenario.dist(0, 0)
-        assert d.values == (0.0, 2.0)
-        assert d.probs == (0.75, 0.25)
-
     @pytest.mark.parametrize("rating, message", [(-1.0, "negative support value -1.0"), (math.nan, "support values must be finite")])
     def test_bad_rating_names_the_coder(self, rating, message):
         rows = [("ace", "t0", 50.0), ("bad", "t0", 50.0), ("bad", "t1", rating)]
