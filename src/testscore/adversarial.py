@@ -117,6 +117,8 @@ def gen_ces_mean_tightness(
     _price("ces_mean", 2 * k, 1, 2)
     if a < 1.0:
         raise ValidationError(f"need a >= 1, got {a}")
+    if not 1.0 - math.exp(-k / a) > 0.0:  # k/a below about 1e-16: the ratio divides by 0
+        raise ValidationError(f"need 1 - exp(-k/a) > 0 in floats, got a={a} with k={k}")
     if eps <= 0.0:
         raise ValidationError(f"need eps > 0, got {eps}")
     steady = Distribution.point(1.0 + eps)

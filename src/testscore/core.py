@@ -15,6 +15,7 @@ import operator
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -229,12 +230,11 @@ class ProjectStore:
     ``Distribution`` leaves them. ``groups`` holds the agents grouped by
     support length: for each length s, in ascending order, (s, the agents,
     and their values and probabilities as (agents, s) arrays), which the
-    engine's one-member sum, product and linear routes read. ``padded``
-    lays some agents out for the order route, each support padded with its
-    last atom and each CDF with 1.0, so a pad adds a zero-width gap, and
-    ``ranked`` keeps every agent so laid out, longest support first, in
-    blocks of a bounded number of cells. ``merged`` holds the store's
-    unique support points (``points``) and every agent's CDF on them.
+    engine's one-member rows (``utility._member_rows``) read. ``padded``
+    lays some agents out for the order route's team blocks, each support
+    padded with its last atom and each CDF with 1.0, so a pad adds a
+    zero-width gap. ``merged`` holds the store's unique support points
+    (``points``) and every agent's CDF on them.
 
     ``take`` copies some agents into a store whose ``source`` is this one:
     it reads this store's ``atoms``, and gathers its one-member rows that
@@ -243,8 +243,8 @@ class ProjectStore:
     copies, budget), scored over all agents when first asked for and kept
     as long as this store. A taken store, one experiment trial's, keeps
     its source alive while it lives. The arrays are read-only; ``groups``,
-    ``ranked``, ``merged``, and each agent's ``atoms`` and
-    ``Distribution`` (``dist``) are cached.
+    ``merged``, and each agent's ``atoms`` and ``Distribution`` (``dist``)
+    are cached.
     """
 
     def __init__(self, values: np.ndarray, probs: np.ndarray, lengths: np.ndarray, dists=None):
@@ -254,7 +254,6 @@ class ProjectStore:
             arr.flags.writeable = False
         self._dists = list(dists) if dists is not None else [None] * len(lengths)
         self._atoms: list = [None] * len(lengths)
-        self._ranked: tuple = (0, [])
         self.source: Optional[tuple[ProjectStore, np.ndarray]] = None  # (store, its agent ids) for a taken store
         self.member_rows: dict = {}
 
@@ -262,12 +261,12 @@ class ProjectStore:
     def pack(cls, dists: Sequence[Distribution]) -> "ProjectStore":
         """The store of the given distributions, one agent each; ``dist``
         returns the given objects."""
-        return cls(
-            np.concatenate([d.values_array for d in dists]),
-            np.concatenate([d.probs_array for d in dists]),
-            np.fromiter(map(len, dists), dtype=np.intp, count=len(dists)),
-            dists,
-        )
+        lengths = np.fromiter(map(len, dists), dtype=np.intp, count=len(dists))
+        # from the tuples, so no Distribution caches a second copy as arrays
+        atoms = int(lengths.sum())
+        values = np.fromiter(chain.from_iterable(d.values for d in dists), float, atoms)
+        probs = np.fromiter(chain.from_iterable(d.probs for d in dists), float, atoms)
+        return cls(values, probs, lengths, dists)
 
     @classmethod
     def concat(cls, stores: Iterable["ProjectStore"]) -> "ProjectStore":
@@ -319,14 +318,6 @@ class ProjectStore:
         # each row's running sums as ``cdf_rows`` sums them, 1.0 from its last atom on
         cdfs[:, 1:] = np.where(steps >= last, 1.0, np.add.accumulate(self.probs[cells], axis=1))
         return self.values[cells], cdfs
-
-    def ranked(self, cells: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Every agent, longest support first, in blocks of at most ``cells``
-        padded cells (a longer support alone), each as its agents and their
-        ``padded`` arrays; kept for the last ``cells`` asked for."""
-        if self._ranked[0] != cells:
-            self._ranked = (cells, [(a, *self.padded(a)) for a in widest_first(self.lengths, cells)])
-        return self._ranked[1]
 
     @cached_property
     def points(self) -> np.ndarray:

@@ -58,9 +58,7 @@ SINGLE_GREEDY_BOUND = (1.0 - 1.0 / math.e) / (5.0 - 1.0 / math.e)
 
 def welfare_greedy_bound(k: int) -> float:
     """Assignment guarantee 1 / (24 (ln k + 1)) for max team size k."""
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    return 1.0 / (24.0 * (math.log(k) + 1.0))
+    return 1.0 / (24.0 * (math.log(check_count(k, 1, "k")) + 1.0))
 
 
 @dataclass(frozen=True)
@@ -123,20 +121,19 @@ def _result(
     project's ``_objective`` bit for bit. ``known`` holds the objectives a
     caller has already scored, by project. The other non-empty teams are
     scored per class of projects with equal value functions and team
-    sizes: a class of two or more in one ``_exact_rows`` block on its
-    ``Scenario.class_store``, whose rows each equal a lone call; a class
-    of one, or one whose block passes the budget, project by project."""
+    sizes, each class in one ``_exact_rows`` block on its
+    ``Scenario.class_store`` (a class of one on its project's own store,
+    as ``project_utility`` scores it), whose rows each equal a lone call.
+    Empty teams, and the teams of a class whose block passes the budget,
+    are scored project by project (``_objective``)."""
     # insertion order is part of the contract; callers sort where they mean to
     assignment = Assignment(sets=tuple(tuple(S) for S in sets))
     scored = dict(known or {})
     classes: dict[tuple, list[int]] = {}
-    # a single project forms no class of two, and its result pays for no grouping
-    for j, S in enumerate(assignment.sets if scn.n_projects > 1 else ()):
+    for j, S in enumerate(assignment.sets):
         if S and j not in scored:
             classes.setdefault((scn.value_fns[j], len(S)), []).append(j)
     for (g, _), js in classes.items():
-        if not js[1:]:
-            continue
         # each team's sorted members, offset to its project's place in the class store
         rows = np.array([sorted(assignment.sets[j]) for j in js]) + scn.n_agents * np.arange(len(js))[:, None]
         try:
@@ -171,6 +168,8 @@ def greedy_topk(
     """
     j = check_index(j, scn.n_projects, "project")
     k = check_count(k, 1, "k", scn.n_agents)
+    if k > scn.cardinalities[j]:  # a team past k_j must sum inside the float range too
+        scn._check_team_size(j, k)
     scores = table.block(scn.n_agents, j, k, k)[:, 0]
     # a stable sort keeps equal scores in id order
     ranked = np.argsort(-scores, kind="stable")[:k].tolist()

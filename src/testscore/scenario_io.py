@@ -40,6 +40,7 @@ from .core import (
     ProjectStore,
     Scenario,
     ValidationError,
+    check_count,
     normalizing_divisor,
 )
 from .production import ConcaveFn, UnitFn, ValueFunction
@@ -442,8 +443,7 @@ def ingest_ratings(
     distinct ratings, each with its relative frequency, validated,
     normalized and packed as the loader packs a file's supports
     (``_stores``)."""
-    if min_solutions < 1:
-        raise ValidationError(f"min_solutions must be >= 1, got {min_solutions}")
+    min_solutions = check_count(min_solutions, 1, "min_solutions")
     by_coder: dict[str, list[float]] = {}
     for coder, _task, rating in rows:
         by_coder.setdefault(coder, []).append(rating)

@@ -14,9 +14,10 @@ atoms; larger blocks give each best-shot or top-r row its own grid of its
 members' padded atoms (``ProjectStore.padded``, ``_own_grid_rows``), or
 pad the non-linear sum-route rows to the longest support at each member
 position. The one other entry, ``_member_rows``, scores a score table's
-one-member columns, best-shot and top-r ones on the store's padded blocks,
-longest support first (``ProjectStore.ranked``). Each of these rows ends
-in a left-to-right sum, over its own grid's gaps (``_top_w``) or its cells
+one-member columns one length group of the store at a time
+(``ProjectStore.groups``), a best-shot or top-r row on its agent's own
+atoms. Each best-shot, top-r and non-linear sum-route row ends in a
+left-to-right sum, over its own grid's gaps (``_top_w``) or its cells
 (``_sum_cells``), to which a pad adds +-0.0, so it keeps its bits in any
 block and under any BLAS kernel. So a store taken from a larger one
 (``ProjectStore.take``, an experiment trial's coders) gathers those rows
@@ -42,6 +43,7 @@ from .core import (
     RngSpec,
     Scenario,
     ValidationError,
+    cdf_rows,
     charge,
     check_count,
     check_index,
@@ -211,13 +213,13 @@ def _member_rows(
 ) -> np.ndarray:
     """E[g] over ``copies`` independent copies of each agent of ``store``
     alone, written to ``out`` (by default a new array of NaNs, one entry
-    per agent) at the agent's index, and returned: best-shot and top-r
-    agents on the store's padded blocks of at most _BLOCK cells, longest
-    support first (``ProjectStore.ranked``), the others on its length
-    groups, each row with its own dot products or left-to-right sum, so
-    each equals ``_exact_rows`` on the agent alone bit for bit. Rows that
-    are not ``_batchable`` under the budget are never scored, their
-    entries left as they are, so a block as a whole needs no metering.
+    per agent) at the agent's index, and returned: one block per length
+    group of the store (``ProjectStore.groups``), whose agents' own atoms
+    are their best-shot or top-r rows' grids, each row with its own dot
+    products or left-to-right sum, so each equals ``_exact_rows`` on the
+    agent alone bit for bit. Groups that are not ``_batchable`` under the
+    budget are never scored, their entries left as they are, so a block
+    as a whole needs no metering.
 
     A taken store (``ProjectStore.take``) gathers the rows that end in a
     left-to-right sum from its source's ``member_rows``: the first store
@@ -236,19 +238,12 @@ def _member_rows(
         rows = kept[key][ids]
         np.copyto(out, rows, where=rows == rows)  # the source's unscored rows are NaN
         return out
-    if g.kind in ("best_shot", "top_r"):  # _batchable is the row's work within the budget
-        for agents, atoms, cdfs in store.ranked(_BLOCK):
-            # longest first, so the rows past the budget lead, and the others
-            # need no more columns than the first of them has atoms
-            lo = int((_row_work(g, store.lengths[agents], 1, copies) > budget).sum())
-            if lo < len(agents):
-                width = store.lengths[agents[lo]]
-                out[agents[lo:]] = _top_w(g, atoms[lo:, :width], cdfs[None, lo:, 1 : width + 1], copies)
-        return out
     for s, agents, values, probs in store.groups:
         if not _batchable(g, s, copies, budget):
             continue
-        if g.kind == "success_prob":
+        if g.kind in ("best_shot", "top_r"):  # the one member's atoms are its grid
+            out[agents] = _top_w(g, values, cdf_rows(probs)[None], copies)
+        elif g.kind == "success_prob":
             out[agents] = 1.0 - _product((1.0 - _row_dots(g.f.apply(values), probs))[None], copies)
         elif _linear(g):
             out[agents] = copies * _row_dots(values, probs)
@@ -607,9 +602,9 @@ def submodularity_check(scn: Scenario, j: int, max_agents: int = 8) -> Submodula
     from one ``team_values`` batch, equal to ``project_utility`` bit for
     bit, so a team past the budget raises for the smallest size that has one.
     """
-    n = scn.n_agents
-    if n > max_agents:
-        raise BudgetExceededError(2**n, 2**max_agents, what="subset enumeration")
+    n, most = scn.n_agents, check_count(max_agents, 0, "max_agents")
+    if n > most:
+        raise BudgetExceededError(2**n, 2**most, what="subset enumeration")
     u = np.zeros(1 << n)  # the empty team is worth 0
     for t in range(1, n + 1):
         teams = _subsets(n, t)

@@ -124,6 +124,9 @@ class TestGeneratorPreconditions:
             gen_ces_mean_tightness(a=0.5)
         with pytest.raises(ValidationError):
             gen_ces_mean_tightness(eps=0.0)
+        # 1 - exp(-k/a) is 0.0 in floats, and the ratio would divide by it
+        with pytest.raises(ValidationError, match=r"a=1e\+30 with k=4"):
+            gen_ces_mean_tightness(a=1e30)
 
     def test_quantile_ces_rejects(self):
         with pytest.raises(ValidationError):

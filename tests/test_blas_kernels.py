@@ -12,11 +12,12 @@ in their own environment only, for every catalogue variant:
   kernel computes;
 - the order route (``best_shot``, ``top_r``) ends each row in the same
   left-to-right add over its own grid's gaps, whether the row is scored
-  alone or in a padded block (``TestOrderKernel``);
+  alone, in a score column's block of agents of one support length, or
+  in a padded block of teams (``TestOrderKernel``);
 - the linear sum route (``total:identity``, ``ces:1``) and the product
   route (``success_prob``) reduce each agent's own atoms with np.dot, or
-  a per-row matmul of the same length, and hold under Haswell's and
-  Prescott's kernels alike;
+  a per-row matmul of the same length, and hold under Haswell's,
+  Sandybridge's and Prescott's kernels alike;
 - a store taken from a larger one gathers its best-shot, top-r and
   non-linear sum-route rows from rows its source scored over all of its
   agents, and its table, team values and oracle results equal a fresh
@@ -46,13 +47,14 @@ def test_sum_route_bits_hold_under_other_blas_kernels():
         sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
         str(TESTS / "test_scores.py"), str(TESTS / "test_utility.py"), "-k", SELECTION,
     ]
-    # Haswell: AVX2 hosts without AVX-512; Prescott: x86-64 without AVX
+    # Haswell: AVX2 hosts without AVX-512; Sandybridge: AVX without AVX2;
+    # Prescott: x86-64 without AVX
     children = {
         core: subprocess.Popen(
             cmd, env={**env, "OPENBLAS_CORETYPE": core}, cwd=TESTS.parent,
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         )
-        for core in ("Haswell", "Prescott")
+        for core in ("Haswell", "Sandybridge", "Prescott")
     }
     for core, child in children.items():
         out, _ = child.communicate(timeout=300)

@@ -3,6 +3,7 @@
 import csv
 import errno
 import gc
+import inspect
 import io
 import json
 import math
@@ -797,6 +798,7 @@ class TestBadParametersExit2:
         [
             (["worstcase", "ces_mean", "--r", "0.5"], "0.5"),
             (["worstcase", "quantile_ces", "--r", "nan", "--run"], "nan"),
+            (["worstcase", "ces_mean", "--a", "1e30"], "a=1e+30"),
         ],
     )
     def test_generator_parameter(self, capsys, argv, named):
@@ -949,6 +951,53 @@ class TestScenarioFileFuzz:
                 assert gc.isenabled()
 
         check()
+
+
+class TestArgvFuzz:
+    """Each subcommand's numeric flags, drawn from NaN, the infinities,
+    -1, 0, 1, 2.5, 1e300, 10**30 and non-numbers, on the bundled sample,
+    the small fixture files and every worst-case generator with and
+    without --run: every call exits 0-4 with no traceback. --trials is
+    always drawn, and 1 is the only trial count among the values that a
+    command accepts, so no draw starts a long run."""
+
+    VALUES = ("nan", "inf", "-inf", "-1", "0", "1", "2.5", "1e300", str(10**30), "x", "")
+
+    def test_numeric_flags_exit_cleanly(self, capsys, bestshot_file, welfare_file):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        # each command's fixed arguments, the flags it always draws, and those it may draw
+        commands = [
+            (["select", bestshot_file], (), ("--k",)),
+            (["assign", welfare_file, "--tie", "random"], (), ("--seed",)),
+            (["ingest", "--sample"], (), ("--min-solutions",)),
+            (["experiment", "--sample"], ("--trials",), ("--n", "--k", "--seed")),
+        ]
+        commands += [(["check", "--suite", suite], ("--trials",), ("--seed",)) for suite in sorted(cli._SUITES)]
+        commands += [
+            (["worstcase", name] + run, (), tuple(f"--{p}" for p in inspect.signature(gen).parameters))
+            for name, gen in sorted(GENERATORS.items())
+            for run in ([], ["--run"])
+        ]
+
+        def check(argv):
+            code, _, err = run(capsys, argv)
+            assert code in (EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_BUDGET, EXIT_PROPERTY), argv
+            assert "Traceback" not in err
+
+        # once an uncaught ZeroDivisionError: 1 - exp(-k/a) rounds to 0
+        check(["worstcase", "ces_mean", "--a", "1e30"])
+        check(["worstcase", "ces_mean", "--a", "1e30", "--run"])
+
+        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+        @hypothesis.given(command=st.sampled_from(commands), data=st.data())
+        def fuzz(command, data):
+            fixed, always, optional = command
+            flags = list(always) + data.draw(st.lists(st.sampled_from(optional), min_size=1 - len(always), unique=True))
+            # --flag=value, so that -1 and -inf read as values
+            check(fixed + [f"{flag}={data.draw(st.sampled_from(self.VALUES))}" for flag in flags])
+
+        fuzz()
 
 
 class TestEntryListRefused:

@@ -31,8 +31,10 @@ from testscore import (
     replication_score,
     ScoreTable,
     strong_sketch,
+    submodularity_check,
     verify_goodness_sandwich,
     verify_strong_sketch_bounds,
+    welfare_greedy_bound,
 )
 from testscore import utility
 from testscore.adversarial import (
@@ -447,6 +449,10 @@ class TestArgumentSweep:
         def sampled(sampler, *args, **sizes):  # one fresh stream per call
             return sampler(np.random.default_rng(0), *args, **sizes)
 
+        def ingested(least):  # coders c0..c3 with 1..4 ratings each
+            rows = [(f"c{c}", f"t{t}", 10.0 * (c + t)) for c in range(4) for t in range(c + 1)]
+            return ingest_ratings(rows, min_solutions=least).agent_names
+
         return {
             "take": (take, (agents, agents)),
             "RngSpec": (rng, (2**64, 2**64)),
@@ -472,6 +478,10 @@ class TestArgumentSweep:
             "random_bsp_scenario": (
                 lambda n, k, low: sampled(random_bsp_scenario, n_max=n, k_max=k, k_min=low), (7, 4, 4)),
             "random_welfare_scenario": (lambda n, m: sampled(random_welfare_scenario, n_max=n, m_max=m), (8, 3)),
+            "welfare_greedy_bound": (welfare_greedy_bound, (agents,)),
+            "ingest_ratings": (ingested, (agents,)),
+            # past max_agents both forms raise the same budget error
+            "submodularity_check": (lambda most: submodularity_check(scn, 1, max_agents=most), (agents,)),
         }
 
     @staticmethod
@@ -480,6 +490,8 @@ class TestArgumentSweep:
             answer = call(*args)
         except ValidationError:
             return ValidationError
+        except BudgetExceededError as exc:
+            return str(exc)
         return answer.scores.tobytes() if isinstance(answer, ScoreTable) else repr(answer)
 
     @pytest.mark.parametrize(
@@ -504,6 +516,26 @@ class TestArgumentSweep:
     def test_generator_sizes_name_the_argument(self, call, message):
         with pytest.raises(ValidationError) as exc:
             call(np.random.default_rng(0))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: welfare_greedy_bound(True), "k must be an integer >= 1, got True"),
+            (lambda: welfare_greedy_bound(2.5), "k must be an integer >= 1, got 2.5"),
+            (lambda: welfare_greedy_bound(math.nan), "k must be an integer >= 1, got nan"),
+            (lambda: ingest_ratings([("c", "t", 50.0)], min_solutions=2.5), "min_solutions must be an integer >= 1, got 2.5"),
+            (lambda: ingest_ratings([("c", "t", 50.0)], min_solutions=True), "min_solutions must be an integer >= 1, got True"),
+            (
+                lambda: submodularity_check(Scenario.single_project([TWO_POINT] * 5, ValueFunction.best_shot(), 1), 0, max_agents=2.5),
+                "max_agents must be an integer >= 0, got 2.5",
+            ),
+        ],
+        ids=["bound-True", "bound-2.5", "bound-nan", "ingest-2.5", "ingest-True", "submodularity-2.5"],
+    )
+    def test_counts_name_the_argument(self, call, message):
+        with pytest.raises(ValidationError) as exc:
+            call()
         assert str(exc.value) == message
 
     def test_sweep(self):

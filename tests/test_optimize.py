@@ -180,13 +180,27 @@ class TestGreedyTopK:
         pair = Scenario.single_project([scn.dist(i, 0) for i in scn.agents], g, 2)
         other = brute_force_single(pair, 0, 2)  # a team of two
         scored = []
-        real = optimize.project_utility
-        monkeypatch.setattr(optimize, "project_utility", lambda *a: scored.append(a) or real(*a))
+        real = optimize._exact_rows
+        monkeypatch.setattr(optimize, "_exact_rows", lambda *a: scored.append(a) or real(*a))
         for known, calls in ((oracle, 0), (other, 1)):
             scored.clear()
             res = greedy_topk(scn, 0, 3, table, known=known)
             assert len(scored) == calls
             assert json.dumps(res.to_json()) == json.dumps(alone.to_json())
+
+    @pytest.mark.parametrize("g", [g for g in CATALOGUE if g.kind in ("total", "ces", "top_r")], ids=value_fn_tag)
+    def test_team_past_float_range_raises(self, g):
+        # project 0 takes teams of 1, and the table's column 2 covers project
+        # 1's teams of 2: greedy's team of 2 on project 0 sums A's top atom
+        # twice, past the float range, and raises as a scenario of k_0 = 2 does
+        top = 0.9 * np.finfo(float).max
+        r = g.r if g.kind == "ces" else 1.0
+        A, P = Distribution.from_pairs(((1.0, 1.0 - 1e-6), (top ** (1.0 / r), 1e-6))), Distribution.point(2.0)
+        scn = Scenario(tuple((d, P) for d in (P, A, A)), (g, ValueFunction.best_shot()), (1, 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = build_score_table(scn, "replication", max_r=2, columns=[(2, 2), (1, 2)])
+        with pytest.raises(ValidationError, match="^project 0: a team of 2 at support value .* sums past the float range$"):
+            greedy_topk(scn, 0, 2, table)
 
     def test_ties_match_sorted_ranking(self):
         gen = np.random.default_rng(91)
@@ -1283,7 +1297,7 @@ def _two_projects():
             lambda scn, t: greedy_welfare(scn, t),
             r"table max_r does not cover the largest project",
         ),
-        (lambda scn, t: welfare_greedy_bound(0), r"k must be >= 1, got 0"),
+        (lambda scn, t: welfare_greedy_bound(0), r"k must be an integer >= 1, got 0"),
     ],
     ids=["topk-0", "topk-n+1", "brute-0", "brute-n+1", "welfare-kind", "welfare-max_r", "bound-0"],
 )

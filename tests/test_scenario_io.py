@@ -315,6 +315,17 @@ class TestProjectStores:
         assert got.std_errors.tobytes() == want.std_errors.tobytes()
         return got
 
+    def test_pack_reads_the_atoms_without_caching_arrays(self):
+        # each distribution's atoms in order, with their bits (-0.0 among
+        # them), and no distribution left holding a copy of its own as arrays
+        scn = self.mixed(np.random.default_rng(4), [ValueFunction.best_shot()], (1, 3, 2), (1,))
+        dists = [row[0] for row in scn.dists] + [Distribution.from_pairs(((-0.0, 0.5), (1.0, 0.5)))]
+        store = ProjectStore.pack(dists)
+        for got, side in ((store.values, "values"), (store.probs, "probs")):
+            assert [x.hex() for x in got.tolist()] == [x.hex() for d in dists for x in getattr(d, side)]
+        assert store.lengths.tolist() == [1, 3, 2, 2]
+        assert not any({"values_array", "probs_array"} & vars(d).keys() for d in dists)
+
     @pytest.mark.parametrize("factory", CATALOGUE_POOL, ids=lambda f: value_fn_tag(f()))
     def test_loaded_table_equals_built_table(self, factory):
         # mixed support lengths, point masses, and a 9-atom agent whose

@@ -557,9 +557,11 @@ class TestOrderKernel:
 
     @pytest.mark.parametrize("g", ORDER, ids=ORDER_TAGS)
     def test_a_long_support_pads_its_own_block(self, g, monkeypatch):
-        # 63 agents of 3 atoms and one of 5,000: padded to the longest, the
-        # whole store would be 64 x 5,000 cells, past _BLOCK; then a _BLOCK
-        # below 5,000 on the same store, where the long support runs alone
+        # 63 agents of 3 atoms and one of 5,000: a score column pads
+        # nothing and scores the long support in its own length group; a
+        # block of teams pads to its own longest support, in blocks of at
+        # most _BLOCK cells, then at a _BLOCK below 5,000 on the same
+        # store, where a team with the long support runs alone
         dists = kernel_dists(np.random.default_rng(97), (3,) * 20 + (5000,) + (3,) * 43)
         scn = Scenario.single_project(dists, g, 2)
         store, long = scn.store(0), 20
@@ -574,7 +576,9 @@ class TestOrderKernel:
             padded.clear()
             for copies in (1, 2):
                 want = [replication_score(g, d, copies).hex() for d in dists]
+                grids.clear()
                 assert [v.hex() for v in utility._member_rows(g, store, copies, enumeration_budget()).tolist()] == want
+                assert grids == [(63, 3), (1, 5000)]  # one block per length group
                 # a budget that refuses the long support alone leaves its
                 # entry, and scores the others on grids of their own 3 atoms
                 budget = utility._row_work(g, 5000, 1, copies) - 1
@@ -583,12 +587,32 @@ class TestOrderKernel:
                 assert np.isnan(table[long])
                 assert [v.hex() for v in np.delete(table, long).tolist()] == want[:long] + want[long + 1 :]
                 assert {width for _, width in grids} == {3}
+            assert padded == []
             got = [v.hex() for v in team_values(scn, 0, teams).tolist()]
             assert got == [project_utility(scn, 0, S).value.hex() for S in teams.tolist()]
-            # each block within _BLOCK cells, or a lone agent or team; the
-            # agents past the long support's block are padded to their own 3 atoms
-            assert all(rows * width <= block or rows in (1, 2) for rows, width in padded)
-            assert (len(store) - max(1, block // 5000), 3) in padded
+            # each block of teams within _BLOCK cells, or a lone team
+            assert padded and all(rows * width <= block or rows == 2 for rows, width in padded)
+
+    @pytest.mark.parametrize("g", ORDER, ids=ORDER_TAGS)
+    def test_columns_of_many_lengths_match_replication_scores(self, g):
+        # three agents of each length 1 to 20 and one of 5,000 among them:
+        # each column, scored one length group at a time, equals the lone
+        # replication scores, and a budget that refuses the longest group
+        # leaves its entry alone unscored
+        gen = np.random.default_rng(93)
+        lengths = gen.permutation(np.repeat(np.arange(1, 21), 3)).tolist()
+        long = 17
+        lengths.insert(long, 5000)
+        dists = kernel_dists(gen, lengths)
+        store = Scenario.single_project(dists, g, 1).store(0)
+        for copies in (1, 2, 3):
+            want = [replication_score(g, d, copies).hex() for d in dists]
+            assert [v.hex() for v in utility._member_rows(g, store, copies, enumeration_budget()).tolist()] == want
+            budget = utility._row_work(g, 5000, 1, copies) - 1
+            assert utility._row_work(g, 20, 1, copies) <= budget
+            table = utility._member_rows(g, store, copies, budget)
+            assert np.isnan(table[long])
+            assert [v.hex() for v in np.delete(table, long).tolist()] == want[:long] + want[long + 1 :]
 
 
     @pytest.mark.parametrize("g", ORDER, ids=ORDER_TAGS)
